@@ -10,9 +10,8 @@ use monilog_detect::{
 };
 use monilog_model::codec::{CodecError, Decoder, Encoder};
 use monilog_model::{
-    extract_structured, parse_header, AnomalyKind, AnomalyReport, Criticality, EventId,
-    HeaderFormat, LogEvent, Provenance, RawLog, SessionKey, SourceId, TemplateStore, Timestamp,
-    TraceId,
+    extract_structured, parse_header, AnomalyReport, Criticality, EventId, HeaderFormat, LogEvent,
+    Provenance, RawLog, SessionKey, SourceId, TemplateStore, Timestamp, TraceId,
 };
 use monilog_parse::{Drain, DrainConfig, OnlineParser};
 use monilog_stream::observe::{MetricsRegistry, Stage};
@@ -218,30 +217,6 @@ impl PipelineDetector {
             PipelineDetector::InvariantMining(d) => d,
             PipelineDetector::LogClustering(d) => d,
             PipelineDetector::CoOccurrence(d) => d,
-        }
-    }
-
-    /// Anomaly kind of a flagged window, where the model can tell.
-    fn kind_of(&self, window: &Window) -> AnomalyKind {
-        match self {
-            PipelineDetector::DeepLog(d) => {
-                let (seq, quant) = d.violation_breakdown(window);
-                if quant > 0 && seq == 0 {
-                    AnomalyKind::Quantitative
-                } else {
-                    AnomalyKind::Sequential
-                }
-            }
-            PipelineDetector::LogAnomaly(d) => {
-                let (seq, quant) = d.violation_breakdown(window);
-                if quant > 0 && seq == 0 {
-                    AnomalyKind::Quantitative
-                } else {
-                    AnomalyKind::Sequential
-                }
-            }
-            // Counter/classifier models can't separate the two categories.
-            _ => AnomalyKind::Sequential,
         }
     }
 }
@@ -802,13 +777,12 @@ impl MoniLog {
             let wtrace = c.events.iter().find_map(|e| e.trace);
             let detect_start = Instant::now();
             let detector = self.detector.as_dyn();
-            let flagged = detector.predict(&c.window);
-            if !flagged {
+            // One scoring pass yields verdict, score, kind and breakdown.
+            let Some(assessment) = detector.assess(&c.window) else {
                 self.record_stage(Stage::Detect, SpanStage::Detect, detect_start, wtrace);
                 continue;
-            }
-            let kind = self.detector.kind_of(&c.window);
-            let score = detector.score(&c.window);
+            };
+            let score = assessment.score;
             let provenance = Provenance {
                 trace_ids: c.events.iter().filter_map(|e| e.trace).collect(),
                 template_ids: {
@@ -822,12 +796,12 @@ impl MoniLog {
                     .first()
                     .zip(c.events.last())
                     .map(|(a, b)| (a.timestamp, b.timestamp)),
-                score_components: detector.score_components(&c.window),
+                score_components: assessment.components,
             };
             self.record_stage(Stage::Detect, SpanStage::Detect, detect_start, wtrace);
             let report = AnomalyReport {
                 id: self.next_report_id,
-                kind,
+                kind: assessment.kind,
                 score,
                 detector: detector.name().to_string(),
                 explanation: format!(

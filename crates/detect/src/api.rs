@@ -1,6 +1,6 @@
 //! Detector traits and shared input types.
 
-use monilog_model::{ScoreComponent, TemplateStore};
+use monilog_model::{AnomalyKind, ScoreComponent, TemplateStore};
 use serde::{Deserialize, Serialize};
 
 /// One detection window: the unit every detector scores.
@@ -99,6 +99,49 @@ impl TrainSet {
     }
 }
 
+/// Everything a report needs to say about a flagged window, from one
+/// scoring pass ([`Detector::assess`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Assessment {
+    pub score: f64,
+    /// Which of Table I's two categories, where the model can tell
+    /// (counter and classifier models cannot: sequential).
+    pub kind: AnomalyKind,
+    /// As [`Detector::score_components`].
+    pub components: Vec<ScoreComponent>,
+}
+
+impl Assessment {
+    /// For detectors whose score is a count of sequential plus
+    /// quantitative violations (DeepLog, LogAnomaly).
+    pub(crate) fn of_violations(seq: usize, quant: usize, threshold: f64) -> Option<Assessment> {
+        let score = (seq + quant) as f64;
+        (score > threshold).then(|| Assessment {
+            score,
+            kind: if quant > 0 && seq == 0 {
+                AnomalyKind::Quantitative
+            } else {
+                AnomalyKind::Sequential
+            },
+            components: violation_components(seq, quant, threshold),
+        })
+    }
+}
+
+/// The provenance breakdown of a violation-counting detector.
+pub(crate) fn violation_components(
+    seq: usize,
+    quant: usize,
+    threshold: f64,
+) -> Vec<ScoreComponent> {
+    vec![
+        ScoreComponent::new("score", (seq + quant) as f64),
+        ScoreComponent::new("threshold", threshold),
+        ScoreComponent::new("sequential_violations", seq as f64),
+        ScoreComponent::new("quantitative_violations", quant as f64),
+    ]
+}
+
 /// A log anomaly detector over [`Window`]s.
 pub trait Detector {
     /// Human-readable name used by experiment tables.
@@ -149,6 +192,19 @@ pub trait Detector {
             ScoreComponent::new("score", self.score(window)),
             ScoreComponent::new("threshold", self.threshold()),
         ]
+    }
+
+    /// Verdict, score, kind and provenance of a window: `None` when it is
+    /// normal (exactly when [`Detector::predict`] is false). What the live
+    /// pipeline calls per closed window; detectors whose passes are
+    /// expensive override it to score the window once.
+    fn assess(&self, window: &Window) -> Option<Assessment> {
+        let score = self.score(window);
+        (score > self.threshold()).then(|| Assessment {
+            score,
+            kind: AnomalyKind::Sequential,
+            components: self.score_components(window),
+        })
     }
 }
 
@@ -219,5 +275,26 @@ mod tests {
         };
         assert_eq!(get("score"), 3.0);
         assert_eq!(get("threshold"), 1.5);
+
+        // The default assessment agrees with predict/score/score_components.
+        let flagged = Fixed
+            .assess(&Window::from_ids(vec![1, 2, 3]))
+            .expect("3 > 1.5");
+        assert_eq!(flagged.score, 3.0);
+        assert_eq!(flagged.kind, AnomalyKind::Sequential);
+        assert_eq!(flagged.components, comps);
+        assert_eq!(Fixed.assess(&Window::from_ids(vec![1])), None);
+    }
+
+    #[test]
+    fn violation_assessments_name_the_kind() {
+        assert_eq!(Assessment::of_violations(0, 0, 0.0), None);
+        let kind = |seq, quant| Assessment::of_violations(seq, quant, 0.0).unwrap().kind;
+        assert_eq!(kind(0, 2), AnomalyKind::Quantitative);
+        assert_eq!(kind(1, 2), AnomalyKind::Sequential);
+        assert_eq!(kind(3, 0), AnomalyKind::Sequential);
+        let a = Assessment::of_violations(1, 2, 0.0).unwrap();
+        assert_eq!(a.score, 3.0);
+        assert_eq!(a.components, violation_components(1, 2, 0.0));
     }
 }

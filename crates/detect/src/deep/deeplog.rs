@@ -20,9 +20,11 @@
 //! is always anomalous, so evolved log statements turn into false alarms.
 //! The instability experiments (P2, X1) measure exactly that.
 
-use crate::api::{Detector, TrainSet, Window};
+use crate::api::{violation_components, Assessment, Detector, TrainSet, Window};
 use monilog_model::codec::{CodecError, Decoder, Encoder};
-use monilog_nn::{Adam, Dense, Embedding, Graph, Lstm, Matrix, Optimizer, ParamSet, Var};
+use monilog_nn::{
+    Adam, Dense, Embedding, Graph, Lstm, LstmScratch, Matrix, Optimizer, ParamSet, Var,
+};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -142,13 +144,74 @@ pub struct DeepLog {
     head: Option<Dense>,
     value_stats: HashMap<(u32, usize), ValueStats>,
     value_lstms: HashMap<(u32, usize), ValueLstm>,
-    /// Memoized next-event distributions keyed by mapped history window.
-    /// The weights are frozen between `fit`/`load` calls, so a history
-    /// window always yields the same distribution — and live log streams
-    /// repeat a small set of h-grams over and over, which makes the full
-    /// LSTM forward pass (the live-monitoring bottleneck in experiment D3)
-    /// cacheable. Cleared on refit; bounded by [`DeepLog::PROB_CACHE_CAP`].
-    prob_cache: Mutex<HashMap<Vec<usize>, Vec<f64>>>,
+    /// `emb[id] · W[0..emb_dim, :]` per vocabulary id (`vocab × 4·hidden`):
+    /// the input half of every LSTM step, fixed once the weights are.
+    input_projection: Matrix,
+    /// Verdict memo and forward-pass buffers of the inference path.
+    inference: Mutex<Inference>,
+}
+
+/// What the execution-path model says about one observed
+/// `(history, next)` sample — all a violation test needs, so a memo entry
+/// is O(h) bytes whatever the vocabulary size.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Verdict {
+    /// Classes the model rates strictly more probable than `next`.
+    rank: u32,
+    /// Probability the model gives `next`.
+    prob: f64,
+}
+
+/// Memoized verdicts keyed by `history ++ [next]` in model vocabulary.
+/// The weights are frozen between `fit`/`load` calls, so a sample always
+/// yields the same verdict — and live log streams repeat a small set of
+/// h-grams over and over, which makes the LSTM forward pass (the
+/// live-monitoring bottleneck) cacheable. Cleared on refit.
+///
+/// Bounded by two generations: inserts go to `young`; when it holds
+/// [`VerdictMemo::GENERATION`] entries it becomes `old` and the previous
+/// `old` is dropped. A hit in `old` is copied forward, so keys still in
+/// use survive and a stream that has seen any number of distinct
+/// histories keeps memoizing the ones it sees now.
+#[derive(Debug, Default)]
+struct VerdictMemo {
+    young: HashMap<Box<[u32]>, Verdict>,
+    old: HashMap<Box<[u32]>, Verdict>,
+}
+
+impl VerdictMemo {
+    /// Entries per generation; at most twice this many are held (~6 MB at
+    /// `h` = 10).
+    const GENERATION: usize = 1 << 15;
+
+    fn get(&mut self, key: &[u32]) -> Option<Verdict> {
+        if let Some(hit) = self.young.get(key) {
+            return Some(*hit);
+        }
+        let hit = *self.old.get(key)?;
+        self.insert(key, hit);
+        Some(hit)
+    }
+
+    fn insert(&mut self, key: &[u32], verdict: Verdict) {
+        if self.young.len() >= Self::GENERATION {
+            self.old = std::mem::take(&mut self.young);
+        }
+        self.young.insert(key.into(), verdict);
+    }
+}
+
+#[derive(Debug, Default)]
+struct Inference {
+    memo: VerdictMemo,
+    lstm: LstmScratch,
+    probs: Matrix,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Sample rows sent through the LSTM by this thread (memo misses).
+    static FORWARD_ROWS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl DeepLog {
@@ -167,84 +230,76 @@ impl DeepLog {
             head: None,
             value_stats: HashMap::new(),
             value_lstms: HashMap::new(),
-            prob_cache: Mutex::new(HashMap::new()),
+            input_projection: Matrix::default(),
+            inference: Mutex::default(),
         }
     }
 
-    /// Upper bound on memoized history windows (~a few MB at typical
-    /// vocabulary sizes); beyond it new windows are computed but not
-    /// cached, so pathological high-entropy streams can't balloon memory.
-    const PROB_CACHE_CAP: usize = 1 << 16;
+    /// Rows per batched forward pass: bounds the scratch buffers whatever
+    /// the window length (live windows close well below it).
+    const MAX_BATCH: usize = 256;
 
-    /// Map a raw template id into model vocabulary (unseen → UNK).
-    fn lookup(&self, id: u32) -> usize {
-        if (id as usize) < self.unk as usize {
-            id as usize
-        } else {
-            self.unk as usize
-        }
+    /// Freeze the fitted weights for inference: precompute the per-id
+    /// input projection and drop verdicts of any earlier weights (they
+    /// would be silently wrong).
+    fn freeze(&mut self, emb: Embedding, lstm: Lstm, head: Dense) {
+        lstm.project_input(
+            &self.params,
+            self.params.value(emb.table),
+            &mut self.input_projection,
+        );
+        self.emb = Some(emb);
+        self.lstm = Some(lstm);
+        self.head = Some(head);
+        *self.inference.lock().expect("inference state poisoned") = Inference::default();
     }
 
-    /// `(history window, next id)` training samples from one sequence,
-    /// left-padded so the first events are predictable too; with `use_eos`
-    /// a final sample predicts the virtual end-of-session event.
-    fn samples_of(&self, sequence: &[u32]) -> Vec<(Vec<usize>, usize)> {
-        let h = self.config.history;
-        let mut mapped: Vec<usize> = sequence.iter().map(|&id| self.lookup(id)).collect();
-        if self.config.use_eos && !mapped.is_empty() {
-            mapped.push(self.eos as usize);
+    /// `sequence` in model vocabulary (unseen → UNK), left-padded with `h`
+    /// PADs so the first events are predictable too and, with `use_eos`,
+    /// closed by the virtual end-of-session event. Every run of `h + 1` ids
+    /// is one `history ++ [next]` sample, for training and inference alike.
+    fn padded(&self, sequence: &[u32]) -> Vec<u32> {
+        if sequence.is_empty() {
+            return Vec::new();
         }
-        let mut out = Vec::new();
-        for (i, &next) in mapped.iter().enumerate() {
-            let mut window = Vec::with_capacity(h);
-            for k in 0..h {
-                let pos = i as i64 - h as i64 + k as i64;
-                window.push(if pos < 0 {
-                    self.pad as usize
-                } else {
-                    mapped[pos as usize]
-                });
-            }
-            out.push((window, next));
+        let mut ids = vec![self.pad; self.config.history];
+        ids.extend(sequence.iter().map(|&id| id.min(self.unk)));
+        if self.config.use_eos {
+            ids.push(self.eos);
         }
-        out
+        ids
     }
 
-    /// Class probabilities for the next event after a history window
-    /// (memoized — see the `prob_cache` field).
-    fn probabilities(&self, window: &[usize]) -> Vec<f64> {
-        if let Some(hit) = self.prob_cache.lock().expect("prob cache").get(window) {
-            return hit.clone();
-        }
-        let out = self.probabilities_uncached(window);
-        let mut cache = self.prob_cache.lock().expect("prob cache");
-        if cache.len() < Self::PROB_CACHE_CAP {
-            cache.insert(window.to_vec(), out.clone());
-        }
-        out
-    }
-
-    /// The actual LSTM forward pass behind [`DeepLog::probabilities`].
-    fn probabilities_uncached(&self, window: &[usize]) -> Vec<f64> {
-        let (emb, lstm, head) = (
-            self.emb.as_ref().expect("fitted"),
+    /// Verdicts of `keys` (each `history ++ [next]`), memoized and appended
+    /// to `verdicts`, from one batched tape-free forward pass: per timestep
+    /// one product for all rows, with the input half gathered from the
+    /// precomputed per-id projection. Each row's distribution equals the
+    /// tape's (`tests::tape_probabilities`) bit for bit.
+    fn forward(&self, keys: &[&[u32]], state: &mut Inference, verdicts: &mut Vec<Verdict>) {
+        let (lstm, head) = (
             self.lstm.as_ref().expect("fitted"),
             self.head.as_ref().expect("fitted"),
         );
-        let mut g = Graph::new();
-        let embedded = emb.forward(&mut g, &self.params, window);
-        let xs: Vec<Var> = (0..window.len())
-            .map(|t| g.select_row(embedded, t))
-            .collect();
-        let states = lstm.run(&mut g, &self.params, &xs);
-        let logits = head.forward(
-            &mut g,
-            &self.params,
-            states.last().expect("nonempty window").h,
-        );
-        let probs = g.row_softmax(logits);
-        let row = g.value(probs);
-        (0..row.cols).map(|c| row.get(0, c)).collect()
+        let h = self.config.history;
+        #[cfg(test)]
+        FORWARD_ROWS.with(|n| n.set(n.get() + keys.len()));
+        let hidden = lstm.infer_last(&self.params, keys.len(), h, &mut state.lstm, |t, gates| {
+            for (r, key) in keys.iter().enumerate() {
+                gates
+                    .row_slice_mut(r)
+                    .copy_from_slice(self.input_projection.row_slice(key[t] as usize));
+            }
+        });
+        head.infer(&self.params, hidden, &mut state.probs);
+        state.probs.softmax_rows();
+        for (r, key) in keys.iter().enumerate() {
+            let probs = state.probs.row_slice(r);
+            let prob = probs[key[h] as usize];
+            let rank = probs.iter().filter(|&&p| p > prob).count() as u32;
+            let verdict = Verdict { rank, prob };
+            state.memo.insert(key, verdict);
+            verdicts.push(verdict);
+        }
     }
 
     /// Serialize a fitted detector into a checkpoint: config, vocabulary,
@@ -375,9 +430,7 @@ impl DeepLog {
             .params
             .import_matrices(matrices)
             .map_err(|_| CodecError::Corrupt("parameter shapes vs config"))?;
-        detector.emb = Some(emb);
-        detector.lstm = Some(lstm);
-        detector.head = Some(head);
+        detector.freeze(emb, lstm, head);
 
         let n = d.get_len()?;
         for _ in 0..n {
@@ -406,22 +459,39 @@ impl DeepLog {
     }
 
     /// Count of sequential violations (events outside top-g or below the
-    /// probability floor) in a window.
+    /// probability floor) in a window. Samples the memo has not seen are
+    /// deduplicated and scored in one batched forward pass.
     fn sequence_violations(&self, window: &Window) -> usize {
-        let g_top = self.config.top_g.min(self.vocab.saturating_sub(1)).max(1);
+        let h = self.config.history;
+        let g_top = self.config.top_g.min(self.vocab.saturating_sub(1)).max(1) as u32;
+        let violates = |v: Verdict| v.rank >= g_top || v.prob < self.config.min_prob;
+        let padded = self.padded(&window.sequence);
+        let mut guard = self.inference.lock().expect("inference state poisoned");
+        let state = &mut *guard;
         let mut violations = 0;
-        for (hist, next) in self.samples_of(&window.sequence) {
+        let mut missing: Vec<&[u32]> = Vec::new();
+        for key in padded.windows(h + 1) {
             // The closed-world assumption: an UNK event can never be in the
             // candidate set of a model that has never seen it.
-            if next == self.unk as usize {
+            if key[h] == self.unk {
                 violations += 1;
-                continue;
+            } else if let Some(verdict) = state.memo.get(key) {
+                violations += violates(verdict) as usize;
+            } else {
+                missing.push(key);
             }
-            let probs = self.probabilities(&hist);
-            let observed_p = probs[next];
-            let better = probs.iter().filter(|&&p| p > observed_p).count();
-            if better >= g_top || observed_p < self.config.min_prob {
-                violations += 1;
+        }
+        if !missing.is_empty() {
+            // A sample occurring n times in the window is scored once.
+            missing.sort_unstable();
+            let repeats: Vec<&[&[u32]]> = missing.chunk_by(|a, b| a == b).collect();
+            let distinct: Vec<&[u32]> = repeats.iter().map(|same| same[0]).collect();
+            let mut verdicts = Vec::with_capacity(distinct.len());
+            for batch in distinct.chunks(Self::MAX_BATCH) {
+                self.forward(batch, state, &mut verdicts);
+            }
+            for (same, &verdict) in repeats.iter().zip(&verdicts) {
+                violations += same.len() * violates(verdict) as usize;
             }
         }
         violations
@@ -601,8 +671,6 @@ impl Detector for DeepLog {
     fn fit(&mut self, train: &TrainSet) {
         let normal = train.normal_windows();
         assert!(!normal.is_empty(), "DeepLog needs training windows");
-        // Stale distributions from a previous fit would be silently wrong.
-        self.prob_cache.lock().expect("prob cache").clear();
         let max_id = train.max_template_id().unwrap_or(0);
         self.unk = max_id + 1;
         self.pad = max_id + 2;
@@ -625,10 +693,11 @@ impl Detector for DeepLog {
         );
         let head = Dense::new(&mut self.params, self.config.hidden, self.vocab, &mut rng);
 
-        // Gather (window, next) samples from all normal sequences.
-        let mut samples: Vec<(Vec<usize>, usize)> = Vec::new();
+        // Gather `history ++ [next]` samples from all normal sequences.
+        let h = self.config.history;
+        let mut samples: Vec<Vec<u32>> = Vec::new();
         for w in &normal {
-            samples.extend(self.samples_of(&w.sequence));
+            samples.extend(self.padded(&w.sequence).windows(h + 1).map(<[u32]>::to_vec));
         }
         if samples.len() > self.config.max_samples {
             // Deterministic subsample.
@@ -639,7 +708,6 @@ impl Detector for DeepLog {
         }
 
         let mut opt = Adam::new(self.config.learning_rate);
-        let h = self.config.history;
         for _ in 0..self.config.epochs {
             // Deterministic shuffle per epoch.
             for i in (1..samples.len()).rev() {
@@ -652,22 +720,20 @@ impl Detector for DeepLog {
                 // xs[t] = batch × emb matrix of the t-th history position.
                 let xs: Vec<Var> = (0..h)
                     .map(|t| {
-                        let ids: Vec<usize> = batch.iter().map(|(w, _)| w[t]).collect();
+                        let ids: Vec<usize> = batch.iter().map(|s| s[t] as usize).collect();
                         emb.forward(&mut g, &self.params, &ids)
                     })
                     .collect();
                 let states = lstm.run(&mut g, &self.params, &xs);
                 let logits = head.forward(&mut g, &self.params, states.last().expect("h ≥ 1").h);
-                let targets: Vec<usize> = batch.iter().map(|(_, t)| *t).collect();
+                let targets: Vec<usize> = batch.iter().map(|s| s[h] as usize).collect();
                 let loss = g.softmax_xent(logits, targets);
                 g.backward(loss, &mut self.params);
                 self.params.clip_grad_norm(5.0);
                 opt.step(&mut self.params);
             }
         }
-        self.emb = Some(emb);
-        self.lstm = Some(lstm);
-        self.head = Some(head);
+        self.freeze(emb, lstm, head);
 
         // Parameter-value models.
         self.value_stats.clear();
@@ -705,12 +771,12 @@ impl Detector for DeepLog {
 
     fn score_components(&self, window: &Window) -> Vec<monilog_model::ScoreComponent> {
         let (seq, quant) = self.violation_breakdown(window);
-        vec![
-            monilog_model::ScoreComponent::new("score", (seq + quant) as f64),
-            monilog_model::ScoreComponent::new("threshold", self.threshold()),
-            monilog_model::ScoreComponent::new("sequential_violations", seq as f64),
-            monilog_model::ScoreComponent::new("quantitative_violations", quant as f64),
-        ]
+        violation_components(seq, quant, self.threshold())
+    }
+
+    fn assess(&self, window: &Window) -> Option<Assessment> {
+        let (seq, quant) = self.violation_breakdown(window);
+        Assessment::of_violations(seq, quant, self.threshold())
     }
 }
 
@@ -913,27 +979,181 @@ mod tests {
         assert!(DeepLog::load(&bytes).is_err());
     }
 
+    /// `(history window, next id)` samples of one sequence as the per-sample
+    /// path built them (kept apart from `DeepLog::padded` on purpose).
+    fn samples_of(d: &DeepLog, sequence: &[u32]) -> Vec<(Vec<usize>, usize)> {
+        let h = d.config.history;
+        let lookup = |id: u32| if id < d.unk { id } else { d.unk } as usize;
+        let mut mapped: Vec<usize> = sequence.iter().map(|&id| lookup(id)).collect();
+        if d.config.use_eos && !mapped.is_empty() {
+            mapped.push(d.eos as usize);
+        }
+        let mut out = Vec::new();
+        for (i, &next) in mapped.iter().enumerate() {
+            let mut window = Vec::with_capacity(h);
+            for k in 0..h {
+                let pos = i as i64 - h as i64 + k as i64;
+                window.push(if pos < 0 {
+                    d.pad as usize
+                } else {
+                    mapped[pos as usize]
+                });
+            }
+            out.push((window, next));
+        }
+        out
+    }
+
+    /// The tape forward pass for one history window: the inference path
+    /// before it went tape-free, kept as the oracle.
+    fn tape_probabilities(d: &DeepLog, window: &[usize]) -> Vec<f64> {
+        let (emb, lstm, head) = (
+            d.emb.as_ref().expect("fitted"),
+            d.lstm.as_ref().expect("fitted"),
+            d.head.as_ref().expect("fitted"),
+        );
+        let mut g = Graph::new();
+        let embedded = emb.forward(&mut g, &d.params, window);
+        let xs: Vec<Var> = (0..window.len())
+            .map(|t| g.select_row(embedded, t))
+            .collect();
+        let states = lstm.run(&mut g, &d.params, &xs);
+        let logits = head.forward(&mut g, &d.params, states.last().expect("nonempty window").h);
+        let probs = g.row_softmax(logits);
+        g.value(probs).row_slice(0).to_vec()
+    }
+
+    /// The inference path before batching: one tape forward per sample.
+    fn oracle_verdicts(d: &DeepLog, window: &Window) -> Vec<Option<Verdict>> {
+        samples_of(d, &window.sequence)
+            .into_iter()
+            .map(|(hist, next)| {
+                (next != d.unk as usize).then(|| {
+                    let probs = tape_probabilities(d, &hist);
+                    Verdict {
+                        rank: probs.iter().filter(|&&p| p > probs[next]).count() as u32,
+                        prob: probs[next],
+                    }
+                })
+            })
+            .collect()
+    }
+
+    fn oracle_sequence_violations(d: &DeepLog, window: &Window) -> usize {
+        let g_top = d.config.top_g.min(d.vocab.saturating_sub(1)).max(1) as u32;
+        oracle_verdicts(d, window)
+            .into_iter()
+            .filter(|v| v.is_none_or(|v| v.rank >= g_top || v.prob < d.config.min_prob))
+            .count()
+    }
+
+    fn forward_rows() -> usize {
+        FORWARD_ROWS.with(|n| n.get())
+    }
+
     #[test]
-    fn probability_cache_is_exact_and_cleared_on_refit() {
+    fn memo_is_exact_and_cleared_on_refit() {
         let mut d = DeepLog::new(small_config());
         d.fit(&train_set());
-        let hist = vec![d.pad as usize, 0, 1, 2];
-        let first = d.probabilities(&hist); // populates the cache
-        assert_eq!(first, d.probabilities(&hist), "cached hit diverged");
-        assert_eq!(
-            first,
-            d.probabilities_uncached(&hist),
-            "cache must be invisible"
-        );
-        assert!(!d.prob_cache.lock().unwrap().is_empty());
+        let w = Window::from_ids(vec![0, 1, 3, 2, 1, 3]);
+        let before = forward_rows();
+        let first = d.sequence_violations(&w); // populates the memo
+        let missed = forward_rows() - before;
+        assert!(missed > 0);
+        assert_eq!(first, d.sequence_violations(&w), "memo hit diverged");
+        assert_eq!(forward_rows() - before, missed, "second pass ran the LSTM");
+        assert_eq!(first, oracle_sequence_violations(&d, &w), "memo is visible");
 
-        // Retrain on a different flow: cached distributions for the old
-        // weights must not survive.
+        // Retrain on a different flow: verdicts of the old weights must
+        // not survive.
         let other = TrainSet::unlabeled((0..80).map(|_| Window::from_ids(vec![3, 2, 0])).collect());
         d.fit(&other);
-        let refit = d.probabilities(&hist);
-        assert_eq!(refit, d.probabilities_uncached(&hist));
-        assert_ne!(first, refit, "distribution unchanged after refit");
+        let before = forward_rows();
+        let refit = d.sequence_violations(&w);
+        assert_eq!(forward_rows() - before, missed, "stale memo served a refit");
+        assert_eq!(refit, oracle_sequence_violations(&d, &w));
+    }
+
+    /// Regression: the memo used to stop inserting for good once it held
+    /// its cap, so a monitor that had seen 65k distinct histories ran the
+    /// LSTM on every sample from then on.
+    #[test]
+    fn memo_keeps_memoizing_past_its_bound() {
+        let mut d = DeepLog::new(DeepLogConfig {
+            history: 8,
+            embedding_dim: 2,
+            hidden: 2,
+            epochs: 1,
+            ..DeepLogConfig::default()
+        });
+        d.fit(&TrainSet::unlabeled(vec![Window::from_ids(
+            (0..40).map(|i| i % 5).collect(),
+        )]));
+        // More distinct samples than the memo may hold: 5 ids, 9 positions.
+        let mut rng = StdRng::seed_from_u64(3);
+        let flood = 2 * VerdictMemo::GENERATION + 5_000;
+        let noise = Window::from_ids((0..flood).map(|_| rng.random_range(0..5)).collect());
+        let before = forward_rows();
+        d.sequence_violations(&noise);
+        assert!(forward_rows() - before > 2 * VerdictMemo::GENERATION);
+        {
+            let state = d.inference.lock().unwrap();
+            assert!(state.memo.young.len() <= VerdictMemo::GENERATION);
+            assert!(state.memo.old.len() <= VerdictMemo::GENERATION);
+        }
+
+        let late = Window::from_ids(vec![4, 4, 4, 4, 0, 0, 0, 0, 3, 3, 3, 3]);
+        let first = d.sequence_violations(&late);
+        let after_first = forward_rows();
+        assert_eq!(first, d.sequence_violations(&late));
+        assert_eq!(
+            forward_rows(),
+            after_first,
+            "a history repeated after the memo filled ran the LSTM again"
+        );
+        assert_eq!(first, oracle_sequence_violations(&d, &late));
+    }
+
+    /// The batched tape-free path against the per-sample tape, to the bit:
+    /// every verdict's probability compares `==`, on shuffled HDFS and
+    /// cloud windows with UNK events, PAD-only histories, EOS samples and
+    /// windows shorter than `h` — cold, and again from the memo.
+    #[test]
+    fn batched_inference_equals_the_tape_oracle() {
+        let config = DeepLogConfig {
+            history: 6,
+            top_g: 2,
+            epochs: 1,
+            max_samples: 1_500,
+            ..DeepLogConfig::default()
+        };
+        let (train, probes, _) = crate::deep::testdata::corpus(config.history);
+        let mut d = DeepLog::new(config);
+        d.fit(&train);
+        let mut unk = 0;
+        for pass in ["cold", "memoized"] {
+            for w in &probes {
+                let got = d.sequence_violations(w);
+                assert_eq!(
+                    got,
+                    oracle_sequence_violations(&d, w),
+                    "{pass}: {:?}",
+                    w.sequence
+                );
+                let mut state = d.inference.lock().unwrap();
+                for ((hist, next), expected) in samples_of(&d, &w.sequence)
+                    .into_iter()
+                    .zip(oracle_verdicts(&d, w))
+                {
+                    let key: Vec<u32> = hist.iter().chain([&next]).map(|&id| id as u32).collect();
+                    match expected {
+                        Some(verdict) => assert_eq!(state.memo.get(&key), Some(verdict), "{pass}"),
+                        None => unk += 1,
+                    }
+                }
+            }
+        }
+        assert!(unk > 0, "no probe exercised the UNK short-cut");
     }
 
     #[test]

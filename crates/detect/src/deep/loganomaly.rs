@@ -17,12 +17,12 @@
 //!    full count-vector LSTM adds nothing at our window sizes; recorded as
 //!    a simplification in `DESIGN.md`).
 
-use crate::api::{Detector, TrainSet, Window};
+use crate::api::{violation_components, Assessment, Detector, TrainSet, Window};
 use crate::semantic::TemplateVectorizer;
 use crate::window::count_vector;
 use monilog_model::codec::{CodecError, Decoder, Encoder};
 use monilog_model::{Template, TemplateStore};
-use monilog_nn::{Adam, Dense, Graph, Lstm, Matrix, Optimizer, ParamSet, Var};
+use monilog_nn::{Adam, Dense, Graph, Lstm, LstmScratch, Matrix, Optimizer, ParamSet, Var};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -105,15 +105,13 @@ impl LogAnomaly {
         }
     }
 
-    /// The semantic vector of a template id (known, extra, or zero).
-    fn vector_of(&self, id: u32) -> Vec<f64> {
-        if let Some(v) = self.known_vectors.get(&id) {
-            return v.clone();
-        }
-        if let Some(v) = self.extra_vectors.get(&id) {
-            return v.clone();
-        }
-        vec![0.0; self.config.semantic_dim]
+    /// The semantic vector of a template id (known or extra; `None` reads
+    /// as the zero vector).
+    fn vector_of(&self, id: u32) -> Option<&[f64]> {
+        self.known_vectors
+            .get(&id)
+            .or_else(|| self.extra_vectors.get(&id))
+            .map(Vec::as_slice)
     }
 
     /// template2vec matching: resolve an id to a *known* id, matching
@@ -134,7 +132,7 @@ impl LogAnomaly {
         best.map(|(kid, _)| kid)
     }
 
-    /// Training/inference samples: history of semantic vectors → next class.
+    /// Training samples: history of semantic vectors → next class.
     /// `resolve`-failures yield `None` targets (violations at test time).
     fn samples_of(&self, sequence: &[u32]) -> Vec<(Vec<Vec<f64>>, Option<usize>)> {
         let h = self.config.history;
@@ -143,12 +141,13 @@ impl LogAnomaly {
             let mut hist = Vec::with_capacity(h);
             for k in 0..h {
                 let pos = i as i64 - h as i64 + k as i64;
+                let zero = || vec![0.0; self.config.semantic_dim]; // also PAD
                 hist.push(if pos < 0 {
-                    vec![0.0; self.config.semantic_dim] // PAD = zero vector
+                    zero()
                 } else {
                     let id = sequence[pos as usize];
                     let rid = self.resolve(id).unwrap_or(id);
-                    self.vector_of(rid)
+                    self.vector_of(rid).map_or_else(zero, <[f64]>::to_vec)
                 });
             }
             let target = self
@@ -157,21 +156,6 @@ impl LogAnomaly {
             out.push((hist, target));
         }
         out
-    }
-
-    fn predict_classes(&self, hist: &[Vec<f64>]) -> Vec<usize> {
-        let (lstm, head) = (
-            self.lstm.as_ref().expect("fitted"),
-            self.head.as_ref().expect("fitted"),
-        );
-        let mut g = Graph::new();
-        let xs: Vec<Var> = hist.iter().map(|v| g.input(Matrix::row(v))).collect();
-        let states = lstm.run(&mut g, &self.params, &xs);
-        let logits = head.forward(&mut g, &self.params, states.last().expect("h ≥ 1").h);
-        let row = g.value(logits);
-        let mut scored: Vec<(usize, f64)> = (0..row.cols).map(|c| (c, row.get(0, c))).collect();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
-        scored.into_iter().map(|(c, _)| c).collect()
     }
 
     /// Serialize a fitted detector: config, vectorizer, vocabulary,
@@ -331,22 +315,66 @@ impl LogAnomaly {
         )
     }
 
+    /// Events whose (resolved) class is outside the model's top-g, plus
+    /// events nothing known is even similar to. The whole window goes
+    /// through one batched, tape-free forward pass; every event's input
+    /// projection is computed once and gathered per history position.
     fn sequence_violations(&self, window: &Window) -> usize {
+        let (lstm, head) = (
+            self.lstm.as_ref().expect("fitted"),
+            self.head.as_ref().expect("fitted"),
+        );
+        let h = self.config.history;
         let g_top = self
             .config
             .top_g
             .min(self.train_vocab.len().saturating_sub(1))
             .max(1);
-        let mut violations = 0;
-        for (hist, target) in self.samples_of(&window.sequence) {
-            match target {
-                None => violations += 1, // nothing known is even similar
-                Some(class) => {
-                    let ranked = self.predict_classes(&hist);
-                    if !ranked[..g_top].contains(&class) {
-                        violations += 1;
-                    }
+        let resolved: Vec<Option<u32>> =
+            window.sequence.iter().map(|&id| self.resolve(id)).collect();
+        // (position, class) of every event that resolves to a known class.
+        let targets: Vec<(usize, usize)> = resolved
+            .iter()
+            .enumerate()
+            .filter_map(|(i, rid)| Some((i, *self.class_of.get(&(*rid)?)?)))
+            .collect();
+        let mut violations = window.sequence.len() - targets.len();
+        if targets.is_empty() {
+            return violations;
+        }
+
+        let mut vectors = Matrix::zeros(window.sequence.len(), self.config.semantic_dim);
+        for (i, (&id, rid)) in window.sequence.iter().zip(&resolved).enumerate() {
+            if let Some(v) = self.vector_of(rid.unwrap_or(id)) {
+                vectors.row_slice_mut(i).copy_from_slice(v);
+            }
+        }
+        let mut projected = Matrix::default();
+        lstm.project_input(&self.params, &vectors, &mut projected);
+        let mut scratch = LstmScratch::default();
+        let hidden = lstm.infer_last(&self.params, targets.len(), h, &mut scratch, |t, gates| {
+            for (r, &(i, _)) in targets.iter().enumerate() {
+                // Positions before the window are PAD, the zero vector,
+                // whose projection is the zero row `gates` already holds.
+                if let Some(pos) = (i + t).checked_sub(h) {
+                    gates
+                        .row_slice_mut(r)
+                        .copy_from_slice(projected.row_slice(pos));
                 }
+            }
+        });
+        let mut logits = Matrix::default();
+        head.infer(&self.params, hidden, &mut logits);
+        for (r, &(_, class)) in targets.iter().enumerate() {
+            let row = logits.row_slice(r);
+            // Place of `class` in a stable descending sort of the logits.
+            let ahead = row
+                .iter()
+                .enumerate()
+                .filter(|&(c, &l)| l > row[class] || (l == row[class] && c < class))
+                .count();
+            if ahead >= g_top {
+                violations += 1;
             }
         }
         violations
@@ -535,12 +563,12 @@ impl Detector for LogAnomaly {
 
     fn score_components(&self, window: &Window) -> Vec<monilog_model::ScoreComponent> {
         let (seq, quant) = self.violation_breakdown(window);
-        vec![
-            monilog_model::ScoreComponent::new("score", (seq + quant) as f64),
-            monilog_model::ScoreComponent::new("threshold", self.threshold()),
-            monilog_model::ScoreComponent::new("sequential_violations", seq as f64),
-            monilog_model::ScoreComponent::new("quantitative_violations", quant as f64),
-        ]
+        violation_components(seq, quant, self.threshold())
+    }
+
+    fn assess(&self, window: &Window) -> Option<Assessment> {
+        let (seq, quant) = self.violation_breakdown(window);
+        Assessment::of_violations(seq, quant, self.threshold())
     }
 
     /// Vectorize templates discovered after training so unseen ids can be
@@ -699,6 +727,66 @@ mod tests {
         bad.truncate(bad.len() - 3);
         assert!(LogAnomaly::load(&bad).is_err());
         assert!(LogAnomaly::new(small_config()).save().is_err(), "unfitted");
+    }
+
+    /// Classes ranked by the tape forward pass for one history: the
+    /// inference path before it went tape-free, kept as the oracle.
+    fn predict_classes(d: &LogAnomaly, hist: &[Vec<f64>]) -> Vec<usize> {
+        let (lstm, head) = (
+            d.lstm.as_ref().expect("fitted"),
+            d.head.as_ref().expect("fitted"),
+        );
+        let mut g = Graph::new();
+        let xs: Vec<Var> = hist.iter().map(|v| g.input(Matrix::row(v))).collect();
+        let states = lstm.run(&mut g, &d.params, &xs);
+        let logits = head.forward(&mut g, &d.params, states.last().expect("h ≥ 1").h);
+        let row = g.value(logits);
+        let mut scored: Vec<(usize, f64)> = (0..row.cols).map(|c| (c, row.get(0, c))).collect();
+        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
+        scored.into_iter().map(|(c, _)| c).collect()
+    }
+
+    /// The inference path before batching: every sample's history
+    /// materialized, one tape forward per sample.
+    fn oracle_sequence_violations(d: &LogAnomaly, window: &Window) -> usize {
+        let g_top = d
+            .config
+            .top_g
+            .min(d.train_vocab.len().saturating_sub(1))
+            .max(1);
+        d.samples_of(&window.sequence)
+            .into_iter()
+            .filter(|(hist, target)| {
+                target.is_none_or(|class| !predict_classes(d, hist)[..g_top].contains(&class))
+            })
+            .count()
+    }
+
+    /// The batched tape-free path flags exactly the events the per-sample
+    /// tape flags, on shuffled HDFS and cloud windows with evolved
+    /// (semantically matched), unmatched and vectorless templates and
+    /// windows shorter than `h`.
+    #[test]
+    fn batched_inference_equals_the_tape_oracle() {
+        let config = LogAnomalyConfig {
+            history: 6,
+            top_g: 2,
+            epochs: 1,
+            max_samples: 1_500,
+            ..Default::default()
+        };
+        let (train, probes, store) = crate::deep::testdata::corpus(config.history);
+        let mut d = LogAnomaly::new(config);
+        d.fit(&train);
+        d.update_templates(&store);
+        assert!(!d.extra_vectors.is_empty(), "no post-training template");
+        let mut flagged = 0;
+        for w in &probes {
+            let got = d.sequence_violations(w);
+            assert_eq!(got, oracle_sequence_violations(&d, w), "{:?}", w.sequence);
+            flagged += got;
+        }
+        assert!(flagged > 0, "no probe violated the model");
     }
 
     #[test]

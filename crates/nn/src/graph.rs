@@ -57,6 +57,8 @@ enum Op {
 struct Node {
     op: Op,
     value: Matrix,
+    /// Empty until [`Graph::backward`] sizes it: forward-only graphs never
+    /// pay for a zeroed gradient per node.
     grad: Matrix,
 }
 
@@ -72,8 +74,11 @@ impl Graph {
     }
 
     fn push(&mut self, op: Op, value: Matrix) -> Var {
-        let grad = Matrix::zeros(value.rows, value.cols);
-        self.nodes.push(Node { op, value, grad });
+        self.nodes.push(Node {
+            op,
+            value,
+            grad: Matrix::default(),
+        });
         Var(self.nodes.len() - 1)
     }
 
@@ -112,13 +117,8 @@ impl Graph {
             out
         } else {
             assert_eq!(bv.rows, 1, "add: rhs must match shape or be a row vector");
-            assert_eq!(bv.cols, av.cols, "add: broadcast width mismatch");
             let mut out = av.clone();
-            for r in 0..out.rows {
-                for c in 0..out.cols {
-                    out.set(r, c, out.get(r, c) + bv.get(0, c));
-                }
-            }
+            out.add_row(bv);
             out
         };
         self.push(Op::Add(a, b), value)
@@ -149,7 +149,7 @@ impl Graph {
     }
 
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let value = self.nodes[a.0].value.map(|x| 1.0 / (1.0 + (-x).exp()));
+        let value = self.nodes[a.0].value.map(sigmoid);
         self.push(Op::Sigmoid(a), value)
     }
 
@@ -208,17 +208,7 @@ impl Graph {
     }
 
     pub fn row_softmax(&mut self, a: Var) -> Var {
-        let av = &self.nodes[a.0].value;
-        let mut value = av.clone();
-        for r in 0..value.rows {
-            let row: Vec<f64> = (0..value.cols).map(|c| value.get(r, c)).collect();
-            let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let exps: Vec<f64> = row.iter().map(|x| (x - max).exp()).collect();
-            let sum: f64 = exps.iter().sum();
-            for (c, e) in exps.iter().enumerate() {
-                value.set(r, c, e / sum);
-            }
-        }
+        let value = softmax_of(&self.nodes[a.0].value);
         self.push(Op::RowSoftmax(a), value)
     }
 
@@ -274,7 +264,7 @@ impl Graph {
             "backward requires a scalar loss"
         );
         for node in &mut self.nodes {
-            node.grad.clear();
+            node.grad.reset(node.value.rows, node.value.cols);
         }
         self.nodes[loss.0].grad.set(0, 0, 1.0);
 
@@ -460,23 +450,16 @@ impl Graph {
     }
 }
 
+/// The logistic function (shared by the tape and the tape-free layers).
+#[inline]
+pub(crate) fn sigmoid(x: f64) -> f64 {
+    1.0 / (1.0 + (-x).exp())
+}
+
 /// Row-wise softmax of a matrix (shared by forward and backward).
 fn softmax_of(m: &Matrix) -> Matrix {
     let mut out = m.clone();
-    for r in 0..out.rows {
-        let max = (0..out.cols)
-            .map(|c| out.get(r, c))
-            .fold(f64::NEG_INFINITY, f64::max);
-        let mut sum = 0.0;
-        for c in 0..out.cols {
-            let e = (out.get(r, c) - max).exp();
-            out.set(r, c, e);
-            sum += e;
-        }
-        for c in 0..out.cols {
-            out.set(r, c, out.get(r, c) / sum);
-        }
-    }
+    out.softmax_rows();
     out
 }
 

@@ -4,8 +4,16 @@
 //! [`ParamSet`] and exposes a `forward` that extends a [`Graph`]. Because
 //! layers build ordinary tape ops, backpropagation (including BPTT through
 //! LSTM unrolling) needs no extra code.
+//!
+//! `Dense` and `Lstm` also have a tape-free `infer*` form for
+//! serving a frozen model: plain matrices in, weights borrowed from the
+//! [`ParamSet`], buffers owned by the caller, no node, clone or gradient
+//! per op. It performs the tape's floating-point operations in the tape's
+//! order (one product loop, [`Matrix::matmul_acc`], serves both), so its
+//! outputs equal the tape's bit for bit whatever the batch size — pinned
+//! by `infer_equals_tape` below.
 
-use crate::graph::{Graph, Var};
+use crate::graph::{sigmoid, Graph, Var};
 use crate::matrix::Matrix;
 use crate::optim::{ParamId, ParamSet};
 use rand::Rng;
@@ -42,10 +50,19 @@ impl Dense {
         let xw = g.matmul(x, w);
         g.add(xw, b)
     }
+
+    /// Tape-free `out = x W + b`.
+    pub fn infer(&self, params: &ParamSet, x: &Matrix, out: &mut Matrix) {
+        out.reset(x.rows, self.out_dim);
+        x.matmul_acc(params.value(self.w), 0, out);
+        out.add_row(params.value(self.b));
+    }
 }
 
 /// Embedding table: id → row vector. Lookup is a constant-input gather; the
-/// table itself is trainable via a one-hot matmul path.
+/// table itself is trainable via a one-hot matmul path. Tape-free callers
+/// gather rows of `params.value(table)` directly — row `id` is what
+/// [`Embedding::forward`] yields for `id`.
 #[derive(Debug, Clone)]
 pub struct Embedding {
     pub table: ParamId,
@@ -83,6 +100,15 @@ impl Embedding {
 pub struct LstmState {
     pub h: Var,
     pub c: Var,
+}
+
+/// Caller-owned buffers of [`Lstm::infer_last`], reusable across calls of
+/// any batch size.
+#[derive(Debug, Default)]
+pub struct LstmScratch {
+    gates: Matrix,
+    h: Matrix,
+    c: Matrix,
 }
 
 /// A single-layer LSTM.
@@ -162,6 +188,58 @@ impl Lstm {
             out.push(state);
         }
         out
+    }
+}
+
+impl Lstm {
+    /// Tape-free input half of the gate pre-activations,
+    /// `out = x · W[0..in_dim, :]` — per batch row, or once per vocabulary
+    /// id when `x` is an embedding table.
+    pub fn project_input(&self, params: &ParamSet, x: &Matrix, out: &mut Matrix) {
+        assert_eq!(x.cols, self.in_dim, "project_input: input width");
+        out.reset(x.rows, 4 * self.hidden);
+        x.matmul_acc(params.value(self.w), 0, out);
+    }
+
+    /// Tape-free run of `steps` timesteps over `batch` sequences from the
+    /// zero state; returns the last hidden state (`batch × hidden`).
+    ///
+    /// `input_projection(t, gates)` fills the zeroed `batch × 4·hidden`
+    /// `gates` with each row's [`Lstm::project_input`] at step `t`; the
+    /// recurrent half, bias and activations are added here. One product
+    /// per step for the whole batch, where the tape spends one per row.
+    pub fn infer_last<'s>(
+        &self,
+        params: &ParamSet,
+        batch: usize,
+        steps: usize,
+        scratch: &'s mut LstmScratch,
+        mut input_projection: impl FnMut(usize, &mut Matrix),
+    ) -> &'s Matrix {
+        let (w, b, n) = (params.value(self.w), params.value(self.b), self.hidden);
+        let LstmScratch { gates, h, c } = scratch;
+        h.reset(batch, n);
+        c.reset(batch, n);
+        for t in 0..steps {
+            gates.reset(batch, 4 * n);
+            input_projection(t, gates);
+            h.matmul_acc(w, self.in_dim, gates);
+            gates.add_row(b);
+            for r in 0..batch {
+                let z = gates.row_slice(r);
+                let (h_row, c_row) = (h.row_slice_mut(r), c.row_slice_mut(r));
+                for k in 0..n {
+                    let i = sigmoid(z[k]);
+                    let f = sigmoid(z[n + k]);
+                    let o = sigmoid(z[2 * n + k]);
+                    let cand = z[3 * n + k].tanh();
+                    let (fc, ig) = (f * c_row[k], i * cand);
+                    c_row[k] = fc + ig;
+                    h_row[k] = o * c_row[k].tanh();
+                }
+            }
+        }
+        h
     }
 }
 
@@ -378,5 +456,142 @@ mod tests {
             opt.step(&mut params);
         }
         assert!(final_loss < 0.05, "loss failed to drop: {final_loss}");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// Next-token distributions of an embedding → LSTM → dense → softmax
+    /// model on the tape, one graph per sequence (the inference oracle).
+    fn tape_rows(
+        params: &ParamSet,
+        (emb, lstm, head): (&Embedding, &Lstm, &Dense),
+        seqs: &[Vec<usize>],
+    ) -> Vec<Vec<f64>> {
+        seqs.iter()
+            .map(|ids| {
+                let mut g = Graph::new();
+                let embedded = emb.forward(&mut g, params, ids);
+                let xs: Vec<Var> = (0..ids.len()).map(|t| g.select_row(embedded, t)).collect();
+                let states = lstm.run(&mut g, params, &xs);
+                let logits = head.forward(&mut g, params, states.last().unwrap().h);
+                let probs = g.row_softmax(logits);
+                g.value(probs).row_slice(0).to_vec()
+            })
+            .collect()
+    }
+
+    /// The same model tape-free, as one batch. `per_id` gathers rows of the
+    /// input projection precomputed per vocabulary id; otherwise each
+    /// step's embedded batch is projected on the spot.
+    fn infer_rows(
+        params: &ParamSet,
+        (emb, lstm, head): (&Embedding, &Lstm, &Dense),
+        seqs: &[Vec<usize>],
+        per_id: bool,
+    ) -> Vec<Vec<f64>> {
+        let table = params.value(emb.table);
+        let mut projected = Matrix::default();
+        lstm.project_input(params, table, &mut projected);
+        let mut scratch = LstmScratch::default();
+        let mut x = Matrix::default();
+        let h = lstm.infer_last(
+            params,
+            seqs.len(),
+            seqs[0].len(),
+            &mut scratch,
+            |t, gates| {
+                if per_id {
+                    for (r, ids) in seqs.iter().enumerate() {
+                        gates
+                            .row_slice_mut(r)
+                            .copy_from_slice(projected.row_slice(ids[t]));
+                    }
+                } else {
+                    x.reset(seqs.len(), emb.dim);
+                    for (r, ids) in seqs.iter().enumerate() {
+                        x.row_slice_mut(r).copy_from_slice(table.row_slice(ids[t]));
+                    }
+                    lstm.project_input(params, &x, gates);
+                }
+            },
+        );
+        let mut probs = Matrix::default();
+        head.infer(params, h, &mut probs);
+        probs.softmax_rows();
+        (0..seqs.len())
+            .map(|r| probs.row_slice(r).to_vec())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Tape-free inference equals the tape to the bit (`==` on `f64`,
+        /// no tolerance), row by row, whether a sequence runs alone or in a
+        /// batch of N, and with zeros (+0.0 and -0.0) in the embedding
+        /// table so the product loop's zero-skip is on the path.
+        #[test]
+        fn infer_equals_tape(seed: u64,
+                             vocab in 2usize..40,
+                             emb_dim in 1usize..9,
+                             hidden in 1usize..12,
+                             history in 1usize..8,
+                             batch in 1usize..9,
+                             zeroed in 0usize..12) {
+            let mut r = StdRng::seed_from_u64(seed);
+            let mut params = ParamSet::new();
+            let emb = Embedding::new(&mut params, vocab, emb_dim, &mut r);
+            let lstm = Lstm::new(&mut params, emb_dim, hidden, &mut r);
+            let head = Dense::new(&mut params, hidden, vocab, &mut r);
+            // A PAD-like all-zero row plus scattered signed zeros.
+            let table = params.value_mut(emb.table);
+            table.row_slice_mut(vocab - 1).fill(0.0);
+            for i in 0..zeroed {
+                let at = r.random_range(0..vocab * emb_dim);
+                table.data_mut()[at] = if i % 2 == 0 { 0.0 } else { -0.0 };
+            }
+            let seqs: Vec<Vec<usize>> = (0..batch)
+                .map(|_| (0..history).map(|_| r.random_range(0..vocab)).collect())
+                .collect();
+            let model = (&emb, &lstm, &head);
+
+            let oracle = tape_rows(&params, model, &seqs);
+            for per_id in [true, false] {
+                let batched = infer_rows(&params, model, &seqs, per_id);
+                prop_assert!(batched == oracle, "batch of {batch} differs (per_id {per_id})");
+                for (row, seq) in seqs.iter().enumerate() {
+                    let alone = infer_rows(&params, model, std::slice::from_ref(seq), per_id);
+                    prop_assert!(alone[0] == batched[row], "row {row} alone differs");
+                }
+            }
+        }
+
+        /// `softmax_rows` keeps the bits of the formula the tape's softmax
+        /// op had before the two shared one loop (exps collected, then
+        /// `Iterator::sum`).
+        #[test]
+        fn softmax_rows_keeps_the_collected_sum_bits(seed: u64, cols in 1usize..50) {
+            let mut r = StdRng::seed_from_u64(seed);
+            let mut m = Matrix::xavier(3, cols, &mut r);
+            for x in m.data_mut() {
+                *x *= 40.0;
+            }
+            let expected: Vec<f64> = (0..3)
+                .flat_map(|row| {
+                    let row = m.row_slice(row);
+                    let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                    let exps: Vec<f64> = row.iter().map(|x| (x - max).exp()).collect();
+                    let sum: f64 = exps.iter().sum();
+                    exps.into_iter().map(move |e| e / sum)
+                })
+                .collect();
+            m.softmax_rows();
+            prop_assert!(m.data() == expected.as_slice());
+        }
     }
 }

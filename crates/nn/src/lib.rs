@@ -30,6 +30,6 @@ pub mod matrix;
 pub mod optim;
 
 pub use graph::{Graph, Var};
-pub use layers::{Attention, BiLstm, Dense, Embedding, Lstm, LstmState};
+pub use layers::{Attention, BiLstm, Dense, Embedding, Lstm, LstmScratch, LstmState};
 pub use matrix::Matrix;
 pub use optim::{Adam, Optimizer, ParamSet, Sgd};

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense `rows × cols` matrix of `f64`, row-major.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     pub rows: usize,
     pub cols: usize,
@@ -103,6 +103,27 @@ impl Matrix {
         self.data.is_empty()
     }
 
+    /// Row `r` as a slice.
+    #[inline]
+    pub fn row_slice(&self, r: usize) -> &[f64] {
+        &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Row `r` as a mutable slice.
+    #[inline]
+    pub fn row_slice_mut(&mut self, r: usize) -> &mut [f64] {
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Reshape to an all-zero `rows × cols`, keeping the allocation — the
+    /// inference path's scratch buffers change batch size per call.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
     /// Matrix product `self @ other`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
@@ -113,21 +134,63 @@ impl Matrix {
             other.shape()
         );
         let mut out = Matrix::zeros(self.rows, other.cols);
+        self.matmul_acc(other, 0, &mut out);
+        out
+    }
+
+    /// `out += self @ other[row0 .. row0 + self.cols, :]`.
+    ///
+    /// The one product loop of this crate: each `out[i][j]` takes its terms
+    /// in increasing `k`, and a zero `self[i][k]` contributes nothing (not
+    /// even a `+ 0.0`). A product split over row blocks of `other` and
+    /// accumulated block after block into the same `out` therefore equals
+    /// the unsplit product bit for bit — what lets the inference path
+    /// precompute the input half of `[x | h] · W` and still match the tape.
+    pub fn matmul_acc(&self, other: &Matrix, row0: usize, out: &mut Matrix) {
+        assert!(
+            row0 + self.cols <= other.rows && out.shape() == (self.rows, other.cols),
+            "matmul_acc shape mismatch: {:?} @ {:?}[{row0}..] -> {:?}",
+            self.shape(),
+            other.shape(),
+            out.shape()
+        );
         // i-k-j loop order: streams through `other` row-contiguously.
         for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
+            let out_row = out.row_slice_mut(i);
+            for (k, &a) in self.row_slice(i).iter().enumerate() {
                 if a == 0.0 {
                     continue;
                 }
-                let orow = &other.data[k * other.cols..(k + 1) * other.cols];
-                let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(orow) {
+                for (o, &b) in out_row.iter_mut().zip(other.row_slice(row0 + k)) {
                     *o += a * b;
                 }
             }
         }
-        out
+    }
+
+    /// `self[r][c] += bias[0][c]` for every row (the bias broadcast).
+    pub fn add_row(&mut self, bias: &Matrix) {
+        assert_eq!(bias.shape(), (1, self.cols), "add_row: bias width mismatch");
+        for row in self.data.chunks_exact_mut(self.cols.max(1)) {
+            for (x, b) in row.iter_mut().zip(&bias.data) {
+                *x += b;
+            }
+        }
+    }
+
+    /// Row-wise softmax in place (max-shifted; the sum runs left to right).
+    pub fn softmax_rows(&mut self) {
+        for row in self.data.chunks_exact_mut(self.cols.max(1)) {
+            let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            let mut sum = 0.0;
+            for x in row.iter_mut() {
+                *x = (*x - max).exp();
+                sum += *x;
+            }
+            for x in row.iter_mut() {
+                *x /= sum;
+            }
+        }
     }
 
     /// Transpose.

@@ -64,8 +64,31 @@ fn small_loganomaly() -> LogAnomaly {
     })
 }
 
+/// Detector quality, pinned (ROADMAP "pin detector quality"): precision,
+/// recall and F1 within ±0.05 of what the commit before tape-free
+/// inference measured, so a change that moves detector output — even by
+/// a few windows — fails here instead of in an experiment nobody re-ran.
+fn pinned(
+    name: &str,
+    got: &monilog_core::detect::DetectionScores,
+    (precision, recall, f1): (f64, f64, f64),
+) {
+    for (metric, got, want) in [
+        ("precision", got.precision, precision),
+        ("recall", got.recall, recall),
+        ("F1", got.f1, f1),
+    ] {
+        assert!(
+            (got - want).abs() <= 0.05,
+            "{name} {metric} moved: {got:.3}, pinned at {want:.3} ± 0.05"
+        );
+    }
+}
+
 /// P1 shape: trained anomaly-free, DeepLog and LogAnomaly detect well;
-/// LogRobust (supervised) collapses to zero recall.
+/// LogRobust (supervised) collapses to zero recall. The pinned values
+/// sit where `results/exp_p1_anomaly_free.txt` has them at full scale
+/// (DeepLog 100% / 96.4% / 0.982, LogAnomaly 100% / 64.3% / 0.783).
 #[test]
 fn p1_anomaly_free_training_shape() {
     let train_logs = HdfsWorkload::new(HdfsWorkloadConfig {
@@ -93,12 +116,12 @@ fn p1_anomaly_free_training_shape() {
     let mut deeplog = small_deeplog();
     deeplog.fit(&train);
     let dl = evaluate(&deeplog, &test_windows, &test_labels);
-    assert!(dl.f1 > 0.6, "DeepLog F1 {:.3} too low", dl.f1);
+    pinned("DeepLog", &dl, (1.0, 1.0, 1.0));
 
     let mut loganomaly = small_loganomaly();
     loganomaly.fit(&train);
     let la = evaluate(&loganomaly, &test_windows, &test_labels);
-    assert!(la.f1 > 0.5, "LogAnomaly F1 {:.3} too low", la.f1);
+    pinned("LogAnomaly", &la, (1.0, 0.643, 0.783));
 
     let mut logrobust = LogRobust::new(LogRobustConfig::default());
     logrobust.fit(&train);
@@ -398,3 +421,123 @@ fn d2_classifier_learns_from_passive_feedback() {
         "classifier only reached {learned} after 120 signals"
     );
 }
+
+/// T1 pinned: the Table I worked example of `results/exp_t1_table1.txt`.
+/// L1 → L4 is two sequential violations; L3's absurd byte count is one
+/// quantitative violation (and, with `top_g` 1, one sequential one at the
+/// session's end). Tiny model, exact counts.
+#[test]
+fn t1_table1_violation_counts_are_pinned() {
+    let mut train_windows = Vec::new();
+    for i in 0..120 {
+        let n = 3 + i % 3;
+        let mut w = Window::from_ids(vec![0; n]);
+        for k in 0..n {
+            w.numerics[k] = vec![100.0 + ((i * 37 + k * 911) % 3_900) as f64];
+        }
+        train_windows.push(w);
+    }
+    let mut table1 = DeepLog::new(DeepLogConfig {
+        history: 4,
+        top_g: 1,
+        epochs: 6,
+        ..DeepLogConfig::default()
+    });
+    table1.fit(&TrainSet::unlabeled(train_windows));
+    assert_eq!(
+        table1.violation_breakdown(&Window::from_ids(vec![0, 2])),
+        (2, 0)
+    );
+    let mut quant = Window::from_ids(vec![0, 0, 0]);
+    quant.numerics = vec![vec![138.0], vec![745_675_869.0], vec![512.0]];
+    assert_eq!(table1.violation_breakdown(&quant), (1, 1));
+}
+
+/// FNV-1a over the `AnomalyReport::to_json` lines of a whole monitor run
+/// on a fixed-seed multi-source corpus (instability-injected, so UNK
+/// templates, PAD-prefixed histories and truncated windows all occur).
+/// The hashes were recorded on the commit before inference went
+/// tape-free and batched: scores, kinds, provenance components and report
+/// order must be unchanged to the bit, not merely close.
+#[test]
+fn cloud_report_stream_matches_golden_hash() {
+    use monilog_core::model::RawLog;
+    use monilog_core::{DetectorChoice, MoniLog, MoniLogConfig, WindowPolicy};
+    use monilog_loggen::{CloudWorkload, CloudWorkloadConfig};
+
+    let training = CloudWorkload::new(CloudWorkloadConfig {
+        n_sources: 8,
+        walks_per_source: 40,
+        seed: 31,
+        ..CloudWorkloadConfig::default()
+    })
+    .generate();
+    let live = InstabilityInjector::new(InstabilityConfig::all_kinds(0.1, 33)).apply(
+        &CloudWorkload::new(CloudWorkloadConfig {
+            n_sources: 8,
+            walks_per_source: 25,
+            n_incidents: 3,
+            seed: 32,
+            start_ms: 1_600_003_600_000,
+            ..CloudWorkloadConfig::default()
+        })
+        .generate(),
+    );
+
+    let run = |detector: DetectorChoice| -> (usize, u64) {
+        let mut monilog = MoniLog::new(MoniLogConfig {
+            window: WindowPolicy::Session {
+                idle_ms: 30_000,
+                max_events: 48,
+            },
+            detector,
+            ..MoniLogConfig::default()
+        });
+        for log in &training {
+            monilog.ingest_training(&RawLog::new(
+                log.record.source,
+                log.record.seq,
+                log.record.to_line(),
+            ));
+        }
+        monilog.train();
+        let mut reports = Vec::new();
+        for log in &live {
+            reports.extend(monilog.ingest(&RawLog::new(
+                log.record.source,
+                log.record.seq + 10_000_000,
+                log.record.to_line(),
+            )));
+        }
+        reports.extend(monilog.flush());
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for r in &reports {
+            for b in r.report.to_json().bytes().chain([b'\n']) {
+                hash = (hash ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        (reports.len(), hash)
+    };
+
+    let deeplog = run(DetectorChoice::DeepLog(DeepLogConfig {
+        history: 8,
+        top_g: 3,
+        epochs: 2,
+        ..DeepLogConfig::default()
+    }));
+    assert_eq!(deeplog, GOLDEN_DEEPLOG, "DeepLog report stream moved");
+    let loganomaly = run(DetectorChoice::LogAnomaly(LogAnomalyConfig {
+        history: 8,
+        top_g: 3,
+        epochs: 2,
+        ..LogAnomalyConfig::default()
+    }));
+    assert_eq!(
+        loganomaly, GOLDEN_LOGANOMALY,
+        "LogAnomaly report stream moved"
+    );
+}
+
+/// `(reports, FNV-1a of the JSON lines)` per detector.
+const GOLDEN_DEEPLOG: (usize, u64) = (25, 11_066_496_327_358_873_008);
+const GOLDEN_LOGANOMALY: (usize, u64) = (20, 4_165_744_963_499_821_848);
