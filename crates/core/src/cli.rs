@@ -1054,23 +1054,23 @@ pub fn run(command: CliCommand) -> Result<String, String> {
                 MoniLog::restore(config, &blob).map_err(|e| format!("invalid checkpoint: {e}"))?;
             let _exporter = spawn_exporter(&monilog, observability, None, &mut out)?;
             let lines = read_lines(&logfile)?;
-            let mut anomalies = Vec::new();
+            let mut reports = ReportLines::default();
             // Live sequence numbers continue far past any training range.
             for (i, line) in lines.iter().enumerate() {
-                anomalies.extend(monilog.ingest(&RawLog::new(
+                reports.extend(&monilog.ingest(&RawLog::new(
                     SourceId(0),
                     1_000_000_000 + i as u64,
                     line.clone(),
                 )));
             }
-            anomalies.extend(monilog.flush());
+            reports.extend(&monilog.flush());
             let _ = writeln!(
                 out,
                 "monitored {} lines: {} anomalies",
                 lines.len(),
-                anomalies.len()
+                reports.count
             );
-            write_report_lines(&mut out, &anomalies);
+            out.push_str(&reports.text);
             write_trace_out(&monilog, trace_out, &mut out)?;
         }
         CliCommand::Router {
@@ -1096,6 +1096,22 @@ pub fn run(command: CliCommand) -> Result<String, String> {
         }
     }
     Ok(out)
+}
+
+/// The per-anomaly block that ends every monitor run's output, rendered
+/// as reports surface: a long run keeps a few text lines per report, not
+/// the reports themselves.
+#[derive(Default)]
+struct ReportLines {
+    count: usize,
+    text: String,
+}
+
+impl ReportLines {
+    fn extend(&mut self, anomalies: &[ClassifiedAnomaly]) {
+        self.count += anomalies.len();
+        write_report_lines(&mut self.text, anomalies);
+    }
 }
 
 /// Render the per-anomaly report block shared by both monitor paths.
@@ -1441,7 +1457,7 @@ fn run_durable_monitor(
         )?),
         None => None,
     };
-    let (mut durable, stats) = DurableMoniLog::open_with_delivery(
+    let (mut durable, mut stats) = DurableMoniLog::open_with_delivery(
         config,
         opts.to_config(),
         || MoniLog::restore(config, model_blob).map_err(|e| format!("invalid checkpoint: {e}")),
@@ -1477,7 +1493,8 @@ fn run_durable_monitor(
     );
 
     let lines = read_lines(logfile)?;
-    let mut anomalies = stats.anomalies;
+    let mut reports = ReportLines::default();
+    reports.extend(&std::mem::take(&mut stats.anomalies));
     // Sequence i+1 identifies input line i; everything at or below the
     // journal high-water mark was already journaled by a previous life.
     let skip = (durable.next_seq(SourceId(0)) - 1) as usize;
@@ -1498,7 +1515,7 @@ fn run_durable_monitor(
             ops.poll_reload(&mut durable, None, out);
             ops.publish_status(&durable, 0);
         }
-        anomalies.extend(durable.ingest(&RawLog::new(SourceId(0), i as u64 + 1, line.clone()))?);
+        reports.extend(&durable.ingest(&RawLog::new(SourceId(0), i as u64 + 1, line.clone()))?);
         processed += 1;
     }
     ops.publish_status(&durable, 0);
@@ -1511,7 +1528,7 @@ fn run_durable_monitor(
     } else {
         durable.finish()?
     };
-    anomalies.extend(tail);
+    reports.extend(&tail);
     if delivery_attached {
         let _ = writeln!(
             out,
@@ -1532,9 +1549,9 @@ fn run_durable_monitor(
     let _ = writeln!(
         out,
         "monitored {processed} lines: {} anomalies (checkpoint generation {generation})",
-        anomalies.len()
+        reports.count
     );
-    write_report_lines(out, &anomalies);
+    out.push_str(&reports.text);
     if let Some(path) = trace_out {
         std::fs::write(&path, tracer.chrome_trace_json())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -1579,7 +1596,7 @@ fn run_sources_monitor(
         Some(sinks) => Some(build_delivery(sinks, state_dir)?),
         None => None,
     };
-    let (mut durable, stats) = DurableMoniLog::open_with_delivery(
+    let (mut durable, mut stats) = DurableMoniLog::open_with_delivery(
         config,
         opts.to_config(),
         || MoniLog::restore(config, model_blob).map_err(|e| format!("invalid checkpoint: {e}")),
@@ -1777,7 +1794,8 @@ fn run_sources_monitor(
         .and_then(|v| v.parse().ok())
         .map(Duration::from_millis);
     let mut next: std::collections::HashMap<u16, u64> = std::collections::HashMap::new();
-    let mut anomalies = stats.anomalies;
+    let mut reports = ReportLines::default();
+    reports.extend(&std::mem::take(&mut stats.anomalies));
     let mut processed = 0u64;
     let mut last_event = Instant::now();
     let mut drained = false;
@@ -1795,9 +1813,12 @@ fn run_sources_monitor(
         // One consult per batch: a reload lands between batches, never
         // mid-line — zero restart, zero dropped lines.
         let snap = ops.poll_reload(&mut durable, server.as_ref(), out);
+        let deadline = Duration::from_millis(snap.batch_deadline_ms.max(1));
         let batch = queue.recv_batch(
             snap.batch_lines,
-            Duration::from_millis(snap.batch_deadline_ms.max(1)),
+            durable
+                .commit_due_in()
+                .map_or(deadline, |due| due.min(deadline)),
         );
         ops.publish_status(&durable, queue.depth() as u64);
         if batch.is_empty() {
@@ -1807,7 +1828,7 @@ fn run_sources_monitor(
             // Honor the group-commit interval in wall-clock time: without
             // this, a stream that goes quiet leaves its last burst
             // unsynced and unapplied until the next line arrives.
-            anomalies.extend(durable.tick()?);
+            reports.extend(&durable.tick()?);
             if let Some(mb) = &mailbox {
                 cluster_roundup(mb, &mut durable, &mut known_templates, out);
                 // A router `Fin` ends a file-driven run — but only once
@@ -1880,7 +1901,7 @@ fn run_sources_monitor(
                 }
                 durable.set_section(SOURCES_SECTION, encode_tail_cursors(&cursors));
             }
-            anomalies.extend(durable.ingest(&RawLog::new(ev.source, seq, ev.line))?);
+            reports.extend(&durable.ingest(&RawLog::new(ev.source, seq, ev.line))?);
             processed += 1;
         }
         if let Some(mb) = &mailbox {
@@ -1897,7 +1918,7 @@ fn run_sources_monitor(
     // Quiesce: fsync the WAL and apply everything pending *before* the
     // final checkpoint. From here on even a forced (second-signal) exit
     // loses nothing a source acknowledged — the restart replays it.
-    anomalies.extend(durable.sync_wal()?);
+    reports.extend(&durable.sync_wal()?);
     if let Ok(ms) = std::env::var("MONILOG_DRAIN_HOLD_MS") {
         if let Ok(ms) = ms.parse::<u64>() {
             std::thread::sleep(Duration::from_millis(ms));
@@ -1910,7 +1931,7 @@ fn run_sources_monitor(
     } else {
         durable.finish()?
     };
-    anomalies.extend(tail_reports);
+    reports.extend(&tail_reports);
     if drained {
         let _ = writeln!(
             out,
@@ -1922,9 +1943,9 @@ fn run_sources_monitor(
         out,
         "monitored {processed} lines from network sources: {} anomalies \
          (checkpoint generation {generation})",
-        anomalies.len()
+        reports.count
     );
-    write_report_lines(out, &anomalies);
+    out.push_str(&reports.text);
     if let Some(path) = trace_out {
         std::fs::write(&path, tracer.chrome_trace_json())
             .map_err(|e| format!("cannot write {path}: {e}"))?;

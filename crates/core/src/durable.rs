@@ -139,14 +139,15 @@ impl DurableConfig {
 
 /// Outbound anomaly delivery, wired into the durable pipeline.
 ///
-/// When attached, every fresh report is accepted into the on-disk
-/// delivery buffers (`<state-dir>/delivery/`) *before* it is committed to
-/// `anomalies.jsonl`, and a background worker pumps the buffers toward
-/// the configured sinks. The buffer cursors ride in the checkpoint
-/// manifest ([`DELIVERY_SECTION`]), so a kill+restart resumes delivery
-/// where it stopped; a crash between buffer-accept and sink-commit makes
-/// the replayed report look fresh again, which re-buffers it — the
-/// receiver's id dedup absorbs the duplicate, and nothing is ever lost.
+/// When attached, the fresh reports of a commit batch are accepted into
+/// the on-disk delivery buffers (`<state-dir>/delivery/`) *before* they
+/// are committed to `anomalies.jsonl`, and a background worker — woken by
+/// that accept — pumps the buffers toward the configured sinks. The
+/// buffer cursors ride in the checkpoint manifest ([`DELIVERY_SECTION`]),
+/// so a kill+restart resumes delivery where it stopped; a crash between
+/// buffer-accept and sink-commit makes the replayed batch look fresh
+/// again, which re-buffers it — the receiver's id dedup absorbs the
+/// duplicates (at most one batch), and nothing is ever lost.
 pub struct DeliverySetup {
     /// Buffer/retry/breaker tuning. `config.dir` is overridden to
     /// `<state-dir>/delivery` so all durable state shares one root.
@@ -155,7 +156,8 @@ pub struct DeliverySetup {
     pub specs: Vec<RouteSpec>,
     /// Maps report criticality to a [`monilog_model::DeliveryClass`].
     pub router: SeverityRouter,
-    /// Poll cadence of the background pump worker.
+    /// Fallback wait of the background pump worker: it normally wakes on
+    /// accept or when a retry falls due.
     pub worker_poll: Duration,
 }
 
@@ -252,14 +254,12 @@ impl EmittedSink {
         (fresh, suppressed)
     }
 
-    /// Durably append the fresh reports to the sink file.
-    fn commit(&mut self, fresh: &[ClassifiedAnomaly]) -> Result<(), String> {
-        if fresh.is_empty() {
-            return Ok(());
-        }
+    /// Durably append the fresh reports' rendered lines to the sink file:
+    /// one write, one fsync.
+    fn commit(&mut self, rendered: &[String]) -> Result<(), String> {
         let mut buf = Vec::new();
-        for a in fresh {
-            buf.extend_from_slice(a.report.to_json().as_bytes());
+        for json in rendered {
+            buf.extend_from_slice(json.as_bytes());
             buf.push(b'\n');
         }
         self.file
@@ -278,12 +278,15 @@ fn report_id_of(line: &[u8]) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
-/// The emit path shared by replay, ingest and finish: filter to fresh
-/// reports, durably *accept* them into the delivery buffers, then commit
-/// them to the sink file — in that order. A crash after accept but before
-/// commit leaves the report both in the buffer and regenerable as fresh
-/// (the sink never saw it), so the worst case is a duplicate delivery the
-/// receiver dedups; loss is impossible.
+/// The emit path shared by replay, commit and finish, called once per
+/// batch: filter to fresh reports, render each once, durably *accept* them
+/// into the delivery buffers (one fsync per route), then commit them to
+/// the sink file (one fsync) — in that order. A crash after accept but
+/// before commit leaves the batch both in the buffers and regenerable as
+/// fresh (the sink never saw it); a crash that tears the sink append
+/// leaves a prefix suppressed — and buffered, since accept came first —
+/// and the rest fresh. Either way the worst case is one batch delivered
+/// twice, which the receiver dedups; loss is impossible.
 fn emit(
     sink: &mut EmittedSink,
     delivery: Option<&DeliveryPipeline>,
@@ -292,26 +295,34 @@ fn emit(
     produced: Vec<ClassifiedAnomaly>,
 ) -> Result<(Vec<ClassifiedAnomaly>, u64), String> {
     let (fresh, suppressed) = sink.split_fresh(produced);
+    if fresh.is_empty() {
+        return Ok((fresh, suppressed));
+    }
+    let rendered: Vec<String> = fresh.iter().map(|a| a.report.to_json()).collect();
     if let Some(pipe) = delivery {
-        let reports: Vec<BufferedReport> = fresh
+        let reports = fresh
             .iter()
-            .map(|a| BufferedReport {
+            .zip(&rendered)
+            .map(|(a, json)| BufferedReport {
                 id: a.report.id,
                 class: router.class_for(a.assignment.criticality),
-                body: a.report.to_json(),
+                body: json.clone(),
             })
             .collect();
-        pipe.accept(&reports)
+        pipe.accept(reports)
             .map_err(|e| format!("delivery accept: {e}"))?;
     }
-    sink.commit(&fresh)?;
+    #[cfg(test)]
+    tests::crash_if_armed(sink, &rendered)?;
+    sink.commit(&rendered)?;
     // Feed the queryable ops store last: it is a best-effort in-memory
     // view of the durable record, never load-bearing for exactly-once.
     if let Some(store) = report_store {
-        for a in &fresh {
-            store.record(StoredReport::from_report(
+        for (a, json) in fresh.iter().zip(rendered) {
+            store.record(StoredReport::from_rendered(
                 &a.report,
                 a.assignment.criticality,
+                json,
             ));
         }
     }
@@ -450,15 +461,14 @@ impl DurableMoniLog {
         let replay_start = Instant::now();
         let replay = Journal::replay_after(&journal_dir, &positions)
             .map_err(|e| format!("journal replay: {e}"))?;
+        let mut produced = Vec::new();
         for raw in &replay {
-            let produced = pipeline.ingest(raw);
+            produced.extend(pipeline.ingest(raw));
             let entry = applied.entry(raw.source.0).or_insert(0);
             *entry = (*entry).max(raw.seq);
-            let (emitted, suppressed) =
-                emit(&mut sink, delivery.as_ref(), &router, None, produced)?;
-            stats.anomalies.extend(emitted);
-            stats.suppressed_duplicates += suppressed;
         }
+        (stats.anomalies, stats.suppressed_duplicates) =
+            emit(&mut sink, delivery.as_ref(), &router, None, produced)?;
         stats.replayed_lines = replay.len() as u64;
         stats.replay_ms = replay_start.elapsed().as_millis() as u64;
         PipelineMetrics::add(
@@ -544,6 +554,14 @@ impl DurableMoniLog {
         Ok(Vec::new())
     }
 
+    /// How long until [`DurableMoniLog::tick`] has a group commit to do;
+    /// `None` while no line waits for one. A consumer that blocks on its
+    /// input for at most this long commits a quiet stream's last burst when
+    /// the interval ends, not one input timeout later.
+    pub fn commit_due_in(&self) -> Option<Duration> {
+        self.journal.sync_due_in()
+    }
+
     /// Force a commit + checkpoint now (tests, operator tooling).
     pub fn checkpoint_now(&mut self) -> Result<(Vec<ClassifiedAnomaly>, u64), String> {
         let out = self.commit_pending()?;
@@ -593,26 +611,27 @@ impl DurableMoniLog {
         }
     }
 
-    /// Fsync the journal, then apply every synced-but-unapplied line.
+    /// Fsync the journal, apply every synced-but-unapplied line, then emit
+    /// the reports of the whole batch at once: one durability point for
+    /// the delivery buffers and one for `anomalies.jsonl` per group commit.
     fn commit_pending(&mut self) -> Result<Vec<ClassifiedAnomaly>, String> {
         self.journal
             .sync()
             .map_err(|e| format!("journal sync: {e}"))?;
-        let mut out = Vec::new();
+        let mut produced = Vec::new();
         for raw in std::mem::take(&mut self.pending) {
-            let produced = self.pipeline.ingest(&raw);
+            produced.extend(self.pipeline.ingest(&raw));
             let entry = self.applied.entry(raw.source.0).or_insert(0);
             *entry = (*entry).max(raw.seq);
-            let (emitted, _) = emit(
-                &mut self.sink,
-                self.delivery.as_ref(),
-                &self.router,
-                self.report_store.as_deref(),
-                produced,
-            )?;
-            out.extend(emitted);
         }
-        Ok(out)
+        let (emitted, _) = emit(
+            &mut self.sink,
+            self.delivery.as_ref(),
+            &self.router,
+            self.report_store.as_deref(),
+            produced,
+        )?;
+        Ok(emitted)
     }
 
     /// Export full pipeline state and commit it as the next generation;
@@ -786,6 +805,35 @@ mod tests {
             std::env::temp_dir().join(format!("monilog-durable-{name}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Where an armed `emit` dies, between its two durability points.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum CrashPoint {
+        /// Delivery buffers fsynced; `anomalies.jsonl` untouched.
+        BeforeSinkCommit,
+        /// Torn `anomalies.jsonl` append: first line whole, second cut.
+        MidSinkCommit,
+    }
+
+    thread_local! {
+        /// Per test thread, so parallel tests do not crash each other.
+        static CRASH: std::cell::Cell<Option<CrashPoint>> = const { std::cell::Cell::new(None) };
+    }
+
+    /// Called by `emit` between accept and commit; fires at most once.
+    pub(super) fn crash_if_armed(
+        sink: &mut EmittedSink,
+        rendered: &[String],
+    ) -> Result<(), String> {
+        let Some(point) = CRASH.take() else {
+            return Ok(());
+        };
+        if point == CrashPoint::MidSinkCommit {
+            let torn = format!("{}\n{}", rendered[0], &rendered[1][..10]);
+            sink.file.write_all(torn.as_bytes()).unwrap();
+        }
+        Err(format!("injected crash: {point:?}"))
     }
 
     fn test_config() -> MoniLogConfig {
@@ -1010,25 +1058,27 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn delivery_survives_kill_and_restart_without_loss() {
+    /// Kill + restart with delivery attached, the crash placed at each
+    /// boundary of a commit batch that carries three reports: `None` dies
+    /// after both fsyncs but before the next checkpoint. Whatever the
+    /// point, the receiver ends up with exactly the reference set, no id is
+    /// suppressed without having been buffered first, and at most one
+    /// batch is delivered twice.
+    fn kill_and_restart_with_crash_at(point: Option<CrashPoint>, name: &str) {
         use monilog_stream::chaos::{FlakySinkServer, SinkProtocol};
         use monilog_stream::sinks::FramedTcpSink;
 
-        let dir = tmp_dir("delivery");
+        let dir = tmp_dir(name);
         let expected: Vec<u64> = {
             let mut m = trained();
             let mut out = Vec::new();
             for i in 32..64u64 {
-                out.extend(m.ingest(&RawLog::new(SourceId(0), i + 1, &line(i))));
+                out.extend(m.ingest(&RawLog::new(SourceId(0), i + 1, line(i))));
             }
             out.extend(m.flush());
-            let mut ids: Vec<u64> = out.iter().map(|a| a.report.id).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            ids
+            out.iter().map(|a| a.report.id).collect()
         };
-        assert!(!expected.is_empty());
+        assert!(expected.len() >= 3);
 
         // Reserve an address with nothing listening on it yet: the whole
         // first life runs against a dead endpoint, so every report stays
@@ -1038,10 +1088,11 @@ mod tests {
             l.local_addr().unwrap()
         };
 
+        // Nothing commits on its own: batches are cut by hand.
         let durable = DurableConfig {
             checkpoint_interval_ms: u64::MAX,
             journal: JournalConfig {
-                fsync_interval_ms: 0,
+                fsync_interval_ms: u64::MAX,
                 ..JournalConfig::default()
             },
             ..DurableConfig::new(&dir)
@@ -1062,9 +1113,19 @@ mod tests {
                 }],
             )
         };
+        // Ids of the whole (newline-terminated) lines in the sink file.
+        let sink_ids = |dir: &Path| -> Vec<u64> {
+            let bytes = fs::read(dir.join(ANOMALIES_FILE)).unwrap_or_default();
+            let whole = bytes.iter().rposition(|b| *b == b'\n').map_or(0, |i| i + 1);
+            bytes[..whole]
+                .split(|b| *b == b'\n')
+                .filter_map(report_id_of)
+                .collect()
+        };
 
-        // First life: sink endpoint down the whole time. Checkpoint mid
-        // way, then "crash" — buffered reports must survive on disk.
+        // First life: sink endpoint down the whole time. Checkpoint, then
+        // one commit batch holding the three anomalous windows (lines
+        // 40..52), then the crash.
         let (mut first, _) = DurableMoniLog::open_with_delivery(
             test_config(),
             durable.clone(),
@@ -1072,44 +1133,150 @@ mod tests {
             Some(setup()),
         )
         .unwrap();
-        for i in 32..42u64 {
+        for i in 32..40u64 {
             first
-                .ingest(&RawLog::new(SourceId(0), i + 1, &line(i)))
+                .ingest(&RawLog::new(SourceId(0), i + 1, line(i)))
                 .unwrap();
         }
         first.checkpoint_now().unwrap();
-        for i in 42..48u64 {
-            first
-                .ingest(&RawLog::new(SourceId(0), i + 1, &line(i)))
+        let before_batch = sink_ids(&dir).len();
+        for i in 40..52u64 {
+            let surfaced = first
+                .ingest(&RawLog::new(SourceId(0), i + 1, line(i)))
                 .unwrap();
+            assert!(surfaced.is_empty(), "the batch must not commit early");
         }
-        let buffered = first.delivery().unwrap().pending_bytes();
-        assert!(buffered > 0, "undelivered reports must be buffered");
+        CRASH.set(point);
+        let committed = first.sync_wal();
+        let in_sink = sink_ids(&dir).len() - before_batch;
+        match point {
+            None => assert_eq!(committed.unwrap().len(), 3, "three reports in one batch"),
+            Some(CrashPoint::BeforeSinkCommit) => {
+                assert!(committed.is_err());
+                assert_eq!(in_sink, 0);
+            }
+            Some(CrashPoint::MidSinkCommit) => {
+                assert!(committed.is_err());
+                assert_eq!(in_sink, 1, "one whole line, then the torn one");
+            }
+        }
+        assert!(
+            first.delivery().unwrap().pending_bytes() > 0,
+            "accept comes before commit: the batch is buffered at every crash point"
+        );
         drop(first); // SIGKILL stand-in
 
         // The endpoint comes back before the second life starts.
         let server =
             FlakySinkServer::spawn(&addr.to_string(), SinkProtocol::Framed, vec![]).unwrap();
-        let (mut second, _) = DurableMoniLog::open_with_delivery(
+        let (mut second, stats) = DurableMoniLog::open_with_delivery(
             test_config(),
             durable,
             || panic!("must recover"),
             Some(setup()),
         )
         .unwrap();
-        for i in 48..64u64 {
+        assert_eq!(stats.replayed_lines, 12, "the batch replays from the WAL");
+        assert_eq!(
+            (stats.suppressed_duplicates, stats.anomalies.len()),
+            match point {
+                None => (3, 0),
+                Some(CrashPoint::BeforeSinkCommit) => (0, 3),
+                Some(CrashPoint::MidSinkCommit) => (1, 2),
+            },
+            "suppressed ids are exactly those the sink file kept"
+        );
+        for i in 52..64u64 {
             second
-                .ingest(&RawLog::new(SourceId(0), i + 1, &line(i)))
+                .ingest(&RawLog::new(SourceId(0), i + 1, line(i)))
                 .unwrap();
         }
         second.finish().unwrap();
 
+        let mut sorted = expected.clone();
+        sorted.sort_unstable();
         assert_eq!(
             server.delivered_ids(),
-            expected,
+            sorted,
             "after kill+restart the receiver holds exactly the reference report set"
         );
+        assert!(
+            server.duplicate_acks() <= 3,
+            "at most the crashed batch is delivered twice, got {}",
+            server.duplicate_acks()
+        );
+        assert_eq!(sink_ids(&dir), expected, "each id once, in order");
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn delivery_survives_kill_and_restart_without_loss() {
+        kill_and_restart_with_crash_at(None, "delivery");
+    }
+
+    #[test]
+    fn delivery_survives_a_crash_between_buffer_and_sink_fsync() {
+        kill_and_restart_with_crash_at(Some(CrashPoint::BeforeSinkCommit), "delivery-before");
+    }
+
+    #[test]
+    fn delivery_survives_a_torn_sink_append_inside_a_batch() {
+        kill_and_restart_with_crash_at(Some(CrashPoint::MidSinkCommit), "delivery-torn");
+    }
+
+    /// Emitting a commit batch at once is the concatenation of emitting
+    /// each line's reports on their own: same ids in the same order, the
+    /// same `anomalies.jsonl` bytes, the same buffered frames.
+    #[test]
+    fn batch_emit_equals_per_line_emits() {
+        use monilog_stream::sinks::FileSink;
+
+        let per_line: Vec<Vec<ClassifiedAnomaly>> = {
+            let mut m = trained();
+            let mut out: Vec<Vec<ClassifiedAnomaly>> = (32..64u64)
+                .map(|i| m.ingest(&RawLog::new(SourceId(0), i + 1, line(i))))
+                .collect();
+            out.push(m.flush());
+            out
+        };
+        assert!(per_line.iter().filter(|p| !p.is_empty()).count() >= 3);
+
+        let run = |name: &str, batches: Vec<Vec<ClassifiedAnomaly>>| {
+            let dir = tmp_dir(name);
+            fs::create_dir_all(&dir).unwrap();
+            let mut sink = EmittedSink::open(&dir.join(ANOMALIES_FILE)).unwrap();
+            let pipe = DeliveryPipeline::open(
+                DeliveryConfig::new(dir.join(DELIVERY_DIR)),
+                vec![RouteSpec {
+                    name: "all".into(),
+                    classes: monilog_model::DeliveryClass::ALL.to_vec(),
+                    sink: Box::new(FileSink::open(dir.join("out.jsonl"), 1 << 20, 1).unwrap()),
+                }],
+                &[],
+                monilog_stream::MetricsRegistry::shared(),
+            )
+            .unwrap();
+            let store = ReportStore::shared(64);
+            let router = SeverityRouter::default();
+            let mut ids = Vec::new();
+            for produced in batches {
+                let (fresh, suppressed) =
+                    emit(&mut sink, Some(&pipe), &router, Some(&store), produced).unwrap();
+                assert_eq!(suppressed, 0);
+                ids.extend(fresh.iter().map(|a| a.report.id));
+            }
+            // Nothing pumped yet: the buffer file holds every frame.
+            let buffered = fs::read(dir.join(DELIVERY_DIR).join("all.buf")).unwrap();
+            let jsonl = fs::read(dir.join(ANOMALIES_FILE)).unwrap();
+            let newest = store.newest_id();
+            fs::remove_dir_all(&dir).unwrap();
+            (ids, jsonl, buffered, newest)
+        };
+
+        let lines = run("emit-lines", per_line.clone());
+        let batch = run("emit-batch", vec![per_line.concat()]);
+        assert!(!lines.1.is_empty());
+        assert_eq!(batch, lines);
     }
 
     #[test]

@@ -359,15 +359,27 @@ impl LinkConn {
         Next::Close
     }
 
-    /// Move held entries into the ingest queue; true when drained.
-    fn drain_pending(&mut self) -> bool {
+    /// Move held entries into the ingest queue, asking the consumer for a
+    /// wake when it refuses one.
+    fn drain_pending(&mut self) {
         while let Some(ev) = self.pending.pop_front() {
-            if let Err(ev) = self.tx.try_push(ev) {
+            if let Err(ev) = self.tx.push_or_request_wake(ev) {
                 self.pending.push_front(ev);
-                return false;
+                return;
             }
         }
-        true
+    }
+
+    /// Decode frames already in the reader until the hold limit is hit.
+    fn process_buffered(&mut self, now: Instant) -> Result<(), &'static str> {
+        while self.pending.len() <= PENDING_HOLD_LIMIT {
+            match self.reader.next_message() {
+                Ok(Some(msg)) => self.handle_message(msg, now)?,
+                Ok(None) => break,
+                Err(_) => return Err("router-link-lost: corrupt frame"),
+            }
+        }
+        Ok(())
     }
 
     fn handle_message(&mut self, msg: Message, now: Instant) -> Result<(), &'static str> {
@@ -515,19 +527,8 @@ impl Handler for LinkConn {
                     Err(_) => return self.drop_link("router-link-lost: read error"),
                 }
             }
-            loop {
-                if self.pending.len() > PENDING_HOLD_LIMIT {
-                    break;
-                }
-                match self.reader.next_message() {
-                    Ok(Some(msg)) => {
-                        if let Err(what) = self.handle_message(msg, now) {
-                            return self.drop_link(what);
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(_) => return self.drop_link("router-link-lost: corrupt frame"),
-                }
+            if let Err(what) = self.process_buffered(now) {
+                return self.drop_link(what);
             }
         }
         if self.pump_out().is_err() {
@@ -536,25 +537,16 @@ impl Handler for LinkConn {
         Next::Keep
     }
 
-    fn tick(&mut self, now: Instant, _ctx: &mut LoopCtx<'_>) -> Next {
+    fn wake(&mut self, ctx: &mut LoopCtx<'_>) -> Next {
         self.drain_pending();
-        // Process frames parked in the reader while we were holding.
-        if self.pending.len() <= PENDING_HOLD_LIMIT {
-            loop {
-                if self.pending.len() > PENDING_HOLD_LIMIT {
-                    break;
-                }
-                match self.reader.next_message() {
-                    Ok(Some(msg)) => {
-                        if let Err(what) = self.handle_message(msg, now) {
-                            return self.drop_link(what);
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(_) => return self.drop_link("router-link-lost: corrupt frame"),
-                }
-            }
+        // Frames parked in the reader while we were holding.
+        if let Err(what) = self.process_buffered(ctx.now) {
+            return self.drop_link(what);
         }
+        Next::Keep
+    }
+
+    fn tick(&mut self, now: Instant, _ctx: &mut LoopCtx<'_>) -> Next {
         self.pump_protocol(now);
         let silence_cap = {
             let g = self.mailbox.lock();

@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const SEGMENT_MAGIC: [u8; 4] = *b"MLWJ";
 const SEGMENT_VERSION: u16 = 1;
@@ -152,7 +152,16 @@ impl Journal {
 
     /// Whether the group-commit interval has elapsed since the last sync.
     pub fn sync_due(&self) -> bool {
-        self.dirty && self.last_sync.elapsed().as_millis() as u64 >= self.config.fsync_interval_ms
+        self.sync_due_in().is_some_and(|left| left.is_zero())
+    }
+
+    /// How long until the group commit falls due; `None` while nothing is
+    /// waiting for one.
+    pub fn sync_due_in(&self) -> Option<Duration> {
+        self.dirty.then(|| {
+            Duration::from_millis(self.config.fsync_interval_ms)
+                .saturating_sub(self.last_sync.elapsed())
+        })
     }
 
     /// Flush and fsync every dirty segment. After this returns, every

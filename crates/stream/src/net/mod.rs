@@ -8,12 +8,15 @@
 //! used by the file tailer). The loop dispatches readiness to handlers,
 //! re-arms interest after every callback, and fires a coarse periodic tick so
 //! handlers can enforce idle timeouts and deadlines without per-connection
-//! timers.
+//! timers. Another thread can interrupt the wait through a [`LoopWaker`]:
+//! the loop then calls [`Handler::wake`] on every handler, which is how a
+//! source paused on a full queue resumes as soon as the consumer has made
+//! room instead of on the next tick.
 //!
 //! The design goal is the smallest loop that removes head-of-line blocking:
-//! no wakers, no futures, level-triggered epoll only. On non-Linux platforms
-//! a timed sweep poller keeps everything compiling and functional (handlers
-//! already tolerate spurious readiness because epoll is level-triggered).
+//! no futures, level-triggered epoll only. On non-Linux platforms a timed
+//! sweep poller keeps everything compiling and functional (handlers already
+//! tolerate spurious readiness because epoll is level-triggered).
 
 pub mod sys;
 
@@ -112,8 +115,15 @@ pub trait Handler: Send {
     fn ready(&mut self, readable: bool, writable: bool, ctx: &mut LoopCtx<'_>) -> Next;
 
     /// Periodic callback (roughly every [`EventLoop::TICK`]); enforce idle
-    /// timeouts and retry paused work here.
+    /// timeouts and deadlines here.
     fn tick(&mut self, _now: Instant, _ctx: &mut LoopCtx<'_>) -> Next {
+        Next::Keep
+    }
+
+    /// A [`LoopWaker`] fired: whatever this handler was holding back for
+    /// another thread (lines a full queue refused) may fit now. Sent to
+    /// every handler, so it must be cheap when there is nothing held.
+    fn wake(&mut self, _ctx: &mut LoopCtx<'_>) -> Next {
         Next::Keep
     }
 
@@ -239,12 +249,56 @@ impl Poller {
     }
 }
 
+/// Handle another thread uses to make the loop call [`Handler::wake`] on
+/// every handler, at once rather than on the next tick.
+pub struct LoopWaker {
+    woken: Arc<AtomicBool>,
+    /// Write end of the socket pair whose read end sits on the loop: one
+    /// byte ends the poller's wait. (The sweep poller needs no byte; it
+    /// looks at `woken` every 5 ms.)
+    #[cfg(unix)]
+    tx: std::os::unix::net::UnixStream,
+}
+
+impl LoopWaker {
+    pub fn wake(&self) {
+        self.woken.store(true, Ordering::SeqCst);
+        #[cfg(unix)]
+        {
+            // A full socket buffer already holds bytes that end the wait.
+            let _ = io::Write::write(&mut &self.tx, &[1]);
+        }
+    }
+}
+
+/// Read end of a [`LoopWaker`]'s socket pair: swallows the wake bytes. The
+/// loop acts on the `woken` flag, not on this handler.
+#[cfg(unix)]
+struct WakeDrain(std::os::unix::net::UnixStream);
+
+#[cfg(unix)]
+impl Handler for WakeDrain {
+    fn ready(&mut self, _r: bool, _w: bool, _ctx: &mut LoopCtx<'_>) -> Next {
+        let mut sink = [0u8; 64];
+        loop {
+            match io::Read::read(&mut self.0, &mut sink) {
+                // The waker is gone; its EOF would stay readable forever.
+                Ok(0) => return Next::Close,
+                Ok(_) => {}
+                Err(_) => return Next::Keep,
+            }
+        }
+    }
+}
+
 /// The event loop. Build it, register the initial handlers, then hand it to
 /// a thread via [`EventLoop::run`].
 pub struct EventLoop {
     poller: Poller,
     entries: HashMap<u64, Entry>,
     next_token: u64,
+    /// Set by a [`LoopWaker`]; the loop swaps it after every wait.
+    woken: Arc<AtomicBool>,
 }
 
 impl EventLoop {
@@ -257,6 +311,26 @@ impl EventLoop {
             poller: Poller::new()?,
             entries: HashMap::new(),
             next_token: 1,
+            woken: Arc::new(AtomicBool::new(false)),
+        })
+    }
+
+    /// A waker for this loop. Each call registers one socket pair.
+    pub fn waker(&mut self) -> io::Result<LoopWaker> {
+        #[cfg(unix)]
+        {
+            let (tx, rx) = std::os::unix::net::UnixStream::pair()?;
+            tx.set_nonblocking(true)?;
+            rx.set_nonblocking(true)?;
+            self.register(rx.loop_fd(), Box::new(WakeDrain(rx)))?;
+            Ok(LoopWaker {
+                woken: self.woken.clone(),
+                tx,
+            })
+        }
+        #[cfg(not(unix))]
+        Ok(LoopWaker {
+            woken: self.woken.clone(),
         })
     }
 
@@ -313,6 +387,24 @@ impl EventLoop {
         }
     }
 
+    /// Run `call` on every registered handler (tick and wake rounds).
+    fn dispatch_all(
+        &mut self,
+        now: Instant,
+        adds: &mut Vec<Registration>,
+        closes: &mut Vec<u64>,
+        call: impl Fn(&mut dyn Handler, &mut LoopCtx<'_>) -> Next,
+    ) {
+        let tokens: Vec<u64> = self.entries.keys().copied().collect();
+        for token in tokens {
+            let verdict = match self.entries.get_mut(&token) {
+                Some(entry) => call(entry.handler.as_mut(), &mut LoopCtx { adds, now }),
+                None => continue,
+            };
+            self.apply(token, verdict, closes);
+        }
+    }
+
     fn close_all(&mut self, closes: &mut Vec<u64>) {
         for token in closes.drain(..) {
             if let Some(entry) = self.entries.remove(&token) {
@@ -357,22 +449,15 @@ impl EventLoop {
                 self.apply(token, verdict, &mut closes);
             }
 
+            if self.woken.swap(false, Ordering::SeqCst) {
+                self.dispatch_all(Instant::now(), &mut adds, &mut closes, |h, ctx| h.wake(ctx));
+            }
+
             if last_tick.elapsed() >= Self::TICK {
                 last_tick = Instant::now();
-                let tokens: Vec<u64> = self.entries.keys().copied().collect();
-                for token in tokens {
-                    let verdict = match self.entries.get_mut(&token) {
-                        Some(entry) => {
-                            let mut ctx = LoopCtx {
-                                adds: &mut adds,
-                                now: last_tick,
-                            };
-                            entry.handler.tick(last_tick, &mut ctx)
-                        }
-                        None => continue,
-                    };
-                    self.apply(token, verdict, &mut closes);
-                }
+                self.dispatch_all(last_tick, &mut adds, &mut closes, |h, ctx| {
+                    h.tick(last_tick, ctx)
+                });
             }
 
             self.close_all(&mut closes);
@@ -549,6 +634,60 @@ mod tests {
         assert!(
             ticks.load(Ordering::SeqCst) >= 2,
             "timer handler never ticked"
+        );
+    }
+
+    /// A waker reaches every handler — fd-backed or timer-only — without
+    /// waiting for the tick, and a burst of wakes is not lost.
+    #[test]
+    fn waker_interrupts_the_wait_and_reaches_every_handler() {
+        struct WakeStamp {
+            wakes: Arc<Mutex<Vec<Instant>>>,
+        }
+        impl Handler for WakeStamp {
+            fn ready(&mut self, _r: bool, _w: bool, _ctx: &mut LoopCtx<'_>) -> Next {
+                Next::Keep
+            }
+            fn wake(&mut self, _ctx: &mut LoopCtx<'_>) -> Next {
+                self.wakes.lock().unwrap().push(Instant::now());
+                Next::Keep
+            }
+            fn interest(&self) -> Interest {
+                Interest::NONE
+            }
+        }
+
+        let wakes = Arc::new(Mutex::new(Vec::new()));
+        let mut el = EventLoop::new().unwrap();
+        let waker = el.waker().unwrap();
+        el.register_timer(Box::new(WakeStamp {
+            wakes: wakes.clone(),
+        }));
+        let stop = Arc::new(AtomicBool::new(false));
+        let s = stop.clone();
+        let h = std::thread::spawn(move || el.run(s));
+
+        let mut delays = Vec::new();
+        for round in 1..=20usize {
+            // Land mid-wait, never phase-locked to the 50 ms tick.
+            std::thread::sleep(Duration::from_millis(7));
+            let fired = Instant::now();
+            waker.wake();
+            let deadline = fired + Duration::from_secs(5);
+            while wakes.lock().unwrap().len() < round {
+                assert!(Instant::now() < deadline, "wake {round} never arrived");
+                std::thread::yield_now();
+            }
+            delays.push(wakes.lock().unwrap()[round - 1].duration_since(fired));
+        }
+        stop.store(true, Ordering::SeqCst);
+        h.join().unwrap();
+        delays.sort();
+        assert!(
+            delays[delays.len() / 2] < Duration::from_millis(10),
+            "median wake delay {:?} (TICK is {:?})",
+            delays[delays.len() / 2],
+            EventLoop::TICK
         );
     }
 

@@ -103,6 +103,16 @@ impl StoredReport {
     /// Index a live report at the emit point, where classification has
     /// already assigned a criticality.
     pub fn from_report(report: &AnomalyReport, severity: Criticality) -> StoredReport {
+        Self::from_rendered(report, severity, report.to_json())
+    }
+
+    /// [`StoredReport::from_report`] for a caller that already rendered
+    /// the report: `json` must be `report.to_json()`.
+    pub fn from_rendered(
+        report: &AnomalyReport,
+        severity: Criticality,
+        json: String,
+    ) -> StoredReport {
         let mut template_ids: Vec<u64> =
             report.events.iter().map(|e| e.template.0 as u64).collect();
         template_ids.extend(report.provenance.template_ids.iter().map(|&t| t as u64));
@@ -114,7 +124,7 @@ impl StoredReport {
             template_ids,
             source_ids: report.sources().iter().map(|s| s.0 as u64).collect(),
             trace_ids: report.provenance.trace_ids.iter().map(|t| t.0).collect(),
-            json: report.to_json(),
+            json,
         }
     }
 

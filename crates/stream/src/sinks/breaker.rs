@@ -96,6 +96,11 @@ impl CircuitBreaker {
         self.state
     }
 
+    /// When an open breaker admits its next probe; `None` unless open.
+    pub fn open_until(&self) -> Option<Instant> {
+        self.open_until
+    }
+
     /// Times the breaker has transitioned into Open / HalfOpen (cumulative,
     /// mirrored into the `breaker_opened` / `breaker_half_open` counters).
     pub fn transition_counts(&self) -> (u64, u64) {

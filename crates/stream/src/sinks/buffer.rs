@@ -37,6 +37,8 @@ const BUFFER_MAGIC: [u8; 4] = *b"MLDB";
 const BUFFER_VERSION: u16 = 1;
 /// Magic + version + reserved + epoch.
 pub const BUFFER_HEADER_LEN: u64 = 16;
+/// Bytes [`DeliveryBuffer::peek`] reads per batch, however long the backlog.
+const PEEK_WINDOW: usize = 64 * 1024;
 
 /// A sink's progress through its buffer, as persisted in the checkpoint
 /// manifest. `offset` is the byte position of the first undelivered frame
@@ -69,6 +71,9 @@ pub struct DeliveryBuffer {
     epoch: u64,
     /// First undelivered byte (always `BUFFER_HEADER_LEN ..= len`).
     cursor: u64,
+    /// Bytes `peek` has read from the file, for the backlog-cost test.
+    #[cfg(test)]
+    bytes_read: u64,
 }
 
 impl DeliveryBuffer {
@@ -128,6 +133,8 @@ impl DeliveryBuffer {
             len: valid_len,
             epoch,
             cursor,
+            #[cfg(test)]
+            bytes_read: 0,
         })
     }
 
@@ -154,18 +161,29 @@ impl DeliveryBuffer {
     /// Read up to `max` undelivered reports from the cursor. Returns the
     /// reports and the offset just past them (pass to
     /// [`DeliveryBuffer::advance`] once a sink acknowledged the batch).
+    ///
+    /// Reads a bounded window, not the whole backlog: a batch may hold
+    /// fewer than `max` reports when they do not fit in [`PEEK_WINDOW`],
+    /// and the window grows only for a single frame larger than it.
     pub fn peek(&mut self, max: usize) -> Result<(Vec<BufferedReport>, u64), DurabilityError> {
         let mut out = Vec::new();
-        let mut off = self.cursor;
-        if off >= self.len || max == 0 {
-            return Ok((out, off));
+        let pending = (self.len - self.cursor) as usize;
+        if pending == 0 || max == 0 {
+            return Ok((out, self.cursor));
         }
-        self.file.seek(SeekFrom::Start(off))?;
-        let mut rest = vec![0u8; (self.len - off) as usize];
-        self.file.read_exact(&mut rest)?;
+        let mut window = Vec::new();
+        self.read_window(&mut window, PEEK_WINDOW.min(pending))?;
+        if next_frame(&window, 0).is_none() && window.len() >= 8 {
+            // No whole frame fits: its length field says how far to read.
+            let len = u32::from_le_bytes(window[..4].try_into().expect("sized"));
+            let need = 8 + len as usize;
+            if len <= MAX_FRAME_BYTES && need > window.len() && need <= pending {
+                self.read_window(&mut window, need)?;
+            }
+        }
         let mut pos = 0usize;
         while out.len() < max {
-            let Some((payload, next)) = next_frame(&rest, pos) else {
+            let Some((payload, next)) = next_frame(&window, pos) else {
                 break;
             };
             if let Some(report) = super::decode_report_payload(payload) {
@@ -173,8 +191,20 @@ impl DeliveryBuffer {
             }
             pos = next;
         }
-        off += pos as u64;
-        Ok((out, off))
+        Ok((out, self.cursor + pos as u64))
+    }
+
+    /// Extend `window` to the first `want` pending bytes after the cursor.
+    fn read_window(&mut self, window: &mut Vec<u8>, want: usize) -> Result<(), DurabilityError> {
+        let have = window.len();
+        window.resize(want, 0);
+        self.file.seek(SeekFrom::Start(self.cursor + have as u64))?;
+        self.file.read_exact(&mut window[have..])?;
+        #[cfg(test)]
+        {
+            self.bytes_read += (want - have) as u64;
+        }
+        Ok(())
     }
 
     /// Mark everything before `offset` delivered. When the whole buffer is
@@ -351,6 +381,58 @@ mod tests {
         buf.append(&[report(9)]).unwrap();
         let (batch, _) = buf.peek(10).unwrap();
         assert_eq!(batch, vec![report(9)]);
+        cleanup(&path);
+    }
+
+    /// `peek` used to read the whole pending tail to return one batch, so
+    /// draining a backlog cost O(backlog² / batch) bytes.
+    #[test]
+    fn draining_a_backlog_reads_linear_bytes() {
+        let path = tmp("backlog");
+        let mut buf = DeliveryBuffer::open(&path, None).unwrap();
+        let filler = "x".repeat(1000);
+        let reports: Vec<BufferedReport> = (0..10_000u64)
+            .map(|id| BufferedReport {
+                id,
+                class: DeliveryClass::Log,
+                body: format!("{{\"id\":{id},\"pad\":\"{filler}\"}}"),
+            })
+            .collect();
+        let total = buf.append(&reports).unwrap();
+        let mut drained = Vec::new();
+        while !buf.is_drained() {
+            let (batch, off) = buf.peek(64).unwrap();
+            assert!(!batch.is_empty() && batch.len() <= 64);
+            drained.extend(batch.into_iter().map(|r| r.id));
+            buf.advance(off).unwrap();
+        }
+        assert_eq!(drained, (0..10_000u64).collect::<Vec<_>>());
+        // The quadratic read was ~80x the backlog here.
+        assert!(
+            buf.bytes_read <= 2 * total,
+            "read {} bytes to drain a {total}-byte backlog",
+            buf.bytes_read
+        );
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_peek_window_is_still_returned() {
+        let path = tmp("bigframe");
+        let mut buf = DeliveryBuffer::open(&path, None).unwrap();
+        let big = BufferedReport {
+            id: 1,
+            class: DeliveryClass::Page,
+            body: "y".repeat(3 * PEEK_WINDOW),
+        };
+        buf.append(&[big.clone(), report(2), report(3)]).unwrap();
+        let (batch, off) = buf.peek(10).unwrap();
+        assert_eq!(batch, vec![big], "the window grows to one whole frame");
+        buf.advance(off).unwrap();
+        let (batch, off) = buf.peek(10).unwrap();
+        assert_eq!(batch, vec![report(2), report(3)]);
+        buf.advance(off).unwrap();
+        assert!(buf.is_drained());
         cleanup(&path);
     }
 

@@ -2,13 +2,17 @@
 //!
 //! Two call paths, deliberately decoupled:
 //!
-//! - **accept** (hot path, called at pipeline commit points): route each
-//!   report by [`DeliveryClass`], append to the matching route's
-//!   [`DeliveryBuffer`] and fsync. No network I/O ever happens here — a
-//!   slow or dead sink cannot block ingest.
+//! - **accept** (hot path, called once per pipeline commit batch): route
+//!   each report by [`DeliveryClass`], append to the matching route's
+//!   [`DeliveryBuffer`], fsync once per route, and ring the worker's
+//!   doorbell. No network I/O ever happens here — a slow or dead sink
+//!   cannot block ingest.
 //! - **pump** (drain path, a background worker or an explicit call):
 //!   per route, read a batch from the buffer, attempt delivery through
-//!   the route's [`Sink`], and advance the cursor on success. Failures
+//!   the route's [`Sink`], and advance the cursor on success — repeated
+//!   until the route makes no progress (drained, backing off, or breaker
+//!   blocked). The worker then sleeps until the doorbell rings or the
+//!   earliest retry/probe instant, whichever comes first. Failures
 //!   back off exponentially with deterministic jitter (reusing
 //!   [`RetryPolicy::backoff`]); repeated failures open the route's
 //!   [`CircuitBreaker`]; a breaker open past its grace deadline degrades
@@ -31,7 +35,7 @@ use monilog_model::DeliveryClass;
 use parking_lot::Mutex;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
 /// A report handed to [`DeliveryPipeline::accept`]. Identical shape to
@@ -109,7 +113,8 @@ struct Route {
     spill: RotatingLog,
 }
 
-/// What one [`DeliveryPipeline::pump_once`] tick did.
+/// What one [`DeliveryPipeline::pump_once`] tick (or one
+/// [`DeliveryPipeline::pump_until_idle`] drain) did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PumpReport {
     pub delivered: u64,
@@ -117,6 +122,39 @@ pub struct PumpReport {
     pub spilled: u64,
     /// Bytes still waiting across all route buffers after the tick.
     pub pending_bytes: u64,
+}
+
+/// Wakes the pump worker when `accept` buffers reports. The flag stays
+/// set until a waiter consumes it, so a ring during a pump is not lost.
+#[derive(Default)]
+struct Doorbell {
+    rung: std::sync::Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Doorbell {
+    fn ring(&self) {
+        // A poisoned lock still guards a valid bool.
+        *self.rung.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        self.cv.notify_all();
+    }
+
+    /// Block until rung or `deadline`, then clear the ring.
+    fn wait(&self, deadline: Instant) {
+        let mut rung = self.rung.lock().unwrap_or_else(|e| e.into_inner());
+        while !*rung {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            rung = self
+                .cv
+                .wait_timeout(rung, left)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+        *rung = false;
+    }
 }
 
 struct Shared {
@@ -137,6 +175,7 @@ struct Shared {
     /// Serialises drain ticks (worker vs explicit flush). Never taken by
     /// `accept`.
     pump_lock: Mutex<()>,
+    doorbell: Doorbell,
 }
 
 impl Shared {
@@ -213,6 +252,7 @@ impl DeliveryPipeline {
                 retry_max_ms: AtomicU64::new(0),
                 page_route: AtomicUsize::new(usize::MAX),
                 pump_lock: Mutex::new(()),
+                doorbell: Doorbell::default(),
             }),
         })
     }
@@ -250,30 +290,32 @@ impl DeliveryPipeline {
     }
 
     /// Durably accept reports: append to the matching route buffers and
-    /// fsync. After this returns, a SIGKILL cannot lose any of them. If a
-    /// route's pending bytes exceed the cap, its oldest reports are
-    /// spilled locally (bounded disk, nothing dropped).
-    pub fn accept(&self, reports: &[AcceptedReport]) -> Result<(), DurabilityError> {
-        if reports.is_empty() {
-            return Ok(());
-        }
+    /// fsync, once per route however many reports the batch holds. After
+    /// this returns, a SIGKILL cannot lose any of them. If a route's
+    /// pending bytes exceed the cap, its oldest reports are spilled
+    /// locally (bounded disk, nothing dropped).
+    pub fn accept(&self, reports: Vec<AcceptedReport>) -> Result<(), DurabilityError> {
         let mut grouped: Vec<Vec<BufferedReport>> = vec![Vec::new(); self.shared.routes.len()];
         for r in reports {
-            grouped[self.route_index(r.class)].push(r.clone());
+            grouped[self.route_index(r.class)].push(r);
         }
         for (route, group) in self.shared.routes.iter().zip(grouped) {
             if group.is_empty() {
                 continue;
             }
-            let mut st = route.state.lock();
-            st.buffer.append(&group)?;
-            PipelineMetrics::add(&self.shared.metrics.reports_accepted, group.len() as u64);
-            while st.buffer.pending_bytes() > self.shared.config.buffer_spill_bytes {
-                let n = self.spill_batch(route, &mut st)?;
-                if n == 0 {
-                    break;
+            {
+                let mut st = route.state.lock();
+                st.buffer.append(&group)?;
+                PipelineMetrics::add(&self.shared.metrics.reports_accepted, group.len() as u64);
+                while st.buffer.pending_bytes() > self.shared.config.buffer_spill_bytes {
+                    let n = self.spill_batch(route, &mut st)?;
+                    if n == 0 {
+                        break;
+                    }
                 }
             }
+            // Rung with the route lock released: the worker can take it.
+            self.shared.doorbell.ring();
         }
         Ok(())
     }
@@ -456,20 +498,58 @@ impl DeliveryPipeline {
         Ok(())
     }
 
-    /// Pump until every buffer drains or `timeout` elapses. Returns the
-    /// pending bytes left (0 = fully delivered).
+    /// Pump every route until none makes progress: each is drained,
+    /// waiting out a retry backoff, or blocked by its breaker. Returns
+    /// what was done and the earliest instant a stalled route can be tried
+    /// again (`None`: only a new `accept` gives the pump work).
+    pub fn pump_until_idle(&self) -> Result<(PumpReport, Option<Instant>), DurabilityError> {
+        let _pump = self.shared.pump_lock.lock();
+        let mut out = PumpReport::default();
+        let mut retry_at: Option<Instant> = None;
+        for route in &self.shared.routes {
+            loop {
+                let before = out.delivered + out.spilled;
+                self.pump_route(route, Instant::now(), &mut out)?;
+                if out.delivered + out.spilled == before {
+                    break;
+                }
+            }
+            let at = self.route_retry_at(&route.state.lock());
+            retry_at = retry_at.into_iter().chain(at).min();
+        }
+        out.pending_bytes = self.pending_bytes();
+        Ok((out, retry_at))
+    }
+
+    /// When a route that stopped making progress is worth another attempt:
+    /// its retry backoff, or its breaker's next probe / spill-grace
+    /// deadline. `None` for a drained route.
+    fn route_retry_at(&self, st: &RouteState) -> Option<Instant> {
+        if st.buffer.is_drained() {
+            return None;
+        }
+        if st.next_attempt_at.is_some() {
+            return st.next_attempt_at;
+        }
+        let probe_at = st.breaker.open_until()?;
+        let grace = Duration::from_millis(self.shared.config.spill_grace_ms);
+        Some(st.open_since.map_or(probe_at, |t| probe_at.min(t + grace)))
+    }
+
+    /// Pump until every buffer drains or `timeout` elapses, sleeping only
+    /// until the next retry is due. Returns the pending bytes left
+    /// (0 = fully delivered). Stop the worker first: both wait on the
+    /// same doorbell.
     pub fn flush(&self, timeout: Duration) -> Result<u64, DurabilityError> {
         let deadline = Instant::now() + timeout;
         loop {
-            let now = Instant::now();
-            let report = self.pump_once(now)?;
-            if report.pending_bytes == 0 {
-                return Ok(0);
-            }
-            if Instant::now() >= deadline {
+            let (report, retry_at) = self.pump_until_idle()?;
+            if report.pending_bytes == 0 || Instant::now() >= deadline {
                 return Ok(report.pending_bytes);
             }
-            std::thread::sleep(Duration::from_millis(5));
+            self.shared
+                .doorbell
+                .wait(retry_at.map_or(deadline, |t| t.min(deadline)));
         }
     }
 
@@ -512,8 +592,10 @@ impl DeliveryPipeline {
             .collect()
     }
 
-    /// Spawn the background drain worker. The worker wakes every
-    /// `poll` and pumps once; drop (or `stop()`) the handle to join it.
+    /// Spawn the background drain worker. It pumps until idle, then sleeps
+    /// until `accept` rings the doorbell or the earliest retry is due;
+    /// `poll` is only the fallback wait. Drop (or `stop()`) the handle to
+    /// join it.
     pub fn spawn_worker(&self, poll: Duration) -> DeliveryWorker {
         let stop = Arc::new(AtomicBool::new(false));
         let pipeline = self.clone();
@@ -521,14 +603,19 @@ impl DeliveryPipeline {
         let handle = std::thread::Builder::new()
             .name("monilog-delivery".into())
             .spawn(move || {
-                while !flag.load(Ordering::Relaxed) {
-                    let _ = pipeline.pump_once(Instant::now());
-                    std::thread::sleep(poll);
+                while !flag.load(Ordering::SeqCst) {
+                    let retry_at = pipeline.pump_until_idle().ok().and_then(|(_, at)| at);
+                    let fallback = Instant::now() + poll;
+                    pipeline
+                        .shared
+                        .doorbell
+                        .wait(retry_at.map_or(fallback, |t| t.min(fallback)));
                 }
             })
             .expect("spawn delivery worker");
         DeliveryWorker {
             stop,
+            pipeline: self.clone(),
             handle: Some(handle),
         }
     }
@@ -537,12 +624,14 @@ impl DeliveryPipeline {
 /// Handle to the background drain thread; stops and joins on drop.
 pub struct DeliveryWorker {
     stop: Arc<AtomicBool>,
+    pipeline: DeliveryPipeline,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl DeliveryWorker {
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
+        self.pipeline.shared.doorbell.ring();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -613,6 +702,7 @@ mod tests {
         delivered: Arc<StdMutex<Vec<u64>>>,
         healthy: Arc<AtomicBool>,
         healthchecks: Arc<StdMutex<u64>>,
+        deliver_calls: Arc<StdMutex<u64>>,
     }
 
     #[derive(Clone)]
@@ -621,6 +711,7 @@ mod tests {
         delivered: Arc<StdMutex<Vec<u64>>>,
         healthy: Arc<AtomicBool>,
         healthchecks: Arc<StdMutex<u64>>,
+        deliver_calls: Arc<StdMutex<u64>>,
     }
 
     fn script_sink(outcomes: Vec<Result<(), SinkError>>) -> (Box<dyn Sink>, ScriptHandle) {
@@ -629,12 +720,14 @@ mod tests {
             delivered: Arc::new(StdMutex::new(Vec::new())),
             healthy: Arc::new(AtomicBool::new(true)),
             healthchecks: Arc::new(StdMutex::new(0)),
+            deliver_calls: Arc::new(StdMutex::new(0)),
         };
         let sink = ScriptSink {
             script: Arc::clone(&handle.script),
             delivered: Arc::clone(&handle.delivered),
             healthy: Arc::clone(&handle.healthy),
             healthchecks: Arc::clone(&handle.healthchecks),
+            deliver_calls: Arc::clone(&handle.deliver_calls),
         };
         (Box::new(sink), handle)
     }
@@ -652,6 +745,7 @@ mod tests {
             }
         }
         fn deliver(&mut self, batch: &[BufferedReport]) -> Result<(), SinkError> {
+            *self.deliver_calls.lock().unwrap() += 1;
             let outcome = self.script.lock().unwrap().pop_front().unwrap_or(Ok(()));
             if outcome.is_ok() {
                 self.delivered
@@ -708,12 +802,12 @@ mod tests {
             Arc::clone(&registry),
         )
         .unwrap();
-        p.accept(&[
+        p.accept(vec![
             report(1, DeliveryClass::Page),
             report(2, DeliveryClass::Log),
         ])
         .unwrap();
-        p.accept(&[report(3, DeliveryClass::Ticket)]).unwrap();
+        p.accept(vec![report(3, DeliveryClass::Ticket)]).unwrap();
         let rep = p.pump_once(Instant::now()).unwrap();
         assert_eq!(rep.delivered, 3);
         assert_eq!(rep.pending_bytes, 0);
@@ -749,7 +843,7 @@ mod tests {
             registry,
         )
         .unwrap();
-        p.accept(&[
+        p.accept(vec![
             report(1, DeliveryClass::Page),
             report(2, DeliveryClass::Ticket),
             report(3, DeliveryClass::Log),
@@ -785,15 +879,15 @@ mod tests {
             MetricsRegistry::shared(),
         )
         .unwrap();
-        p.accept(&[report(1, DeliveryClass::Page)]).unwrap();
+        p.accept(vec![report(1, DeliveryClass::Page)]).unwrap();
         // Re-point pages at the file route; an unknown route is refused
         // and changes nothing.
         assert!(!p.set_page_route(Some("nope")));
         assert!(p.set_page_route(Some("file")));
-        p.accept(&[report(2, DeliveryClass::Page)]).unwrap();
+        p.accept(vec![report(2, DeliveryClass::Page)]).unwrap();
         // Clearing the override restores the static RouteSpec routing.
         assert!(p.set_page_route(None));
-        p.accept(&[report(3, DeliveryClass::Page)]).unwrap();
+        p.accept(vec![report(3, DeliveryClass::Page)]).unwrap();
         p.pump_once(Instant::now()).unwrap();
         assert_eq!(*page.delivered.lock().unwrap(), vec![1, 3]);
         assert_eq!(*rest.delivered.lock().unwrap(), vec![2]);
@@ -819,7 +913,7 @@ mod tests {
             Arc::clone(&registry),
         )
         .unwrap();
-        p.accept(&[report(7, DeliveryClass::Ticket)]).unwrap();
+        p.accept(vec![report(7, DeliveryClass::Ticket)]).unwrap();
         let t0 = Instant::now();
         assert_eq!(p.pump_once(t0).unwrap().retried, 1);
         // Before the backoff elapses nothing happens.
@@ -858,7 +952,7 @@ mod tests {
         .unwrap();
         p.set_retry_max_ms(20);
         assert_eq!(p.retry_policy().max_backoff, Duration::from_millis(20));
-        p.accept(&[report(9, DeliveryClass::Ticket)]).unwrap();
+        p.accept(vec![report(9, DeliveryClass::Ticket)]).unwrap();
         let t0 = Instant::now();
         assert_eq!(p.pump_once(t0).unwrap().retried, 1);
         // Worst case with +50% jitter the capped backoff is 30 ms; at
@@ -893,7 +987,7 @@ mod tests {
             Arc::clone(&registry),
         )
         .unwrap();
-        p.accept(&[report(1, DeliveryClass::Page)]).unwrap();
+        p.accept(vec![report(1, DeliveryClass::Page)]).unwrap();
         let t0 = Instant::now();
         let mut now = t0;
         // Three failures open the breaker (each after its backoff).
@@ -936,7 +1030,7 @@ mod tests {
             Arc::clone(&registry),
         )
         .unwrap();
-        p.accept(&[report(5, DeliveryClass::Page)]).unwrap();
+        p.accept(vec![report(5, DeliveryClass::Page)]).unwrap();
         let rep = p.pump_once(Instant::now()).unwrap();
         assert_eq!(rep.spilled, 1);
         assert_eq!(rep.pending_bytes, 0, "fatal batch left the buffer");
@@ -974,7 +1068,7 @@ mod tests {
             Arc::clone(&registry),
         )
         .unwrap();
-        p.accept(&[
+        p.accept(vec![
             report(1, DeliveryClass::Page),
             report(2, DeliveryClass::Page),
         ])
@@ -1019,7 +1113,7 @@ mod tests {
         )
         .unwrap();
         let reports: Vec<BufferedReport> = (0..50).map(|i| report(i, DeliveryClass::Log)).collect();
-        p.accept(&reports).unwrap();
+        p.accept(reports).unwrap();
         assert!(p.pending_bytes() <= 200 + 64, "buffer bounded by the cap");
         let m = registry.counters();
         assert!(PipelineMetrics::get(&m.reports_spilled) > 0);
@@ -1042,7 +1136,7 @@ mod tests {
         config.batch_max = 2;
         let p =
             DeliveryPipeline::open(config.clone(), spec(sink), &[], Arc::clone(&registry)).unwrap();
-        p.accept(&[
+        p.accept(vec![
             report(1, DeliveryClass::Log),
             report(2, DeliveryClass::Log),
             report(3, DeliveryClass::Log),
@@ -1101,7 +1195,7 @@ mod tests {
         let (sink, _) = script_sink(vec![Err(SinkError::Fatal("HTTP 400".into()))]);
         let p = DeliveryPipeline::open(fast_config(&dir), make(sink), &[], Arc::clone(&registry))
             .unwrap();
-        p.accept(&[report(1, DeliveryClass::Page)]).unwrap();
+        p.accept(vec![report(1, DeliveryClass::Page)]).unwrap();
         p.pump_once(Instant::now()).unwrap(); // spills report 1
         drop(p);
         let spill_path = dir.join("webhook.spill.jsonl");
@@ -1109,37 +1203,189 @@ mod tests {
         fs::write(&spill_path, &bytes[..bytes.len() / 2]).unwrap(); // torn tail
         let (sink2, _) = script_sink(vec![Err(SinkError::Fatal("HTTP 400".into()))]);
         let p2 = DeliveryPipeline::open(fast_config(&dir), make(sink2), &[], registry).unwrap();
-        p2.accept(&[report(2, DeliveryClass::Page)]).unwrap();
+        p2.accept(vec![report(2, DeliveryClass::Page)]).unwrap();
         p2.pump_once(Instant::now()).unwrap();
         let text = fs::read_to_string(&spill_path).unwrap();
         assert!(text.contains("\"id\":2"), "spill keeps working: {text}");
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn background_worker_drains_without_explicit_pumps() {
-        let dir = tmp_dir("worker");
-        let (sink, handle) = script_sink(vec![]);
-        let registry = MetricsRegistry::shared();
-        let p = DeliveryPipeline::open(
-            fast_config(&dir),
+    fn one_route(config: DeliveryConfig, sink: Box<dyn Sink>) -> DeliveryPipeline {
+        DeliveryPipeline::open(
+            config,
             vec![RouteSpec {
                 name: "tcp".into(),
                 classes: DeliveryClass::ALL.to_vec(),
                 sink,
             }],
             &[],
-            registry,
+            MetricsRegistry::shared(),
+        )
+        .unwrap()
+    }
+
+    fn wait_until(what: &str, limit: Duration, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + limit;
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// The doorbell, not the poll, wakes the worker, and one wake drains
+    /// the whole backlog: 16 batches in under a second with a 10 s poll.
+    #[test]
+    fn a_backlog_drains_in_one_wake_without_waiting_for_the_poll() {
+        let dir = tmp_dir("one-wake");
+        let (sink, handle) = script_sink(vec![]);
+        let p = one_route(fast_config(&dir), sink);
+        let mut worker = p.spawn_worker(Duration::from_secs(10));
+        // Let the worker find nothing and go to sleep on the doorbell.
+        std::thread::sleep(Duration::from_millis(50));
+        let t0 = Instant::now();
+        p.accept((0..1000).map(|i| report(i, DeliveryClass::Log)).collect())
+            .unwrap();
+        wait_until("the backlog to drain", Duration::from_secs(1), || {
+            p.pending_bytes() == 0
+        });
+        assert!(t0.elapsed() < Duration::from_secs(1));
+        worker.stop();
+        assert_eq!(
+            *handle.delivered.lock().unwrap(),
+            (0..1000).collect::<Vec<u64>>()
+        );
+        assert_eq!(*handle.deliver_calls.lock().unwrap(), 16, "1000 / 64");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_retryable_failure_stops_the_drain_until_its_backoff() {
+        let dir = tmp_dir("retry-stop");
+        let (sink, handle) = script_sink(vec![Err(SinkError::Retryable("flaky".into()))]);
+        let mut config = fast_config(&dir);
+        config.retry.base_backoff = Duration::from_millis(100);
+        config.retry.max_backoff = Duration::from_millis(100);
+        let p = one_route(config, sink);
+        p.accept((0..200).map(|i| report(i, DeliveryClass::Log)).collect())
+            .unwrap();
+        let t0 = Instant::now();
+        let (rep, retry_at) = p.pump_until_idle().unwrap();
+        assert_eq!((rep.retried, rep.delivered), (1, 0));
+        let retry_at = retry_at.expect("a backing-off route names its next attempt");
+        assert!(
+            retry_at >= t0 + Duration::from_millis(100),
+            "jitter only adds"
+        );
+        // Before the backoff elapses another drain does not touch the sink.
+        let (rep, again) = p.pump_until_idle().unwrap();
+        assert_eq!((rep.retried, rep.delivered), (0, 0));
+        assert_eq!(again, Some(retry_at));
+        assert_eq!(*handle.deliver_calls.lock().unwrap(), 1);
+        std::thread::sleep(retry_at.saturating_duration_since(Instant::now()));
+        let (rep, retry_at) = p.pump_until_idle().unwrap();
+        assert_eq!((rep.delivered, rep.pending_bytes), (200, 0));
+        assert_eq!(
+            retry_at, None,
+            "a drained route waits only for the doorbell"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_open_breaker_is_not_hammered() {
+        let dir = tmp_dir("no-hammer");
+        let (sink, handle) = script_sink(vec![Err(SinkError::Retryable("down".into())); 1000]);
+        handle.healthy.store(false, Ordering::Relaxed);
+        let mut config = fast_config(&dir);
+        config.breaker.open_ms = 400;
+        config.breaker.open_max_ms = 10_000;
+        let p = one_route(config, sink);
+        let mut worker = p.spawn_worker(Duration::from_secs(10));
+        p.accept(vec![report(1, DeliveryClass::Page)]).unwrap();
+        // Three failures (1–8 ms apart) open the breaker; until its 400 ms
+        // dwell ends the worker must leave the sink alone.
+        wait_until("the breaker to open", Duration::from_secs(5), || {
+            p.breaker_states()[0].1 == BreakerState::Open
+        });
+        std::thread::sleep(Duration::from_millis(150));
+        assert_eq!(*handle.deliver_calls.lock().unwrap(), 3);
+        assert_eq!(*handle.healthchecks.lock().unwrap(), 0);
+        // The worker wakes itself for the probe (no doorbell, 10 s poll);
+        // the failed probe doubles the dwell, so one second sees one or
+        // two probes and no delivery attempt.
+        wait_until("the first probe", Duration::from_secs(5), || {
+            *handle.healthchecks.lock().unwrap() >= 1
+        });
+        std::thread::sleep(Duration::from_millis(300));
+        worker.stop();
+        assert!(*handle.healthchecks.lock().unwrap() <= 2);
+        assert_eq!(*handle.deliver_calls.lock().unwrap(), 3);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Sink that parks inside `deliver` until the test lets it go.
+    struct GateSink {
+        entered: std::sync::mpsc::Sender<()>,
+        release: std::sync::mpsc::Receiver<()>,
+    }
+
+    impl Sink for GateSink {
+        fn kind(&self) -> &'static str {
+            "gate"
+        }
+        fn healthcheck(&mut self) -> Result<(), SinkError> {
+            Ok(())
+        }
+        fn deliver(&mut self, _batch: &[BufferedReport]) -> Result<(), SinkError> {
+            self.entered.send(()).unwrap();
+            self.release.recv().unwrap();
+            Ok(())
+        }
+    }
+
+    /// A ring while the worker is pumping — after it passed the route the
+    /// report lands on — must survive until the worker next waits.
+    #[test]
+    fn an_accept_during_a_pump_is_not_a_missed_wakeup() {
+        let dir = tmp_dir("missed-wakeup");
+        let (first_sink, first) = script_sink(vec![]);
+        let (entered_tx, entered) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        let p = DeliveryPipeline::open(
+            fast_config(&dir),
+            vec![
+                RouteSpec {
+                    name: "first".into(),
+                    classes: vec![DeliveryClass::Page],
+                    sink: first_sink,
+                },
+                RouteSpec {
+                    name: "gated".into(),
+                    classes: vec![DeliveryClass::Ticket, DeliveryClass::Log],
+                    sink: Box::new(GateSink {
+                        entered: entered_tx,
+                        release: release_rx,
+                    }),
+                },
+            ],
+            &[],
+            MetricsRegistry::shared(),
         )
         .unwrap();
-        let mut worker = p.spawn_worker(Duration::from_millis(2));
-        p.accept(&[report(1, DeliveryClass::Page)]).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while p.pending_bytes() > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let mut worker = p.spawn_worker(Duration::from_secs(10));
+        p.accept(vec![report(1, DeliveryClass::Log)]).unwrap();
+        // The worker is now inside the second route's deliver: this drain
+        // pass is already past the first route.
+        entered.recv_timeout(Duration::from_secs(5)).unwrap();
+        p.accept(vec![report(2, DeliveryClass::Page)]).unwrap();
+        release.send(()).unwrap();
+        wait_until(
+            "the report accepted mid-pump",
+            Duration::from_secs(1),
+            || *first.delivered.lock().unwrap() == vec![2],
+        );
         worker.stop();
-        assert_eq!(*handle.delivered.lock().unwrap(), vec![1]);
+        assert_eq!(p.pending_bytes(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -329,7 +329,7 @@ impl IngestConn {
             self.finish_accept();
         }
         // else: queue filled up between the check and the pushes (another
-        // source raced us); keep draining from tick, answer when done.
+        // source raced us); keep draining from wake, answer when done.
     }
 
     /// Returns true once every accepted line is in the queue.
@@ -559,11 +559,15 @@ impl Handler for IngestConn {
         Next::Keep
     }
 
-    fn tick(&mut self, now: Instant, _ctx: &mut LoopCtx<'_>) -> Next {
+    fn wake(&mut self, _ctx: &mut LoopCtx<'_>) -> Next {
         // Accepted batch still waiting on queue space?
         if !self.pending.is_empty() && self.out.is_empty() && self.flush_lines() {
             self.finish_accept();
         }
+        Next::Keep
+    }
+
+    fn tick(&mut self, now: Instant, _ctx: &mut LoopCtx<'_>) -> Next {
         match self.phase {
             Phase::Write { since } => {
                 match self.pump_write() {

@@ -22,6 +22,9 @@
 //! - [`OverloadPolicy::Block`]: TCP connections and file tails stop
 //!   reading (dropping read interest lets the kernel socket buffer fill and
 //!   push backpressure to the sender); HTTP answers 429; UDP must drop.
+//!   A paused connection asks the consumer for a wakeup, and
+//!   [`SourceQueue::recv_batch`] wakes the loop once the queue is half
+//!   empty, so it resumes while the consumer still has lines to work on.
 //! - [`OverloadPolicy::ShedToCatchAll`]: the line is dropped and counted
 //!   (`sources_lines_shed`) — the parse-stage catch-all accounting only
 //!   exists once a line is *in* the pipeline, so at the boundary shedding
@@ -43,7 +46,7 @@ use crate::config::OverloadPolicy;
 use crate::durable::DeadLetterLog;
 use crate::export::{bind_reusable, register_metrics_listener, MetricsService};
 use crate::metrics::PipelineMetrics;
-use crate::net::{AsLoopFd, EventLoop, Handler, Interest, LoopCtx, Next};
+use crate::net::{AsLoopFd, EventLoop, Handler, Interest, LoopCtx, LoopWaker, Next};
 use crate::observe::MetricsRegistry;
 use crate::supervisor::{DeadLetter, FailureReason};
 use crate::trace::Tracer;
@@ -158,6 +161,14 @@ pub fn current_year() -> i32 {
 pub struct SourceQueue {
     rx: Receiver<SourceEvent>,
     depth: Arc<AtomicUsize>,
+    /// Depth at or below which a producer that asked for it is woken: half
+    /// the capacity, so it refills while the consumer still has work.
+    low_water: usize,
+    needs_wake: Arc<AtomicBool>,
+    waker: LoopWaker,
+    /// Times `recv_batch` rang the waker, for the resume-delay test.
+    #[cfg(test)]
+    wakes: AtomicUsize,
 }
 
 impl SourceQueue {
@@ -165,21 +176,25 @@ impl SourceQueue {
     /// blocking. Returns an empty vec on timeout.
     pub fn recv_batch(&self, max: usize, wait: Duration) -> Vec<SourceEvent> {
         let mut out = Vec::new();
-        match self.rx.recv_timeout(wait) {
-            Ok(ev) => {
-                self.depth.fetch_sub(1, Ordering::SeqCst);
-                out.push(ev);
-            }
-            Err(_) => return out,
-        }
-        while out.len() < max {
-            match self.rx.try_recv() {
-                Ok(ev) => {
-                    self.depth.fetch_sub(1, Ordering::SeqCst);
-                    out.push(ev);
+        if let Ok(ev) = self.rx.recv_timeout(wait) {
+            self.depth.fetch_sub(1, Ordering::SeqCst);
+            out.push(ev);
+            while out.len() < max {
+                match self.rx.try_recv() {
+                    Ok(ev) => {
+                        self.depth.fetch_sub(1, Ordering::SeqCst);
+                        out.push(ev);
+                    }
+                    Err(_) => break,
                 }
-                Err(_) => break,
             }
+        }
+        if self.depth.load(Ordering::SeqCst) <= self.low_water
+            && self.needs_wake.swap(false, Ordering::SeqCst)
+        {
+            self.waker.wake();
+            #[cfg(test)]
+            self.wakes.fetch_add(1, Ordering::SeqCst);
         }
         out
     }
@@ -197,6 +212,9 @@ pub(crate) struct QueueTx {
     tx: SyncSender<SourceEvent>,
     depth: Arc<AtomicUsize>,
     capacity: usize,
+    /// Set by a producer that holds lines back; swapped by the consumer,
+    /// which then wakes the loop ([`Handler::wake`]).
+    needs_wake: Arc<AtomicBool>,
 }
 
 impl QueueTx {
@@ -208,6 +226,21 @@ impl QueueTx {
             }
             Err(TrySendError::Full(ev)) | Err(TrySendError::Disconnected(ev)) => Err(ev),
         }
+    }
+
+    /// [`QueueTx::try_push`] for a producer that will hold the line back on
+    /// `Err` and wait for [`Handler::wake`]. The wake is requested *before*
+    /// a second attempt: if that one fails too, the queue was full after
+    /// the request, so a later `recv_batch` is bound to see it. Without the
+    /// second attempt a consumer that emptied the queue between the failed
+    /// push and the request would never look at the flag again.
+    pub(crate) fn push_or_request_wake(&self, ev: SourceEvent) -> Result<(), SourceEvent> {
+        let ev = match self.try_push(ev) {
+            Ok(()) => return Ok(()),
+            Err(ev) => ev,
+        };
+        self.needs_wake.store(true, Ordering::SeqCst);
+        self.try_push(ev)
     }
 
     /// Free queue slots (approximate; used for the HTTP 429 admission check).
@@ -271,7 +304,12 @@ impl Shared {
     /// policy on a pausable source); `Ok` means the line was consumed one
     /// way or another.
     fn push_or_apply_policy(&self, ev: SourceEvent, can_pause: bool) -> Result<(), SourceEvent> {
-        match self.tx.try_push(ev) {
+        let pushed = if can_pause && self.policy() == OverloadPolicy::Block {
+            self.tx.push_or_request_wake(ev)
+        } else {
+            self.tx.try_push(ev)
+        };
+        match pushed {
             Ok(()) => {
                 PipelineMetrics::add(&self.metrics.sources_lines, 1);
                 Ok(())
@@ -340,10 +378,12 @@ impl SourcesServer {
     ) -> io::Result<(SourcesServer, SourceQueue)> {
         let (tx, rx) = std::sync::mpsc::sync_channel(config.queue_capacity.max(1));
         let depth = Arc::new(AtomicUsize::new(0));
+        let needs_wake = Arc::new(AtomicBool::new(false));
         let queue_tx = QueueTx {
             tx,
             depth: depth.clone(),
             capacity: config.queue_capacity.max(1),
+            needs_wake: needs_wake.clone(),
         };
         // Glob slots start above every static tail and every slot a
         // previous life handed out (recovered through `known`), so a
@@ -375,6 +415,7 @@ impl SourcesServer {
         });
 
         let mut event_loop = EventLoop::new()?;
+        let waker = event_loop.waker()?;
         let mut syslog_tcp_addr = None;
         let mut syslog_udp_addr = None;
         let mut http_addr = None;
@@ -466,7 +507,15 @@ impl SourcesServer {
                 metrics_addr,
                 mailbox,
             },
-            SourceQueue { rx, depth },
+            SourceQueue {
+                rx,
+                depth,
+                low_water: config.queue_capacity / 2,
+                needs_wake,
+                waker,
+                #[cfg(test)]
+                wakes: AtomicUsize::new(0),
+            },
         ))
     }
 
@@ -674,14 +723,18 @@ impl Handler for SyslogConn {
         Next::Keep
     }
 
-    fn tick(&mut self, now: Instant, _ctx: &mut LoopCtx<'_>) -> Next {
-        if (!self.pending.is_empty() || self.paused) && self.flush_pending() {
+    fn wake(&mut self, ctx: &mut LoopCtx<'_>) -> Next {
+        if self.paused && self.flush_pending() {
             self.paused = false;
-            self.last_activity = now;
+            self.last_activity = ctx.now;
         }
         if self.eof && self.pending.is_empty() {
             return self.close();
         }
+        Next::Keep
+    }
+
+    fn tick(&mut self, now: Instant, _ctx: &mut LoopCtx<'_>) -> Next {
         if !self.shared.idle_timeout.is_zero()
             && self.pending.is_empty()
             && now.duration_since(self.last_activity) >= self.shared.idle_timeout
@@ -820,31 +873,104 @@ mod tests {
         assert_eq!(got[0].source, SYSLOG_UDP_SOURCE);
     }
 
-    #[test]
-    fn block_policy_pauses_the_connection_and_loses_nothing() {
+    /// Idle connections the wakeup test may park on the loop: 1,000, or as
+    /// many as the fd limit leaves room for (two fds each) without
+    /// starving the tests running beside it.
+    fn idle_crowd() -> usize {
+        let soft = std::fs::read_to_string("/proc/self/limits")
+            .ok()
+            .and_then(|text| {
+                let line = text.lines().find(|l| l.starts_with("Max open files"))?;
+                line.split_whitespace().nth(3)?.parse::<usize>().ok()
+            })
+            .unwrap_or(1024);
+        1000.min(soft.saturating_sub(512) / 2)
+    }
+
+    /// Block policy through repeated pause/resume cycles: nothing lost,
+    /// nothing duplicated, order kept — and a paused connection refills the
+    /// queue as soon as the consumer has drained it to the low-water mark,
+    /// not on the next 50 ms tick. Returns the per-cycle resume delays.
+    fn pause_resume_cycles(idle: usize) -> Vec<Duration> {
         let reg = registry();
-        let mut cfg = test_config(4); // tiny queue
+        let capacity = 64usize;
+        let mut cfg = test_config(capacity);
         cfg.on_overload = OverloadPolicy::Block;
         let (server, queue) = SourcesServer::spawn(cfg, reg.clone(), None, None).unwrap();
         let addr = server.syslog_tcp_addr().unwrap();
+        let _crowd: Vec<TcpStream> = (0..idle)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
 
-        let total = 200usize;
+        let total = capacity * 10;
         let mut conn = TcpStream::connect(addr).unwrap();
         for i in 0..total {
             conn.write_all(format!("line number {i}\n").as_bytes())
                 .unwrap();
         }
-        drop(conn);
 
-        // Slowly drain: every line must come through despite the size-4
-        // queue, because the source pauses instead of dropping.
-        let got = drain_for(&queue, total, 20);
-        assert_eq!(got.len(), total, "Block policy must not lose lines");
-        let lines: Vec<&str> = got.iter().map(|e| e.line.as_str()).collect();
-        for (i, line) in lines.iter().enumerate() {
-            assert_eq!(*line, format!("line number {i}"), "order preserved");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let alive = |what: &str| assert!(Instant::now() < deadline, "stalled: {what}");
+        let mut got: Vec<SourceEvent> = Vec::new();
+        let mut delays = Vec::new();
+        loop {
+            // A slow consumer: it looks at the queue only once the
+            // connection holds lines back (and has asked for a wake), or
+            // once everything left already sits in the queue.
+            let asked = || queue.needs_wake.load(Ordering::SeqCst);
+            while !asked() && got.len() + queue.depth() < total {
+                alive("waiting for the connection to pause");
+                std::thread::yield_now();
+            }
+            if !asked() {
+                break;
+            }
+            let wakes = queue.wakes.load(Ordering::SeqCst);
+            while queue.wakes.load(Ordering::SeqCst) == wakes {
+                alive("draining to the low-water mark");
+                got.extend(queue.recv_batch(8, Duration::from_millis(20)));
+            }
+            // That call drained to the mark and rang the waker. Nobody
+            // receives now, so only a resumed connection lifts the depth
+            // back over the mark.
+            let rang = Instant::now();
+            while queue.depth() <= queue.low_water && got.len() + queue.depth() < total {
+                alive("waiting for the connection to resume");
+                std::thread::yield_now();
+            }
+            delays.push(rang.elapsed());
         }
+        got.extend(drain_for(&queue, total - got.len(), 20));
+        assert_eq!(got.len(), total, "Block policy must not lose lines");
+        for (i, ev) in got.iter().enumerate() {
+            assert_eq!(ev.line.as_str(), format!("line number {i}"), "order kept");
+        }
+        assert!(queue.recv_batch(8, Duration::from_millis(50)).is_empty());
         assert_eq!(reg.counters().sources_lines_shed.load(Ordering::SeqCst), 0);
+        drop(conn);
+        delays
+    }
+
+    fn assert_resumes_before_the_tick(mut delays: Vec<Duration>) {
+        assert!(delays.len() >= 10, "only {} pause cycles", delays.len());
+        delays.sort();
+        let median = delays[delays.len() / 2];
+        assert!(
+            median < Duration::from_millis(10),
+            "median resume delay {median:?} over {} cycles (TICK is {:?})",
+            delays.len(),
+            EventLoop::TICK
+        );
+    }
+
+    #[test]
+    fn block_policy_pauses_the_connection_and_loses_nothing() {
+        assert_resumes_before_the_tick(pause_resume_cycles(0));
+    }
+
+    #[test]
+    fn a_thousand_idle_connections_do_not_delay_the_resume() {
+        assert_resumes_before_the_tick(pause_resume_cycles(idle_crowd()));
     }
 
     #[test]
