@@ -7,8 +7,10 @@ use monilog_bench::{
 };
 use monilog_core::detect::{
     DeepLog, DeepLogConfig, Detector, InvariantDetector, InvariantDetectorConfig, LogAnomaly,
-    LogClusterDetector, LogClusterDetectorConfig, PcaDetector, PcaDetectorConfig, TrainSet,
+    LogAnomalyConfig, LogClusterDetector, LogClusterDetectorConfig, PcaDetector, PcaDetectorConfig,
+    TrainSet, Window,
 };
+use monilog_core::model::affinity::pin_current_thread;
 use monilog_core::parse::{Drain, DrainConfig, OnlineParser};
 use monilog_loggen::{CloudWorkload, CloudWorkloadConfig, HdfsWorkload, HdfsWorkloadConfig};
 use monilog_nn::{Dense, Embedding, Graph, Lstm, ParamSet, Var};
@@ -78,7 +80,17 @@ fn detector_scoring(c: &mut Criterion) {
 ///   only as a test oracle);
 /// - `batched_cold`: the detector restored from its checkpoint (empty
 ///   memo), every window scored once — one tape-free batch per window;
-/// - `memo_warm`: the same windows again, every sample a memo hit.
+/// - `memo_warm`: the same windows again, every sample a memo hit;
+/// - `batched_cold_par/<cores>`: `batched_cold` with the corpus cut into
+///   windows of two row floors of samples — the smallest pass that is split
+///   across cores, so every pass pays the fixed price of a split for one
+///   floor of work per thread. Run under `taskset -c 0` for the one-chunk
+///   `/1` figure; the two together say what the floor costs;
+/// - `spawn_join/<cores>`: that fixed price alone — one scoped thread per
+///   core, each pinned to its core, yielding to its siblings and joined.
+///
+/// `detectors/score/LogAnomaly_par/<cores>` is LogAnomaly over the same
+/// 128-line windows, whose rows it splits the same way.
 fn deeplog_inference(c: &mut Criterion) {
     let cloud = |walks_per_source, seed| {
         CloudWorkload::new(CloudWorkloadConfig {
@@ -95,8 +107,9 @@ fn deeplog_inference(c: &mut Criterion) {
         epochs: 1,
         ..DeepLogConfig::default()
     };
+    let train = TrainSet::unlabeled(train_windows).with_templates(parser.store().clone());
     let mut deeplog = DeepLog::new(config);
-    deeplog.fit(&TrainSet::unlabeled(train_windows));
+    deeplog.fit(&train);
     let checkpoint = deeplog.save().expect("gaussian value model checkpoints");
     // One sample per event plus the end-of-session sample.
     let samples: usize = windows.iter().map(|w| w.len() + 1).sum();
@@ -155,6 +168,58 @@ fn deeplog_inference(c: &mut Criterion) {
             }
         })
     });
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    // 63 events + the end-of-session sample: 64 rows, two floors of 32.
+    let two_floors: Vec<Window> = windows
+        .iter()
+        .flat_map(|w| w.sequence.chunks(63))
+        .map(|ids| Window::from_ids(ids.to_vec()))
+        .collect();
+    let split_samples: usize = two_floors.iter().map(|w| w.len() + 1).sum();
+    group.throughput(Throughput::Elements(split_samples as u64));
+    group.bench_function(BenchmarkId::new("batched_cold_par", cores), |b| {
+        b.iter(|| {
+            let cold = DeepLog::load(&checkpoint).expect("own checkpoint");
+            for w in &two_floors {
+                black_box(cold.score(w));
+            }
+        })
+    });
+    group.throughput(Throughput::Elements(1));
+    group.bench_function(BenchmarkId::new("spawn_join", cores), |b| {
+        b.iter(|| {
+            std::thread::scope(|s| {
+                for core in 0..cores {
+                    s.spawn(move || {
+                        pin_current_thread(core);
+                        for _ in 1..cores {
+                            std::thread::yield_now();
+                        }
+                    });
+                }
+            })
+        })
+    });
+    group.finish();
+
+    let mut loganomaly = LogAnomaly::new(LogAnomalyConfig {
+        epochs: 1,
+        ..LogAnomalyConfig::default()
+    });
+    loganomaly.fit(&train);
+    let mut group = c.benchmark_group("detectors");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(windows.len() as u64));
+    group.bench_function(
+        BenchmarkId::new("score", format!("LogAnomaly_par/{cores}")),
+        |b| {
+            b.iter(|| {
+                for w in &windows {
+                    black_box(loganomaly.score(w));
+                }
+            })
+        },
+    );
     group.finish();
 }
 

@@ -186,7 +186,7 @@ pub struct ClassifiedAnomaly {
 }
 
 enum PipelineDetector {
-    DeepLog(DeepLog),
+    DeepLog(Box<DeepLog>),
     LogAnomaly(LogAnomaly),
     LogRobust(LogRobust),
     Pca(PcaDetector),
@@ -198,7 +198,7 @@ enum PipelineDetector {
 impl PipelineDetector {
     fn as_dyn(&self) -> &dyn Detector {
         match self {
-            PipelineDetector::DeepLog(d) => d,
+            PipelineDetector::DeepLog(d) => d.as_ref(),
             PipelineDetector::LogAnomaly(d) => d,
             PipelineDetector::LogRobust(d) => d,
             PipelineDetector::Pca(d) => d,
@@ -210,7 +210,7 @@ impl PipelineDetector {
 
     fn as_dyn_mut(&mut self) -> &mut dyn Detector {
         match self {
-            PipelineDetector::DeepLog(d) => d,
+            PipelineDetector::DeepLog(d) => d.as_mut(),
             PipelineDetector::LogAnomaly(d) => d,
             PipelineDetector::LogRobust(d) => d,
             PipelineDetector::Pca(d) => d,
@@ -241,12 +241,22 @@ pub struct MoniLog {
     /// between `advance` calls, so the steady state does one heap push and
     /// zero vector allocations per line.
     released_scratch: Vec<(Timestamp, monilog_model::LogRecord)>,
+    /// Drain match-cache `(hits, misses)` already added to the metrics.
+    cache_stats_published: (u64, u64),
+    /// [`TemplateStore::revision`] the detector last refreshed its view at.
+    templates_refreshed_at: Option<u64>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `Detector::update_templates` calls made by this thread's pipelines.
+    static TEMPLATE_REFRESHES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl MoniLog {
     pub fn new(config: MoniLogConfig) -> Self {
         let detector = match config.detector {
-            DetectorChoice::DeepLog(c) => PipelineDetector::DeepLog(DeepLog::new(c)),
+            DetectorChoice::DeepLog(c) => PipelineDetector::DeepLog(Box::new(DeepLog::new(c))),
             DetectorChoice::LogAnomaly(c) => PipelineDetector::LogAnomaly(LogAnomaly::new(c)),
             DetectorChoice::LogRobust(c) => PipelineDetector::LogRobust(LogRobust::new(c)),
             DetectorChoice::Pca(c) => PipelineDetector::Pca(PcaDetector::new(c)),
@@ -284,6 +294,8 @@ impl MoniLog {
             next_event_id: 0,
             next_report_id: 0,
             released_scratch: Vec::new(),
+            cache_stats_published: (0, 0),
+            templates_refreshed_at: None,
             config,
         }
     }
@@ -491,7 +503,7 @@ impl MoniLog {
         }
         let mut pipeline = MoniLog::with_warm_templates(config, store);
         pipeline.detector = match tag {
-            0 => PipelineDetector::DeepLog(DeepLog::load(&detector_bytes)?),
+            0 => PipelineDetector::DeepLog(Box::new(DeepLog::load(&detector_bytes)?)),
             1 => PipelineDetector::LogRobust(LogRobust::load(&detector_bytes)?),
             2 => PipelineDetector::LogAnomaly(LogAnomaly::load(&detector_bytes)?),
             _ => return Err(CodecError::Corrupt("detector tag")),
@@ -766,10 +778,24 @@ impl MoniLog {
         if closed.is_empty() {
             return Vec::new();
         }
-        // Templates keep evolving; refresh the semantic detectors' view.
-        self.detector
-            .as_dyn_mut()
-            .update_templates(self.parser.store());
+        let (hits, misses) = self.parser.cache_stats();
+        let (seen_hits, seen_misses) = self.cache_stats_published;
+        PipelineMetrics::add(&self.metrics.cache_hits, hits - seen_hits);
+        PipelineMetrics::add(&self.metrics.cache_misses, misses - seen_misses);
+        self.cache_stats_published = (hits, misses);
+        // Templates keep evolving; refresh the semantic detectors' view —
+        // a walk of the whole store, so only when the store has changed
+        // (the refresh is idempotent: skipping a repeat changes nothing).
+        let revision = self.parser.store().revision();
+        if self.templates_refreshed_at != Some(revision) {
+            self.templates_refreshed_at = Some(revision);
+            #[cfg(test)]
+            TEMPLATE_REFRESHES.with(|n| n.set(n.get() + 1));
+            self.detector
+                .as_dyn_mut()
+                .update_templates(self.parser.store());
+        }
+        let stats_before = self.detector.as_dyn().inference_stats();
         let mut out = Vec::new();
         for c in closed {
             // A window's trace is its first sampled event — detect/classify
@@ -818,6 +844,27 @@ impl MoniLog {
             let assignment = self.classifier.classify(&report);
             self.record_stage(Stage::Classify, SpanStage::Classify, classify_start, wtrace);
             out.push(ClassifiedAnomaly { report, assignment });
+        }
+        let stats = self.detector.as_dyn().inference_stats();
+        let m = &self.metrics;
+        for (counter, now, before) in [
+            (
+                &m.detector_memo_hits,
+                stats.memo_hits,
+                stats_before.memo_hits,
+            ),
+            (
+                &m.detector_memo_misses,
+                stats.memo_misses,
+                stats_before.memo_misses,
+            ),
+            (
+                &m.detector_parallel_passes,
+                stats.parallel_passes,
+                stats_before.parallel_passes,
+            ),
+        ] {
+            PipelineMetrics::add(counter, now - before);
         }
         out
     }
@@ -1113,6 +1160,126 @@ mod tests {
         // The typed snapshot carries the same counters the facade exposes.
         assert_eq!(snap.counter("lines_ingested"), Some(60));
         assert_eq!(snap.counter("lines_parsed"), Some(60));
+    }
+
+    /// Regression: only the sharded parse services published Drain's
+    /// match-cache outcomes, so the inline pipeline `monilog monitor` runs
+    /// showed `cache` 0/0 on `/status` forever. The detector's verdict memo
+    /// is published on the same path.
+    #[test]
+    fn model_health_counters_reach_the_snapshot_and_status() {
+        use monilog_loggen::{HdfsWorkload, HdfsWorkloadConfig};
+        let hdfs = |n_sessions, seed, start_ms| {
+            HdfsWorkload::new(HdfsWorkloadConfig {
+                n_sessions,
+                seed,
+                start_ms,
+                ..Default::default()
+            })
+            .generate()
+        };
+        let raw = |log: &monilog_loggen::GenLog, offset: u64| {
+            RawLog::new(
+                log.record.source,
+                log.record.seq + offset,
+                log.record.to_line(),
+            )
+        };
+        let mut m = MoniLog::new(MoniLogConfig {
+            detector: DetectorChoice::DeepLog(DeepLogConfig {
+                epochs: 1,
+                ..DeepLogConfig::default()
+            }),
+            ..MoniLogConfig::default()
+        });
+        for log in &hdfs(60, 5, 1_600_000_000_000) {
+            m.ingest_training(&raw(log, 0));
+        }
+        m.train();
+        for log in &hdfs(150, 6, 1_600_003_600_000) {
+            m.ingest(&raw(log, 1_000_000));
+        }
+        m.flush();
+
+        let snap = m.registry().snapshot();
+        let counter = |name: &str| snap.counter(name).unwrap();
+        let (hits, misses) = m.parser.cache_stats();
+        assert!(hits > 0);
+        assert_eq!(counter("cache_hits"), hits);
+        assert_eq!(counter("cache_misses"), misses);
+        let stats = m.detector.as_dyn().inference_stats();
+        assert!(stats.memo_hits > 0 && stats.memo_misses > 0, "{stats:?}");
+        assert_eq!(counter("detector_memo_hits"), stats.memo_hits);
+        assert_eq!(counter("detector_memo_misses"), stats.memo_misses);
+        assert_eq!(counter("detector_parallel_passes"), 0, "sessions are short");
+
+        let (_, status) = monilog_stream::ops::render_status(&snap, &Default::default(), 250, 0);
+        let rate_after = |key: &str| -> f64 {
+            let at = status
+                .find(key)
+                .unwrap_or_else(|| panic!("{key} in {status}"))
+                + key.len();
+            let end = status[at..].find([',', '}']).expect("value ends") + at;
+            status[at..end].parse().expect("a number")
+        };
+        assert!(
+            status.contains(&format!("\"cache\":{{\"hits\":{hits},")),
+            "{status}"
+        );
+        assert!(rate_after("\"hit_rate\":") > 0.9, "{status}");
+        assert!(rate_after("\"memo_hit_rate\":") > 0.5, "{status}");
+    }
+
+    /// The semantic detectors' refresh walks the whole template store (and
+    /// LogAnomaly re-vectorizes every post-training template): it must run
+    /// when the store changed and at no other window close.
+    #[test]
+    fn templates_are_refreshed_only_when_the_store_changed() {
+        use monilog_model::SourceId;
+        let refreshes = || TEMPLATE_REFRESHES.with(|n| n.get());
+        let mut m = MoniLog::new(MoniLogConfig {
+            header_format: HeaderFormatChoice::Bare,
+            window: crate::windowing::WindowPolicy::Tumbling { size: 4 },
+            detector: DetectorChoice::LogAnomaly(LogAnomalyConfig {
+                epochs: 1,
+                ..LogAnomalyConfig::default()
+            }),
+            ..MoniLogConfig::default()
+        });
+        let line = |i: u64| {
+            format!(
+                "step {} of job j{}",
+                ["a", "b", "c", "d"][i as usize % 4],
+                i / 4
+            )
+        };
+        for i in 0..80u64 {
+            m.ingest_training(&RawLog::new(SourceId(0), i, line(i)));
+        }
+        m.train();
+        let mut seq = 80u64;
+        let mut feed = |m: &mut MoniLog, windows: u64, text: &dyn Fn(u64) -> String| {
+            for _ in 0..windows * 4 {
+                m.ingest(&RawLog::new(SourceId(0), seq, text(seq)));
+                seq += 1;
+            }
+        };
+        // The first close refreshes once (the pipeline has no view yet)...
+        let start = refreshes();
+        feed(&mut m, 1, &line);
+        assert_eq!(refreshes() - start, 1);
+        // ...and 1,000 closes on a stable store never do.
+        let revision = m.templates().revision();
+        feed(&mut m, 1_000, &line);
+        assert_eq!(m.templates().revision(), revision, "store must be stable");
+        assert_eq!(refreshes() - start, 1, "refreshed an unchanged store");
+        // A new template is picked up at the next close, once.
+        feed(&mut m, 3, &|i| format!("phase {} of task t{i}", i % 4));
+        assert!(m.templates().revision() > revision);
+        let after_change = refreshes() - start;
+        assert!((2..=4).contains(&after_change), "{after_change}");
+        feed(&mut m, 50, &|i| format!("phase {} of task t{i}", i % 4));
+        assert_eq!(refreshes() - start, after_change);
     }
 
     #[test]

@@ -142,6 +142,18 @@ pub(crate) fn violation_components(
     ]
 }
 
+/// Model-health counters of a detector's inference path, cumulative since
+/// its last `fit`/`load` ([`Detector::inference_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InferenceStats {
+    /// Samples answered from the verdict memo.
+    pub memo_hits: u64,
+    /// Samples the memo did not hold: rows sent through the LSTM.
+    pub memo_misses: u64,
+    /// Forward passes whose rows were split across more than one core.
+    pub parallel_passes: u64,
+}
+
 /// A log anomaly detector over [`Window`]s.
 pub trait Detector {
     /// Human-readable name used by experiment tables.
@@ -192,6 +204,12 @@ pub trait Detector {
             ScoreComponent::new("score", self.score(window)),
             ScoreComponent::new("threshold", self.threshold()),
         ]
+    }
+
+    /// How the inference path has been served so far. Default: zeros, for
+    /// detectors that keep no verdict memo.
+    fn inference_stats(&self) -> InferenceStats {
+        InferenceStats::default()
     }
 
     /// Verdict, score, kind and provenance of a window: `None` when it is

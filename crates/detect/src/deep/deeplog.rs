@@ -20,7 +20,8 @@
 //! is always anomalous, so evolved log statements turn into false alarms.
 //! The instability experiments (P2, X1) measure exactly that.
 
-use crate::api::{violation_components, Assessment, Detector, TrainSet, Window};
+use crate::api::{violation_components, Assessment, Detector, InferenceStats, TrainSet, Window};
+use crate::deep;
 use monilog_model::codec::{CodecError, Decoder, Encoder};
 use monilog_nn::{
     Adam, Dense, Embedding, Graph, Lstm, LstmScratch, Matrix, Optimizer, ParamSet, Var,
@@ -147,6 +148,12 @@ pub struct DeepLog {
     /// `emb[id] · W[0..emb_dim, :]` per vocabulary id (`vocab × 4·hidden`):
     /// the input half of every LSTM step, fixed once the weights are.
     input_projection: Matrix,
+    /// LSTM `(hidden, cell)` state after the first timestep per vocabulary
+    /// id (`vocab × hidden` each): from the zero state it depends on
+    /// nothing but that step's id.
+    first_step: (Matrix, Matrix),
+    /// Cores a window's memo misses are spread over ([`deep::workers`]).
+    workers: usize,
     /// Verdict memo and forward-pass buffers of the inference path.
     inference: Mutex<Inference>,
 }
@@ -204,14 +211,16 @@ impl VerdictMemo {
 #[derive(Debug, Default)]
 struct Inference {
     memo: VerdictMemo,
-    lstm: LstmScratch,
-    probs: Matrix,
+    /// Forward-pass buffers of the passes that are not split.
+    scratch: ForwardScratch,
+    stats: InferenceStats,
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Sample rows sent through the LSTM by this thread (memo misses).
-    static FORWARD_ROWS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+/// Buffers of one thread's forward passes, reusable across batches.
+#[derive(Debug, Default)]
+struct ForwardScratch {
+    lstm: LstmScratch,
+    probs: Matrix,
 }
 
 impl DeepLog {
@@ -231,12 +240,14 @@ impl DeepLog {
             value_stats: HashMap::new(),
             value_lstms: HashMap::new(),
             input_projection: Matrix::default(),
+            first_step: Default::default(),
+            workers: deep::workers(),
             inference: Mutex::default(),
         }
     }
 
-    /// Rows per batched forward pass: bounds the scratch buffers whatever
-    /// the window length (live windows close well below it).
+    /// Rows per batched forward pass: bounds each thread's scratch buffers
+    /// whatever the window length (live windows close well below it).
     const MAX_BATCH: usize = 256;
 
     /// Freeze the fitted weights for inference: precompute the per-id
@@ -248,6 +259,12 @@ impl DeepLog {
             self.params.value(emb.table),
             &mut self.input_projection,
         );
+        let mut scratch = LstmScratch::default();
+        lstm.infer_last(&self.params, self.vocab, 1, &mut scratch, |_, gates| {
+            gates.clone_from(&self.input_projection)
+        });
+        let (h, c) = scratch.state();
+        self.first_step = (h.clone(), c.clone());
         self.emb = Some(emb);
         self.lstm = Some(lstm);
         self.head = Some(head);
@@ -270,36 +287,65 @@ impl DeepLog {
         ids
     }
 
-    /// Verdicts of `keys` (each `history ++ [next]`), memoized and appended
-    /// to `verdicts`, from one batched tape-free forward pass: per timestep
-    /// one product for all rows, with the input half gathered from the
-    /// precomputed per-id projection. Each row's distribution equals the
-    /// tape's (`tests::tape_probabilities`) bit for bit.
-    fn forward(&self, keys: &[&[u32]], state: &mut Inference, verdicts: &mut Vec<Verdict>) {
+    /// Verdicts of `keys` (each `history ++ [next]`), in order, from
+    /// batched tape-free forward passes of at most [`Self::MAX_BATCH`] rows:
+    /// per timestep one product for all rows, with the input half gathered
+    /// from the precomputed per-id projection. Each row's distribution
+    /// equals the tape's (`tests::tape_probabilities`) bit for bit, and no
+    /// step reads another row, so a verdict does not depend on which keys
+    /// share its call.
+    fn forward(&self, keys: &[&[u32]], scratch: &mut ForwardScratch) -> Vec<Verdict> {
         let (lstm, head) = (
             self.lstm.as_ref().expect("fitted"),
             self.head.as_ref().expect("fitted"),
         );
         let h = self.config.history;
-        #[cfg(test)]
-        FORWARD_ROWS.with(|n| n.set(n.get() + keys.len()));
-        let hidden = lstm.infer_last(&self.params, keys.len(), h, &mut state.lstm, |t, gates| {
-            for (r, key) in keys.iter().enumerate() {
-                gates
-                    .row_slice_mut(r)
-                    .copy_from_slice(self.input_projection.row_slice(key[t] as usize));
-            }
-        });
-        head.infer(&self.params, hidden, &mut state.probs);
-        state.probs.softmax_rows();
-        for (r, key) in keys.iter().enumerate() {
-            let probs = state.probs.row_slice(r);
-            let prob = probs[key[h] as usize];
-            let rank = probs.iter().filter(|&&p| p > prob).count() as u32;
-            let verdict = Verdict { rank, prob };
-            state.memo.insert(key, verdict);
-            verdicts.push(verdict);
+        let mut verdicts = Vec::with_capacity(keys.len());
+        for batch in keys.chunks(Self::MAX_BATCH) {
+            let hidden = lstm.infer_from(
+                &self.params,
+                batch.len(),
+                1..h,
+                &mut scratch.lstm,
+                |hidden, cell| {
+                    for (r, key) in batch.iter().enumerate() {
+                        let first = key[0] as usize;
+                        hidden
+                            .row_slice_mut(r)
+                            .copy_from_slice(self.first_step.0.row_slice(first));
+                        cell.row_slice_mut(r)
+                            .copy_from_slice(self.first_step.1.row_slice(first));
+                    }
+                },
+                |t, gates| {
+                    for (r, key) in batch.iter().enumerate() {
+                        gates
+                            .row_slice_mut(r)
+                            .copy_from_slice(self.input_projection.row_slice(key[t] as usize));
+                    }
+                },
+            );
+            head.infer(&self.params, hidden, &mut scratch.probs);
+            scratch.probs.softmax_rows();
+            verdicts.extend(batch.iter().enumerate().map(|(r, key)| {
+                let probs = scratch.probs.row_slice(r);
+                let prob = probs[key[h] as usize];
+                let rank = probs.iter().filter(|&&p| p > prob).count() as u32;
+                Verdict { rank, prob }
+            }));
         }
+        verdicts
+    }
+
+    /// [`DeepLog::forward`] over all of `keys`, cut into one contiguous
+    /// chunk per core that [`deep::chunks`] grants them.
+    fn forward_all(&self, keys: &[&[u32]], state: &mut Inference) -> Vec<Verdict> {
+        let chunks = deep::chunks(keys.len(), self.workers);
+        state.stats.memo_misses += keys.len() as u64;
+        state.stats.parallel_passes += (chunks > 1) as u64;
+        deep::fan_out(keys.len(), chunks, &mut state.scratch, |rows, scratch| {
+            self.forward(&keys[rows], scratch)
+        })
     }
 
     /// Serialize a fitted detector into a checkpoint: config, vocabulary,
@@ -460,7 +506,8 @@ impl DeepLog {
 
     /// Count of sequential violations (events outside top-g or below the
     /// probability floor) in a window. Samples the memo has not seen are
-    /// deduplicated and scored in one batched forward pass.
+    /// deduplicated and scored in one batched forward pass, its rows split
+    /// across the available cores when there are enough of them.
     fn sequence_violations(&self, window: &Window) -> usize {
         let h = self.config.history;
         let g_top = self.config.top_g.min(self.vocab.saturating_sub(1)).max(1) as u32;
@@ -476,6 +523,7 @@ impl DeepLog {
             if key[h] == self.unk {
                 violations += 1;
             } else if let Some(verdict) = state.memo.get(key) {
+                state.stats.memo_hits += 1;
                 violations += violates(verdict) as usize;
             } else {
                 missing.push(key);
@@ -486,11 +534,9 @@ impl DeepLog {
             missing.sort_unstable();
             let repeats: Vec<&[&[u32]]> = missing.chunk_by(|a, b| a == b).collect();
             let distinct: Vec<&[u32]> = repeats.iter().map(|same| same[0]).collect();
-            let mut verdicts = Vec::with_capacity(distinct.len());
-            for batch in distinct.chunks(Self::MAX_BATCH) {
-                self.forward(batch, state, &mut verdicts);
-            }
+            let verdicts = self.forward_all(&distinct, state);
             for (same, &verdict) in repeats.iter().zip(&verdicts) {
+                state.memo.insert(same[0], verdict);
                 violations += same.len() * violates(verdict) as usize;
             }
         }
@@ -778,6 +824,13 @@ impl Detector for DeepLog {
         let (seq, quant) = self.violation_breakdown(window);
         Assessment::of_violations(seq, quant, self.threshold())
     }
+
+    fn inference_stats(&self) -> InferenceStats {
+        self.inference
+            .lock()
+            .expect("inference state poisoned")
+            .stats
+    }
 }
 
 #[cfg(test)]
@@ -1047,8 +1100,16 @@ mod tests {
             .count()
     }
 
-    fn forward_rows() -> usize {
-        FORWARD_ROWS.with(|n| n.get())
+    /// Sample rows `d` has sent through the LSTM since its last fit.
+    fn forward_rows(d: &DeepLog) -> usize {
+        d.inference_stats().memo_misses as usize
+    }
+
+    /// `d` as restored from its checkpoint (empty memo), on `workers` cores.
+    fn reloaded(d: &DeepLog, workers: usize) -> DeepLog {
+        let mut fresh = DeepLog::load(&d.save().expect("checkpointable")).expect("own checkpoint");
+        fresh.workers = workers;
+        fresh
     }
 
     #[test]
@@ -1056,21 +1117,29 @@ mod tests {
         let mut d = DeepLog::new(small_config());
         d.fit(&train_set());
         let w = Window::from_ids(vec![0, 1, 3, 2, 1, 3]);
-        let before = forward_rows();
+        let before = forward_rows(&d);
         let first = d.sequence_violations(&w); // populates the memo
-        let missed = forward_rows() - before;
+        let missed = forward_rows(&d) - before;
         assert!(missed > 0);
         assert_eq!(first, d.sequence_violations(&w), "memo hit diverged");
-        assert_eq!(forward_rows() - before, missed, "second pass ran the LSTM");
+        assert_eq!(
+            forward_rows(&d) - before,
+            missed,
+            "second pass ran the LSTM"
+        );
         assert_eq!(first, oracle_sequence_violations(&d, &w), "memo is visible");
 
         // Retrain on a different flow: verdicts of the old weights must
         // not survive.
         let other = TrainSet::unlabeled((0..80).map(|_| Window::from_ids(vec![3, 2, 0])).collect());
         d.fit(&other);
-        let before = forward_rows();
+        let before = forward_rows(&d);
         let refit = d.sequence_violations(&w);
-        assert_eq!(forward_rows() - before, missed, "stale memo served a refit");
+        assert_eq!(
+            forward_rows(&d) - before,
+            missed,
+            "stale memo served a refit"
+        );
         assert_eq!(refit, oracle_sequence_violations(&d, &w));
     }
 
@@ -1093,21 +1162,30 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let flood = 2 * VerdictMemo::GENERATION + 5_000;
         let noise = Window::from_ids((0..flood).map(|_| rng.random_range(0..5)).collect());
-        let before = forward_rows();
+        d.workers = 1;
+        let before = forward_rows(&d);
         d.sequence_violations(&noise);
-        assert!(forward_rows() - before > 2 * VerdictMemo::GENERATION);
+        assert!(forward_rows(&d) - before > 2 * VerdictMemo::GENERATION);
+        // Rows computed on three cores reach the memo in the one-chunk
+        // order: same entries, same generation, through both flips.
+        let split = reloaded(&d, 3);
+        split.sequence_violations(&noise);
+        assert_eq!(split.inference_stats().parallel_passes, 1);
         {
             let state = d.inference.lock().unwrap();
             assert!(state.memo.young.len() <= VerdictMemo::GENERATION);
             assert!(state.memo.old.len() <= VerdictMemo::GENERATION);
+            let split = split.inference.lock().unwrap();
+            assert!(state.memo.young == split.memo.young, "young generation");
+            assert!(state.memo.old == split.memo.old, "old generation");
         }
 
         let late = Window::from_ids(vec![4, 4, 4, 4, 0, 0, 0, 0, 3, 3, 3, 3]);
         let first = d.sequence_violations(&late);
-        let after_first = forward_rows();
+        let after_first = forward_rows(&d);
         assert_eq!(first, d.sequence_violations(&late));
         assert_eq!(
-            forward_rows(),
+            forward_rows(&d),
             after_first,
             "a history repeated after the memo filled ran the LSTM again"
         );
@@ -1127,33 +1205,165 @@ mod tests {
             max_samples: 1_500,
             ..DeepLogConfig::default()
         };
-        let (train, probes, _) = crate::deep::testdata::corpus(config.history);
-        let mut d = DeepLog::new(config);
-        d.fit(&train);
+        let (train, mut probes, _) = crate::deep::testdata::corpus(config.history);
+        // Long windows go first, while the memo is cold and every sample
+        // of theirs is a miss.
+        let long = crate::deep::testdata::long_windows(&probes);
+        probes.splice(0..0, long);
+        let mut fitted = DeepLog::new(config);
+        fitted.fit(&train);
+        let oracle: Vec<(usize, Vec<Option<Verdict>>)> = probes
+            .iter()
+            .map(|w| {
+                (
+                    oracle_sequence_violations(&fitted, w),
+                    oracle_verdicts(&fitted, w),
+                )
+            })
+            .collect();
         let mut unk = 0;
-        for pass in ["cold", "memoized"] {
-            for w in &probes {
-                let got = d.sequence_violations(w);
-                assert_eq!(
-                    got,
-                    oracle_sequence_violations(&d, w),
-                    "{pass}: {:?}",
-                    w.sequence
-                );
-                let mut state = d.inference.lock().unwrap();
-                for ((hist, next), expected) in samples_of(&d, &w.sequence)
-                    .into_iter()
-                    .zip(oracle_verdicts(&d, w))
-                {
-                    let key: Vec<u32> = hist.iter().chain([&next]).map(|&id| id as u32).collect();
-                    match expected {
-                        Some(verdict) => assert_eq!(state.memo.get(&key), Some(verdict), "{pass}"),
-                        None => unk += 1,
+        for workers in [1, 2, 3, 5] {
+            let d = reloaded(&fitted, workers);
+            for pass in ["cold", "memoized"] {
+                for (w, (violations, verdicts)) in probes.iter().zip(&oracle) {
+                    let got = d.sequence_violations(w);
+                    assert_eq!(got, *violations, "{workers} {pass}: {:?}", w.sequence);
+                    let mut state = d.inference.lock().unwrap();
+                    for ((hist, next), expected) in
+                        samples_of(&d, &w.sequence).into_iter().zip(verdicts)
+                    {
+                        let key: Vec<u32> =
+                            hist.iter().chain([&next]).map(|&id| id as u32).collect();
+                        match *expected {
+                            Some(verdict) => {
+                                assert_eq!(state.memo.get(&key), Some(verdict), "{workers} {pass}")
+                            }
+                            None => unk += 1,
+                        }
                     }
                 }
             }
+            let split = d.inference_stats().parallel_passes;
+            assert_eq!(
+                split > 0,
+                workers > 1,
+                "{workers} workers: {split} split passes"
+            );
         }
         assert!(unk > 0, "no probe exercised the UNK short-cut");
+    }
+
+    /// Every way of cutting a pass gives the tape's verdicts, to the bit:
+    /// one to five workers over row counts around the floor and the batch
+    /// bound, uneven tails included — and a pass under two floors of rows
+    /// spawns no thread however many cores there are.
+    #[test]
+    fn every_cut_of_a_pass_equals_the_tape_oracle() {
+        use crate::deep::{ROW_FLOOR, SPAWNED};
+        let config = DeepLogConfig {
+            history: 5,
+            embedding_dim: 6,
+            hidden: 7,
+            epochs: 1,
+            ..DeepLogConfig::default()
+        };
+        let mut d = DeepLog::new(config);
+        d.fit(&TrainSet::unlabeled(vec![Window::from_ids(
+            (0..60).map(|i| i * i % 11).collect(),
+        )]));
+        let mut rng = StdRng::seed_from_u64(5);
+        let keys: Vec<Vec<u32>> = (0..DeepLog::MAX_BATCH + 1)
+            .map(|_| {
+                let mut key: Vec<u32> = (0..=config.history)
+                    .map(|_| rng.random_range(0..d.vocab as u32))
+                    .collect();
+                key[config.history] %= d.unk; // `next` is never UNK or PAD here
+                key
+            })
+            .collect();
+        let oracle: Vec<Verdict> = keys
+            .iter()
+            .map(|key| {
+                let hist: Vec<usize> = key[..config.history]
+                    .iter()
+                    .map(|&id| id as usize)
+                    .collect();
+                let probs = tape_probabilities(&d, &hist);
+                let prob = probs[key[config.history] as usize];
+                Verdict {
+                    rank: probs.iter().filter(|&&p| p > prob).count() as u32,
+                    prob,
+                }
+            })
+            .collect();
+        let keys: Vec<&[u32]> = keys.iter().map(Vec::as_slice).collect();
+        let spawned = || SPAWNED.with(|n| n.get());
+        for workers in [1, 2, 3, 5] {
+            d.workers = workers;
+            for rows in [
+                0,
+                1,
+                ROW_FLOOR - 1,
+                ROW_FLOOR,
+                2 * ROW_FLOOR - 1,
+                2 * ROW_FLOOR,
+                2 * ROW_FLOOR + 1,
+                5 * ROW_FLOOR + 3,
+                DeepLog::MAX_BATCH + 1,
+            ] {
+                let mut state = d.inference.lock().unwrap();
+                let (before, passes) = (spawned(), state.stats.parallel_passes);
+                let verdicts = d.forward_all(&keys[..rows], &mut state);
+                assert!(verdicts == oracle[..rows], "{workers} workers, {rows} rows");
+                let chunks = workers.min(rows / ROW_FLOOR).max(1);
+                let threads = if chunks == 1 { 0 } else { chunks };
+                assert_eq!(
+                    spawned() - before,
+                    threads,
+                    "{workers} workers, {rows} rows"
+                );
+                assert_eq!(state.stats.parallel_passes - passes, (chunks > 1) as u64);
+            }
+        }
+    }
+
+    /// HDFS sessions close with far fewer than two floors of distinct
+    /// misses: on that traffic no pass is ever split, whatever the host.
+    #[test]
+    fn session_traffic_never_splits_a_pass() {
+        use crate::window::session_windows;
+        use monilog_loggen::{HdfsWorkload, HdfsWorkloadConfig};
+        use monilog_parse::{Drain, DrainConfig, OnlineParser};
+        let logs = HdfsWorkload::new(HdfsWorkloadConfig {
+            n_sessions: 120,
+            sequential_anomaly_rate: 0.2,
+            seed: 47,
+            ..Default::default()
+        })
+        .generate();
+        let mut parser = Drain::new(DrainConfig::default());
+        let sessions = session_windows(logs.iter().map(|log| {
+            let id = parser.parse(&log.record.message).template.0;
+            (log.truth.session.clone().expect("session"), id, Vec::new())
+        }));
+        let windows: Vec<Window> = sessions.into_iter().map(|(_, w)| w).collect();
+        let mut d = DeepLog::new(DeepLogConfig {
+            epochs: 1,
+            ..DeepLogConfig::default()
+        });
+        d.fit(&TrainSet::unlabeled(windows[..40].to_vec()));
+        d.workers = 8;
+        let before = crate::deep::SPAWNED.with(|n| n.get());
+        for w in &windows {
+            d.sequence_violations(w);
+        }
+        let stats = d.inference_stats();
+        assert!(
+            stats.memo_misses > 0 && stats.memo_hits > stats.memo_misses,
+            "{stats:?}"
+        );
+        assert_eq!(stats.parallel_passes, 0);
+        assert_eq!(crate::deep::SPAWNED.with(|n| n.get()), before);
     }
 
     #[test]

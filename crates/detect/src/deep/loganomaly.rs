@@ -18,6 +18,7 @@
 //!    a simplification in `DESIGN.md`).
 
 use crate::api::{violation_components, Assessment, Detector, TrainSet, Window};
+use crate::deep;
 use crate::semantic::TemplateVectorizer;
 use crate::window::count_vector;
 use monilog_model::codec::{CodecError, Decoder, Encoder};
@@ -85,6 +86,8 @@ pub struct LogAnomaly {
     /// Per-template count statistics (mean, std) over training windows.
     count_stats: Vec<(f64, f64)>,
     count_dim: usize,
+    /// Cores a window's rows are spread over ([`deep::workers`]).
+    workers: usize,
 }
 
 impl LogAnomaly {
@@ -102,6 +105,7 @@ impl LogAnomaly {
             head: None,
             count_stats: Vec::new(),
             count_dim: 2,
+            workers: deep::workers(),
         }
     }
 
@@ -317,8 +321,9 @@ impl LogAnomaly {
 
     /// Events whose (resolved) class is outside the model's top-g, plus
     /// events nothing known is even similar to. The whole window goes
-    /// through one batched, tape-free forward pass; every event's input
-    /// projection is computed once and gathered per history position.
+    /// through one batched, tape-free forward pass, its rows split across
+    /// the available cores when there are enough of them; every event's
+    /// input projection is computed once and gathered per history position.
     fn sequence_violations(&self, window: &Window) -> usize {
         let (lstm, head) = (
             self.lstm.as_ref().expect("fitted"),
@@ -338,7 +343,7 @@ impl LogAnomaly {
             .enumerate()
             .filter_map(|(i, rid)| Some((i, *self.class_of.get(&(*rid)?)?)))
             .collect();
-        let mut violations = window.sequence.len() - targets.len();
+        let violations = window.sequence.len() - targets.len();
         if targets.is_empty() {
             return violations;
         }
@@ -351,33 +356,45 @@ impl LogAnomaly {
         }
         let mut projected = Matrix::default();
         lstm.project_input(&self.params, &vectors, &mut projected);
-        let mut scratch = LstmScratch::default();
-        let hidden = lstm.infer_last(&self.params, targets.len(), h, &mut scratch, |t, gates| {
-            for (r, &(i, _)) in targets.iter().enumerate() {
-                // Positions before the window are PAD, the zero vector,
-                // whose projection is the zero row `gates` already holds.
-                if let Some(pos) = (i + t).checked_sub(h) {
-                    gates
-                        .row_slice_mut(r)
-                        .copy_from_slice(projected.row_slice(pos));
-                }
-            }
-        });
-        let mut logits = Matrix::default();
-        head.infer(&self.params, hidden, &mut logits);
-        for (r, &(_, class)) in targets.iter().enumerate() {
-            let row = logits.row_slice(r);
-            // Place of `class` in a stable descending sort of the logits.
-            let ahead = row
-                .iter()
-                .enumerate()
-                .filter(|&(c, &l)| l > row[class] || (l == row[class] && c < class))
-                .count();
-            if ahead >= g_top {
-                violations += 1;
-            }
-        }
-        violations
+        // Per target row: is its class outside the top-g?
+        let outside = deep::fan_out(
+            targets.len(),
+            deep::chunks(targets.len(), self.workers),
+            &mut (LstmScratch::default(), Matrix::default()),
+            |rows, (scratch, logits)| {
+                let targets = &targets[rows];
+                let hidden =
+                    lstm.infer_last(&self.params, targets.len(), h, scratch, |t, gates| {
+                        for (r, &(i, _)) in targets.iter().enumerate() {
+                            // Positions before the window are PAD, the zero
+                            // vector, whose projection is the zero row
+                            // `gates` already holds.
+                            if let Some(pos) = (i + t).checked_sub(h) {
+                                gates
+                                    .row_slice_mut(r)
+                                    .copy_from_slice(projected.row_slice(pos));
+                            }
+                        }
+                    });
+                head.infer(&self.params, hidden, logits);
+                targets
+                    .iter()
+                    .enumerate()
+                    .map(|(r, &(_, class))| {
+                        let row = logits.row_slice(r);
+                        // Place of `class` in a stable descending sort of
+                        // the logits.
+                        let ahead = row
+                            .iter()
+                            .enumerate()
+                            .filter(|&(c, &l)| l > row[class] || (l == row[class] && c < class))
+                            .count();
+                        ahead >= g_top
+                    })
+                    .collect()
+            },
+        );
+        violations + outside.into_iter().filter(|&outside| outside).count()
     }
 
     fn count_violations(&self, window: &Window) -> usize {
@@ -775,18 +792,35 @@ mod tests {
             max_samples: 1_500,
             ..Default::default()
         };
-        let (train, probes, store) = crate::deep::testdata::corpus(config.history);
+        let (train, mut probes, store) = crate::deep::testdata::corpus(config.history);
+        let long = crate::deep::testdata::long_windows(&probes);
+        probes.extend(long);
         let mut d = LogAnomaly::new(config);
         d.fit(&train);
         d.update_templates(&store);
         assert!(!d.extra_vectors.is_empty(), "no post-training template");
-        let mut flagged = 0;
-        for w in &probes {
-            let got = d.sequence_violations(w);
-            assert_eq!(got, oracle_sequence_violations(&d, w), "{:?}", w.sequence);
-            flagged += got;
+        let oracle: Vec<usize> = probes
+            .iter()
+            .map(|w| oracle_sequence_violations(&d, w))
+            .collect();
+        assert!(
+            oracle.iter().sum::<usize>() > 0,
+            "no probe violated the model"
+        );
+        for workers in [1, 2, 3, 5] {
+            d.workers = workers;
+            let before = crate::deep::SPAWNED.with(|n| n.get());
+            for (w, expected) in probes.iter().zip(&oracle) {
+                let got = d.sequence_violations(w);
+                assert_eq!(got, *expected, "{workers} workers: {:?}", w.sequence);
+            }
+            let spawned = crate::deep::SPAWNED.with(|n| n.get()) - before;
+            assert_eq!(
+                spawned > 0,
+                workers > 1,
+                "{workers} workers: {spawned} spawns"
+            );
         }
-        assert!(flagged > 0, "no probe violated the model");
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod window;
 
 mod api;
 
-pub use api::{Assessment, Detector, TrainSet, Window};
+pub use api::{Assessment, Detector, InferenceStats, TrainSet, Window};
 pub use counters::cooccur::{CoOccurrenceDetector, CoOccurrenceDetectorConfig};
 pub use counters::invariants::{InvariantDetector, InvariantDetectorConfig};
 pub use counters::logcluster::{LogClusterDetector, LogClusterDetectorConfig};

@@ -1,9 +1,13 @@
-//! Best-effort thread-per-core pinning for shard workers.
+//! Best-effort thread-per-core pinning for worker threads.
 //!
 //! Shard workers own mutable parser state (Drain trees, match caches) that
 //! is hot in cache; letting the scheduler migrate a worker between cores
 //! invalidates those lines on every move. Pinning each shard to one core
 //! keeps the working set resident and makes per-shard latency less noisy.
+//! The detectors' forward-pass workers (`detect::deep`) pin for another
+//! reason: they live for a millisecond or two, and a scheduler that starts
+//! a thread on its parent's core and balances only every so often never
+//! gives such a thread a core of its own.
 //!
 //! Follows the workspace's raw-FFI convention (`stream::net::sys`,
 //! `stream::durable::signal`): the libc symbol is declared directly, no

@@ -31,7 +31,10 @@
 //!   named opaque state sections, CRC-framed for crash safety.
 //! - [`trace`] — trace identities and anomaly provenance (the per-line
 //!   evidence trail behind each report).
+//! - [`affinity`] — best-effort thread-per-core pinning, shared by the
+//!   shard workers and the detectors' forward-pass workers.
 
+pub mod affinity;
 pub mod anomaly;
 pub mod checkpoint;
 pub mod codec;

@@ -171,6 +171,7 @@ pub fn render_tokens(tokens: &[TemplateToken]) -> String {
 pub struct TemplateStore {
     templates: Vec<Template>,
     by_pattern: HashMap<String, TemplateId>,
+    revision: u64,
 }
 
 impl TemplateStore {
@@ -187,6 +188,15 @@ impl TemplateStore {
         self.templates.is_empty()
     }
 
+    /// Bumped whenever a template is minted or its tokens change, and by
+    /// nothing else: a consumer that derived state from every template
+    /// (semantic vectors) is still current while this is unchanged. Counts
+    /// from 0 in each store, decoded ones included — compare revisions of
+    /// one store only.
+    pub fn revision(&self) -> u64 {
+        self.revision
+    }
+
     /// Register `tokens` as a template, returning its id. If an identical
     /// pattern already exists, the existing id is returned.
     pub fn intern(&mut self, tokens: Vec<TemplateToken>) -> TemplateId {
@@ -199,6 +209,7 @@ impl TemplateStore {
         let id = TemplateId(self.templates.len() as u32);
         self.by_pattern.insert(pattern, id);
         self.templates.push(Template::new(id, tokens));
+        self.revision += 1;
         id
     }
 
@@ -215,6 +226,7 @@ impl TemplateStore {
             return;
         }
         self.templates[idx].tokens = tokens;
+        self.revision += 1;
         let pattern = self.templates[idx].render();
         self.by_pattern.entry(pattern).or_insert(id);
     }
@@ -295,6 +307,7 @@ impl TemplateStore {
         Ok(TemplateStore {
             templates,
             by_pattern,
+            revision: 0,
         })
     }
 }
@@ -416,6 +429,30 @@ mod tests {
         // Both the old and the new rendering resolve to the same id.
         assert_eq!(store.find_by_pattern("send 42 bytes"), Some(id));
         assert_eq!(store.find_by_pattern("send <*> bytes"), Some(id));
+    }
+
+    #[test]
+    fn revision_moves_exactly_on_mint_and_update() {
+        let tokens = |p: &str| Template::from_pattern(TemplateId(0), p).tokens;
+        let mut store = TemplateStore::new();
+        assert_eq!(store.revision(), 0);
+        let id = store.intern(tokens("send 42 bytes"));
+        assert_eq!(store.revision(), 1, "mint");
+        store.intern(tokens("send 42 bytes"));
+        assert_eq!(store.revision(), 1, "re-interning a known pattern");
+        store.update(id, tokens("send 42 bytes"));
+        assert_eq!(store.revision(), 1, "update to the stored tokens");
+        store.update(id, tokens("send <*> bytes"));
+        assert_eq!(store.revision(), 2, "widening update");
+        store.intern(tokens("send 42 bytes"));
+        assert_eq!(store.revision(), 2, "an alias resolves without minting");
+        store.get(id);
+        store.find_by_pattern("send <*> bytes");
+        store.encode();
+        assert_eq!(store.revision(), 2, "reads");
+        assert_eq!(store.clone().revision(), 2);
+        store.intern(tokens("recv <*> bytes"));
+        assert_eq!(store.revision(), 3);
     }
 }
 

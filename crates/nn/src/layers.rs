@@ -111,6 +111,13 @@ pub struct LstmScratch {
     c: Matrix,
 }
 
+impl LstmScratch {
+    /// Hidden and cell state the last run ended in.
+    pub fn state(&self) -> (&Matrix, &Matrix) {
+        (&self.h, &self.c)
+    }
+}
+
 /// A single-layer LSTM.
 ///
 /// Gates use the fused-weights formulation: `[i f o g] = [x, h] W + b`,
@@ -214,13 +221,36 @@ impl Lstm {
         batch: usize,
         steps: usize,
         scratch: &'s mut LstmScratch,
+        input_projection: impl FnMut(usize, &mut Matrix),
+    ) -> &'s Matrix {
+        self.infer_from(
+            params,
+            batch,
+            0..steps,
+            scratch,
+            |_, _| {},
+            input_projection,
+        )
+    }
+
+    /// [`Lstm::infer_last`] over timesteps `steps`, from the state
+    /// `initial(h, c)` writes into the zeroed `batch × hidden` pair — a
+    /// state an earlier call left in [`LstmScratch::state`], row for row.
+    pub fn infer_from<'s>(
+        &self,
+        params: &ParamSet,
+        batch: usize,
+        steps: std::ops::Range<usize>,
+        scratch: &'s mut LstmScratch,
+        initial: impl FnOnce(&mut Matrix, &mut Matrix),
         mut input_projection: impl FnMut(usize, &mut Matrix),
     ) -> &'s Matrix {
         let (w, b, n) = (params.value(self.w), params.value(self.b), self.hidden);
         let LstmScratch { gates, h, c } = scratch;
         h.reset(batch, n);
         c.reset(batch, n);
-        for t in 0..steps {
+        initial(h, c);
+        for t in steps {
             gates.reset(batch, 4 * n);
             input_projection(t, gates);
             h.matmul_acc(w, self.in_dim, gates);
@@ -529,6 +559,48 @@ mod proptests {
             .collect()
     }
 
+    /// [`infer_rows`] with the first timestep taken from a table computed
+    /// once per vocabulary id, and every sequence resumed from its row.
+    fn resumed_rows(
+        params: &ParamSet,
+        (emb, lstm, head): (&Embedding, &Lstm, &Dense),
+        seqs: &[Vec<usize>],
+    ) -> Vec<Vec<f64>> {
+        let mut projected = Matrix::default();
+        lstm.project_input(params, params.value(emb.table), &mut projected);
+        let mut scratch = LstmScratch::default();
+        lstm.infer_last(params, emb.vocab, 1, &mut scratch, |_, gates| {
+            gates.clone_from(&projected)
+        });
+        let (h1, c1) = scratch.state();
+        let (h1, c1) = (h1.clone(), c1.clone());
+        let h = lstm.infer_from(
+            params,
+            seqs.len(),
+            1..seqs[0].len(),
+            &mut scratch,
+            |h, c| {
+                for (r, ids) in seqs.iter().enumerate() {
+                    h.row_slice_mut(r).copy_from_slice(h1.row_slice(ids[0]));
+                    c.row_slice_mut(r).copy_from_slice(c1.row_slice(ids[0]));
+                }
+            },
+            |t, gates| {
+                for (r, ids) in seqs.iter().enumerate() {
+                    gates
+                        .row_slice_mut(r)
+                        .copy_from_slice(projected.row_slice(ids[t]));
+                }
+            },
+        );
+        let mut probs = Matrix::default();
+        head.infer(params, h, &mut probs);
+        probs.softmax_rows();
+        (0..seqs.len())
+            .map(|r| probs.row_slice(r).to_vec())
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         /// Tape-free inference equals the tape to the bit (`==` on `f64`,
@@ -569,6 +641,8 @@ mod proptests {
                     prop_assert!(alone[0] == batched[row], "row {row} alone differs");
                 }
             }
+            // A run resumed from a per-id table of first-step states.
+            prop_assert!(resumed_rows(&params, model, &seqs) == oracle, "resumed run differs");
         }
 
         /// `softmax_rows` keeps the bits of the formula the tape's softmax

@@ -23,7 +23,7 @@
 //! - [`ring`] — single-producer/single-consumer rings with a batched
 //!   doorbell, the router→shard transport inside [`service`].
 //! - [`affinity`] — best-effort thread-per-core pinning for shard
-//!   workers.
+//!   workers (lives in `monilog-model`, where the detectors reach it too).
 //! - [`config`] — typed configuration errors, router batch tuning
 //!   ([`config::BatchConfig`]), and the overload-policy vocabulary shared
 //!   with the CLI.
@@ -48,7 +48,6 @@
 //!   LF and octet-counting framing), HTTP bulk ingest, and checkpointed
 //!   file tailing, all with backpressure into the bounded ingest queue.
 
-pub mod affinity;
 pub mod chaos;
 pub mod cluster;
 pub mod config;
@@ -84,6 +83,7 @@ pub use durable::{
 pub use export::MetricsExporter;
 pub use merge::{BoundedReorderBuffer, DedupFilter};
 pub use metrics::PipelineMetrics;
+pub use monilog_model::affinity;
 pub use net::{AsLoopFd, EventLoop, Handler, Interest, LoopCtx, Next};
 pub use observe::{
     Exemplar, HistogramSnapshot, LatencyHistogram, MetricsRegistry, MetricsSnapshot, RateSnapshot,

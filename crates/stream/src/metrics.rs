@@ -29,8 +29,18 @@
 //! Batched fast path (see [`crate::service`] and the Drain match cache):
 //! - `batches_submitted` — batches accepted by `submit_batch` (a single
 //!   `submit` counts as a batch of one).
-//! - `cache_hits` / `cache_misses` — per-shard Drain match-cache outcomes,
-//!   summed across shards. Hit rate = hits / (hits + misses).
+//! - `cache_hits` / `cache_misses` — Drain match-cache outcomes, summed
+//!   across shards (the inline pipeline publishes its one parser's per
+//!   closed-window batch). Hit rate = hits / (hits + misses).
+//!
+//! Detector model health (published per closed-window batch):
+//! - `detector_memo_hits` — samples the detector answered from its verdict
+//!   memo.
+//! - `detector_memo_misses` — samples the memo did not hold, i.e. rows sent
+//!   through the LSTM. A falling hit rate means the stream's histories
+//!   stopped repeating (interleaved sources, template churn).
+//! - `detector_parallel_passes` — forward passes with enough rows to be
+//!   split across cores.
 //!
 //! Durability (see [`crate::durable`]):
 //! - `checkpoints_written` — durable pipeline checkpoints committed to the
@@ -101,6 +111,9 @@ pub struct PipelineMetrics {
     pub batches_submitted: AtomicU64,
     pub cache_hits: AtomicU64,
     pub cache_misses: AtomicU64,
+    pub detector_memo_hits: AtomicU64,
+    pub detector_memo_misses: AtomicU64,
+    pub detector_parallel_passes: AtomicU64,
     pub checkpoints_written: AtomicU64,
     pub journal_bytes: AtomicU64,
     pub recovery_replayed_lines: AtomicU64,
@@ -164,6 +177,15 @@ impl PipelineMetrics {
             ("batches_submitted", Self::get(&self.batches_submitted)),
             ("cache_hits", Self::get(&self.cache_hits)),
             ("cache_misses", Self::get(&self.cache_misses)),
+            ("detector_memo_hits", Self::get(&self.detector_memo_hits)),
+            (
+                "detector_memo_misses",
+                Self::get(&self.detector_memo_misses),
+            ),
+            (
+                "detector_parallel_passes",
+                Self::get(&self.detector_parallel_passes),
+            ),
             ("checkpoints_written", Self::get(&self.checkpoints_written)),
             ("journal_bytes", Self::get(&self.journal_bytes)),
             (
@@ -272,6 +294,9 @@ mod tests {
             "batches_submitted",
             "cache_hits",
             "cache_misses",
+            "detector_memo_hits",
+            "detector_memo_misses",
+            "detector_parallel_passes",
             "checkpoints_written",
             "journal_bytes",
             "recovery_replayed_lines",
@@ -302,7 +327,7 @@ mod tests {
                 "{field} missing from typed snapshot"
             );
         }
-        assert_eq!(snap.counters.len(), 36);
+        assert_eq!(snap.counters.len(), 39);
     }
 
     #[test]

@@ -664,20 +664,21 @@ pub fn render_status(
     reasons.extend(degraded);
     let reasons_json: Vec<String> = reasons.iter().map(|r| json_string(r)).collect();
     let counter = |name: &str| snap.counter(name).unwrap_or(0);
+    let rate = |part: u64, rest: u64| {
+        if part + rest > 0 {
+            part as f64 / (part + rest) as f64
+        } else {
+            0.0
+        }
+    };
     let hits = counter("cache_hits");
     let misses = counter("cache_misses");
-    let hit_rate = if hits + misses > 0 {
-        hits as f64 / (hits + misses) as f64
-    } else {
-        0.0
-    };
-    let ingested = counter("lines_ingested");
+    let hit_rate = rate(hits, misses);
+    let memo_hits = counter("detector_memo_hits");
+    let memo_misses = counter("detector_memo_misses");
+    let memo_hit_rate = rate(memo_hits, memo_misses);
     let dups = counter("duplicates_dropped");
-    let dedup_rate = if ingested + dups > 0 {
-        dups as f64 / (ingested + dups) as f64
-    } else {
-        0.0
-    };
+    let dedup_rate = rate(dups, counter("lines_ingested"));
     let json = format!(
         "{{\"status\":\"{}\",\"reasons\":[{}],\"config_version\":{config_version},\
          \"latency_budget_ms\":{budget_ms},\"stages\":{{{stages}}},\
@@ -688,6 +689,8 @@ pub fn render_status(
          \"durability\":{{\"checkpoint_generation\":{},\"checkpoint_age_ms\":{},\
          \"wal_lag_bytes\":{}}},\
          \"cache\":{{\"hits\":{hits},\"misses\":{misses},\"hit_rate\":{hit_rate:.4}}},\
+         \"detector\":{{\"memo_hits\":{memo_hits},\"memo_misses\":{memo_misses},\
+         \"memo_hit_rate\":{memo_hit_rate:.4},\"parallel_passes\":{}}},\
          \"dedup\":{{\"dropped\":{dups},\"drop_rate\":{dedup_rate:.4}}},\
          \"rates\":{{\"interval_secs\":{:.3},\"lines_per_second\":{:.3}}}}}",
         level.name(),
@@ -702,6 +705,7 @@ pub fn render_status(
         inputs.checkpoint_generation,
         inputs.checkpoint_age_ms,
         inputs.wal_lag_bytes,
+        counter("detector_parallel_passes"),
         snap.rates.interval_secs,
         snap.rates.lines_per_second,
     );
