@@ -8,9 +8,6 @@
 //! - `drain_match/{cold,warm,cached}` — the Drain tree walk on first
 //!   sighting, after templates stabilize with the match cache disabled,
 //!   and with the cache enabled (the fast path).
-//! - `batch_submit` — full `ShardedParseService` round trip: singles vs
-//!   batched submission (owned `String` per line) vs `submit_zero_copy`
-//!   (arena-backed `ByteLine` handles, a refcount bump per line).
 //! - `count_vector/{alloc,reuse}` — per-window allocation vs the `_into`
 //!   buffer-reuse variant in `detect::window`.
 //!
@@ -21,9 +18,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use monilog_core::detect::window::{count_vector, count_vector_into};
 use monilog_core::detect::Window;
 use monilog_core::model::tokenize::TokenSpan;
-use monilog_core::model::ByteLine;
 use monilog_core::parse::{Drain, DrainConfig, OnlineParser, Preprocessor};
-use monilog_core::stream::{Item, ShardedParseService};
 use monilog_loggen::corpus;
 use std::hint::black_box;
 
@@ -113,61 +108,6 @@ fn drain_match(c: &mut Criterion) {
     group.finish();
 }
 
-fn batch_submit(c: &mut Criterion) {
-    let lines = lines();
-    let mut group = c.benchmark_group("batch_submit");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(lines.len() as u64));
-
-    let drain = |service: &ShardedParseService, total: usize| {
-        let mut received = 0usize;
-        while received < total {
-            received += service.recv_batch().expect("workers alive").len();
-        }
-        received
-    };
-
-    // Owned materialization per line: what a collector pays if it builds a
-    // fresh `String` per submission.
-    let run = |batch: usize, lines: &[String]| {
-        let service =
-            ShardedParseService::spawn(2, DrainConfig::default(), 256).expect("valid config");
-        for (i, chunk) in lines.chunks(batch).enumerate() {
-            let items: Vec<Item> = chunk
-                .iter()
-                .enumerate()
-                .map(|(k, l)| ((i * batch + k) as u64, ByteLine::from(l.clone())))
-                .collect();
-            service.submit_batch(items).expect("service alive");
-        }
-        drain(&service, lines.len())
-    };
-
-    group.bench_function("singles", |b| b.iter(|| black_box(run(1, &lines))));
-    group.bench_function("batch_64", |b| b.iter(|| black_box(run(64, &lines))));
-
-    // Arena handles: the lines live in shared arrival buffers; each
-    // submission clones a `ByteLine` view (a refcount bump), the way the
-    // network sources feed the service.
-    let arena: Vec<ByteLine> = lines.iter().map(ByteLine::from).collect();
-    group.bench_function("submit_zero_copy", |b| {
-        b.iter(|| {
-            let service =
-                ShardedParseService::spawn(2, DrainConfig::default(), 256).expect("valid config");
-            for (i, chunk) in arena.chunks(64).enumerate() {
-                let items: Vec<Item> = chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(k, l)| ((i * 64 + k) as u64, l.clone()))
-                    .collect();
-                service.submit_batch(items).expect("service alive");
-            }
-            black_box(drain(&service, arena.len()))
-        })
-    });
-    group.finish();
-}
-
 fn count_vectors(c: &mut Criterion) {
     // Session-window shapes from the D3 harness: a few dozen events over a
     // vocabulary of ~50 templates.
@@ -196,5 +136,5 @@ fn count_vectors(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, tokenize, drain_match, batch_submit, count_vectors);
+criterion_group!(benches, tokenize, drain_match, count_vectors);
 criterion_main!(benches);

@@ -23,7 +23,6 @@ fn pipeline_throughput(c: &mut Criterion) {
         quantitative_anomaly_rate: 0.02,
         seed: 71,
         start_ms: 1_600_003_600_000,
-        ..Default::default()
     })
     .generate();
     let live_raw: Vec<RawLog> = live_logs

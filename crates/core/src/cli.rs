@@ -23,8 +23,8 @@ use monilog_model::{Criticality, RawLog, SourceId};
 use monilog_parse::autotune::{autotune_drain, TuneGrid};
 use monilog_parse::{Drain, DrainConfig, OnlineParser};
 use monilog_stream::{
-    BatchConfig, BreakerState, ConfigSnapshot, JournalConfig, MetricsExporter, OpsState,
-    OverloadPolicy, PipelineMetrics, ReloadableConfig, ReportStore, StatusBoard, StatusInputs,
+    BreakerState, ConfigSnapshot, JournalConfig, MetricsExporter, OpsState, OverloadPolicy,
+    PipelineMetrics, ReloadableConfig, ReportStore, StatusBoard, StatusInputs,
     DEFAULT_LATENCY_BUDGET_MS, DEFAULT_REPORT_CAPACITY,
 };
 use std::fmt::Write as _;
@@ -46,9 +46,7 @@ pub enum CliCommand {
         logfile: String,
         checkpoint: String,
         format: HeaderChoice,
-        fault: FaultToleranceConfig,
         observability: ObservabilityConfig,
-        batch: BatchConfig,
         /// Write a Chrome trace-event JSON file of the recorded spans here
         /// after the run (`--trace-out`).
         trace_out: Option<String>,
@@ -60,7 +58,6 @@ pub enum CliCommand {
         format: HeaderChoice,
         fault: FaultToleranceConfig,
         observability: ObservabilityConfig,
-        batch: BatchConfig,
         /// Write a Chrome trace-event JSON file of the recorded spans here
         /// after the run (`--trace-out`).
         trace_out: Option<String>,
@@ -164,6 +161,12 @@ pub struct DurableOptions {
     /// Per-stage p99 budget that flips `/status` to degraded, in
     /// milliseconds (`--latency-budget-ms`).
     pub latency_budget_ms: u64,
+    /// `--batch-lines`: the boot `batch-lines` of the network monitor loop
+    /// (and the router's lines per wire batch); `None` keeps the default.
+    pub batch_lines: Option<usize>,
+    /// `--batch-deadline-ms`: the boot `batch-deadline-ms` of the network
+    /// monitor loop; `None` keeps the default.
+    pub batch_deadline_ms: Option<u64>,
 }
 
 /// Outbound delivery flags (`--sink-http`, `--sink-tcp`,
@@ -242,8 +245,8 @@ monilog — automated log-based anomaly detection (MoniLog, ICDE 2021)
 USAGE:
     monilog parse     <logfile> [--format dash|syslog|bare]
     monilog calibrate <logfile>
-    monilog train     <logfile> --checkpoint <out> [--format ...] [fault opts]
-    monilog monitor   <logfile> --checkpoint <in>  [--format ...] [fault opts]
+    monilog train     <logfile> --checkpoint <out> [--format ...] [observability opts]
+    monilog monitor   <logfile> --checkpoint <in>  [--format ...] [monitor opts]
     monilog router    <logfile>... --state-dir <dir> [router opts]
 
   parse      discover and print the log templates of <logfile>
@@ -254,14 +257,16 @@ USAGE:
   router     partition log sources across a fleet of monitors
              (`monitor --join`), with node-kill recovery and replay
 
-fault-tolerance options (streaming deployments):
-  --on-overload block|shed|dead-letter   submit() behaviour when saturated
-  --max-retries <n>                      parse retries before quarantine
-  --heartbeat-ms <n>                     worker heartbeat / supervisor poll
-  --batch-lines <n>                      lines the router batches per shard
-                                         flush (default 64)
-  --batch-deadline-ms <n>                max idle time before a partial
-                                         batch flushes (default 1)
+overload and batching options (monitor network sources, see below):
+  --on-overload block|shed|dead-letter   what a network source does when
+                                         the ingest queue is full (default
+                                         block; no effect on file input)
+  --batch-lines <n>                      most lines the monitor loop takes
+                                         from the ingest queue per batch
+                                         (default 512; requires --state-dir)
+  --batch-deadline-ms <n>                how long the monitor loop waits for
+                                         a batch to fill (default 50;
+                                         requires --state-dir)
 
 observability options (train / monitor):
   --metrics-addr <host:port>             serve Prometheus + JSON metrics,
@@ -366,11 +371,12 @@ distributed fleet:
   router --rebalance-grace-ms <n>        base grace before a dead node's
                                          sources move; doubles per attempt
                                          with jitter (default 500)
-  router also honours --batch-lines (lines per wire batch, default 64)
-  and --heartbeat-ms (default 250). A killed monitor's unacked batches
-  replay to the surviving owner; a restarted monitor rejoins by name and
-  receives a warm template snapshot. Template stores reconcile fleet-wide
-  through the router (Logan-style merge).
+  router --batch-lines <n>               lines per wire batch (default 64)
+  router --heartbeat-ms <n>              heartbeat cadence (default 250)
+  A killed monitor's unacked batches replay to the surviving owner; a
+  restarted monitor rejoins by name and receives a warm template snapshot.
+  Template stores reconcile fleet-wide through the router (Logan-style
+  merge).
 ";
 
 /// Parse argv (without the program name).
@@ -393,10 +399,11 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
     let mut expect_nodes = 1usize;
     let mut dead_after_ms = 1_500u64;
     let mut rebalance_grace_ms = 500u64;
+    let mut heartbeat_ms = 250u64;
     let mut router_flag_given = false;
-    let mut batch_lines_given: Option<usize> = None;
-    let mut heartbeat_given: Option<u64> = None;
-    let mut batch = BatchConfig::default();
+    let mut monitor_flag_given = false;
+    let mut batch_lines: Option<usize> = None;
+    let mut batch_deadline_ms: Option<u64> = None;
     let mut config_file: Option<String> = None;
     let mut latency_budget_ms = DEFAULT_LATENCY_BUDGET_MS;
     let mut i = 0;
@@ -419,13 +426,7 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
                 i += 1;
                 let value = args.get(i).ok_or("--on-overload needs a policy")?;
                 fault.on_overload = OverloadPolicy::parse(value)?;
-            }
-            "--max-retries" => {
-                i += 1;
-                let value = args.get(i).ok_or("--max-retries needs a count")?;
-                fault.max_retries = value
-                    .parse()
-                    .map_err(|_| format!("invalid --max-retries {value:?}"))?;
+                monitor_flag_given = true;
             }
             "--batch-lines" => {
                 i += 1;
@@ -433,9 +434,11 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
                 let n: usize = value
                     .parse()
                     .map_err(|_| format!("invalid --batch-lines {value:?}"))?;
-                batch = BatchConfig::new(n, batch.deadline.as_millis() as u64)
-                    .map_err(|e| format!("invalid --batch-lines {value:?}: {e}"))?;
-                batch_lines_given = Some(n);
+                if n == 0 {
+                    return Err("--batch-lines must be at least 1".to_string());
+                }
+                batch_lines = Some(n);
+                durable_tuning_given = true;
             }
             "--batch-deadline-ms" => {
                 i += 1;
@@ -445,19 +448,20 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
                 let ms: u64 = value
                     .parse()
                     .map_err(|_| format!("invalid --batch-deadline-ms {value:?}"))?;
-                batch.deadline = std::time::Duration::from_millis(ms);
+                batch_deadline_ms = Some(ms);
+                durable_tuning_given = true;
+                monitor_flag_given = true;
             }
             "--heartbeat-ms" => {
                 i += 1;
                 let value = args.get(i).ok_or("--heartbeat-ms needs milliseconds")?;
-                let ms: u64 = value
+                heartbeat_ms = value
                     .parse()
                     .map_err(|_| format!("invalid --heartbeat-ms {value:?}"))?;
-                if ms == 0 {
+                if heartbeat_ms == 0 {
                     return Err("--heartbeat-ms must be at least 1".to_string());
                 }
-                fault.heartbeat_ms = ms;
-                heartbeat_given = Some(ms);
+                router_flag_given = true;
             }
             "--metrics-addr" => {
                 i += 1;
@@ -763,11 +767,14 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
             sinks: sinks_given.then_some(sinks),
             config_file,
             latency_budget_ms,
+            batch_lines,
+            batch_deadline_ms,
         }),
         None if durable_tuning_given => {
             return Err(
                 "--checkpoint-interval-ms / --journal-fsync-ms / --journal-segment-bytes / \
-                 --config-file / --latency-budget-ms require --state-dir"
+                 --config-file / --latency-budget-ms / --batch-lines / --batch-deadline-ms \
+                 require --state-dir"
                     .to_string(),
             );
         }
@@ -785,8 +792,14 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
     }
     if router_flag_given && command != "router" {
         return Err(
-            "--listen-cluster / --expect-nodes / --dead-after-ms / --rebalance-grace-ms are \
-             only supported by the router command"
+            "--listen-cluster / --expect-nodes / --heartbeat-ms / --dead-after-ms / \
+             --rebalance-grace-ms are only supported by the router command"
+                .to_string(),
+        );
+    }
+    if monitor_flag_given && command != "monitor" {
+        return Err(
+            "--on-overload / --batch-deadline-ms are only supported by the monitor command"
                 .to_string(),
         );
     }
@@ -821,9 +834,7 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
             logfile: positional.next().ok_or("train needs a <logfile>")?,
             checkpoint: checkpoint.ok_or("train needs --checkpoint <out>")?,
             format,
-            fault,
             observability,
-            batch,
             trace_out,
         }),
         "monitor" => {
@@ -839,7 +850,6 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
                 format,
                 fault,
                 observability,
-                batch,
                 trace_out,
                 durable,
                 sources: sources.any().then_some(sources),
@@ -857,8 +867,8 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
                     .unwrap_or_else(|| "127.0.0.1:0".parse().expect("static addr")),
                 expect_nodes,
                 state_dir: opts.state_dir,
-                batch_lines: batch_lines_given.unwrap_or(64),
-                heartbeat_ms: heartbeat_given.unwrap_or(250),
+                batch_lines: opts.batch_lines.unwrap_or(64),
+                heartbeat_ms,
                 dead_after_ms,
                 rebalance_grace_ms,
             })
@@ -877,11 +887,7 @@ fn read_lines(path: &str) -> Result<Vec<String>, String> {
         .collect())
 }
 
-fn pipeline_config(
-    format: HeaderChoice,
-    fault: FaultToleranceConfig,
-    batch: BatchConfig,
-) -> MoniLogConfig {
+fn pipeline_config(format: HeaderChoice, fault: FaultToleranceConfig) -> MoniLogConfig {
     MoniLogConfig {
         header_format: format.to_config(),
         window: WindowPolicy::Session {
@@ -895,7 +901,6 @@ fn pipeline_config(
             ..DeepLogConfig::default()
         }),
         fault_tolerance: fault,
-        batch,
         ..MoniLogConfig::default()
     }
 }
@@ -998,13 +1003,11 @@ pub fn run(command: CliCommand) -> Result<String, String> {
             logfile,
             checkpoint,
             format,
-            fault,
             observability,
-            batch,
             trace_out,
         } => {
             let lines = read_lines(&logfile)?;
-            let mut config = pipeline_config(format, fault, batch);
+            let mut config = pipeline_config(format, FaultToleranceConfig::default());
             config.observability = observability;
             let mut monilog = MoniLog::new(config);
             let _exporter = spawn_exporter(&monilog, observability, None, &mut out)?;
@@ -1031,14 +1034,13 @@ pub fn run(command: CliCommand) -> Result<String, String> {
             format,
             fault,
             observability,
-            batch,
             trace_out,
             durable,
             sources,
         } => {
             let blob =
                 std::fs::read(&checkpoint).map_err(|e| format!("cannot read {checkpoint}: {e}"))?;
-            let mut config = pipeline_config(format, fault, batch);
+            let mut config = pipeline_config(format, fault);
             config.observability = observability;
             if let Some(src) = sources {
                 let opts = durable.ok_or("network sources require --state-dir")?;
@@ -1236,10 +1238,13 @@ fn write_file_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()
 /// from the equivalent CLI flag so `GET /config` reflects what the
 /// process actually started with.
 fn boot_snapshot(config: &MoniLogConfig, opts: &DurableOptions) -> ConfigSnapshot {
+    let defaults = ConfigSnapshot::default();
     let mut snap = ConfigSnapshot {
         on_overload: config.fault_tolerance.on_overload,
         trace_sample_rate: config.observability.trace_sample_rate,
-        ..ConfigSnapshot::default()
+        batch_lines: opts.batch_lines.unwrap_or(defaults.batch_lines),
+        batch_deadline_ms: opts.batch_deadline_ms.unwrap_or(defaults.batch_deadline_ms),
+        ..defaults
     };
     if let Some(sinks) = &opts.sinks {
         snap.page_at = sinks.page_at;
@@ -2155,8 +2160,6 @@ mod tests {
                 logfile: "app.log".into(),
                 checkpoint: "m.bin".into(),
                 format: HeaderChoice::Syslog,
-                fault: FaultToleranceConfig::default(),
-                batch: BatchConfig::default(),
                 observability: ObservabilityConfig::default(),
                 trace_out: None,
             }
@@ -2295,23 +2298,118 @@ mod tests {
             "m.bin",
             "--on-overload",
             "shed",
-            "--max-retries",
-            "5",
-            "--heartbeat-ms",
-            "50",
         ]))
         .unwrap();
         match parsed {
             CliCommand::Monitor { fault, .. } => {
                 assert_eq!(fault.on_overload, OverloadPolicy::ShedToCatchAll);
-                assert_eq!(fault.max_retries, 5);
-                assert_eq!(fault.heartbeat_ms, 50);
             }
             other => panic!("expected Monitor, got {other:?}"),
         }
         assert!(parse_args(&args(&["parse", "x", "--on-overload", "explode"])).is_err());
-        assert!(parse_args(&args(&["parse", "x", "--max-retries", "many"])).is_err());
-        assert!(parse_args(&args(&["parse", "x", "--heartbeat-ms", "0"])).is_err());
+        let err = parse_args(&args(&[
+            "monitor",
+            "x",
+            "--checkpoint",
+            "m",
+            "--max-retries",
+            "5",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "unknown flag --max-retries");
+        // Heartbeats are the router's; a monitor has no shard workers.
+        let err = parse_args(&args(&[
+            "monitor",
+            "x",
+            "--checkpoint",
+            "m",
+            "--heartbeat-ms",
+            "50",
+        ]))
+        .unwrap_err();
+        let dead_after = parse_args(&args(&[
+            "monitor",
+            "x",
+            "--checkpoint",
+            "m",
+            "--dead-after-ms",
+            "50",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, dead_after);
+        assert!(err.contains("--heartbeat-ms"), "{err}");
+        assert!(parse_args(&args(&["router", "x", "--heartbeat-ms", "0"])).is_err());
+        assert!(
+            parse_args(&args(&[
+                "train",
+                "x",
+                "--checkpoint",
+                "m",
+                "--on-overload",
+                "shed"
+            ]))
+            .is_err(),
+            "--on-overload outside monitor"
+        );
+    }
+
+    /// Every `--flag` in `USAGE` must parse for a command named in the
+    /// same paragraph, so the help text cannot advertise a flag that the
+    /// parser rejects (or one that only another command takes).
+    #[test]
+    fn every_usage_flag_parses_for_a_command_it_is_listed_under() {
+        // A valid value (plus any companion flag) for each flag.
+        fn value_args(flag: &str) -> &'static [&'static str] {
+            match flag {
+                "--format" => &["dash"],
+                "--on-overload" => &["shed"],
+                "--batch-lines" | "--expect-nodes" => &["2"],
+                "--metrics-addr"
+                | "--listen-syslog-tcp"
+                | "--listen-syslog-udp"
+                | "--listen-http"
+                | "--listen-cluster" => &["127.0.0.1:0"],
+                "--join" => &["127.0.0.1:9", "--node-id", "n"],
+                "--node-id" => &["n", "--join", "127.0.0.1:9"],
+                "--sink-http" => &["http://127.0.0.1:9/hook"],
+                "--sink-tcp" => &["127.0.0.1:9"],
+                "--route-critical" => &["file"],
+                "--page-at" => &["low"],
+                "--journal-segment-bytes" | "--sink-buffer-bytes" => &["65536"],
+                "--checkpoint" | "--state-dir" | "--trace-out" | "--config-file" | "--tail" => {
+                    &["p"]
+                }
+                _ => &["50"],
+            }
+        }
+        fn base(command: &str) -> Vec<&str> {
+            match command {
+                "train" => vec!["train", "x.log", "--checkpoint", "m"],
+                "monitor" => vec!["monitor", "x.log", "--checkpoint", "m", "--state-dir", "d"],
+                "router" => vec!["router", "x.log", "--state-dir", "d"],
+                other => vec![other, "x.log"],
+            }
+        }
+        const COMMANDS: [&str; 5] = ["parse", "calibrate", "train", "monitor", "router"];
+        let mut checked = 0;
+        for paragraph in USAGE.split("\n\n") {
+            let words: Vec<&str> = paragraph
+                .split(|c: char| !c.is_ascii_alphanumeric() && c != '-')
+                .collect();
+            let listed: Vec<&str> = COMMANDS.into_iter().filter(|c| words.contains(c)).collect();
+            for &flag in words.iter().filter(|w| w.starts_with("--") && w.len() > 2) {
+                assert!(!listed.is_empty(), "{flag} is listed under no command");
+                let accepted = listed.iter().any(|&command| {
+                    let mut argv = base(command);
+                    argv.push(flag);
+                    argv.extend(value_args(flag));
+                    parse_args(&args(&argv)).is_ok()
+                });
+                assert!(accepted, "{flag} is rejected by every one of {listed:?}");
+                checked += 1;
+            }
+        }
+        assert!(checked >= 30, "only {checked} flags found in USAGE");
     }
 
     #[test]
@@ -2493,7 +2591,6 @@ mod tests {
             quantitative_anomaly_rate: 0.0,
             seed: 22,
             start_ms: 1_600_003_600_000,
-            ..Default::default()
         })
         .generate();
         write_workload(&live_file, &live);
@@ -2502,8 +2599,6 @@ mod tests {
             logfile: train_file.to_string_lossy().into_owned(),
             checkpoint: ckpt.to_string_lossy().into_owned(),
             format: HeaderChoice::Dash,
-            fault: FaultToleranceConfig::default(),
-            batch: BatchConfig::default(),
             observability: ObservabilityConfig::default(),
             trace_out: None,
         })
@@ -2516,7 +2611,6 @@ mod tests {
             checkpoint: ckpt.to_string_lossy().into_owned(),
             format: HeaderChoice::Dash,
             fault: FaultToleranceConfig::default(),
-            batch: BatchConfig::default(),
             observability: ObservabilityConfig {
                 trace_sample_rate: 1,
                 ..ObservabilityConfig::default()
@@ -2567,8 +2661,6 @@ mod tests {
                 logfile: train_path,
                 checkpoint: ckpt_path,
                 format: HeaderChoice::Dash,
-                fault: FaultToleranceConfig::default(),
-                batch: BatchConfig::default(),
                 observability: ObservabilityConfig {
                     metrics_addr: Some(addr),
                     metrics_interval_ms: 10,
@@ -2607,17 +2699,39 @@ mod tests {
     }
 
     #[test]
-    fn fault_flags_reach_the_supervisor_config() {
-        let fault = FaultToleranceConfig {
-            on_overload: OverloadPolicy::DeadLetter,
-            max_retries: 7,
-            heartbeat_ms: 40,
+    fn batch_flags_seed_the_boot_config_snapshot() {
+        let opts = |extra: &[&str]| -> (MoniLogConfig, DurableOptions) {
+            let mut argv = vec!["monitor", "--checkpoint", "m", "--state-dir", "d"];
+            argv.extend(["--listen-syslog-tcp", "127.0.0.1:0"]);
+            argv.extend(extra);
+            match parse_args(&args(&argv)).unwrap() {
+                CliCommand::Monitor {
+                    format,
+                    fault,
+                    durable: Some(durable),
+                    ..
+                } => (pipeline_config(format, fault), durable),
+                other => panic!("expected a durable Monitor, got {other:?}"),
+            }
         };
-        let sup =
-            pipeline_config(HeaderChoice::Dash, fault, BatchConfig::default()).supervisor_config();
-        assert_eq!(sup.overload, OverloadPolicy::DeadLetter);
-        assert_eq!(sup.retry.max_retries, 7);
-        assert_eq!(sup.heartbeat_interval, std::time::Duration::from_millis(40));
+        let (config, given) = opts(&["--batch-lines", "128", "--batch-deadline-ms", "20"]);
+        let snap = boot_snapshot(&config, &given);
+        assert_eq!(snap.version, 0);
+        assert_eq!((snap.batch_lines, snap.batch_deadline_ms), (128, 20));
+        let (config, absent) = opts(&[]);
+        let snap = boot_snapshot(&config, &absent);
+        assert_eq!((snap.batch_lines, snap.batch_deadline_ms), (512, 50));
+        assert_eq!(snap, ConfigSnapshot::default());
+        // Without a state directory there is no monitor loop to shape.
+        assert!(parse_args(&args(&[
+            "monitor",
+            "x",
+            "--checkpoint",
+            "m",
+            "--batch-lines",
+            "8"
+        ]))
+        .is_err());
     }
 
     #[test]
@@ -2667,7 +2781,6 @@ mod tests {
             quantitative_anomaly_rate: 0.0,
             seed: 7,
             start_ms: 1_600_003_600_000,
-            ..Default::default()
         })
         .generate();
         write_workload(&live_file, &live);
@@ -2676,8 +2789,6 @@ mod tests {
             logfile: train_file.to_string_lossy().into_owned(),
             checkpoint: ckpt.to_string_lossy().into_owned(),
             format: HeaderChoice::Dash,
-            fault: FaultToleranceConfig::default(),
-            batch: BatchConfig::default(),
             observability: ObservabilityConfig::default(),
             trace_out: None,
         })
@@ -2691,7 +2802,6 @@ mod tests {
             checkpoint: ckpt.to_string_lossy().into_owned(),
             format: HeaderChoice::Dash,
             fault: FaultToleranceConfig::default(),
-            batch: BatchConfig::default(),
             observability: ObservabilityConfig::default(),
             trace_out: None,
             durable: None,
@@ -2739,7 +2849,6 @@ mod tests {
             checkpoint: "/definitely/not/here.mlcp".into(),
             format: HeaderChoice::Dash,
             fault: FaultToleranceConfig::default(),
-            batch: BatchConfig::default(),
             observability: ObservabilityConfig::default(),
             trace_out: None,
             durable: None,
@@ -2777,6 +2886,8 @@ mod tests {
                         sinks: None,
                         config_file: None,
                         latency_budget_ms: DEFAULT_LATENCY_BUDGET_MS,
+                        batch_lines: None,
+                        batch_deadline_ms: None,
                     })
                 );
             }
@@ -3058,7 +3169,6 @@ mod tests {
             quantitative_anomaly_rate: 0.0,
             seed: 7,
             start_ms: 1_600_003_600_000,
-            ..Default::default()
         })
         .generate();
         write_workload(&live_file, &live);
@@ -3067,8 +3177,6 @@ mod tests {
             logfile: train_file.to_string_lossy().into_owned(),
             checkpoint: ckpt.to_string_lossy().into_owned(),
             format: HeaderChoice::Dash,
-            fault: FaultToleranceConfig::default(),
-            batch: BatchConfig::default(),
             observability: ObservabilityConfig::default(),
             trace_out: None,
         })
@@ -3080,7 +3188,6 @@ mod tests {
             checkpoint: ckpt.to_string_lossy().into_owned(),
             format: HeaderChoice::Dash,
             fault: FaultToleranceConfig::default(),
-            batch: BatchConfig::default(),
             observability: ObservabilityConfig::default(),
             trace_out: None,
             durable: Some(DurableOptions {
@@ -3091,6 +3198,8 @@ mod tests {
                 sinks: None,
                 config_file: None,
                 latency_budget_ms: DEFAULT_LATENCY_BUDGET_MS,
+                batch_lines: None,
+                batch_deadline_ms: None,
             }),
         };
 

@@ -862,7 +862,7 @@ mod tests {
     fn trained() -> MoniLog {
         let mut m = MoniLog::new(test_config());
         for i in 0..32u64 {
-            m.ingest_training(&RawLog::new(SourceId(0), i + 1, &line(i)));
+            m.ingest_training(&RawLog::new(SourceId(0), i + 1, line(i)));
         }
         m.train();
         m
@@ -886,7 +886,7 @@ mod tests {
         let mut m = trained();
         let mut out = Vec::new();
         for i in 32..64u64 {
-            out.extend(m.ingest(&RawLog::new(SourceId(0), i + 1, &line(i))));
+            out.extend(m.ingest(&RawLog::new(SourceId(0), i + 1, line(i))));
         }
         out.extend(m.flush());
         report_keys(&out)
@@ -917,7 +917,7 @@ mod tests {
         for i in 32..40u64 {
             emitted.extend(
                 first
-                    .ingest(&RawLog::new(SourceId(0), i + 1, &line(i)))
+                    .ingest(&RawLog::new(SourceId(0), i + 1, line(i)))
                     .unwrap(),
             );
         }
@@ -927,7 +927,7 @@ mod tests {
         let mut post_checkpoint = 0u64;
         for i in 40..45u64 {
             let batch = first
-                .ingest(&RawLog::new(SourceId(0), i + 1, &line(i)))
+                .ingest(&RawLog::new(SourceId(0), i + 1, line(i)))
                 .unwrap();
             post_checkpoint += batch.len() as u64;
             emitted.extend(batch);
@@ -956,7 +956,7 @@ mod tests {
         for i in 45..64u64 {
             emitted.extend(
                 second
-                    .ingest(&RawLog::new(SourceId(0), i + 1, &line(i)))
+                    .ingest(&RawLog::new(SourceId(0), i + 1, line(i)))
                     .unwrap(),
             );
         }
@@ -1000,7 +1000,7 @@ mod tests {
         for i in 32..50u64 {
             emitted.extend(
                 first
-                    .ingest(&RawLog::new(SourceId(0), i + 1, &line(i)))
+                    .ingest(&RawLog::new(SourceId(0), i + 1, line(i)))
                     .unwrap(),
             );
         }
@@ -1023,7 +1023,7 @@ mod tests {
         for i in 50..64u64 {
             emitted.extend(
                 second
-                    .ingest(&RawLog::new(SourceId(0), i + 1, &line(i)))
+                    .ingest(&RawLog::new(SourceId(0), i + 1, line(i)))
                     .unwrap(),
             );
         }
@@ -1323,7 +1323,7 @@ mod tests {
         assert!(first.recovered_section(SOURCES_SECTION).is_none());
         first.set_section(SOURCES_SECTION, b"0\t7\t128\t5\t/var/log/a\n".to_vec());
         first
-            .ingest(&RawLog::new(SourceId(0), 33, &line(32)))
+            .ingest(&RawLog::new(SourceId(0), 33, line(32)))
             .unwrap();
         first.checkpoint_now().unwrap();
         drop(first);
@@ -1339,7 +1339,7 @@ mod tests {
         // into its own checkpoints.
         let mut second = second;
         second
-            .ingest(&RawLog::new(SourceId(0), 34, &line(33)))
+            .ingest(&RawLog::new(SourceId(0), 34, line(33)))
             .unwrap();
         second.checkpoint_now().unwrap();
         drop(second);
@@ -1356,7 +1356,7 @@ mod tests {
             DurableMoniLog::open(test_config(), DurableConfig::new(&dir), || Ok(trained()))
                 .unwrap();
         for i in 32..40u64 {
-            dm.ingest(&RawLog::new(SourceId(0), i + 1, &line(i)))
+            dm.ingest(&RawLog::new(SourceId(0), i + 1, line(i)))
                 .unwrap();
         }
         let (_, generation) = dm.checkpoint_now().unwrap();
@@ -1388,7 +1388,7 @@ mod tests {
         let mut emitted = Vec::new();
         for i in 32..48u64 {
             emitted.extend(
-                dm.ingest(&RawLog::new(SourceId(0), i + 1, &line(i)))
+                dm.ingest(&RawLog::new(SourceId(0), i + 1, line(i)))
                     .unwrap(),
             );
         }

@@ -52,16 +52,11 @@ pub struct MoniLogConfig {
     pub dedup_window: usize,
     pub window: WindowPolicy,
     pub detector: DetectorChoice,
-    /// Knobs for the supervised streaming deployment shape
-    /// ([`monilog_stream::SupervisedParseService`]); the sequential facade
-    /// ignores them.
+    /// Overload handling at the network sources (`--on-overload`); the
+    /// facade itself never sheds.
     pub fault_tolerance: FaultToleranceConfig,
     /// Metrics export (`--metrics-addr`, `--metrics-interval-ms`).
     pub observability: ObservabilityConfig,
-    /// Router batch tuning for the sharded streaming deployment shape
-    /// (`--batch-lines`, `--batch-deadline-ms`); the sequential facade
-    /// ignores it.
-    pub batch: monilog_stream::BatchConfig,
 }
 
 /// Where and how often to export metrics snapshots. `metrics_addr: None`
@@ -93,28 +88,12 @@ impl Default for ObservabilityConfig {
     }
 }
 
-/// Fault-tolerance knobs surfaced through the CLI (`--on-overload`,
-/// `--max-retries`, `--heartbeat-ms`); everything else in
-/// [`monilog_stream::SupervisorConfig`] keeps its default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Fault-tolerance knobs surfaced through the CLI (`--on-overload`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct FaultToleranceConfig {
-    /// What `submit()` does when the pipeline is saturated.
+    /// What a network source does when the ingest queue is saturated:
+    /// pause the sender, shed, or divert to the dead-letter log.
     pub on_overload: monilog_stream::OverloadPolicy,
-    /// Parse retries before a panicking line is quarantined.
-    pub max_retries: u32,
-    /// Worker heartbeat / supervisor poll interval, in milliseconds.
-    pub heartbeat_ms: u64,
-}
-
-impl Default for FaultToleranceConfig {
-    fn default() -> Self {
-        let defaults = monilog_stream::SupervisorConfig::default();
-        FaultToleranceConfig {
-            on_overload: defaults.overload,
-            max_retries: defaults.retry.max_retries,
-            heartbeat_ms: defaults.heartbeat_interval.as_millis() as u64,
-        }
-    }
 }
 
 /// `HeaderFormat` is not `Copy`; this mirror is, keeping the config plain
@@ -151,27 +130,6 @@ impl Default for MoniLogConfig {
             detector: DetectorChoice::DeepLog(DeepLogConfig::default()),
             fault_tolerance: FaultToleranceConfig::default(),
             observability: ObservabilityConfig::default(),
-            batch: monilog_stream::BatchConfig::default(),
-        }
-    }
-}
-
-impl MoniLogConfig {
-    /// The supervisor configuration this pipeline config implies: the
-    /// entry point for deploying the parsing stage as a
-    /// [`monilog_stream::SupervisedParseService`] instead of the inline
-    /// sequential parser.
-    pub fn supervisor_config(&self) -> monilog_stream::SupervisorConfig {
-        let ft = self.fault_tolerance;
-        monilog_stream::SupervisorConfig {
-            drain: self.drain,
-            overload: ft.on_overload,
-            retry: monilog_stream::RetryPolicy {
-                max_retries: ft.max_retries,
-                ..monilog_stream::RetryPolicy::default()
-            },
-            heartbeat_interval: std::time::Duration::from_millis(ft.heartbeat_ms.max(1)),
-            ..monilog_stream::SupervisorConfig::default()
         }
     }
 }
@@ -969,7 +927,7 @@ mod tests {
         }
         m.train();
         assert!(m.is_trained());
-        assert!(m.templates().len() >= 1);
+        assert!(!m.templates().is_empty());
         assert_eq!(
             PipelineMetrics::get(&m.metrics().header_errors),
             0,

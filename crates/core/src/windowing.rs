@@ -10,6 +10,7 @@
 //!   streams, experiment P3).
 
 use monilog_detect::Window;
+use monilog_model::hash::FnvBuild;
 use monilog_model::{CodecError, Decoder, Encoder, LogEvent, SourceId, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -30,33 +31,6 @@ pub struct ClosedWindow {
     pub window: Window,
     pub events: Vec<LogEvent>,
 }
-
-/// FNV-1a for the session map: keys are short derived session ids
-/// (`blk_17`), probed once per line on the hot path — SipHash's DoS
-/// hardening is not needed against keys our own parser derived.
-#[derive(Debug, Default, Clone)]
-struct FnvHasher(u64);
-
-impl std::hash::Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 {
-            0xCBF2_9CE4_8422_2325
-        } else {
-            self.0
-        };
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        self.0 = h;
-    }
-}
-
-type FnvBuild = std::hash::BuildHasherDefault<FnvHasher>;
 
 /// Stateful window assembler.
 #[derive(Debug)]

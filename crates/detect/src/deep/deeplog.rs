@@ -853,9 +853,7 @@ mod tests {
     /// Normal flow: 0 → 1 → 2 → 3 with an optional 1-loop.
     fn normal_window(loops: usize) -> Window {
         let mut ids = vec![0];
-        for _ in 0..loops {
-            ids.push(1);
-        }
+        ids.resize(1 + loops, 1);
         ids.extend([2, 3]);
         Window::from_ids(ids)
     }

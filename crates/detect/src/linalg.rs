@@ -178,6 +178,8 @@ mod tests {
 }
 
 #[cfg(test)]
+// Matrix identities read as index algebra (`a[i][j] == a[j][i]`).
+#[allow(clippy::needless_range_loop)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;

@@ -33,12 +33,15 @@
 //!   evidence trail behind each report).
 //! - [`affinity`] — best-effort thread-per-core pinning, shared by the
 //!   shard workers and the detectors' forward-pass workers.
+//! - [`hash`] — FNV-1a, the stable string hash behind hot-path maps,
+//!   routing keys and rendezvous placement.
 
 pub mod affinity;
 pub mod anomaly;
 pub mod checkpoint;
 pub mod codec;
 pub mod event;
+pub mod hash;
 pub mod header;
 pub mod line;
 pub mod log;

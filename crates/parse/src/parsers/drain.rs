@@ -14,6 +14,7 @@
 
 use crate::api::{OnlineParser, ParseOutcome, ParserKind};
 use crate::preprocess::{MaskConfig, Preprocessor};
+use monilog_model::hash::FnvBuild;
 use monilog_model::{CodecError, Decoder, Encoder, TemplateId, TemplateStore, TemplateToken};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -56,33 +57,6 @@ struct Node {
     /// Template groups at this leaf (only non-empty at leaf depth).
     groups: Vec<TemplateId>,
 }
-
-/// FNV-1a as a `Hasher`, for the cache's token interner and id-keyed
-/// map. The default SipHash is hardened against adversarial keys, which
-/// the hot path does not need; FNV halves the per-lookup hashing cost.
-#[derive(Debug, Default, Clone)]
-struct FnvHasher(u64);
-
-impl std::hash::Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 {
-            0xCBF2_9CE4_8422_2325
-        } else {
-            self.0
-        };
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        self.0 = h;
-    }
-}
-
-type FnvBuild = std::hash::BuildHasherDefault<FnvHasher>;
 
 /// Stop growing the interner past this many distinct tokens — shapes
 /// containing tokens beyond the cap simply never cache (graceful

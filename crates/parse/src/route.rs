@@ -35,6 +35,7 @@
 //! parser, the scoped-thread harness, and the streaming services be
 //! compared line-for-line.
 
+use monilog_model::hash::fnv1a;
 use monilog_model::{CodecError, Decoder, Encoder};
 use std::collections::HashMap;
 
@@ -333,15 +334,6 @@ fn mix64(mut x: u64) -> u64 {
     x ^= x >> 27;
     x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -234,9 +234,7 @@ impl LinkSupervisor {
         tx: QueueTx,
         mailbox: Arc<ClusterMailbox>,
     ) -> LinkSupervisor {
-        let jitter_seed = cfg.node.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
-        });
+        let jitter_seed = monilog_model::hash::fnv1a(cfg.node.as_bytes());
         LinkSupervisor {
             cfg,
             tx,

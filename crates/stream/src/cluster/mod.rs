@@ -40,6 +40,7 @@ pub mod reconcile;
 pub mod router;
 pub mod wire;
 
+use monilog_model::hash::fnv1a;
 use monilog_model::SourceId;
 
 pub use link::{ClusterMailbox, LinkSnapshot, LinkState, RouterLinkConfig};
@@ -70,15 +71,6 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Rendezvous (highest-random-weight) owner election: every node scores
 /// the source independently and the highest score wins. Adding a node
 /// steals only the sources it now wins; removing one moves only *its*
@@ -94,7 +86,7 @@ pub fn rendezvous_owner(source: SourceId, nodes: &[String]) -> Option<usize> {
         .map(|(i, node)| {
             (
                 mix64(
-                    fnv64(node.as_bytes()) ^ (source.0 as u64).wrapping_mul(0xA24B_AED4_963E_E407),
+                    fnv1a(node.as_bytes()) ^ (source.0 as u64).wrapping_mul(0xA24B_AED4_963E_E407),
                 ),
                 i,
             )
@@ -137,6 +129,27 @@ mod tests {
             assert!(a < ns.len());
         }
         assert_eq!(rendezvous_owner(SourceId(1), &[]), None);
+    }
+
+    /// Placement is part of the fleet's contract (a restarted router must
+    /// hand every source back to the same node), so pin it: these tables
+    /// were recorded before the node-name hash moved to `model::hash`.
+    #[test]
+    fn rendezvous_placement_is_pinned() {
+        let place = |names: &[&str]| -> Vec<usize> {
+            let ns = nodes(names);
+            (ROUTER_SOURCE_BASE..ROUTER_SOURCE_BASE + 24)
+                .map(|s| rendezvous_owner(SourceId(s), &ns).unwrap())
+                .collect()
+        };
+        assert_eq!(
+            place(&["mon-a", "mon-b", "mon-c"]),
+            [2, 1, 0, 2, 2, 2, 2, 2, 1, 1, 2, 2, 2, 0, 2, 0, 2, 0, 2, 1, 0, 0, 0, 2]
+        );
+        assert_eq!(
+            place(&["node-1", "node-2"]),
+            [1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0, 1, 1, 1, 0, 1, 0]
+        );
     }
 
     #[test]

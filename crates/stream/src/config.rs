@@ -77,52 +77,6 @@ impl fmt::Display for OverloadPolicy {
     }
 }
 
-/// Router batch-flush tuning for [`crate::service::ShardedParseService`]
-/// (surfaced on the CLI as `--batch-lines` / `--batch-deadline-ms`).
-///
-/// The router accumulates routed lines per shard and flushes a shard's
-/// buffer when it reaches `max_lines` or has sat idle past `deadline`.
-/// Bigger batches amortize transfer cost (throughput); a shorter deadline
-/// caps the latency a partial batch can add.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BatchConfig {
-    /// Lines the router accumulates per shard before flushing (clamped to
-    /// queue capacity by the service so batching never weakens
-    /// backpressure). Must be non-zero.
-    pub max_lines: usize,
-    /// How long a partial shard buffer may sit while the input is idle.
-    pub deadline: Duration,
-    /// Pin shard workers thread-per-core (best effort; see
-    /// [`crate::affinity`]).
-    pub pin_workers: bool,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        // Mirrors `service::{MAX_BATCH, BATCH_FLUSH_INTERVAL}`, the
-        // historical hard-coded values.
-        BatchConfig {
-            max_lines: 64,
-            deadline: Duration::from_millis(1),
-            pin_workers: true,
-        }
-    }
-}
-
-impl BatchConfig {
-    /// CLI constructor: `--batch-lines` / `--batch-deadline-ms` values.
-    pub fn new(max_lines: usize, deadline_ms: u64) -> Result<Self, ConfigError> {
-        if max_lines == 0 {
-            return Err(ConfigError::ZeroCapacity);
-        }
-        Ok(BatchConfig {
-            max_lines,
-            deadline: Duration::from_millis(deadline_ms),
-            ..BatchConfig::default()
-        })
-    }
-}
-
 /// Retry schedule for a line whose parse attempt panicked: exponential
 /// backoff with deterministic per-line jitter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

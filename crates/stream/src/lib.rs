@@ -8,25 +8,18 @@
 //!   reorder buffer, absorbing the transport noise of Section I ("logs can
 //!   arrive in mixed order or sometimes be duplicated"): watermark-based
 //!   release plus duplicate suppression by `(source, seq)`.
-//! - [`partition`] — deterministic hash partitioning of a stream across
-//!   workers.
-//! - [`pipeline`] — parallel stages over crossbeam channels, including the
-//!   multi-threaded sharded-Drain runner measured by experiment D1.
-//! - [`service`] — the long-lived deployment shape: standing Drain workers
-//!   behind bounded queues with end-to-end backpressure.
-//! - [`supervisor`] — the fault-tolerant deployment shape: the service
-//!   topology plus per-line retry/quarantine, crashed-worker respawn that
-//!   keeps template ids stable, crash-loop degradation, and configurable
-//!   overload policies.
+//! - [`supervisor`] — the off-path parse service (router, per-shard
+//!   Drain workers, bounded queues) with per-line retry/quarantine,
+//!   crashed-worker respawn that keeps template ids stable, crash-loop
+//!   degradation, and configurable overload policies. The `monilog`
+//!   binary parses inline instead; the fleet ([`cluster`]) is the
+//!   distributed deployment.
 //! - [`chaos`] — deterministic fault injection (worker kills, poison
 //!   lines, transient faults) for testing the supervisor's guarantees.
-//! - [`ring`] — single-producer/single-consumer rings with a batched
-//!   doorbell, the router→shard transport inside [`service`].
-//! - [`affinity`] — best-effort thread-per-core pinning for shard
-//!   workers (lives in `monilog-model`, where the detectors reach it too).
-//! - [`config`] — typed configuration errors, router batch tuning
-//!   ([`config::BatchConfig`]), and the overload-policy vocabulary shared
-//!   with the CLI.
+//! - [`affinity`] — best-effort thread-per-core pinning (lives in
+//!   `monilog-model`, where the detectors' forward-pass workers use it).
+//! - [`config`] — typed configuration errors, the parse-retry schedule and
+//!   the overload-policy vocabulary shared with the CLI.
 //! - [`durable`] — the write-ahead ingest journal, atomic generational
 //!   checkpoints, the persistent dead-letter log, and shutdown
 //!   signalling: crash recovery across process restarts.
@@ -58,10 +51,6 @@ pub mod metrics;
 pub mod net;
 pub mod observe;
 pub mod ops;
-pub mod partition;
-pub mod pipeline;
-pub mod ring;
-pub mod service;
 pub mod sinks;
 pub mod sources;
 pub mod supervisor;
@@ -75,7 +64,7 @@ pub use cluster::{
     is_router_source, rendezvous_owner, ClusterMailbox, LinkSnapshot, LinkState, Router,
     RouterConfig, RouterLinkConfig, RouterStats, ROUTER_SOURCE_BASE,
 };
-pub use config::{BatchConfig, ConfigError, OverloadPolicy, RetryPolicy};
+pub use config::{ConfigError, OverloadPolicy, RetryPolicy};
 pub use durable::{
     install_reload_handler, install_shutdown_handler, shutdown_requested, take_reload_request,
     CheckpointStore, DeadLetterLog, DurabilityError, Journal, JournalConfig, LoadedCheckpoint,
@@ -94,8 +83,6 @@ pub use ops::{
     StatusInputs, StatusLevel, StoredReport, DEFAULT_LATENCY_BUDGET_MS, DEFAULT_REPORT_CAPACITY,
     RELOADABLE_KEYS,
 };
-pub use partition::HashPartitioner;
-pub use pipeline::{parallel_map, ParallelShardedDrain};
 pub use sinks::{
     BreakerConfig, BreakerState, BufferPosition, BufferedReport, CircuitBreaker, DeliveryBuffer,
     DeliveryConfig, DeliveryPipeline, DeliveryWorker, FileSink, FramedTcpSink, RouteSpec, Sink,
@@ -110,13 +97,7 @@ pub use trace::{
     SpanRecord, SpanStage, TraceConfig, Tracer, DEFAULT_FLIGHT_CAPACITY, DEFAULT_SAMPLE_RATE,
 };
 
-// `service::SubmitError` stays module-scoped: the lib root re-exports the
-// supervisor's richer `SubmitError` below, and the two must not collide.
-pub use service::{
-    Item, ParsedItem, ShardedParseService, TrySubmitError, BATCH_FLUSH_INTERVAL, MAX_BATCH,
-    SHARD_ID_STRIDE,
-};
 pub use supervisor::{
-    DeadLetter, FailureReason, ShardHealth, SubmitError, SubmitOutcome, SupervisedParseService,
-    SupervisorConfig, CATCH_ALL_TEMPLATE_ID,
+    DeadLetter, FailureReason, ParsedItem, ShardHealth, SubmitError, SubmitOutcome,
+    SupervisedParseService, SupervisorConfig, CATCH_ALL_TEMPLATE_ID, SHARD_ID_STRIDE,
 };

@@ -441,7 +441,7 @@ mod proptests {
             // Transport duplication of every dup_every-th event...
             let dups: Vec<(u64, u64)> = arrivals
                 .iter()
-                .filter(|(_, seq)| *seq as usize % dup_every == 0)
+                .filter(|(_, seq)| (*seq as usize).is_multiple_of(dup_every))
                 .copied()
                 .collect();
             arrivals.extend(dups);

@@ -26,7 +26,7 @@
 //! - `retries_attempted` — individual parse retry attempts (a line that
 //!   succeeds on its second try contributes 1).
 //!
-//! Batched fast path (see [`crate::service`] and the Drain match cache):
+//! Batched submit and the Drain match cache (see [`crate::supervisor`]):
 //! - `batches_submitted` — batches accepted by `submit_batch` (a single
 //!   `submit` counts as a batch of one).
 //! - `cache_hits` / `cache_misses` — Drain match-cache outcomes, summed

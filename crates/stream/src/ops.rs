@@ -1095,29 +1095,37 @@ mod tests {
         assert_eq!(ids, vec![3, 4, 5, 6], "ascending id order");
 
         // severity filter is exact-match.
-        let mut q = ReportsQuery::default();
-        q.severity = Some(Criticality::High);
+        let q = ReportsQuery {
+            severity: Some(Criticality::High),
+            ..ReportsQuery::default()
+        };
         let (total, items) = store.query(&q);
         assert_eq!(total, 2);
         assert!(items.iter().all(|r| r.severity == Some(Criticality::High)));
 
         // since + limit paginate.
-        let mut q = ReportsQuery::default();
-        q.since = Some(3);
-        q.limit = 2;
+        let q = ReportsQuery {
+            since: Some(3),
+            limit: 2,
+            ..ReportsQuery::default()
+        };
         let (total, items) = store.query(&q);
         assert_eq!(total, 3, "total counts beyond the page");
         let ids: Vec<u64> = items.iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![4, 5]);
 
         // template / source filters.
-        let mut q = ReportsQuery::default();
-        q.template = Some(7);
+        let mut q = ReportsQuery {
+            template: Some(7),
+            ..ReportsQuery::default()
+        };
         assert_eq!(store.query(&q).0, 4);
         q.template = Some(999);
         assert_eq!(store.query(&q).0, 0);
-        let mut q = ReportsQuery::default();
-        q.source = Some(2);
+        let mut q = ReportsQuery {
+            source: Some(2),
+            ..ReportsQuery::default()
+        };
         assert_eq!(store.query(&q).0, 4);
         q.source = Some(42);
         assert_eq!(store.query(&q).0, 0);

@@ -1,11 +1,15 @@
-//! Supervised sharded parsing: [`crate::service::ShardedParseService`]
-//! hardened for faults.
+//! Supervised sharded parsing: a router thread, per-shard Drain workers
+//! and bounded channels, hardened for faults.
 //!
-//! The plain service assumes workers never fail: one panicking parse takes
-//! a shard down, its queue backs up, and backpressure freezes the whole
-//! pipeline. [`SupervisedParseService`] keeps the same topology — router,
-//! per-shard Drain workers, bounded channels — and layers four defenses on
-//! top:
+//! This is an off-path parse service: the `monilog` binary parses inline
+//! in the `MoniLog` facade, and the fleet distributes Drain across
+//! processes (`crate::cluster`). The service is kept for the benchmark's
+//! `service.submit_recv.*` ledger rows and the fault-tolerance suite.
+//!
+//! A plain sharded service would assume workers never fail: one panicking
+//! parse takes a shard down, its queue backs up, and backpressure freezes
+//! the whole pipeline. [`SupervisedParseService`] layers four defenses on
+//! top of that topology:
 //!
 //! 1. **Per-line containment.** Each parse attempt runs under
 //!    `catch_unwind`. A panicking line is retried with exponential backoff
@@ -48,7 +52,6 @@ use crate::config::{ConfigError, OverloadPolicy, RetryPolicy};
 use crate::durable::{DeadLetterLog, DurabilityError};
 use crate::metrics::PipelineMetrics;
 use crate::observe::{MetricsRegistry, ShardGauges, Stage};
-use crate::service::{ParsedItem, SHARD_ID_STRIDE};
 use crate::trace::{SpanStage, Tracer};
 use crossbeam::channel::{
     bounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender, TrySendError,
@@ -70,6 +73,18 @@ pub const CATCH_ALL_TEMPLATE_ID: u32 = u32::MAX;
 
 type Item = (u64, ByteLine);
 
+/// A parsed item: the tag plus the shard-local outcome, with the shard
+/// index so callers can interpret template ids (`shard * STRIDE + local`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParsedItem {
+    pub seq: u64,
+    pub shard: usize,
+    pub outcome: ParseOutcome,
+}
+
+/// Stride separating each shard's template-id space in [`ParsedItem`].
+pub const SHARD_ID_STRIDE: u32 = 1 << 20;
+
 /// A batch admitted into the service, stamped at submit time. One input
 /// queue slot per batch: `submit_batch` moves a whole chunk with a single
 /// channel transfer.
@@ -84,7 +99,6 @@ struct InBatch {
 /// per-line on purpose: the crash-containment contract ("at most the
 /// in-flight line is lost") is priced per item, and batching the shard
 /// queue would widen the blast radius of a worker crash to a whole batch.
-/// The batched fast path lives in [`crate::service::ShardedParseService`].
 type Queued = (Instant, Item);
 
 /// Everything the supervisor needs to run a fault-tolerant service.
@@ -591,10 +605,11 @@ impl Drop for SupervisedParseService {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         self.input = None;
-        // Blocking drain until disconnect (see ShardedParseService::drop):
-        // the output only disconnects once every worker and the
-        // supervisor's spare sender are gone, which is exactly when the
-        // joins below cannot deadlock.
+        // Blocking drain until disconnect, not a timed poll: a worker
+        // blocked on a full output queue must be able to finish. The output
+        // only disconnects once every worker and the supervisor's spare
+        // sender are gone, which is exactly when the joins below cannot
+        // deadlock.
         while self.output.recv().is_ok() {}
         if let Some(router) = self.router.take() {
             let _ = router.join();
@@ -966,11 +981,8 @@ mod tests {
             // The feeder eventually submits everything (Block policy), so
             // received-count convergence is guaranteed; quarantined lines
             // never arrive, hence the timeout-based stop.
-            loop {
-                match service.output.recv_timeout(Duration::from_millis(500)) {
-                    Ok(item) => received.push(item),
-                    Err(_) => break,
-                }
+            while let Ok(item) = service.output.recv_timeout(Duration::from_millis(500)) {
+                received.push(item);
             }
         });
         received
@@ -1320,11 +1332,8 @@ mod tests {
                     );
                 }
             });
-            loop {
-                match service.output.recv_timeout(Duration::from_millis(500)) {
-                    Ok(item) => received.push(item),
-                    Err(_) => break,
-                }
+            while let Ok(item) = service.output.recv_timeout(Duration::from_millis(500)) {
+                received.push(item);
             }
         });
         assert_eq!(received.len(), 40);

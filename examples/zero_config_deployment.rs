@@ -9,15 +9,15 @@
 //!
 //! This example drops the parser into an *unknown* system (a 24-source
 //! cloud platform it has never seen), calibrates Drain on the first
-//! thousand lines with the label-free quality score, then goes live as a
-//! standing sharded parse service with backpressure — no human-provided
+//! thousand lines with the label-free quality score, then goes live with
+//! the inline Drain parser the `monilog` binary runs — no human-provided
 //! regexes, thresholds or depths anywhere.
 //!
 //! Run with: `cargo run --release -p monilog-core --example zero_config_deployment`
 
 use monilog_core::parse::autotune::{autotune_drain, TuneGrid};
 use monilog_core::parse::eval::grouping_accuracy;
-use monilog_core::stream::ShardedParseService;
+use monilog_core::parse::{Drain, OnlineParser};
 use monilog_loggen::{CloudWorkload, CloudWorkloadConfig};
 
 fn main() {
@@ -58,33 +58,17 @@ fn main() {
         result.all.len(),
     );
 
-    // ── Step 3: start parsing logs (standing service, backpressure) ──────
+    // ── Step 3: start parsing logs with the calibrated parser ────────────
     let live = &logs[calibration_size..];
-    let mut service = ShardedParseService::spawn(4, config, 256).expect("valid service config");
-    let mut parsed = vec![0u32; live.len()];
-    std::thread::scope(|s| {
-        let svc = &service;
-        s.spawn(move || {
-            for (i, log) in live.iter().enumerate() {
-                svc.submit(i as u64, log.record.message.clone())
-                    .expect("service accepts until closed");
-            }
-        });
-        let mut received = 0;
-        while received < live.len() {
-            if let Some(item) = svc.recv() {
-                parsed[item.seq as usize] = item.outcome.template.0;
-                received += 1;
-            }
-        }
-    });
-    service.close();
-    let (_, shard_templates) = service.shutdown();
+    let mut drain = Drain::new(config);
+    let parsed: Vec<u32> = live
+        .iter()
+        .map(|l| drain.parse(l.record.message.as_str()).template.0)
+        .collect();
     println!(
-        "step 3: parsed {} live lines across 4 standing shards \
-         (templates per shard: {:?})",
+        "step 3: parsed {} live lines inline ({} templates discovered)",
         live.len(),
-        shard_templates
+        drain.store().len()
     );
 
     // ── The report card (ground truth known only to the generator) ───────

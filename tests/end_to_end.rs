@@ -282,7 +282,6 @@ fn template_ids_survive_restart() {
         quantitative_anomaly_rate: 0.0,
         seed: 92,
         start_ms: LIVE_START_MS,
-        ..Default::default()
     })
     .generate();
     for log in &live {
@@ -344,7 +343,6 @@ fn pipeline_checkpoint_restores_detection_behaviour() {
         quantitative_anomaly_rate: 0.04,
         seed: 96,
         start_ms: LIVE_START_MS,
-        ..Default::default()
     })
     .generate();
 
@@ -410,7 +408,6 @@ fn anomaly_provenance_resolves_over_http() {
         quantitative_anomaly_rate: 0.0,
         seed: 43,
         start_ms: LIVE_START_MS,
-        ..Default::default()
     })
     .generate();
     let mut anomalies = Vec::new();

@@ -14,10 +14,10 @@
 
 use monilog_core::stream::PipelineMetrics;
 use monilog_core::stream::{
-    FailureReason, FaultPlan, OverloadPolicy, SubmitOutcome, SupervisedParseService,
+    FailureReason, FaultPlan, OverloadPolicy, RetryPolicy, SubmitOutcome, SupervisedParseService,
     SupervisorConfig,
 };
-use monilog_core::{FaultToleranceConfig, MoniLogConfig};
+use monilog_core::FaultToleranceConfig;
 use monilog_loggen::{HdfsWorkload, HdfsWorkloadConfig};
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicU64;
@@ -39,20 +39,21 @@ fn corpus(n: usize, seed: u64) -> Vec<String> {
         .collect()
 }
 
-/// The facade's fault-tolerance knobs mapped down to a supervisor config,
-/// then tightened for fast tests (short heartbeats, microsecond backoff).
+/// The facade's overload policy on a supervisor config, tightened for
+/// fast tests (short heartbeats, microsecond backoff).
 fn test_config(fault: FaultToleranceConfig) -> SupervisorConfig {
-    let mut cfg = MoniLogConfig {
-        fault_tolerance: fault,
-        ..Default::default()
+    SupervisorConfig {
+        n_shards: 2,
+        capacity: 64,
+        overload: fault.on_overload,
+        heartbeat_interval: Duration::from_millis(5),
+        retry: RetryPolicy {
+            base_backoff: Duration::from_micros(100),
+            max_backoff: Duration::from_millis(1),
+            ..RetryPolicy::default()
+        },
+        ..SupervisorConfig::default()
     }
-    .supervisor_config();
-    cfg.n_shards = 2;
-    cfg.capacity = 64;
-    cfg.heartbeat_interval = Duration::from_millis(5);
-    cfg.retry.base_backoff = Duration::from_micros(100);
-    cfg.retry.max_backoff = Duration::from_millis(1);
-    cfg
 }
 
 fn get(counter: &AtomicU64) -> u64 {
@@ -212,7 +213,6 @@ fn facade_shed_policy_degrades_gracefully_under_saturation() {
     let lines = corpus(200, 11);
     let fault = FaultToleranceConfig {
         on_overload: OverloadPolicy::ShedToCatchAll,
-        ..Default::default()
     };
     let mut cfg = test_config(fault);
     cfg.n_shards = 1;
@@ -250,7 +250,6 @@ fn facade_dead_letter_policy_diverts_under_saturation() {
     let lines = corpus(200, 12);
     let fault = FaultToleranceConfig {
         on_overload: OverloadPolicy::DeadLetter,
-        ..Default::default()
     };
     let mut cfg = test_config(fault);
     cfg.n_shards = 1;

@@ -7,7 +7,7 @@ use monilog_core::cli::{run, CliCommand, DurableOptions, HeaderChoice, SourcesOp
 use monilog_core::{FaultToleranceConfig, ObservabilityConfig};
 use monilog_loggen::{GenLog, HdfsWorkload, HdfsWorkloadConfig};
 use monilog_stream::sources::parse_syslog;
-use monilog_stream::{BatchConfig, FrameDecoder, SourcesConfig, SourcesServer};
+use monilog_stream::{FrameDecoder, SourcesConfig, SourcesServer};
 use proptest::prelude::*;
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -46,8 +46,6 @@ fn train_checkpoint(dir: &Path) -> PathBuf {
         logfile: train_file.to_string_lossy().into_owned(),
         checkpoint: ckpt.to_string_lossy().into_owned(),
         format: HeaderChoice::Dash,
-        fault: FaultToleranceConfig::default(),
-        batch: BatchConfig::default(),
         observability: ObservabilityConfig::default(),
         trace_out: None,
     })
@@ -62,7 +60,6 @@ fn live_lines() -> Vec<String> {
         quantitative_anomaly_rate: 0.0,
         seed: 7,
         start_ms: 1_600_003_600_000,
-        ..Default::default()
     })
     .generate()
     .iter()
@@ -79,6 +76,8 @@ fn durable_opts(state_dir: &Path) -> DurableOptions {
         sinks: None,
         config_file: None,
         latency_budget_ms: 250,
+        batch_lines: None,
+        batch_deadline_ms: None,
     }
 }
 
@@ -144,7 +143,6 @@ fn syslog_fed_monitor_matches_file_fed_reference() {
         checkpoint: ckpt.to_string_lossy().into_owned(),
         format: HeaderChoice::Dash,
         fault: FaultToleranceConfig::default(),
-        batch: BatchConfig::default(),
         observability: ObservabilityConfig::default(),
         trace_out: None,
         durable: Some(durable_opts(&ref_state)),
@@ -166,7 +164,6 @@ fn syslog_fed_monitor_matches_file_fed_reference() {
         checkpoint: ckpt.to_string_lossy().into_owned(),
         format: HeaderChoice::Dash,
         fault: FaultToleranceConfig::default(),
-        batch: BatchConfig::default(),
         observability: ObservabilityConfig::default(),
         trace_out: None,
         durable: Some(durable_opts(&net_state)),
