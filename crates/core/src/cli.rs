@@ -23,8 +23,8 @@ use monilog_model::{Criticality, RawLog, SourceId};
 use monilog_parse::autotune::{autotune_drain, TuneGrid};
 use monilog_parse::{Drain, DrainConfig, OnlineParser};
 use monilog_stream::{
-    BreakerState, ConfigSnapshot, JournalConfig, MetricsExporter, OpsState, OverloadPolicy,
-    PipelineMetrics, ReloadableConfig, ReportStore, StatusBoard, StatusInputs,
+    BreakerState, ConfigSnapshot, JournalConfig, MetricsEndpoint, MetricsExporter, OpsState,
+    OverloadPolicy, PipelineMetrics, ReloadableConfig, ReportStore, StatusBoard, StatusInputs,
     DEFAULT_LATENCY_BUDGET_MS, DEFAULT_REPORT_CAPACITY,
 };
 use std::fmt::Write as _;
@@ -917,14 +917,14 @@ fn spawn_exporter(
     let Some(addr) = observability.metrics_addr else {
         return Ok(None);
     };
-    let exporter = MetricsExporter::spawn_with_ops(
+    let endpoint = MetricsEndpoint {
         addr,
-        monilog.registry(),
-        std::time::Duration::from_millis(observability.metrics_interval_ms),
-        Some(monilog.tracer()),
-        ops.map(|o| Arc::new(o.clone())),
-    )
-    .map_err(|e| format!("cannot serve metrics on {addr}: {e}"))?;
+        interval: std::time::Duration::from_millis(observability.metrics_interval_ms),
+        tracer: Some(monilog.tracer()),
+        ops: ops.map(|o| Arc::new(o.clone())),
+    };
+    let exporter = MetricsExporter::spawn(endpoint, monilog.registry())
+        .map_err(|e| format!("cannot serve metrics on {addr}: {e}"))?;
     let _ = writeln!(out, "metrics: http://{}/metrics", exporter.local_addr());
     let _ = writeln!(out, "flight:  http://{}/flight", exporter.local_addr());
     if ops.is_some() {
@@ -1592,7 +1592,7 @@ fn run_sources_monitor(
     use monilog_stream::sources::{
         glob_match, GlobResume, TailCursor, TailGlobSpec, TailSpec, TAIL_SOURCE_BASE,
     };
-    use monilog_stream::{DeadLetterLog, MetricsEndpoint, SourcesConfig, SourcesServer};
+    use monilog_stream::{DeadLetterLog, SourcesConfig, SourcesServer};
     use std::time::{Duration, Instant};
 
     monilog_stream::install_shutdown_handler();

@@ -280,8 +280,9 @@ impl MoniLog {
     }
 
     /// The span tracer / flight recorder this pipeline records into — hand
-    /// it to [`monilog_stream::MetricsExporter::spawn_with_tracer`] to serve
-    /// `/trace/{id}` and `/flight`.
+    /// it to [`monilog_stream::MetricsExporter::spawn`] (as
+    /// [`monilog_stream::MetricsEndpoint::tracer`]) to serve `/trace/{id}`
+    /// and `/flight`.
     pub fn tracer(&self) -> Arc<Tracer> {
         Arc::clone(&self.tracer)
     }

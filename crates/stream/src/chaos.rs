@@ -37,6 +37,7 @@
 //! The server records every report id it acknowledged; the harness
 //! compares that *receiver-side* delivered set against a fault-free run.
 
+use crate::net::http;
 use crate::sinks::{self, BufferedReport, PING_ACK};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashSet};
@@ -353,7 +354,7 @@ fn serve_connection(
                 } else {
                     "500 Internal Server Error"
                 };
-                let _ = write!(stream, "HTTP/1.1 {status}\r\nContent-Length: 0\r\n\r\n");
+                respond(&mut stream, status, "");
             }
             SinkProtocol::Framed => {
                 let _ = sinks::read_frame(&mut stream);
@@ -395,17 +396,16 @@ fn serve_framed(mut stream: TcpStream, ledger: &SinkLedger, stop: &AtomicBool) {
     }
 }
 
-/// Read one HTTP request (head + `Content-Length` body). Returns the
-/// request line and body.
-fn read_http_request(stream: &mut TcpStream) -> std::io::Result<(String, Vec<u8>)> {
+/// Read one HTTP request (head + `Content-Length` body) with the shared
+/// head parser.
+fn read_http_request(stream: &mut TcpStream) -> std::io::Result<(http::Head, Vec<u8>)> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
-    let head_end = loop {
-        if let Some(i) = find_head_end(&buf) {
-            break i;
-        }
-        if buf.len() > 1 << 20 {
-            return Err(std::io::Error::other("request head too large"));
+    let (head, len) = loop {
+        match http::parse_head(&buf, 1 << 20) {
+            Ok(Some(parsed)) => break parsed,
+            Ok(None) => {}
+            Err(e) => return Err(std::io::Error::other(e.message())),
         }
         let n = stream.read(&mut chunk)?;
         if n == 0 {
@@ -413,44 +413,33 @@ fn read_http_request(stream: &mut TcpStream) -> std::io::Result<(String, Vec<u8>
         }
         buf.extend_from_slice(&chunk[..n]);
     };
-    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-    let request_line = head.lines().next().unwrap_or("").to_string();
-    let content_length = head
-        .lines()
-        .find_map(|l| {
-            let (k, v) = l.split_once(':')?;
-            k.eq_ignore_ascii_case("content-length")
-                .then(|| v.trim().parse::<usize>().ok())?
-        })
-        .unwrap_or(0);
-    let mut body = buf[head_end + 4..].to_vec();
-    while body.len() < content_length {
+    let mut body = buf.split_off(len);
+    while body.len() < head.content_length {
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             break;
         }
         body.extend_from_slice(&chunk[..n]);
     }
-    body.truncate(content_length);
-    Ok((request_line, body))
+    body.truncate(head.content_length);
+    Ok((head, body))
 }
 
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+fn respond(stream: &mut TcpStream, status: &'static str, body: &str) {
+    let _ = stream.write_all(&http::Response::new(status, "text/plain", body).into_bytes());
 }
 
 /// Healthy HTTP service: 200 to `/healthz`, record ndjson POST bodies
 /// (one report per line, id parsed from the leading `{"id":N,` that
 /// `AnomalyReport::to_json` guarantees), 200 on success.
 fn serve_http(mut stream: TcpStream, ledger: &SinkLedger) {
-    let Ok((request_line, body)) = read_http_request(&mut stream) else {
+    let Ok((head, body)) = read_http_request(&mut stream) else {
         return;
     };
-    if request_line.starts_with("GET /healthz") {
-        let _ = write!(stream, "HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nok\n");
-        return;
+    if head.method == "GET" && head.path == "/healthz" {
+        return respond(&mut stream, "200 OK", "ok\n");
     }
-    if request_line.starts_with("POST") {
+    if head.method == "POST" {
         let text = String::from_utf8_lossy(&body);
         for line in text.lines().filter(|l| !l.trim().is_empty()) {
             let id = parse_report_id(line);
@@ -463,13 +452,9 @@ fn serve_http(mut stream: TcpStream, ledger: &SinkLedger) {
                 },
             );
         }
-        let _ = write!(stream, "HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n");
-        return;
+        return respond(&mut stream, "200 OK", "");
     }
-    let _ = write!(
-        stream,
-        "HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"
-    );
+    respond(&mut stream, "404 Not Found", "");
 }
 
 /// Extract the id from a report JSON line (`{"id":N,...}`); 0 if absent.

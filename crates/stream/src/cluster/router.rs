@@ -28,13 +28,13 @@
 use super::wire::{encode_frame, BatchEntry, FrameReader, Message};
 use super::{backoff_delay_ms, rendezvous_owner};
 use crate::durable::DurabilityError;
-use crate::net::{AsLoopFd, EventLoop, Handler, Interest, LoopCtx, Next};
+use crate::net::{EventLoop, Handler, Interest, LoopCtx, Next};
 use crate::sinks::{BufferedReport, DeliveryBuffer};
 use monilog_model::{DeliveryClass, SourceId, TemplateStore};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -394,9 +394,7 @@ impl Router {
     /// Bind the listener, start the event-loop thread, return the handle.
     pub fn spawn(cfg: RouterConfig) -> Result<Router, RouterError> {
         std::fs::create_dir_all(&cfg.buffer_dir)?;
-        let listener = TcpListener::bind(cfg.listen)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
+        let listen = cfg.listen;
 
         let shared = Arc::new(Shared {
             core: Mutex::new(Core {
@@ -416,13 +414,19 @@ impl Router {
         });
 
         let mut el = EventLoop::new()?;
-        el.register(
-            listener.loop_fd(),
-            Box::new(ClusterListener {
-                listener,
-                shared: shared.clone(),
-            }),
-        )?;
+        let accepting = shared.clone();
+        let local_addr = el.listen(listen, move |conn| {
+            let _ = conn.set_nodelay(true);
+            Box::new(NodeConn {
+                conn,
+                shared: accepting.clone(),
+                reader: FrameReader::new(),
+                wbuf: Vec::new(),
+                wpos: 0,
+                node: None,
+                gen: 0,
+            })
+        })?;
         el.register_timer(Box::new(FleetTimer {
             shared: shared.clone(),
         }));
@@ -579,42 +583,6 @@ impl Router {
 impl Drop for Router {
     fn drop(&mut self) {
         self.stop_inner();
-    }
-}
-
-/// Accepts monitor connections and registers a [`NodeConn`] per socket.
-struct ClusterListener {
-    listener: TcpListener,
-    shared: Arc<Shared>,
-}
-
-impl Handler for ClusterListener {
-    fn ready(&mut self, _r: bool, _w: bool, ctx: &mut LoopCtx<'_>) -> Next {
-        loop {
-            match self.listener.accept() {
-                Ok((conn, _)) => {
-                    if conn.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = conn.set_nodelay(true);
-                    let fd = conn.loop_fd();
-                    ctx.register(
-                        fd,
-                        Box::new(NodeConn {
-                            conn,
-                            shared: self.shared.clone(),
-                            reader: FrameReader::new(),
-                            wbuf: Vec::new(),
-                            wpos: 0,
-                            node: None,
-                            gen: 0,
-                        }),
-                    );
-                }
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return Next::Keep,
-                Err(_) => return Next::Keep,
-            }
-        }
     }
 }
 

@@ -1,8 +1,7 @@
-//! Metrics export endpoint.
+//! The metrics and ops endpoint.
 //!
-//! [`MetricsExporter`] is a minimal HTTP/1.1 server serving
-//! [`crate::observe::MetricsSnapshot`] renderings and, when a [`Tracer`] is
-//! attached, the span-tracing views:
+//! [`MetricsExporter`] serves [`crate::observe::MetricsSnapshot`]
+//! renderings and, when a [`Tracer`] is attached, the span-tracing views:
 //!
 //! - `GET /metrics` — Prometheus text exposition format
 //! - `GET /metrics.json` — JSON
@@ -10,8 +9,8 @@
 //! - `GET /trace/{id}` — span tree of one sampled trace (JSON)
 //! - `GET /flight` — current flight-recorder ring contents (JSON)
 //!
-//! With an [`OpsState`] attached ([`MetricsExporter::spawn_with_ops`]) the
-//! same listener also serves the live operations surface (`crate::ops`):
+//! With an [`OpsState`] attached ([`MetricsEndpoint::ops`]) the same
+//! listener also serves the live operations surface (`crate::ops`):
 //!
 //! - `GET /reports[?since=&severity=&template=&source=&limit=]` — query the
 //!   recent-anomaly store
@@ -22,18 +21,15 @@
 //!   sources keep flowing), or 503 with reasons
 //! - `GET /config` / `POST /config` — view / hot-reload the runtime config
 //!
-//! Connections are served on the shared [`crate::net`] event loop: every
-//! client gets its own non-blocking connection handler with a per-connection
-//! read buffer, so one stalled or malicious peer can no longer head-of-line
-//! block other scrapes (the old implementation accepted and served one
-//! connection at a time inline), and readiness notification replaces the old
-//! 20 ms accept poll, so an idle endpoint answers in microseconds instead of
-//! up to a poll tick. No external HTTP crate — request parsing is the
-//! minimum needed for `curl`/Prometheus: read the request head (capped at
-//! 4 KiB, under an overall deadline enforced from the loop tick), match the
-//! path.
+//! Other methods answer 405. Requests go through the shared HTTP layer
+//! (`crate::net::http`) on a [`crate::net::EventLoop`]: its own thread
+//! for a standalone exporter, or the sources' loop when network sources
+//! run. The ops listener's limits are tight — 4 KiB of head, 4 KiB of
+//! body, 2 s to receive a request — since only probes, scrapers and
+//! operators talk to it.
 
-use crate::net::{AsLoopFd, EventLoop, Handler, Interest, LoopCtx, Next};
+use crate::net::http::{Admit, Head, HttpConn, HttpError, Limits, Response, Service};
+use crate::net::{EventLoop, Handler, Interest, LoopCtx, Next};
 use crate::observe::MetricsRegistry;
 use crate::ops::{
     degraded_reasons, parse_config_pairs, readiness_reasons, render_status, report_detail_json,
@@ -42,30 +38,15 @@ use crate::ops::{
 use crate::trace::Tracer;
 use monilog_model::trace::json_string;
 use monilog_model::TraceId;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Upper bound on the bytes of request head we are willing to read.
-/// Anything larger is a client error (431-ish; we answer 400).
+/// Cap on the request head, and separately on the request body.
 const MAX_REQUEST_BYTES: usize = 4096;
-
-/// Overall deadline for reading one request head. A client trickling one
-/// byte at a time can never hold a response hostage longer than this; the
-/// connection is routed (usually to a 400) with whatever arrived.
-const READ_DEADLINE: Duration = Duration::from_secs(2);
-
-/// Deadline for flushing a response once it is queued.
-const WRITE_DEADLINE: Duration = Duration::from_secs(2);
-
-/// Cap on post-response bytes we are willing to discard. Closing with
-/// unread bytes in the receive buffer makes the kernel RST the connection,
-/// which would destroy a 400 response before the client reads it — so we
-/// keep reading (and dropping) up to this much while flushing.
-const DRAIN_CAP: usize = 64 * 1024;
 
 /// Rendered snapshot cache shared between the refresher and request
 /// handling.
@@ -75,10 +56,8 @@ struct Rendered {
     json: String,
 }
 
-/// Renders snapshots and answers routed requests. Shared between the
-/// standalone [`MetricsExporter`] and the sources server, which mounts the
-/// same endpoint on its own event loop.
-pub(crate) struct MetricsService {
+/// Renders snapshots and answers routed requests.
+struct MetricsService {
     registry: Arc<MetricsRegistry>,
     tracer: Option<Arc<Tracer>>,
     ops: Option<Arc<OpsState>>,
@@ -86,32 +65,17 @@ pub(crate) struct MetricsService {
 }
 
 impl MetricsService {
-    pub(crate) fn new(
-        registry: Arc<MetricsRegistry>,
-        tracer: Option<Arc<Tracer>>,
-        ops: Option<Arc<OpsState>>,
-    ) -> Self {
-        let svc = MetricsService {
-            registry,
-            tracer,
-            ops,
-            cache: Mutex::new(Rendered::default()),
-        };
-        svc.render();
-        svc
-    }
-
     /// Re-render the snapshot cache (called on accept and on the refresh
     /// interval, so a scrape never walks histogram buckets on the request
     /// path of a busy endpoint).
-    pub(crate) fn render(&self) {
+    fn render(&self) {
         let snapshot = self.registry.snapshot();
         let mut slot = self.cache.lock().expect("render cache");
         slot.prometheus = snapshot.to_prometheus();
         slot.json = snapshot.to_json();
     }
 
-    fn route(&self, method: &str, path: &str, body: &str) -> (&'static str, &'static str, String) {
+    fn route(&self, method: &str, path: &str, body: &str) -> Response {
         if method == "POST" {
             return self.route_post(path, body);
         }
@@ -125,14 +89,14 @@ impl MetricsService {
                     let inputs = ops.status.inputs();
                     let (_, json) =
                         render_status(&snap, &inputs, ops.status.budget_ms(), ops.reload.version());
-                    ("200 OK", "application/json", json)
+                    Response::json("200 OK", json)
                 }
                 None => ops_disabled(),
             },
             "/readyz" => match &self.ops {
                 // Without an ops state there is nothing that could be
                 // not-ready: fall back to liveness semantics.
-                None => ("200 OK", "text/plain", "ok\n".to_string()),
+                None => Response::new("200 OK", "text/plain", "ok\n"),
                 Some(ops) => {
                     let inputs = ops.status.inputs();
                     let critical = readiness_reasons(&inputs);
@@ -142,9 +106,8 @@ impl MetricsService {
                         quoted.join(",")
                     };
                     if !critical.is_empty() {
-                        (
+                        Response::json(
                             "503 Service Unavailable",
-                            "application/json",
                             format!("{{\"ready\":false,\"reasons\":[{}]}}\n", enc(&critical)),
                         )
                     } else if !degraded.is_empty() {
@@ -152,22 +115,20 @@ impl MetricsService {
                         // router keeps serving local sources, so probes
                         // must NOT pull it from rotation — 200 with the
                         // machine-readable reason in the body.
-                        (
+                        Response::json(
                             "200 OK",
-                            "application/json",
                             format!(
-                                "{{\"ready\":true,\"status\":\"degraded\",\
-                                 \"reasons\":[{}]}}\n",
+                                "{{\"ready\":true,\"status\":\"degraded\",\"reasons\":[{}]}}\n",
                                 enc(&degraded)
                             ),
                         )
                     } else {
-                        ("200 OK", "text/plain", "ok\n".to_string())
+                        Response::new("200 OK", "text/plain", "ok\n")
                     }
                 }
             },
             "/config" => match &self.ops {
-                Some(ops) => ("200 OK", "application/json", ops.reload.to_json()),
+                Some(ops) => Response::json("200 OK", ops.reload.to_json()),
                 None => ops_disabled(),
             },
             p if p == "/reports" || p.starts_with("/reports?") || p.starts_with("/reports/") => {
@@ -177,51 +138,37 @@ impl MetricsService {
         }
     }
 
-    fn route_post(&self, path: &str, body: &str) -> (&'static str, &'static str, String) {
+    fn route_post(&self, path: &str, body: &str) -> Response {
         match (path, &self.ops) {
             ("/config", Some(ops)) => {
                 match parse_config_pairs(body)
                     .and_then(|pairs| ops.reload.apply_pairs(&pairs, "post"))
                 {
-                    Ok(_) => ("200 OK", "application/json", ops.reload.to_json()),
-                    Err(e) => (
-                        "400 Bad Request",
-                        "application/json",
-                        format!("{{\"error\":{}}}\n", json_string(&e)),
-                    ),
+                    Ok(_) => Response::json("200 OK", ops.reload.to_json()),
+                    Err(e) => Response::error("400 Bad Request", &e),
                 }
             }
             ("/config", None) => ops_disabled(),
-            _ => (
-                "405 Method Not Allowed",
-                "application/json",
-                "{\"error\":\"POST is only accepted on /config\"}\n".to_string(),
-            ),
+            _ => Response::error("405 Method Not Allowed", "POST is only accepted on /config"),
         }
     }
 
-    fn route_reports(&self, path: &str) -> (&'static str, &'static str, String) {
+    fn route_reports(&self, path: &str) -> Response {
         let Some(ops) = &self.ops else {
             return ops_disabled();
         };
         if let Some(rest) = path.strip_prefix("/reports/") {
             return match rest.parse::<u64>() {
-                Err(_) => (
-                    "400 Bad Request",
-                    "application/json",
-                    "{\"error\":\"report id must be an unsigned integer\"}\n".to_string(),
-                ),
+                Err(_) => {
+                    Response::error("400 Bad Request", "report id must be an unsigned integer")
+                }
                 Ok(id) => match ops.reports.get(id) {
-                    Some(r) => (
-                        "200 OK",
-                        "application/json",
-                        report_detail_json(&r, self.tracer.as_deref()),
-                    ),
-                    None => (
-                        "404 Not Found",
-                        "application/json",
-                        format!("{{\"error\":\"no report {id} in the store\"}}\n"),
-                    ),
+                    Some(r) => {
+                        Response::json("200 OK", report_detail_json(&r, self.tracer.as_deref()))
+                    }
+                    None => {
+                        Response::error("404 Not Found", &format!("no report {id} in the store"))
+                    }
                 },
             };
         }
@@ -230,32 +177,35 @@ impl MetricsService {
             .map(|rest| rest.strip_prefix('?').unwrap_or(rest))
             .unwrap_or("");
         match ReportsQuery::parse(qs) {
-            Err(e) => (
-                "400 Bad Request",
-                "application/json",
-                format!("{{\"error\":{}}}\n", json_string(&e)),
-            ),
+            Err(e) => Response::error("400 Bad Request", &e),
             Ok(q) => {
                 let (total, items) = ops.reports.query(&q);
-                ("200 OK", "application/json", reports_json(total, &items))
+                Response::json("200 OK", reports_json(total, &items))
             }
         }
     }
 }
 
-fn ops_disabled() -> (&'static str, &'static str, String) {
-    (
-        "404 Not Found",
-        "application/json",
-        "{\"error\":\"ops surface disabled\"}\n".to_string(),
-    )
+fn ops_disabled() -> Response {
+    Response::error("404 Not Found", "ops surface disabled")
 }
 
-/// Periodic metrics exporter over a TCP/HTTP endpoint.
-///
-/// Spawn with [`MetricsExporter::spawn`]; the endpoint serves until the
-/// exporter is dropped. Bind to port 0 to let the OS pick a free port and
-/// read it back with [`MetricsExporter::local_addr`].
+/// Where and what the metrics endpoint serves. With `ops` set, the live
+/// operations surface (`/reports`, `/status`, `/readyz`, `/config`) is
+/// served from the same listener.
+pub struct MetricsEndpoint {
+    pub addr: SocketAddr,
+    /// Snapshot re-render interval (every accepted connection re-renders
+    /// as well).
+    pub interval: Duration,
+    /// Enables `/trace/{id}` and `/flight` (404 without).
+    pub tracer: Option<Arc<Tracer>>,
+    pub ops: Option<Arc<OpsState>>,
+}
+
+/// Metrics endpoint on its own thread; serves until dropped. Bind to
+/// port 0 to let the OS pick a free port and read it back with
+/// [`MetricsExporter::local_addr`].
 #[derive(Debug)]
 pub struct MetricsExporter {
     addr: SocketAddr,
@@ -264,46 +214,10 @@ pub struct MetricsExporter {
 }
 
 impl MetricsExporter {
-    /// Bind `addr` and start serving snapshots of `registry`, re-rendered
-    /// every `interval`. `/trace/{id}` and `/flight` answer 404 — attach a
-    /// tracer with [`MetricsExporter::spawn_with_tracer`] to enable them.
-    pub fn spawn(
-        addr: SocketAddr,
-        registry: Arc<MetricsRegistry>,
-        interval: Duration,
-    ) -> io::Result<Self> {
-        Self::spawn_with_tracer(addr, registry, interval, None)
-    }
-
-    /// Like [`MetricsExporter::spawn`], additionally serving the span
-    /// tracer's `/trace/{id}` and `/flight` views.
-    pub fn spawn_with_tracer(
-        addr: SocketAddr,
-        registry: Arc<MetricsRegistry>,
-        interval: Duration,
-        tracer: Option<Arc<Tracer>>,
-    ) -> io::Result<Self> {
-        Self::spawn_with_ops(addr, registry, interval, tracer, None)
-    }
-
-    /// Like [`MetricsExporter::spawn_with_tracer`], additionally serving
-    /// the live operations surface (`/reports`, `/status`, `/readyz`,
-    /// `/config`) backed by `ops`.
-    pub fn spawn_with_ops(
-        addr: SocketAddr,
-        registry: Arc<MetricsRegistry>,
-        interval: Duration,
-        tracer: Option<Arc<Tracer>>,
-        ops: Option<Arc<OpsState>>,
-    ) -> io::Result<Self> {
-        let listener = bind_reusable(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let service = Arc::new(MetricsService::new(registry, tracer, ops));
-
+    /// Bind `endpoint.addr` and start serving snapshots of `registry`.
+    pub fn spawn(endpoint: MetricsEndpoint, registry: Arc<MetricsRegistry>) -> io::Result<Self> {
         let mut event_loop = EventLoop::new()?;
-        register_metrics_listener(&mut event_loop, listener, service, interval)?;
-
+        let addr = mount(&mut event_loop, endpoint, registry)?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let handle = thread::Builder::new()
@@ -323,119 +237,6 @@ impl MetricsExporter {
     }
 }
 
-/// Register the `/metrics` listener + refresh tick on an event loop. Used by
-/// the standalone exporter and by the sources server, which shares its loop
-/// with the syslog/HTTP ingest endpoints.
-pub(crate) fn register_metrics_listener(
-    event_loop: &mut EventLoop,
-    listener: TcpListener,
-    service: Arc<MetricsService>,
-    interval: Duration,
-) -> io::Result<()> {
-    let fd = listener.loop_fd();
-    event_loop.register(
-        fd,
-        Box::new(MetricsListener {
-            listener,
-            service,
-            interval,
-            last_render: Instant::now(),
-        }),
-    )?;
-    Ok(())
-}
-
-/// Bind the exporter socket with `SO_REUSEADDR` so a restarting process
-/// (the crash-recovery path) can re-bind its old address while the dead
-/// process's connections sit in TIME_WAIT. On targets without the raw
-/// syscall shim — or if it fails — fall back to plain binds under a short
-/// exponential backoff, which rides out the same window more slowly.
-pub(crate) fn bind_reusable(addr: SocketAddr) -> io::Result<TcpListener> {
-    let mut delay = Duration::from_millis(50);
-    let mut last_err = None;
-    for attempt in 0..5 {
-        #[cfg(target_os = "linux")]
-        let result = match addr {
-            SocketAddr::V4(v4) => reuseaddr::bind_v4(v4).or_else(|_| TcpListener::bind(addr)),
-            _ => TcpListener::bind(addr),
-        };
-        #[cfg(not(target_os = "linux"))]
-        let result = TcpListener::bind(addr);
-        match result {
-            Ok(listener) => return Ok(listener),
-            Err(e) => last_err = Some(e),
-        }
-        if attempt < 4 {
-            thread::sleep(delay);
-            delay *= 2;
-        }
-    }
-    Err(last_err.unwrap_or_else(|| io::Error::other("bind failed")))
-}
-
-/// `socket(2)`/`setsockopt(2)`/`bind(2)`/`listen(2)` declared directly (no
-/// libc crate) — the constants and `sockaddr_in` layout are Linux ABI.
-#[cfg(target_os = "linux")]
-mod reuseaddr {
-    use std::io;
-    use std::net::{SocketAddrV4, TcpListener};
-    use std::os::unix::io::FromRawFd;
-
-    const AF_INET: i32 = 2;
-    const SOCK_STREAM: i32 = 1;
-    const SOL_SOCKET: i32 = 1;
-    const SO_REUSEADDR: i32 = 2;
-
-    #[repr(C)]
-    struct SockAddrIn {
-        sin_family: u16,
-        /// Network byte order.
-        sin_port: u16,
-        /// Network byte order.
-        sin_addr: u32,
-        sin_zero: [u8; 8],
-    }
-
-    extern "C" {
-        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-        fn setsockopt(fd: i32, level: i32, optname: i32, optval: *const i32, optlen: u32) -> i32;
-        fn bind(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
-        fn listen(fd: i32, backlog: i32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-
-    pub fn bind_v4(addr: SocketAddrV4) -> io::Result<TcpListener> {
-        unsafe {
-            let fd = socket(AF_INET, SOCK_STREAM, 0);
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            let fail = |fd: i32| -> io::Error {
-                let e = io::Error::last_os_error();
-                close(fd);
-                e
-            };
-            let one: i32 = 1;
-            if setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, 4) != 0 {
-                return Err(fail(fd));
-            }
-            let sa = SockAddrIn {
-                sin_family: AF_INET as u16,
-                sin_port: addr.port().to_be(),
-                sin_addr: u32::from_ne_bytes(addr.ip().octets()),
-                sin_zero: [0; 8],
-            };
-            if bind(fd, &sa, std::mem::size_of::<SockAddrIn>() as u32) != 0 {
-                return Err(fail(fd));
-            }
-            if listen(fd, 1024) != 0 {
-                return Err(fail(fd));
-            }
-            Ok(TcpListener::from_raw_fd(fd))
-        }
-    }
-}
-
 impl Drop for MetricsExporter {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
@@ -445,298 +246,116 @@ impl Drop for MetricsExporter {
     }
 }
 
-/// Accepts scrape connections and hands each its own [`MetricsConn`].
-struct MetricsListener {
-    listener: TcpListener,
+/// Serve `endpoint` on `event_loop`; returns the bound address. Used by
+/// the standalone exporter and by the sources server, which shares its
+/// loop with the syslog/HTTP ingest endpoints.
+pub(crate) fn mount(
+    event_loop: &mut EventLoop,
+    endpoint: MetricsEndpoint,
+    registry: Arc<MetricsRegistry>,
+) -> io::Result<SocketAddr> {
+    let service = Arc::new(MetricsService {
+        registry,
+        tracer: endpoint.tracer,
+        ops: endpoint.ops,
+        cache: Mutex::new(Rendered::default()),
+    });
+    service.render();
+    let accepting = Arc::clone(&service);
+    let addr = event_loop.listen(endpoint.addr, move |conn| {
+        // Re-render on accept too, so a scrape right after a burst sees
+        // fresh numbers even with a long refresh interval.
+        accepting.render();
+        let request = OpsRequest {
+            service: Arc::clone(&accepting),
+            head: Head::default(),
+        };
+        Box::new(HttpConn::new(conn, request))
+    })?;
+    event_loop.register_timer(Box::new(Refresh {
+        service,
+        interval: endpoint.interval,
+        last: Instant::now(),
+    }));
+    Ok(addr)
+}
+
+/// Re-renders the snapshot cache every `interval`.
+struct Refresh {
     service: Arc<MetricsService>,
     interval: Duration,
-    last_render: Instant,
+    last: Instant,
 }
 
-impl Handler for MetricsListener {
-    fn ready(&mut self, _readable: bool, _writable: bool, ctx: &mut LoopCtx<'_>) -> Next {
-        let mut accepted_any = false;
-        loop {
-            match self.listener.accept() {
-                Ok((conn, _)) => {
-                    accepted_any = true;
-                    if conn.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let fd = conn.loop_fd();
-                    ctx.register(fd, Box::new(MetricsConn::new(conn, self.service.clone())));
-                }
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-        if accepted_any {
-            // Re-render on demand too, so a scrape right after a burst sees
-            // fresh numbers even with a long refresh interval.
-            self.service.render();
-            self.last_render = Instant::now();
-        }
+impl Handler for Refresh {
+    fn ready(&mut self, _r: bool, _w: bool, _ctx: &mut LoopCtx<'_>) -> Next {
         Next::Keep
     }
 
     fn tick(&mut self, now: Instant, _ctx: &mut LoopCtx<'_>) -> Next {
-        if now.duration_since(self.last_render) >= self.interval {
+        if now.duration_since(self.last) >= self.interval {
             self.service.render();
-            self.last_render = now;
+            self.last = now;
         }
         Next::Keep
-    }
-}
-
-enum ConnPhase {
-    /// Accumulating the request head.
-    Reading,
-    /// Response queued in `out`; flush, drain stragglers, then close.
-    Writing { since: Instant },
-}
-
-/// One scrape connection: non-blocking, owns its read buffer, enforces the
-/// head cap and deadlines from the loop tick.
-struct MetricsConn {
-    conn: TcpStream,
-    service: Arc<MetricsService>,
-    buf: Vec<u8>,
-    out: Vec<u8>,
-    phase: ConnPhase,
-    opened: Instant,
-    drained: usize,
-}
-
-impl MetricsConn {
-    fn new(conn: TcpStream, service: Arc<MetricsService>) -> Self {
-        MetricsConn {
-            conn,
-            service,
-            buf: Vec::with_capacity(512),
-            out: Vec::new(),
-            phase: ConnPhase::Reading,
-            opened: Instant::now(),
-            drained: 0,
-        }
-    }
-
-    fn respond(&mut self, status: &str, content_type: &str, body: &str) {
-        self.out = format!(
-            "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        )
-        .into_bytes();
-        self.phase = ConnPhase::Writing {
-            since: Instant::now(),
-        };
-    }
-
-    /// Route whatever request has arrived (possibly none, possibly
-    /// over-cap garbage) and queue the response.
-    fn route_now(&mut self) {
-        if self.buf.len() > MAX_REQUEST_BYTES {
-            self.respond(
-                "400 Bad Request",
-                "text/plain",
-                "request exceeds 4096 bytes\n",
-            );
-            return;
-        }
-        let text = String::from_utf8_lossy(&self.buf).into_owned();
-        let (status, content_type, body) = match text.lines().next().map(parse_request_line) {
-            None | Some(None) => (
-                "400 Bad Request",
-                "text/plain",
-                "malformed request line\n".to_string(),
-            ),
-            Some(Some((method, path))) => {
-                let payload = request_body(&self.buf);
-                self.service.route(&method, &path, &payload)
-            }
-        };
-        self.respond(status, content_type, &body);
-    }
-
-    /// Whether enough of the request has arrived to route it. `GET`-style
-    /// requests route on the request line alone (the historical fast
-    /// path); `POST` waits for the blank line plus `Content-Length` bytes
-    /// of body, all under the same 4 KiB cap and read deadline.
-    fn request_complete(&self) -> bool {
-        if !self.buf.contains(&b'\n') {
-            return false;
-        }
-        if !self.buf.starts_with(b"POST ") {
-            return true;
-        }
-        let Some(head_end) = find_head_end(&self.buf) else {
-            return false;
-        };
-        let head = String::from_utf8_lossy(&self.buf[..head_end]);
-        let content_length = head
-            .lines()
-            .find_map(|l| {
-                let (name, value) = l.split_once(':')?;
-                if name.trim().eq_ignore_ascii_case("content-length") {
-                    value.trim().parse::<usize>().ok()
-                } else {
-                    None
-                }
-            })
-            .unwrap_or(0);
-        self.buf.len() >= head_end.saturating_add(content_length)
-    }
-
-    /// Read until `WouldBlock`. Returns false when the peer is gone.
-    fn pump_read(&mut self) -> bool {
-        let mut chunk = [0u8; 1024];
-        loop {
-            match self.conn.read(&mut chunk) {
-                Ok(0) => return false,
-                Ok(n) => match self.phase {
-                    ConnPhase::Reading => {
-                        self.buf.extend_from_slice(&chunk[..n]);
-                        if self.buf.len() > MAX_REQUEST_BYTES || self.request_complete() {
-                            self.route_now();
-                            return true;
-                        }
-                    }
-                    ConnPhase::Writing { .. } => {
-                        // Drain (and drop) stragglers so close() does not
-                        // RST the queued response away.
-                        self.drained += n;
-                        if self.drained > DRAIN_CAP {
-                            return false;
-                        }
-                    }
-                },
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
-        }
-    }
-
-    /// Flush the queued response. `Ok(true)` = fully flushed.
-    fn pump_write(&mut self) -> io::Result<bool> {
-        while !self.out.is_empty() {
-            match self.conn.write(&self.out) {
-                Ok(0) => return Err(io::Error::other("peer stopped reading")),
-                Ok(n) => {
-                    self.out.drain(..n);
-                }
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(true)
-    }
-}
-
-impl Handler for MetricsConn {
-    fn ready(&mut self, readable: bool, writable: bool, _ctx: &mut LoopCtx<'_>) -> Next {
-        if readable && !self.pump_read() {
-            // EOF mid-request: nothing useful to say; EOF after the
-            // response is queued: flush what we can below.
-            if matches!(self.phase, ConnPhase::Reading) {
-                return Next::Close;
-            }
-        }
-        if let ConnPhase::Writing { .. } = self.phase {
-            let _ = writable;
-            match self.pump_write() {
-                Ok(true) => {
-                    // Drain any request bytes still queued (an over-cap head
-                    // leaves some behind) so close() sends FIN, not RST,
-                    // and the peer can read the whole response.
-                    let _ = self.pump_read();
-                    return Next::Close;
-                }
-                Ok(false) => {}
-                Err(_) => return Next::Close,
-            }
-        }
-        Next::Keep
-    }
-
-    fn tick(&mut self, now: Instant, _ctx: &mut LoopCtx<'_>) -> Next {
-        match self.phase {
-            ConnPhase::Reading => {
-                if now.duration_since(self.opened) >= READ_DEADLINE {
-                    // Route whatever arrived (likely a 400) instead of
-                    // holding the connection open forever.
-                    self.route_now();
-                    match self.pump_write() {
-                        Ok(true) => {
-                            let _ = self.pump_read();
-                            return Next::Close;
-                        }
-                        Ok(false) => {}
-                        Err(_) => return Next::Close,
-                    }
-                }
-                Next::Keep
-            }
-            ConnPhase::Writing { since } => {
-                if now.duration_since(since) >= WRITE_DEADLINE {
-                    return Next::Close;
-                }
-                Next::Keep
-            }
-        }
     }
 
     fn interest(&self) -> Interest {
-        Interest {
-            read: true,
-            write: !self.out.is_empty(),
+        Interest::NONE
+    }
+}
+
+/// One ops-listener request on the shared HTTP layer.
+struct OpsRequest {
+    service: Arc<MetricsService>,
+    head: Head,
+}
+
+impl Service for OpsRequest {
+    const LIMITS: Limits = Limits {
+        head_bytes: MAX_REQUEST_BYTES,
+        request_deadline: Duration::from_secs(2),
+        write_deadline: Duration::from_secs(2),
+    };
+
+    fn head(&mut self, head: Head) -> Admit {
+        if head.method != "GET" && head.method != "POST" {
+            let allowed = "only GET, and POST to /config, are served";
+            return Admit::Reply(Response::error("405 Method Not Allowed", allowed));
         }
+        if head.content_length > MAX_REQUEST_BYTES {
+            // Same answer as an over-cap head.
+            return Admit::Reply(self.refuse(HttpError::HeadTooLarge));
+        }
+        self.head = head;
+        Admit::Body
+    }
+
+    fn body(&mut self, body: Vec<u8>) -> Option<Response> {
+        let body = String::from_utf8_lossy(&body);
+        Some(
+            self.service
+                .route(&self.head.method, &self.head.path, &body),
+        )
+    }
+
+    fn refuse(&mut self, err: HttpError) -> Response {
+        let message = match err {
+            HttpError::HeadTooLarge => format!("request exceeds {MAX_REQUEST_BYTES} bytes"),
+            _ => err.message().to_string(),
+        };
+        Response::new(err.status(), "text/plain", message + "\n")
     }
 }
 
-/// Extract `(method, path)` from `GET <path> HTTP/1.1`; `None` when the
-/// line is not a plausible HTTP request line.
-fn parse_request_line(line: &str) -> Option<(String, String)> {
-    let mut parts = line.split_whitespace();
-    let method = parts.next()?;
-    let path = parts.next()?;
-    if method.is_empty()
-        || !method.chars().all(|c| c.is_ascii_uppercase())
-        || !path.starts_with('/')
-    {
-        return None;
-    }
-    Some((method.to_string(), path.to_string()))
-}
-
-/// Byte offset one past the `\r\n\r\n` (or bare `\n\n`) head terminator.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    if let Some(at) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-        return Some(at + 4);
-    }
-    buf.windows(2).position(|w| w == b"\n\n").map(|at| at + 2)
-}
-
-/// The request body (bytes past the head terminator), lossily decoded.
-fn request_body(buf: &[u8]) -> String {
-    match find_head_end(buf) {
-        Some(at) => String::from_utf8_lossy(&buf[at..]).into_owned(),
-        None => String::new(),
-    }
-}
-
-fn route(
-    path: &str,
-    cache: &Mutex<Rendered>,
-    tracer: Option<&Tracer>,
-) -> (&'static str, &'static str, String) {
+fn route(path: &str, cache: &Mutex<Rendered>, tracer: Option<&Tracer>) -> Response {
     match path {
         // Liveness probe, shared convention with the delivery sinks'
         // healthcheck (`crate::sinks`): 200 + "ok" with no registry work.
-        "/healthz" => ("200 OK", "text/plain", "ok\n".to_string()),
+        "/healthz" => Response::new("200 OK", "text/plain", "ok\n"),
         "/metrics" | "/" => {
             let rendered = cache.lock().expect("render cache");
-            (
+            Response::new(
                 "200 OK",
                 "text/plain; version=0.0.4",
                 rendered.prometheus.clone(),
@@ -744,43 +363,28 @@ fn route(
         }
         "/metrics.json" => {
             let rendered = cache.lock().expect("render cache");
-            ("200 OK", "application/json", rendered.json.clone())
+            Response::json("200 OK", rendered.json.clone())
         }
         "/flight" => match tracer {
-            Some(t) => ("200 OK", "application/json", t.flight_json()),
-            None => (
-                "404 Not Found",
-                "application/json",
-                "{\"error\":\"tracing disabled\"}\n".to_string(),
-            ),
+            Some(t) => Response::json("200 OK", t.flight_json()),
+            None => Response::error("404 Not Found", "tracing disabled"),
         },
         _ => match path.strip_prefix("/trace/") {
             Some(id) => match (id.parse::<u64>(), tracer) {
-                (Err(_), _) | (Ok(0), _) => (
-                    "400 Bad Request",
-                    "application/json",
-                    "{\"error\":\"trace id must be a positive integer\"}\n".to_string(),
-                ),
-                (Ok(_), None) => (
-                    "404 Not Found",
-                    "application/json",
-                    "{\"error\":\"tracing disabled\"}\n".to_string(),
-                ),
+                (Err(_), _) | (Ok(0), _) => {
+                    Response::error("400 Bad Request", "trace id must be a positive integer")
+                }
+                (Ok(_), None) => Response::error("404 Not Found", "tracing disabled"),
                 (Ok(id), Some(t)) => match t.trace_json(TraceId(id)) {
-                    Some(json) => ("200 OK", "application/json", json),
-                    None => (
-                        "404 Not Found",
-                        "application/json",
-                        format!("{{\"error\":\"no spans for trace {id}\"}}\n"),
-                    ),
+                    Some(json) => Response::json("200 OK", json),
+                    None => Response::error("404 Not Found", &format!("no spans for trace {id}")),
                 },
             },
-            None => (
+            None => Response::new(
                 "404 Not Found",
                 "text/plain",
                 "not found; try /metrics, /metrics.json, /healthz, /readyz, /status, \
-                 /reports, /config, /trace/{id} or /flight\n"
-                    .to_string(),
+                 /reports, /config, /trace/{id} or /flight\n",
             ),
         },
     }
@@ -790,6 +394,7 @@ fn route(
 mod tests {
     use super::*;
     use crate::metrics::PipelineMetrics;
+    use crate::net::http::client;
     use crate::observe::Stage;
     use crate::ops::{
         ConfigSnapshot, ReloadableConfig, ReportStore, StatusBoard, StatusInputs, StoredReport,
@@ -800,32 +405,33 @@ mod tests {
         AnomalyKind, AnomalyReport, Criticality, EventId, LogEvent, Provenance, ScoreComponent,
         Severity, SourceId, TemplateId, Timestamp,
     };
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
 
     fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
-        let mut stream = TcpStream::connect(addr).expect("connect exporter");
-        write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("read response");
-        let (head, body) = response
-            .split_once("\r\n\r\n")
-            .expect("header/body separator");
+        let response = client::get(addr, path);
+        let (head, body) = client::split(&response);
         (head.to_string(), body.to_string())
     }
 
     fn http_post(addr: SocketAddr, path: &str, payload: &str) -> (String, String) {
-        let mut stream = TcpStream::connect(addr).expect("connect exporter");
-        write!(
-            stream,
-            "POST {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{payload}",
-            payload.len()
-        )
-        .unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("read response");
-        let (head, body) = response
-            .split_once("\r\n\r\n")
-            .expect("header/body separator");
+        let response = client::post(addr, path, "", payload.as_bytes());
+        let (head, body) = client::split(&response);
         (head.to_string(), body.to_string())
+    }
+
+    fn exporter_at(
+        addr: SocketAddr,
+        registry: Arc<MetricsRegistry>,
+        interval: Duration,
+    ) -> io::Result<MetricsExporter> {
+        let endpoint = MetricsEndpoint {
+            addr,
+            interval,
+            tracer: None,
+            ops: None,
+        };
+        MetricsExporter::spawn(endpoint, registry)
     }
 
     /// Body length must match the advertised Content-Length exactly.
@@ -901,14 +507,13 @@ mod tests {
     fn spawn_ops_exporter() -> (MetricsExporter, Arc<OpsState>) {
         let registry = test_registry();
         let ops = test_ops(&registry);
-        let exporter = MetricsExporter::spawn_with_ops(
-            "127.0.0.1:0".parse().unwrap(),
-            registry,
-            Duration::from_millis(50),
-            Some(test_tracer()),
-            Some(Arc::clone(&ops)),
-        )
-        .expect("bind");
+        let endpoint = MetricsEndpoint {
+            addr: "127.0.0.1:0".parse().unwrap(),
+            interval: Duration::from_millis(50),
+            tracer: Some(test_tracer()),
+            ops: Some(Arc::clone(&ops)),
+        };
+        let exporter = MetricsExporter::spawn(endpoint, registry).expect("bind");
         (exporter, ops)
     }
 
@@ -928,7 +533,7 @@ mod tests {
 
     #[test]
     fn serves_prometheus_over_http() {
-        let exporter = MetricsExporter::spawn(
+        let exporter = exporter_at(
             "127.0.0.1:0".parse().unwrap(),
             test_registry(),
             Duration::from_millis(50),
@@ -950,7 +555,7 @@ mod tests {
 
     #[test]
     fn serves_json_and_404() {
-        let exporter = MetricsExporter::spawn(
+        let exporter = exporter_at(
             "127.0.0.1:0".parse().unwrap(),
             test_registry(),
             Duration::from_millis(50),
@@ -969,7 +574,7 @@ mod tests {
     #[test]
     fn scrape_sees_updates_after_spawn() {
         let registry = test_registry();
-        let exporter = MetricsExporter::spawn(
+        let exporter = exporter_at(
             "127.0.0.1:0".parse().unwrap(),
             Arc::clone(&registry),
             Duration::from_secs(3600), // interval irrelevant: scrape re-renders
@@ -982,7 +587,7 @@ mod tests {
 
     #[test]
     fn drop_stops_the_listener() {
-        let exporter = MetricsExporter::spawn(
+        let exporter = exporter_at(
             "127.0.0.1:0".parse().unwrap(),
             test_registry(),
             Duration::from_millis(50),
@@ -997,13 +602,13 @@ mod tests {
 
     #[test]
     fn serves_trace_and_flight_views() {
-        let exporter = MetricsExporter::spawn_with_tracer(
-            "127.0.0.1:0".parse().unwrap(),
-            test_registry(),
-            Duration::from_millis(50),
-            Some(test_tracer()),
-        )
-        .expect("bind");
+        let endpoint = MetricsEndpoint {
+            addr: "127.0.0.1:0".parse().unwrap(),
+            interval: Duration::from_millis(50),
+            tracer: Some(test_tracer()),
+            ops: None,
+        };
+        let exporter = MetricsExporter::spawn(endpoint, test_registry()).expect("bind");
         let (head, body) = http_get(exporter.local_addr(), "/trace/1");
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         assert!(head.contains("application/json"), "{head}");
@@ -1027,7 +632,7 @@ mod tests {
 
     #[test]
     fn trace_routes_404_without_a_tracer() {
-        let exporter = MetricsExporter::spawn(
+        let exporter = exporter_at(
             "127.0.0.1:0".parse().unwrap(),
             test_registry(),
             Duration::from_millis(50),
@@ -1046,7 +651,7 @@ mod tests {
         // A restarting process must be able to reclaim its metrics address
         // right away: bind, serve, drop, and rebind the same port twice.
         let registry = test_registry();
-        let first = MetricsExporter::spawn(
+        let first = exporter_at(
             "127.0.0.1:0".parse().unwrap(),
             Arc::clone(&registry),
             Duration::from_millis(50),
@@ -1057,9 +662,8 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         drop(first);
         for generation in 0..2 {
-            let again =
-                MetricsExporter::spawn(addr, Arc::clone(&registry), Duration::from_millis(50))
-                    .unwrap_or_else(|e| panic!("rebind generation {generation} failed: {e}"));
+            let again = exporter_at(addr, Arc::clone(&registry), Duration::from_millis(50))
+                .unwrap_or_else(|e| panic!("rebind generation {generation} failed: {e}"));
             let (head, _) = http_get(again.local_addr(), "/metrics");
             assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
             assert_eq!(again.local_addr(), addr);
@@ -1073,7 +677,7 @@ mod tests {
         let occupant = TcpListener::bind("127.0.0.1:0").expect("occupant");
         let addr = occupant.local_addr().unwrap();
         let started = std::time::Instant::now();
-        let result = MetricsExporter::spawn(addr, test_registry(), Duration::from_millis(50));
+        let result = exporter_at(addr, test_registry(), Duration::from_millis(50));
         assert!(result.is_err(), "bind to an occupied port must fail");
         assert!(
             started.elapsed() >= Duration::from_millis(300),
@@ -1083,7 +687,7 @@ mod tests {
 
     #[test]
     fn healthz_answers_without_touching_the_registry() {
-        let exporter = MetricsExporter::spawn(
+        let exporter = exporter_at(
             "127.0.0.1:0".parse().unwrap(),
             test_registry(),
             Duration::from_millis(50),
@@ -1097,7 +701,7 @@ mod tests {
 
     #[test]
     fn slow_loris_request_is_cut_off_at_the_overall_deadline() {
-        let exporter = MetricsExporter::spawn(
+        let exporter = exporter_at(
             "127.0.0.1:0".parse().unwrap(),
             test_registry(),
             Duration::from_millis(50),
@@ -1144,7 +748,7 @@ mod tests {
 
     #[test]
     fn oversized_and_malformed_requests_get_400() {
-        let exporter = MetricsExporter::spawn(
+        let exporter = exporter_at(
             "127.0.0.1:0".parse().unwrap(),
             test_registry(),
             Duration::from_millis(50),
@@ -1152,20 +756,14 @@ mod tests {
         .expect("bind");
         // A request line well past the 4 KiB cap: the exporter must answer
         // 400 instead of buffering without bound or hanging the loop.
-        let mut stream = TcpStream::connect(exporter.local_addr()).unwrap();
         let huge = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(8192));
-        stream.write_all(huge.as_bytes()).unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        let (head, body) = response.split_once("\r\n\r\n").expect("response split");
+        let response = client::send(exporter.local_addr(), huge.as_bytes());
+        let (head, body) = client::split(&response);
         assert!(head.starts_with("HTTP/1.1 400"), "{head}");
         assert_content_length(head, body);
 
         // Garbage that is not an HTTP request line at all.
-        let mut stream = TcpStream::connect(exporter.local_addr()).unwrap();
-        stream.write_all(b"\x00\x01\x02 garbage\r\n\r\n").unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
+        let response = client::send(exporter.local_addr(), b"\x00\x01\x02 garbage\r\n\r\n");
         assert!(response.starts_with("HTTP/1.1 400"), "{response}");
 
         // The loop survives both and keeps serving.
@@ -1180,7 +778,7 @@ mod tests {
     /// other scrapes nothing.
     #[test]
     fn stalled_client_does_not_block_concurrent_scrapes() {
-        let exporter = MetricsExporter::spawn(
+        let exporter = exporter_at(
             "127.0.0.1:0".parse().unwrap(),
             test_registry(),
             Duration::from_millis(50),
@@ -1213,7 +811,7 @@ mod tests {
     /// must answer an idle-endpoint scrape well under the old poll tick.
     #[test]
     fn idle_scrape_latency_beats_the_old_poll_tick() {
-        let exporter = MetricsExporter::spawn(
+        let exporter = exporter_at(
             "127.0.0.1:0".parse().unwrap(),
             test_registry(),
             Duration::from_secs(3600),
@@ -1449,7 +1047,7 @@ mod tests {
 
     #[test]
     fn ops_routes_404_without_an_ops_state() {
-        let exporter = MetricsExporter::spawn(
+        let exporter = exporter_at(
             "127.0.0.1:0".parse().unwrap(),
             test_registry(),
             Duration::from_millis(50),
@@ -1465,5 +1063,55 @@ mod tests {
         let (head, body) = http_get(addr, "/readyz");
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         assert_eq!(body, "ok\n");
+    }
+
+    /// Only GET and POST are routed: `PUT /config` used to answer 200 with
+    /// the unchanged config and `DELETE /reports/5` returned the report.
+    #[test]
+    fn other_methods_get_405_and_change_nothing() {
+        let (exporter, ops) = spawn_ops_exporter();
+        let addr = exporter.local_addr();
+        for request in [
+            &b"PUT /config HTTP/1.1\r\nContent-Length: 16\r\n\r\non-overload=shed"[..],
+            b"DELETE /reports/5 HTTP/1.1\r\n\r\n",
+            b"HEAD /metrics HTTP/1.1\r\n\r\n",
+        ] {
+            let response = client::send(addr, request);
+            let (head, body) = client::split(&response);
+            assert!(
+                head.starts_with("HTTP/1.1 405 Method Not Allowed"),
+                "{head}"
+            );
+            assert_content_length(head, body);
+        }
+        assert_eq!(ops.reload.version(), 0);
+        assert!(ops.reports.get(5).is_some());
+    }
+
+    /// A body the layer cannot frame is refused instead of read as empty.
+    #[test]
+    fn chunked_and_bad_length_bodies_are_refused() {
+        let (exporter, ops) = spawn_ops_exporter();
+        let addr = exporter.local_addr();
+        for (request, status) in [
+            (
+                &b"POST /config HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n10\r\non-overload=shed\r\n0\r\n\r\n"[..],
+                "411 Length Required",
+            ),
+            (
+                b"POST /config HTTP/1.1\r\nContent-Length: 16x\r\n\r\non-overload=shed",
+                "400 Bad Request",
+            ),
+            (
+                b"POST /config HTTP/1.1\r\nContent-Length: 16\r\nContent-Length: 3\r\n\r\non-overload=shed",
+                "400 Bad Request",
+            ),
+        ] {
+            let response = client::send(addr, request);
+            let (head, body) = client::split(&response);
+            assert!(head.starts_with(&format!("HTTP/1.1 {status}")), "{head}");
+            assert_content_length(head, body);
+        }
+        assert_eq!(ops.reload.version(), 0);
     }
 }

@@ -26,8 +26,8 @@
 //! - [`metrics`] — cheap shared counters for pipeline observability.
 //! - [`observe`] — stage latency histograms, shard gauges, and the typed
 //!   [`observe::MetricsSnapshot`] with Prometheus/JSON renderings.
-//! - [`export`] — the periodic exporter thread serving snapshots over a
-//!   minimal blocking HTTP endpoint.
+//! - [`export`] — the metrics and ops endpoint, standalone on its own
+//!   thread or mounted on the sources' event loop.
 //! - [`ops`] — the live operations surface on the same listener: the
 //!   queryable anomaly report store (`/reports`), the `/status` health
 //!   rollup and `/readyz` gate, and hot config reload (`POST /config`,
@@ -36,7 +36,8 @@
 //!   behind a disk-buffered [`sinks::DeliveryPipeline`] with capped
 //!   backoff, per-sink circuit breakers and spill-file degradation.
 //! - [`net`] — the minimal epoll-based event loop shared by every network
-//!   endpoint (ingest sources and the metrics exporter).
+//!   endpoint (ingest sources and the metrics exporter), and the one
+//!   HTTP/1.1 layer both HTTP endpoints run on.
 //! - [`sources`] — network ingestion: TCP/UDP syslog (RFC 3164/5424,
 //!   LF and octet-counting framing), HTTP bulk ingest, and checkpointed
 //!   file tailing, all with backpressure into the bounded ingest queue.

@@ -18,10 +18,12 @@
 //! sweep poller keeps everything compiling and functional (handlers already
 //! tolerate spurious readiness because epoll is level-triggered).
 
+pub(crate) mod http;
 pub mod sys;
 
 use std::collections::HashMap;
 use std::io;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -291,6 +293,54 @@ impl Handler for WakeDrain {
     }
 }
 
+/// Bind a non-blocking listener. std sets `SO_REUSEADDR` on Unix, so a
+/// restarting process re-binds an address whose old connections sit in
+/// TIME_WAIT; a short exponential backoff rides out a port that is still
+/// held by a process on its way out.
+fn bind_reusable(addr: SocketAddr) -> io::Result<TcpListener> {
+    let mut delay = Duration::from_millis(50);
+    let mut attempt = 0;
+    loop {
+        match TcpListener::bind(addr) {
+            Ok(listener) => {
+                listener.set_nonblocking(true)?;
+                return Ok(listener);
+            }
+            Err(e) if attempt == 4 => return Err(e),
+            Err(_) => {}
+        }
+        std::thread::sleep(delay);
+        delay *= 2;
+        attempt += 1;
+    }
+}
+
+/// Accepts connections and registers the handler `serve` builds for each.
+struct Listener<F> {
+    listener: TcpListener,
+    serve: F,
+}
+
+impl<F> Handler for Listener<F>
+where
+    F: FnMut(TcpStream) -> Box<dyn Handler> + Send,
+{
+    fn ready(&mut self, _r: bool, _w: bool, ctx: &mut LoopCtx<'_>) -> Next {
+        loop {
+            match self.listener.accept() {
+                Ok((conn, _peer)) => {
+                    if conn.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let fd = conn.loop_fd();
+                    ctx.register(fd, (self.serve)(conn));
+                }
+                Err(_) => return Next::Keep,
+            }
+        }
+    }
+}
+
 /// The event loop. Build it, register the initial handlers, then hand it to
 /// a thread via [`EventLoop::run`].
 pub struct EventLoop {
@@ -364,6 +414,18 @@ impl EventLoop {
             },
         );
         token
+    }
+
+    /// Bind `addr` and serve every accepted connection with the handler
+    /// `serve` builds. Returns the bound address (resolves port 0).
+    pub(crate) fn listen<F>(&mut self, addr: SocketAddr, serve: F) -> io::Result<SocketAddr>
+    where
+        F: FnMut(TcpStream) -> Box<dyn Handler> + Send + 'static,
+    {
+        let listener = bind_reusable(addr)?;
+        let bound = listener.local_addr()?;
+        self.register(listener.loop_fd(), Box::new(Listener { listener, serve }))?;
+        Ok(bound)
     }
 
     fn apply(&mut self, token: u64, verdict: Next, closes: &mut Vec<u64>) {

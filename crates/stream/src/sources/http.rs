@@ -3,337 +3,164 @@
 //! either of those gzipped (`Content-Encoding: gzip`, decompressed by
 //! the vendored [`super::inflate`] — no compression crate).
 //!
-//! Admission control happens *before* the body is accepted into the
-//! pipeline: a `Content-Length` above the configured cap is refused with
-//! 413 (the body is discarded, not buffered; the same cap bounds the
-//! *decompressed* size of a gzip body), and a body whose line count
-//! exceeds the ingest queue's free space is refused with 429 +
-//! `Retry-After` so well-behaved clients back off instead of silently
-//! losing a prefix of their batch — a bulk POST is all-or-nothing, and a
-//! malformed JSON or gzip body rejects whole with 400.
+//! Requests arrive through the shared HTTP layer ([`crate::net::http`]),
+//! which reads a body by `Content-Length` only: a chunked upload answers
+//! 411 and a bad length 400. Admission control happens *before* the
+//! body is accepted into the pipeline: a `Content-Length` above the
+//! configured cap is refused with 413 (the body is discarded, not
+//! buffered; the same cap bounds the *decompressed* size of a gzip body),
+//! and a body whose line count exceeds the ingest queue's free space is
+//! refused with 429 + `Retry-After` so well-behaved clients back off
+//! instead of silently losing a prefix of their batch — a bulk POST is
+//! all-or-nothing, and a malformed JSON or gzip body rejects whole with
+//! 400. An admitted batch that loses a race for queue space is held until
+//! the queue drains and then answered 200; the request deadline only
+//! bounds receiving the request.
 
 use super::{inflate, Shared, SourceEvent, HTTP_SOURCE};
 use crate::metrics::PipelineMetrics;
-use crate::net::{AsLoopFd, Handler, Interest, LoopCtx, Next};
+use crate::net::http::{Admit, Head, HttpConn, HttpError, Limits, Response, Service};
+use crate::net::Handler;
 use monilog_model::ByteLine;
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Cap on the request-head bytes (request line + headers).
-const MAX_HEAD_BYTES: usize = 8 * 1024;
+/// The handler for one accepted ingest connection.
+pub(super) fn serve(conn: TcpStream, shared: &Arc<Shared>) -> Box<dyn Handler> {
+    PipelineMetrics::add(&shared.metrics.sources_connections, 1);
+    let request = IngestRequest {
+        shared: shared.clone(),
+        gzip: false,
+        json: false,
+        pending: VecDeque::new(),
+        accepted: 0,
+    };
+    Box::new(HttpConn::new(conn, request))
+}
 
-/// Deadline for receiving the complete request.
-const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
-
-/// Deadline for flushing the response.
-const WRITE_DEADLINE: Duration = Duration::from_secs(5);
-
-pub(super) struct IngestListener {
-    listener: TcpListener,
+/// One `/ingest` request on the shared HTTP layer.
+struct IngestRequest {
     shared: Arc<Shared>,
-}
-
-impl IngestListener {
-    pub(super) fn new(listener: TcpListener, shared: Arc<Shared>) -> Self {
-        IngestListener { listener, shared }
-    }
-}
-
-impl Handler for IngestListener {
-    fn ready(&mut self, _r: bool, _w: bool, ctx: &mut LoopCtx<'_>) -> Next {
-        loop {
-            match self.listener.accept() {
-                Ok((conn, _peer)) => {
-                    if conn.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    PipelineMetrics::add(&self.shared.metrics.sources_connections, 1);
-                    let fd = conn.loop_fd();
-                    ctx.register(fd, Box::new(IngestConn::new(conn, self.shared.clone())));
-                }
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return Next::Keep,
-                Err(_) => return Next::Keep,
-            }
-        }
-    }
-}
-
-enum Phase {
-    Head,
-    /// Reading `remaining` body bytes (accepted request).
-    Body {
-        remaining: usize,
-    },
-    /// Discarding `remaining` refused-body bytes before answering, so the
-    /// close does not RST the status line away.
-    Discard {
-        remaining: usize,
-    },
-    Write {
-        since: Instant,
-    },
-}
-
-struct IngestConn {
-    conn: TcpStream,
-    shared: Arc<Shared>,
-    phase: Phase,
-    head: Vec<u8>,
-    body: Vec<u8>,
-    out: Vec<u8>,
-    /// Lines parsed from an accepted body, not yet in the queue.
+    /// `Content-Encoding: gzip` on the request.
+    gzip: bool,
+    /// `Content-Type: application/json`: the body is a JSON array of
+    /// strings, one log line per element.
+    json: bool,
+    /// Lines of an admitted body not yet in the queue.
     pending: VecDeque<ByteLine>,
     accepted: usize,
-    opened: Instant,
-    /// `Content-Encoding: gzip` on the current request.
-    gzip: bool,
-    /// `Content-Type: application/json` on the current request: the body
-    /// is a JSON array of strings, one log line per element.
-    json: bool,
 }
 
-impl IngestConn {
-    fn new(conn: TcpStream, shared: Arc<Shared>) -> Self {
-        IngestConn {
-            conn,
-            shared,
-            phase: Phase::Head,
-            head: Vec::with_capacity(512),
-            body: Vec::new(),
-            out: Vec::new(),
-            pending: VecDeque::new(),
-            accepted: 0,
-            opened: Instant::now(),
-            gzip: false,
-            json: false,
-        }
-    }
-
-    fn close(&self) -> Next {
-        PipelineMetrics::add(&self.shared.metrics.sources_disconnects, 1);
-        Next::Close
-    }
-
-    fn respond(&mut self, status: &str, extra_headers: &str, body: &str) {
-        self.out = format!(
-            "HTTP/1.1 {status}\r\nContent-Type: application/json\r\n{extra_headers}Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        )
-        .into_bytes();
-        self.phase = Phase::Write {
-            since: Instant::now(),
-        };
-    }
-
-    fn reject(&mut self, status: &str, extra_headers: &str, body: &str, discard: usize) {
+impl IngestRequest {
+    /// A refusal, counted in `sources_http_rejected`.
+    fn reject(&self, status: &'static str, message: &str) -> Response {
         PipelineMetrics::add(&self.shared.metrics.sources_http_rejected, 1);
-        if discard > 0 {
-            // Answer only after the refused body has drained past us.
-            self.out.clear();
-            self.phase = Phase::Discard { remaining: discard };
-            self.body.clear();
-            let line = format!(
-                "HTTP/1.1 {status}\r\nContent-Type: application/json\r\n{extra_headers}Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                body.len()
-            );
-            self.out = line.into_bytes();
-        } else {
-            self.respond(status, extra_headers, body);
-        }
+        Response::error(status, message)
     }
 
-    /// Head is complete: route it.
-    fn on_head(&mut self, head_end: usize) {
-        let head = String::from_utf8_lossy(&self.head[..head_end]).into_owned();
-        let mut lines = head.lines();
-        let request_line = lines.next().unwrap_or("");
-        let mut parts = request_line.split_whitespace();
-        let method = parts.next().unwrap_or("");
-        let path = parts.next().unwrap_or("");
-
-        let mut content_length = 0usize;
-        let mut encoding_supported = true;
-        self.gzip = false;
-        self.json = false;
-        for l in lines {
-            let Some((name, value)) = l.split_once(':') else {
-                continue;
-            };
-            let value = value.trim();
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().unwrap_or(0);
-            } else if name.eq_ignore_ascii_case("content-encoding") {
-                match value.to_ascii_lowercase().as_str() {
-                    "gzip" | "x-gzip" => self.gzip = true,
-                    "identity" | "" => {}
-                    _ => encoding_supported = false,
-                }
-            } else if name.eq_ignore_ascii_case("content-type") {
-                // Parameters (`; charset=...`) don't change the shape.
-                self.json = value
-                    .split(';')
-                    .next()
-                    .unwrap_or("")
-                    .trim()
-                    .eq_ignore_ascii_case("application/json");
-            }
-        }
-
-        // Body bytes that already arrived behind the head.
-        let trailing = self.head.split_off(head_end);
-
-        match (method, path) {
-            ("GET", "/healthz") => self.respond("200 OK", "", "{\"status\":\"ok\"}\n"),
-            ("POST", "/ingest") | ("POST", "/") => {
-                if !encoding_supported {
-                    let already = trailing.len().min(content_length);
-                    self.reject(
-                        "415 Unsupported Media Type",
-                        "",
-                        "{\"error\":\"only identity or gzip content-encoding\"}\n",
-                        content_length - already,
-                    );
-                    return;
-                }
-                if content_length > self.shared.max_http_body_bytes {
-                    let already = trailing.len().min(content_length);
-                    self.reject(
-                        "413 Payload Too Large",
-                        "",
-                        &format!(
-                            "{{\"error\":\"body exceeds {} bytes\"}}\n",
-                            self.shared.max_http_body_bytes
-                        ),
-                        content_length - already,
-                    );
-                    return;
-                }
-                self.body = trailing;
-                if self.body.len() >= content_length {
-                    self.body.truncate(content_length);
-                    self.on_body();
-                } else {
-                    let remaining = content_length - self.body.len();
-                    self.phase = Phase::Body { remaining };
-                }
-            }
-            ("POST", _) | ("GET", _) => {
-                self.reject(
-                    "404 Not Found",
-                    "",
-                    "{\"error\":\"try POST /ingest or GET /healthz\"}\n",
-                    content_length.saturating_sub(trailing.len()),
-                );
-            }
-            _ => {
-                self.reject(
-                    "405 Method Not Allowed",
-                    "",
-                    "{\"error\":\"POST newline-delimited lines to /ingest\"}\n",
-                    content_length.saturating_sub(trailing.len()),
-                );
-            }
-        }
-    }
-
-    /// Body is complete: admission-check the whole batch, then enqueue.
-    fn on_body(&mut self) {
-        let mut raw = std::mem::take(&mut self.body);
+    /// The body's log lines, or the 400/413 that refuses it.
+    fn decode(&self, mut raw: Vec<u8>) -> Result<Vec<ByteLine>, Response> {
+        let max = self.shared.max_http_body_bytes;
         if self.gzip {
             // The body cap applies to what the pipeline would hold, so
             // the *decompressed* size is capped too — a compression bomb
             // stops inflating at the limit and is refused.
-            match inflate::gunzip(&raw, self.shared.max_http_body_bytes) {
-                Ok(decompressed) => raw = decompressed,
-                Err(inflate::InflateError::TooLarge) => {
-                    self.reject(
-                        "413 Payload Too Large",
-                        "",
-                        &format!(
-                            "{{\"error\":\"decompressed body exceeds {} bytes\"}}\n",
-                            self.shared.max_http_body_bytes
-                        ),
-                        0,
-                    );
-                    return;
-                }
-                Err(e) => {
-                    self.reject(
-                        "400 Bad Request",
-                        "",
-                        &format!("{{\"error\":\"invalid gzip body: {e}\"}}\n"),
-                        0,
-                    );
-                    return;
-                }
-            }
+            raw = inflate::gunzip(&raw, max).map_err(|e| match e {
+                inflate::InflateError::TooLarge => self.reject(
+                    "413 Payload Too Large",
+                    &format!("decompressed body exceeds {max} bytes"),
+                ),
+                e => self.reject("400 Bad Request", &format!("invalid gzip body: {e}")),
+            })?;
         }
-        let lines: Vec<ByteLine> = if self.json {
-            // JSON array of strings: one log line per element, decoded
-            // into owned lines (escapes make zero-copy slicing moot).
-            let text = match std::str::from_utf8(&raw) {
-                Ok(text) => text,
-                Err(_) => {
-                    self.reject(
-                        "400 Bad Request",
-                        "",
-                        "{\"error\":\"json body is not valid utf-8\"}\n",
-                        0,
-                    );
-                    return;
-                }
-            };
-            match parse_json_string_array(text) {
-                Ok(items) => items
-                    .into_iter()
-                    .map(|s| s.trim_end().to_string())
-                    .filter(|s| !s.is_empty())
-                    .map(ByteLine::from_string)
-                    .collect(),
-                Err(why) => {
-                    self.reject(
-                        "400 Bad Request",
-                        "",
-                        &format!("{{\"error\":\"invalid json body: {why}\"}}\n"),
-                        0,
-                    );
-                    return;
-                }
-            }
-        } else {
+        if !self.json {
             // The whole body becomes one refcounted arrival buffer; each
             // line is a sub-slice sharing it — no per-line allocation.
             // (Invalid UTF-8 is lossy-repaired once, inside `from_bytes`.)
             let body = ByteLine::from_bytes(raw.into());
-            body.lines()
+            return Ok(body
+                .lines()
                 .map(str::trim_end)
                 .filter(|l| !l.is_empty())
                 .map(|l| body.slice_of(l))
-                .collect()
+                .collect());
+        }
+        // JSON array of strings: one log line per element, decoded into
+        // owned lines (escapes make zero-copy slicing moot).
+        let items = std::str::from_utf8(&raw)
+            .map_err(|_| "json body is not valid utf-8".to_string())
+            .and_then(|text| {
+                parse_json_string_array(text).map_err(|why| format!("invalid json body: {why}"))
+            })
+            .map_err(|why| self.reject("400 Bad Request", &why))?;
+        Ok(items
+            .into_iter()
+            .map(|s| s.trim_end().to_string())
+            .filter(|s| !s.is_empty())
+            .map(ByteLine::from_string)
+            .collect())
+    }
+}
+
+impl Service for IngestRequest {
+    const LIMITS: Limits = Limits {
+        head_bytes: 8 * 1024,
+        // Room for an 8 MiB body from a slow client.
+        request_deadline: Duration::from_secs(10),
+        write_deadline: Duration::from_secs(5),
+    };
+
+    fn head(&mut self, head: Head) -> Admit {
+        let encoding = head.content_encoding.to_ascii_lowercase();
+        self.gzip = matches!(encoding.as_str(), "gzip" | "x-gzip");
+        // Parameters (`; charset=...`) don't change the shape.
+        self.json = head
+            .content_type
+            .split(';')
+            .next()
+            .unwrap_or("")
+            .trim()
+            .eq_ignore_ascii_case("application/json");
+        let max = self.shared.max_http_body_bytes;
+        Admit::Reply(match (head.method.as_str(), head.path.as_str()) {
+            ("GET", "/healthz") => Response::json("200 OK", "{\"status\":\"ok\"}\n"),
+            ("POST", "/ingest" | "/") if !self.gzip && !matches!(&*encoding, "identity" | "") => {
+                let only = "only identity or gzip content-encoding";
+                self.reject("415 Unsupported Media Type", only)
+            }
+            ("POST", "/ingest" | "/") if head.content_length > max => self.reject(
+                "413 Payload Too Large",
+                &format!("body exceeds {max} bytes"),
+            ),
+            ("POST", "/ingest" | "/") => return Admit::Body,
+            ("POST" | "GET", _) => self.reject("404 Not Found", "try POST /ingest or GET /healthz"),
+            _ => self.refuse(HttpError::Malformed),
+        })
+    }
+
+    /// Admission-check the whole batch, then enqueue it.
+    fn body(&mut self, raw: Vec<u8>) -> Option<Response> {
+        let lines = match self.decode(raw) {
+            Ok(lines) => lines,
+            Err(refusal) => return Some(refusal),
         };
         if lines.len() > self.shared.tx.free() {
-            self.reject(
-                "429 Too Many Requests",
-                "Retry-After: 1\r\n",
-                "{\"error\":\"ingest queue saturated, retry with backoff\"}\n",
-                0,
-            );
-            return;
+            let saturated = "ingest queue saturated, retry with backoff";
+            let mut refusal = self.reject("429 Too Many Requests", saturated);
+            refusal.extra_headers = "Retry-After: 1\r\n";
+            return Some(refusal);
         }
         self.accepted = lines.len();
         self.pending = VecDeque::from(lines);
-        if self.flush_lines() {
-            self.finish_accept();
-        }
-        // else: queue filled up between the check and the pushes (another
-        // source raced us); keep draining from wake, answer when done.
+        // The queue can fill between the check and the pushes (another
+        // source raced us): then the batch is held and finishes on wake.
+        self.wake()
     }
 
-    /// Returns true once every accepted line is in the queue.
-    fn flush_lines(&mut self) -> bool {
+    /// Move held lines into the queue; answer once all of them are in.
+    fn wake(&mut self) -> Option<Response> {
         while let Some(line) = self.pending.pop_front() {
             let ev = SourceEvent {
                 source: HTTP_SOURCE,
@@ -343,86 +170,26 @@ impl IngestConn {
             };
             if let Err(ev) = self.shared.push_or_apply_policy(ev, true) {
                 self.pending.push_front(ev.line);
-                return false;
-            }
-        }
-        true
-    }
-
-    fn finish_accept(&mut self) {
-        let n = self.accepted;
-        self.respond("200 OK", "", &format!("{{\"accepted\":{n}}}\n"));
-    }
-
-    /// Read for the current phase. Returns `Some(next)` to terminate.
-    fn pump_read(&mut self) -> Option<Next> {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            if let Phase::Write { .. } = self.phase {
                 return None;
             }
-            match self.conn.read(&mut chunk) {
-                Ok(0) => {
-                    // EOF before the request completed: nothing to answer.
-                    return match self.phase {
-                        Phase::Head | Phase::Body { .. } | Phase::Discard { .. } => {
-                            Some(self.close())
-                        }
-                        Phase::Write { .. } => None,
-                    };
-                }
-                Ok(n) => match &mut self.phase {
-                    Phase::Head => {
-                        self.head.extend_from_slice(&chunk[..n]);
-                        if let Some(end) = find_head_end(&self.head) {
-                            self.on_head(end);
-                        } else if self.head.len() > MAX_HEAD_BYTES {
-                            self.reject(
-                                "400 Bad Request",
-                                "",
-                                "{\"error\":\"request head too large\"}\n",
-                                0,
-                            );
-                        }
-                    }
-                    Phase::Body { remaining } => {
-                        let take = n.min(*remaining);
-                        self.body.extend_from_slice(&chunk[..take]);
-                        *remaining -= take;
-                        if *remaining == 0 {
-                            self.on_body();
-                        }
-                    }
-                    Phase::Discard { remaining } => {
-                        *remaining = remaining.saturating_sub(n);
-                        if *remaining == 0 {
-                            self.phase = Phase::Write {
-                                since: Instant::now(),
-                            };
-                        }
-                    }
-                    Phase::Write { .. } => {}
-                },
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return None,
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return Some(self.close()),
-            }
+        }
+        let n = self.accepted;
+        Some(Response::json("200 OK", format!("{{\"accepted\":{n}}}\n")))
+    }
+
+    fn refuse(&mut self, err: HttpError) -> Response {
+        match err {
+            // A request line that names no method this endpoint knows.
+            HttpError::Malformed => self.reject(
+                "405 Method Not Allowed",
+                "POST newline-delimited lines to /ingest",
+            ),
+            _ => self.reject(err.status(), err.message()),
         }
     }
 
-    fn pump_write(&mut self) -> Result<bool, ()> {
-        while !self.out.is_empty() {
-            match self.conn.write(&self.out) {
-                Ok(0) => return Err(()),
-                Ok(n) => {
-                    self.out.drain(..n);
-                }
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return Err(()),
-            }
-        }
-        Ok(true)
+    fn closed(&mut self) {
+        PipelineMetrics::add(&self.shared.metrics.sources_disconnects, 1);
     }
 }
 
@@ -533,83 +300,16 @@ fn parse_json_string_array(text: &str) -> Result<Vec<String>, &'static str> {
     Ok(items)
 }
 
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .map(|i| i + 4)
-        .or_else(|| buf.windows(2).position(|w| w == b"\n\n").map(|i| i + 2))
-}
-
-impl Handler for IngestConn {
-    fn ready(&mut self, readable: bool, _writable: bool, _ctx: &mut LoopCtx<'_>) -> Next {
-        if readable {
-            if let Some(next) = self.pump_read() {
-                return next;
-            }
-        }
-        if let Phase::Write { .. } = self.phase {
-            if !self.out.is_empty() || self.pending.is_empty() {
-                match self.pump_write() {
-                    Ok(true) => return self.close(),
-                    Ok(false) => {}
-                    Err(()) => return self.close(),
-                }
-            }
-        }
-        Next::Keep
-    }
-
-    fn wake(&mut self, _ctx: &mut LoopCtx<'_>) -> Next {
-        // Accepted batch still waiting on queue space?
-        if !self.pending.is_empty() && self.out.is_empty() && self.flush_lines() {
-            self.finish_accept();
-        }
-        Next::Keep
-    }
-
-    fn tick(&mut self, now: Instant, _ctx: &mut LoopCtx<'_>) -> Next {
-        match self.phase {
-            Phase::Write { since } => {
-                match self.pump_write() {
-                    Ok(true) => return self.close(),
-                    Ok(false) => {}
-                    Err(()) => return self.close(),
-                }
-                if now.duration_since(since) >= WRITE_DEADLINE {
-                    return self.close();
-                }
-            }
-            _ => {
-                if now.duration_since(self.opened) >= REQUEST_DEADLINE {
-                    PipelineMetrics::add(&self.shared.metrics.sources_http_rejected, 1);
-                    self.respond(
-                        "408 Request Timeout",
-                        "",
-                        "{\"error\":\"request timed out\"}\n",
-                    );
-                }
-            }
-        }
-        Next::Keep
-    }
-
-    fn interest(&self) -> Interest {
-        let writing = matches!(self.phase, Phase::Write { .. }) && !self.out.is_empty();
-        Interest {
-            read: true,
-            write: writing,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::{MetricsEndpoint, SourceQueue, SourcesConfig, SourcesServer};
+    use super::*;
+    use crate::net::http::client::{self, with_ctx};
+    use crate::net::{EventLoop, Next};
     use crate::observe::MetricsRegistry;
-    use std::io::{Read, Write};
-    use std::net::{SocketAddr, TcpStream};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use std::net::SocketAddr;
+    use std::sync::atomic::Ordering;
+    use std::time::Instant;
 
     fn spawn(queue_capacity: usize) -> (SourcesServer, SourceQueue, SocketAddr) {
         let cfg = SourcesConfig {
@@ -626,18 +326,7 @@ mod tests {
     }
 
     fn post(addr: SocketAddr, path: &str, body: &str) -> String {
-        let mut conn = TcpStream::connect(addr).unwrap();
-        write!(
-            conn,
-            "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .unwrap();
-        let mut response = String::new();
-        conn.set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        conn.read_to_string(&mut response).unwrap();
-        response
+        client::post(addr, path, "", body.as_bytes())
     }
 
     #[test]
@@ -658,19 +347,7 @@ mod tests {
 
     /// POST with arbitrary extra headers and a binary body.
     fn post_raw(addr: SocketAddr, extra_headers: &str, body: &[u8]) -> String {
-        let mut conn = TcpStream::connect(addr).unwrap();
-        write!(
-            conn,
-            "POST /ingest HTTP/1.1\r\nHost: t\r\n{extra_headers}Content-Length: {}\r\n\r\n",
-            body.len()
-        )
-        .unwrap();
-        conn.write_all(body).unwrap();
-        let mut response = String::new();
-        conn.set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        conn.read_to_string(&mut response).unwrap();
-        response
+        client::post(addr, "/ingest", extra_headers, body)
     }
 
     /// A gzip member wrapping one stored deflate block — enough to
@@ -801,10 +478,7 @@ mod tests {
     #[test]
     fn healthz_and_404() {
         let (_server, _queue, addr) = spawn(16);
-        let mut conn = TcpStream::connect(addr).unwrap();
-        write!(conn, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-        let mut response = String::new();
-        conn.read_to_string(&mut response).unwrap();
+        let response = client::get(addr, "/healthz");
         assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
 
         let response = post(addr, "/elsewhere", "body\n");
@@ -838,13 +512,119 @@ mod tests {
         let got = queue.recv_batch(4, Duration::from_secs(2));
         assert_eq!(got.len(), 1);
 
-        let mut conn = TcpStream::connect(server.metrics_addr().unwrap()).unwrap();
-        write!(conn, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-        let mut response = String::new();
-        conn.read_to_string(&mut response).unwrap();
+        let response = client::get(server.metrics_addr().unwrap(), "/metrics");
         assert!(
             response.contains("monilog_sources_lines_total 1"),
             "{response}"
+        );
+    }
+
+    /// A chunked upload, or one whose length cannot be trusted, used to be
+    /// read as an empty body: `200 {"accepted":0}` and the lines dropped.
+    #[test]
+    fn chunked_and_bad_length_uploads_are_refused_not_read_as_empty() {
+        let (server, queue, addr) = spawn(1024);
+        for (request, status) in [
+            (
+                &b"POST /ingest HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nline\r\n0\r\n\r\n"[..],
+                "411 Length Required",
+            ),
+            (
+                b"POST /ingest HTTP/1.1\r\nContent-Length: five\r\n\r\nline\n",
+                "400 Bad Request",
+            ),
+            (
+                b"POST /ingest HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nline\n",
+                "400 Bad Request",
+            ),
+        ] {
+            let response = client::send(addr, request);
+            assert!(response.starts_with(&format!("HTTP/1.1 {status}\r\n")), "{response}");
+        }
+        assert!(queue.recv_batch(16, Duration::from_millis(100)).is_empty());
+        let rejected = &server.shared.metrics.sources_http_rejected;
+        assert_eq!(rejected.load(Ordering::SeqCst), 3);
+    }
+
+    /// Shared state and queue without a running loop, for driving one
+    /// connection's callbacks by hand.
+    fn detached(capacity: usize) -> (Arc<Shared>, SourceQueue) {
+        let config = SourcesConfig {
+            queue_capacity: capacity,
+            max_http_body_bytes: 4096,
+            assumed_year: 2026,
+            ..SourcesConfig::default()
+        };
+        let waker = EventLoop::new().unwrap().waker().unwrap();
+        let registry = MetricsRegistry::shared_with_shards(1);
+        Shared::new(&config, &registry, None, waker)
+    }
+
+    /// A refused body that stops arriving used to turn into a 408 at the
+    /// request deadline, counted as a second rejection.
+    #[test]
+    fn a_refused_body_cut_off_at_the_deadline_still_gets_its_413_counted_once() {
+        let (shared, queue) = detached(16);
+        let (server, mut client) = client::socket_pair();
+        let mut conn = serve(server.try_clone().unwrap(), &shared);
+        let request = b"POST /ingest HTTP/1.1\r\nContent-Length: 8192\r\n\r\nxxxxxxxx";
+        client::deliver(conn.as_mut(), &mut client, &server, request);
+        let late = Instant::now() + IngestRequest::LIMITS.request_deadline;
+        assert_eq!(with_ctx(late, |ctx| conn.tick(late, ctx)), Next::Close);
+        drop((conn, server));
+        let response = client::response(client);
+        assert!(
+            response.starts_with("HTTP/1.1 413 Payload Too Large\r\n"),
+            "{response}"
+        );
+        assert_eq!(
+            shared.metrics.sources_http_rejected.load(Ordering::SeqCst),
+            1
+        );
+        assert!(queue.recv_batch(16, Duration::from_millis(10)).is_empty());
+    }
+
+    /// An admitted batch waiting for queue space used to get a 408 at the
+    /// request deadline after part of it was queued; the rest was dropped
+    /// and the client's retry duplicated the prefix.
+    #[test]
+    fn an_admitted_batch_held_for_queue_space_is_answered_200_past_the_deadline() {
+        let (shared, queue) = detached(4);
+        // Three events slip into the channel behind the depth count, as if
+        // another producer raced this request between admission and push.
+        for i in 0..3 {
+            let line = ByteLine::from_string(format!("racer {i}"));
+            let ev = SourceEvent {
+                source: HTTP_SOURCE,
+                line,
+                cursor: None,
+                seq: None,
+            };
+            shared.tx.tx.try_send(ev).unwrap();
+        }
+        let (server, mut client) = client::socket_pair();
+        let mut conn = serve(server.try_clone().unwrap(), &shared);
+        let request = b"POST /ingest HTTP/1.1\r\nContent-Length: 12\r\n\r\none\ntwo\nsix\n";
+        client::deliver(conn.as_mut(), &mut client, &server, request);
+
+        // Admitted (3 ≤ 4 free by the count), one line in, two held.
+        let late = Instant::now() + IngestRequest::LIMITS.request_deadline * 2;
+        assert_eq!(with_ctx(late, |ctx| conn.tick(late, ctx)), Next::Keep);
+        assert_eq!(with_ctx(late, |ctx| conn.wake(ctx)), Next::Keep);
+
+        // The consumer takes the racers; the wake finishes the batch.
+        for _ in 0..3 {
+            queue.rx.try_recv().unwrap();
+        }
+        assert_eq!(with_ctx(late, |ctx| conn.wake(ctx)), Next::Close);
+        drop((conn, server));
+        let response = client::response(client);
+        assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+        assert!(response.ends_with("{\"accepted\":3}\n"), "{response}");
+        assert_eq!(drain(&queue, 3), vec!["one", "two", "six"]);
+        assert_eq!(
+            shared.metrics.sources_http_rejected.load(Ordering::SeqCst),
+            0
         );
     }
 }

@@ -9,7 +9,7 @@
 //! - **UDP syslog** — one message per datagram (RFC 5426).
 //! - **HTTP bulk ingest** — `POST /ingest` with a newline-delimited body;
 //!   413 for oversized bodies, 429 when the ingest queue cannot take the
-//!   batch.
+//!   batch, 411 for a chunked upload.
 //! - **File tail** — follow a live log file with inode+offset cursors that
 //!   the caller persists through the checkpoint manifest, so a restart
 //!   resumes exactly where ingestion stopped.
@@ -44,17 +44,16 @@ pub use tail::{glob_match, GlobResume, TailCursor, TailGlobSpec, TailSpec, MAX_T
 
 use crate::config::OverloadPolicy;
 use crate::durable::DeadLetterLog;
-use crate::export::{bind_reusable, register_metrics_listener, MetricsService};
+pub use crate::export::MetricsEndpoint;
 use crate::metrics::PipelineMetrics;
 use crate::net::{AsLoopFd, EventLoop, Handler, Interest, LoopCtx, LoopWaker, Next};
 use crate::observe::MetricsRegistry;
 use crate::supervisor::{DeadLetter, FailureReason};
-use crate::trace::Tracer;
 use monilog_model::ByteLine;
 use monilog_model::SourceId;
 use std::collections::VecDeque;
 use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::net::{SocketAddr, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -295,6 +294,64 @@ fn policy_from_ordinal(v: u8) -> OverloadPolicy {
 }
 
 impl Shared {
+    /// The state every handler shares, and the consumer end of the queue
+    /// they feed; `waker` is rung on the sources' loop.
+    fn new(
+        config: &SourcesConfig,
+        registry: &MetricsRegistry,
+        dlq: Option<Arc<DeadLetterLog>>,
+        waker: LoopWaker,
+    ) -> (Arc<Shared>, SourceQueue) {
+        let (tx, rx) = std::sync::mpsc::sync_channel(config.queue_capacity.max(1));
+        let depth = Arc::new(AtomicUsize::new(0));
+        let needs_wake = Arc::new(AtomicBool::new(false));
+        let queue_tx = QueueTx {
+            tx,
+            depth: depth.clone(),
+            capacity: config.queue_capacity.max(1),
+            needs_wake: needs_wake.clone(),
+        };
+        // Glob slots start above every static tail and every slot a
+        // previous life handed out (recovered through `known`), so a
+        // restart never reassigns a slot to a different file.
+        let mut next_tail_slot = config.tails.len();
+        for glob in &config.tail_globs {
+            for k in &glob.known {
+                next_tail_slot = next_tail_slot.max(k.slot + 1);
+            }
+        }
+        let static_tails: Vec<(usize, std::path::PathBuf)> = config
+            .tails
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| (i, spec.path.clone()))
+            .collect();
+        let shared = Arc::new(Shared {
+            tx: queue_tx,
+            metrics: registry.counters().clone(),
+            policy: AtomicU8::new(policy_ordinal(config.on_overload)),
+            dlq,
+            max_frame_bytes: config.max_frame_bytes,
+            max_http_body_bytes: config.max_http_body_bytes,
+            idle_timeout: config.idle_timeout,
+            assumed_year: config.assumed_year,
+            dlq_seq: AtomicUsize::new(0),
+            next_tail_slot: AtomicUsize::new(next_tail_slot),
+            tail_registry: std::sync::Mutex::new(static_tails),
+        });
+
+        let queue = SourceQueue {
+            rx,
+            depth,
+            low_water: config.queue_capacity / 2,
+            needs_wake,
+            waker,
+            #[cfg(test)]
+            wakes: AtomicUsize::new(0),
+        };
+        (shared, queue)
+    }
+
     fn policy(&self) -> OverloadPolicy {
         policy_from_ordinal(self.policy.load(Ordering::Relaxed))
     }
@@ -356,16 +413,6 @@ pub struct SourcesServer {
     mailbox: Option<Arc<crate::cluster::ClusterMailbox>>,
 }
 
-/// Optional `/metrics` endpoint mounted on the same loop as the sources.
-/// With `ops` set, the live operations surface (`/reports`, `/status`,
-/// `/readyz`, `/config`) is served from the same listener.
-pub struct MetricsEndpoint {
-    pub addr: SocketAddr,
-    pub interval: Duration,
-    pub tracer: Option<Arc<Tracer>>,
-    pub ops: Option<Arc<crate::ops::OpsState>>,
-}
-
 impl SourcesServer {
     /// Bind every configured source, mount the optional metrics endpoint on
     /// the same event loop, and start serving on a dedicated thread.
@@ -376,63 +423,19 @@ impl SourcesServer {
         dlq: Option<Arc<DeadLetterLog>>,
         metrics_endpoint: Option<MetricsEndpoint>,
     ) -> io::Result<(SourcesServer, SourceQueue)> {
-        let (tx, rx) = std::sync::mpsc::sync_channel(config.queue_capacity.max(1));
-        let depth = Arc::new(AtomicUsize::new(0));
-        let needs_wake = Arc::new(AtomicBool::new(false));
-        let queue_tx = QueueTx {
-            tx,
-            depth: depth.clone(),
-            capacity: config.queue_capacity.max(1),
-            needs_wake: needs_wake.clone(),
-        };
-        // Glob slots start above every static tail and every slot a
-        // previous life handed out (recovered through `known`), so a
-        // restart never reassigns a slot to a different file.
-        let mut next_tail_slot = config.tails.len();
-        for glob in &config.tail_globs {
-            for k in &glob.known {
-                next_tail_slot = next_tail_slot.max(k.slot + 1);
-            }
-        }
-        let static_tails: Vec<(usize, std::path::PathBuf)> = config
-            .tails
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| (i, spec.path.clone()))
-            .collect();
-        let shared = Arc::new(Shared {
-            tx: queue_tx,
-            metrics: registry.counters().clone(),
-            policy: AtomicU8::new(policy_ordinal(config.on_overload)),
-            dlq,
-            max_frame_bytes: config.max_frame_bytes,
-            max_http_body_bytes: config.max_http_body_bytes,
-            idle_timeout: config.idle_timeout,
-            assumed_year: config.assumed_year,
-            dlq_seq: AtomicUsize::new(0),
-            next_tail_slot: AtomicUsize::new(next_tail_slot),
-            tail_registry: std::sync::Mutex::new(static_tails),
-        });
-
         let mut event_loop = EventLoop::new()?;
-        let waker = event_loop.waker()?;
+        let (shared, queue) = Shared::new(&config, &registry, dlq, event_loop.waker()?);
         let mut syslog_tcp_addr = None;
         let mut syslog_udp_addr = None;
         let mut http_addr = None;
         let mut metrics_addr = None;
 
         if let Some(addr) = config.syslog_tcp {
-            let listener = bind_reusable(addr)?;
-            syslog_tcp_addr = Some(listener.local_addr()?);
-            listener.set_nonblocking(true)?;
-            let fd = listener.loop_fd();
-            event_loop.register(
-                fd,
-                Box::new(SyslogListener {
-                    listener,
-                    shared: shared.clone(),
-                }),
-            )?;
+            let shared = shared.clone();
+            syslog_tcp_addr = Some(event_loop.listen(addr, move |conn| {
+                PipelineMetrics::add(&shared.metrics.sources_connections, 1);
+                Box::new(SyslogConn::new(conn, shared.clone()))
+            })?);
         }
         if let Some(addr) = config.syslog_udp {
             let socket = UdpSocket::bind(addr)?;
@@ -449,14 +452,8 @@ impl SourcesServer {
             )?;
         }
         if let Some(addr) = config.http {
-            let listener = bind_reusable(addr)?;
-            http_addr = Some(listener.local_addr()?);
-            listener.set_nonblocking(true)?;
-            let fd = listener.loop_fd();
-            event_loop.register(
-                fd,
-                Box::new(http::IngestListener::new(listener, shared.clone())),
-            )?;
+            let shared = shared.clone();
+            http_addr = Some(event_loop.listen(addr, move |conn| http::serve(conn, &shared))?);
         }
         for (index, spec) in config.tails.iter().enumerate() {
             event_loop.register_timer(Box::new(tail::FileTailHandler::new(
@@ -471,12 +468,8 @@ impl SourcesServer {
                 shared.clone(),
             )));
         }
-        if let Some(ep) = metrics_endpoint {
-            let listener = bind_reusable(ep.addr)?;
-            metrics_addr = Some(listener.local_addr()?);
-            listener.set_nonblocking(true)?;
-            let service = Arc::new(MetricsService::new(registry, ep.tracer, ep.ops));
-            register_metrics_listener(&mut event_loop, listener, service, ep.interval)?;
+        if let Some(endpoint) = metrics_endpoint {
+            metrics_addr = Some(crate::export::mount(&mut event_loop, endpoint, registry)?);
         }
         let mut mailbox = None;
         if let Some(link_cfg) = config.router.clone() {
@@ -507,15 +500,7 @@ impl SourcesServer {
                 metrics_addr,
                 mailbox,
             },
-            SourceQueue {
-                rx,
-                depth,
-                low_water: config.queue_capacity / 2,
-                needs_wake,
-                waker,
-                #[cfg(test)]
-                wakes: AtomicUsize::new(0),
-            },
+            queue,
         ))
     }
 
@@ -570,31 +555,6 @@ impl Drop for SourcesServer {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
-        }
-    }
-}
-
-/// Accepts TCP syslog connections.
-struct SyslogListener {
-    listener: TcpListener,
-    shared: Arc<Shared>,
-}
-
-impl Handler for SyslogListener {
-    fn ready(&mut self, _r: bool, _w: bool, ctx: &mut LoopCtx<'_>) -> Next {
-        loop {
-            match self.listener.accept() {
-                Ok((conn, _peer)) => {
-                    if conn.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    PipelineMetrics::add(&self.shared.metrics.sources_connections, 1);
-                    let fd = conn.loop_fd();
-                    ctx.register(fd, Box::new(SyslogConn::new(conn, self.shared.clone())));
-                }
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return Next::Keep,
-                Err(_) => return Next::Keep,
-            }
         }
     }
 }
@@ -1062,12 +1022,7 @@ mod tests {
             }),
         )
         .unwrap();
-        let addr = server.metrics_addr().unwrap();
-        let mut conn = TcpStream::connect(addr).unwrap();
-        conn.write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
-            .unwrap();
-        let mut response = String::new();
-        conn.read_to_string(&mut response).unwrap();
+        let response = crate::net::http::client::get(server.metrics_addr().unwrap(), "/metrics");
         assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
         assert!(
             response.contains("monilog_sources_lines_total"),

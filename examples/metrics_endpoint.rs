@@ -18,7 +18,7 @@
 
 use monilog_core::detect::DeepLogConfig;
 use monilog_core::model::RawLog;
-use monilog_core::stream::MetricsExporter;
+use monilog_core::stream::{MetricsEndpoint, MetricsExporter};
 use monilog_core::{DetectorChoice, MoniLog, MoniLogConfig, WindowPolicy};
 use monilog_loggen::{GenLog, HdfsWorkload, HdfsWorkloadConfig};
 use std::net::SocketAddr;
@@ -80,13 +80,14 @@ fn main() {
     });
 
     // Serve from the start so training latencies are scrapable too.
-    let exporter = MetricsExporter::spawn_with_tracer(
+    let endpoint = MetricsEndpoint {
         addr,
-        monilog.registry(),
-        Duration::from_millis(250),
-        Some(monilog.tracer()),
-    )
-    .expect("bind metrics endpoint");
+        interval: Duration::from_millis(250),
+        tracer: Some(monilog.tracer()),
+        ops: None,
+    };
+    let exporter =
+        MetricsExporter::spawn(endpoint, monilog.registry()).expect("bind metrics endpoint");
     println!("metrics: http://{}/metrics", exporter.local_addr());
     println!("         http://{}/metrics.json", exporter.local_addr());
     println!("trace:   http://{}/trace/1", exporter.local_addr());

@@ -379,7 +379,7 @@ fn pipeline_checkpoint_restores_detection_behaviour() {
 #[test]
 fn anomaly_provenance_resolves_over_http() {
     use monilog_core::ObservabilityConfig;
-    use monilog_stream::MetricsExporter;
+    use monilog_stream::{MetricsEndpoint, MetricsExporter};
     use std::io::{Read as _, Write as _};
 
     // Sample every line so the flagged window's events all carry traces.
@@ -426,13 +426,13 @@ fn anomaly_provenance_resolves_over_http() {
     assert!(json.contains("\"provenance\":{"), "{json}");
 
     // Serve the tracer and resolve every provenance trace id over HTTP.
-    let exporter = MetricsExporter::spawn_with_tracer(
-        "127.0.0.1:0".parse().unwrap(),
-        monilog.registry(),
-        std::time::Duration::from_millis(20),
-        Some(monilog.tracer()),
-    )
-    .expect("exporter binds");
+    let endpoint = MetricsEndpoint {
+        addr: "127.0.0.1:0".parse().unwrap(),
+        interval: std::time::Duration::from_millis(20),
+        tracer: Some(monilog.tracer()),
+        ops: None,
+    };
+    let exporter = MetricsExporter::spawn(endpoint, monilog.registry()).expect("exporter binds");
     let addr = exporter.local_addr();
     let fetch = |path: &str| -> String {
         let mut stream = std::net::TcpStream::connect(addr).expect("connect");
