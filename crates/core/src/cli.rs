@@ -13,7 +13,7 @@
 //! selects the header layout (default `dash`, the Fig. 2 format). The
 //! logic lives here (unit-testable); `src/bin/monilog.rs` is a thin shell.
 
-use crate::durable::{DeliverySetup, DurableConfig, DurableMoniLog};
+use crate::durable::{DeliverySetup, DurableConfig, DurableMoniLog, PersistedTailCursor};
 use crate::{
     ClassifiedAnomaly, DetectorChoice, FaultToleranceConfig, MoniLog, MoniLogConfig,
     ObservabilityConfig, WindowPolicy,
@@ -24,8 +24,8 @@ use monilog_parse::autotune::{autotune_drain, TuneGrid};
 use monilog_parse::{Drain, DrainConfig, OnlineParser};
 use monilog_stream::{
     BreakerState, ConfigSnapshot, JournalConfig, MetricsEndpoint, MetricsExporter, OpsState,
-    OverloadPolicy, PipelineMetrics, ReloadableConfig, ReportStore, StatusBoard, StatusInputs,
-    DEFAULT_LATENCY_BUDGET_MS, DEFAULT_REPORT_CAPACITY,
+    OverloadPolicy, PipelineMetrics, ReloadableConfig, ReportStore, SourceEvent, SourceQueue,
+    SourcesServer, StatusBoard, StatusInputs, DEFAULT_LATENCY_BUDGET_MS, DEFAULT_REPORT_CAPACITY,
 };
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -52,7 +52,8 @@ pub enum CliCommand {
         trace_out: Option<String>,
     },
     Monitor {
-        /// Input file; optional when network sources are configured.
+        /// Input file; `None` when network sources are configured (the
+        /// two exclude each other).
         logfile: Option<String>,
         checkpoint: String,
         format: HeaderChoice,
@@ -121,22 +122,22 @@ pub struct SourcesOptions {
 }
 
 impl SourcesOptions {
-    fn any(&self) -> bool {
+    /// Local listeners or tails, as opposed to the router link.
+    fn local(&self) -> bool {
         self.syslog_tcp.is_some()
             || self.syslog_udp.is_some()
             || self.http.is_some()
             || !self.tails.is_empty()
-            || self.join.is_some()
+    }
+
+    fn any(&self) -> bool {
+        self.local() || self.join.is_some()
     }
 
     /// A fleet member with no local listeners: its only input is the
     /// router link, so a router `Fin` ends the run.
     fn router_only(&self) -> bool {
-        self.join.is_some()
-            && self.syslog_tcp.is_none()
-            && self.syslog_udp.is_none()
-            && self.http.is_none()
-            && self.tails.is_empty()
+        self.join.is_some() && !self.local()
     }
 }
 
@@ -207,6 +208,23 @@ impl Default for SinkOptions {
     }
 }
 
+impl Default for DurableOptions {
+    /// Every default but the state directory, which has none.
+    fn default() -> DurableOptions {
+        DurableOptions {
+            state_dir: String::new(),
+            checkpoint_interval_ms: 5_000,
+            journal_fsync_ms: JournalConfig::default().fsync_interval_ms,
+            journal_segment_bytes: JournalConfig::default().segment_bytes,
+            sinks: None,
+            config_file: None,
+            latency_budget_ms: DEFAULT_LATENCY_BUDGET_MS,
+            batch_lines: None,
+            batch_deadline_ms: None,
+        }
+    }
+}
+
 impl DurableOptions {
     fn to_config(&self) -> DurableConfig {
         DurableConfig {
@@ -230,6 +248,21 @@ pub enum HeaderChoice {
 }
 
 impl HeaderChoice {
+    /// `--format` values.
+    const NAMES: [(&'static str, HeaderChoice); 3] = [
+        ("dash", HeaderChoice::Dash),
+        ("syslog", HeaderChoice::Syslog),
+        ("bare", HeaderChoice::Bare),
+    ];
+
+    fn name(self) -> &'static str {
+        let (name, _) = Self::NAMES
+            .iter()
+            .find(|(_, c)| *c == self)
+            .expect("every choice named");
+        name
+    }
+
     fn to_config(self) -> crate::HeaderFormatChoice {
         match self {
             HeaderChoice::Dash => crate::HeaderFormatChoice::DashSeparated,
@@ -379,372 +412,248 @@ distributed fleet:
   merge).
 ";
 
+/// The commands `parse_args` knows, in `USAGE` order.
+const COMMANDS: [&str; 5] = ["parse", "calibrate", "train", "monitor", "router"];
+
+/// Where a flag means something: the commands that use it, and whether it
+/// needs `--state-dir` (what it tunes or feeds is journaled or checkpointed
+/// there).
+struct Scope {
+    commands: &'static [&'static str],
+    needs_state_dir: bool,
+}
+
+const fn scope(commands: &'static [&'static str], needs_state_dir: bool) -> Scope {
+    Scope {
+        commands,
+        needs_state_dir,
+    }
+}
+
+const PARSE_TRAIN_MONITOR: Scope = scope(&["parse", "train", "monitor"], false);
+const TRAIN_MONITOR: Scope = scope(&["train", "monitor"], false);
+const MONITOR: Scope = scope(&["monitor"], false);
+const MONITOR_ROUTER: Scope = scope(&["monitor", "router"], false);
+const ROUTER: Scope = scope(&["router"], false);
+const DURABLE_MONITOR: Scope = scope(&["monitor"], true);
+const DURABLE_MONITOR_ROUTER: Scope = scope(&["monitor", "router"], true);
+
+/// One row of [`FLAGS`]; every flag takes exactly one value.
+struct Flag {
+    name: &'static str,
+    /// What the value looks like, for the "needs a value" error.
+    hint: &'static str,
+    scope: Scope,
+    /// Check the value and store it; an `Err` says why it is invalid.
+    apply: fn(&mut Opts, &str) -> Result<(), String>,
+}
+
+/// Everything argv can set, before it is shaped into a [`CliCommand`].
+#[derive(Default)]
+struct Opts {
+    checkpoint: Option<String>,
+    format: HeaderChoice,
+    fault: FaultToleranceConfig,
+    observability: ObservabilityConfig,
+    trace_out: Option<String>,
+    state_dir: Option<String>,
+    /// Every durable option but the state directory itself.
+    durable: DurableOptions,
+    sources: SourcesOptions,
+    listen_cluster: Option<std::net::SocketAddr>,
+    expect_nodes: Option<usize>,
+    heartbeat_ms: Option<u64>,
+    dead_after_ms: Option<u64>,
+    rebalance_grace_ms: Option<u64>,
+}
+
+impl Opts {
+    /// The delivery options: any delivery flag turns delivery on.
+    fn sinks(&mut self) -> &mut SinkOptions {
+        self.durable.sinks.get_or_insert_with(SinkOptions::default)
+    }
+}
+
+fn set<T>(slot: &mut T, value: T) -> Result<(), String> {
+    *slot = value;
+    Ok(())
+}
+
+fn at_least<T: std::str::FromStr + PartialOrd + std::fmt::Display>(
+    value: &str,
+    min: T,
+) -> Result<T, String> {
+    match value.parse() {
+        Ok(n) if n >= min => Ok(n),
+        Ok(_) => Err(format!("must be at least {min}")),
+        Err(_) => Err("not a number".to_string()),
+    }
+}
+
+fn addr(value: &str) -> Result<Option<std::net::SocketAddr>, String> {
+    value
+        .parse()
+        .map(Some)
+        .map_err(|_| "expected host:port".to_string())
+}
+
+fn one_of<T: Copy>(value: &str, choices: &[(&str, T)]) -> Result<T, String> {
+    let names: Vec<&str> = choices.iter().map(|(name, _)| *name).collect();
+    let found = choices.iter().find(|(name, _)| *name == value);
+    found
+        .map(|(_, choice)| *choice)
+        .ok_or_else(|| format!("expected one of {}", names.join(", ")))
+}
+
+/// `Some(value)` when `ok`, else the reason it is invalid.
+fn valid(value: &str, ok: bool, why: &str) -> Result<Option<String>, String> {
+    ok.then(|| Some(value.to_string()))
+        .ok_or_else(|| why.to_string())
+}
+
+const PAGE_LEVELS: [(&str, Criticality); 3] = [
+    ("low", Criticality::Low),
+    ("moderate", Criticality::Moderate),
+    ("high", Criticality::High),
+];
+
+/// Every flag: its value hint, the commands that take it, and how its
+/// value is checked and stored. `USAGE` lists exactly these flags, each
+/// under the commands of its scope (a test holds the two in step).
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "--checkpoint", hint: "a path", scope: TRAIN_MONITOR,
+        apply: |o, v| set(&mut o.checkpoint, Some(v.into())) },
+    Flag { name: "--format", hint: "dash|syslog|bare", scope: PARSE_TRAIN_MONITOR,
+        apply: |o, v| set(&mut o.format, one_of(v, &HeaderChoice::NAMES)?) },
+    Flag { name: "--on-overload", hint: "a policy", scope: MONITOR,
+        apply: |o, v| set(&mut o.fault.on_overload, OverloadPolicy::parse(v)?) },
+    Flag { name: "--batch-lines", hint: "a count", scope: DURABLE_MONITOR_ROUTER,
+        apply: |o, v| set(&mut o.durable.batch_lines, Some(at_least(v, 1)?)) },
+    Flag { name: "--batch-deadline-ms", hint: "milliseconds", scope: DURABLE_MONITOR,
+        apply: |o, v| set(&mut o.durable.batch_deadline_ms, Some(at_least(v, 0)?)) },
+    Flag { name: "--metrics-addr", hint: "host:port", scope: TRAIN_MONITOR,
+        apply: |o, v| set(&mut o.observability.metrics_addr, addr(v)?) },
+    Flag { name: "--metrics-interval-ms", hint: "milliseconds", scope: TRAIN_MONITOR,
+        apply: |o, v| set(&mut o.observability.metrics_interval_ms, at_least(v, 1)?) },
+    Flag { name: "--trace-sample-rate", hint: "a rate", scope: TRAIN_MONITOR,
+        apply: |o, v| set(&mut o.observability.trace_sample_rate, at_least(v, 0)?) },
+    Flag { name: "--flight-capacity", hint: "a count", scope: TRAIN_MONITOR,
+        apply: |o, v| set(&mut o.observability.flight_capacity, at_least(v, 1)?) },
+    Flag { name: "--trace-out", hint: "a path", scope: TRAIN_MONITOR,
+        apply: |o, v| set(&mut o.trace_out, Some(v.into())) },
+    Flag { name: "--state-dir", hint: "a directory", scope: MONITOR_ROUTER,
+        apply: |o, v| set(&mut o.state_dir, Some(v.into())) },
+    Flag { name: "--checkpoint-interval-ms", hint: "milliseconds", scope: DURABLE_MONITOR,
+        apply: |o, v| set(&mut o.durable.checkpoint_interval_ms, at_least(v, 1)?) },
+    Flag { name: "--journal-fsync-ms", hint: "milliseconds", scope: DURABLE_MONITOR,
+        apply: |o, v| set(&mut o.durable.journal_fsync_ms, at_least(v, 0)?) },
+    Flag { name: "--journal-segment-bytes", hint: "a size", scope: DURABLE_MONITOR,
+        apply: |o, v| set(&mut o.durable.journal_segment_bytes, at_least(v, 1_024)?) },
+    Flag { name: "--config-file", hint: "a path", scope: DURABLE_MONITOR,
+        apply: |o, v| set(&mut o.durable.config_file, Some(v.into())) },
+    Flag { name: "--latency-budget-ms", hint: "milliseconds", scope: DURABLE_MONITOR,
+        apply: |o, v| set(&mut o.durable.latency_budget_ms, at_least(v, 1)?) },
+    Flag { name: "--sink-http", hint: "a url", scope: DURABLE_MONITOR,
+        apply: |o, v| {
+            let url = valid(v, v.starts_with("http://"), "only http:// urls are supported")?;
+            set(&mut o.sinks().http, url)
+        } },
+    Flag { name: "--sink-tcp", hint: "host:port", scope: DURABLE_MONITOR,
+        apply: |o, v| set(&mut o.sinks().tcp, valid(v, v.contains(':'), "expected host:port")?) },
+    Flag { name: "--sink-retry-max-ms", hint: "milliseconds", scope: DURABLE_MONITOR,
+        apply: |o, v| set(&mut o.sinks().retry_max_ms, at_least(v, 1)?) },
+    Flag { name: "--sink-buffer-bytes", hint: "a size", scope: DURABLE_MONITOR,
+        apply: |o, v| set(&mut o.sinks().buffer_bytes, at_least(v, 4_096)?) },
+    Flag { name: "--route-critical", hint: "http|tcp|file", scope: DURABLE_MONITOR,
+        apply: |o, v| {
+            let target = one_of(v, &[("http", "http"), ("tcp", "tcp"), ("file", "file")])?;
+            set(&mut o.sinks().route_critical, Some(target.into()))
+        } },
+    Flag { name: "--page-at", hint: "low|moderate|high", scope: DURABLE_MONITOR,
+        apply: |o, v| set(&mut o.sinks().page_at, one_of(v, &PAGE_LEVELS)?) },
+    Flag { name: "--listen-syslog-tcp", hint: "host:port", scope: DURABLE_MONITOR,
+        apply: |o, v| set(&mut o.sources.syslog_tcp, addr(v)?) },
+    Flag { name: "--listen-syslog-udp", hint: "host:port", scope: DURABLE_MONITOR,
+        apply: |o, v| set(&mut o.sources.syslog_udp, addr(v)?) },
+    Flag { name: "--listen-http", hint: "host:port", scope: DURABLE_MONITOR,
+        apply: |o, v| set(&mut o.sources.http, addr(v)?) },
+    Flag { name: "--tail", hint: "a path", scope: DURABLE_MONITOR,
+        apply: |o, v| {
+            o.sources.tails.push(v.into());
+            Ok(())
+        } },
+    Flag { name: "--join", hint: "host:port", scope: DURABLE_MONITOR,
+        apply: |o, v| set(&mut o.sources.join, addr(v)?) },
+    Flag { name: "--node-id", hint: "a name", scope: DURABLE_MONITOR,
+        apply: |o, v| {
+            let ok = (1..=64).contains(&v.len());
+            set(&mut o.sources.node_id, valid(v, ok, "must be 1..=64 characters")?)
+        } },
+    Flag { name: "--listen-cluster", hint: "host:port", scope: ROUTER,
+        apply: |o, v| set(&mut o.listen_cluster, addr(v)?) },
+    Flag { name: "--expect-nodes", hint: "a count", scope: ROUTER,
+        apply: |o, v| set(&mut o.expect_nodes, Some(at_least(v, 1)?)) },
+    Flag { name: "--heartbeat-ms", hint: "milliseconds", scope: ROUTER,
+        apply: |o, v| set(&mut o.heartbeat_ms, Some(at_least(v, 1)?)) },
+    Flag { name: "--dead-after-ms", hint: "milliseconds", scope: ROUTER,
+        apply: |o, v| set(&mut o.dead_after_ms, Some(at_least(v, 1)?)) },
+    Flag { name: "--rebalance-grace-ms", hint: "milliseconds", scope: ROUTER,
+        apply: |o, v| set(&mut o.rebalance_grace_ms, Some(at_least(v, 1)?)) },
+];
+
 /// Parse argv (without the program name).
 pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
+    let mut o = Opts::default();
+    let mut given: Vec<&Flag> = Vec::new();
     let mut positional = Vec::new();
-    let mut checkpoint: Option<String> = None;
-    let mut format = HeaderChoice::default();
-    let mut fault = FaultToleranceConfig::default();
-    let mut observability = ObservabilityConfig::default();
-    let mut trace_out: Option<String> = None;
-    let mut state_dir: Option<String> = None;
-    let mut checkpoint_interval_ms = 5_000u64;
-    let mut journal_fsync_ms = JournalConfig::default().fsync_interval_ms;
-    let mut journal_segment_bytes = JournalConfig::default().segment_bytes;
-    let mut durable_tuning_given = false;
-    let mut sinks = SinkOptions::default();
-    let mut sinks_given = false;
-    let mut sources = SourcesOptions::default();
-    let mut listen_cluster: Option<std::net::SocketAddr> = None;
-    let mut expect_nodes = 1usize;
-    let mut dead_after_ms = 1_500u64;
-    let mut rebalance_grace_ms = 500u64;
-    let mut heartbeat_ms = 250u64;
-    let mut router_flag_given = false;
-    let mut monitor_flag_given = false;
-    let mut batch_lines: Option<usize> = None;
-    let mut batch_deadline_ms: Option<u64> = None;
-    let mut config_file: Option<String> = None;
-    let mut latency_budget_ms = DEFAULT_LATENCY_BUDGET_MS;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--checkpoint" => {
-                i += 1;
-                checkpoint = Some(args.get(i).ok_or("--checkpoint needs a path")?.clone());
-            }
-            "--format" => {
-                i += 1;
-                format = match args.get(i).map(String::as_str) {
-                    Some("dash") => HeaderChoice::Dash,
-                    Some("syslog") => HeaderChoice::Syslog,
-                    Some("bare") => HeaderChoice::Bare,
-                    other => return Err(format!("unknown --format {other:?}")),
-                };
-            }
-            "--on-overload" => {
-                i += 1;
-                let value = args.get(i).ok_or("--on-overload needs a policy")?;
-                fault.on_overload = OverloadPolicy::parse(value)?;
-                monitor_flag_given = true;
-            }
-            "--batch-lines" => {
-                i += 1;
-                let value = args.get(i).ok_or("--batch-lines needs a count")?;
-                let n: usize = value
-                    .parse()
-                    .map_err(|_| format!("invalid --batch-lines {value:?}"))?;
-                if n == 0 {
-                    return Err("--batch-lines must be at least 1".to_string());
-                }
-                batch_lines = Some(n);
-                durable_tuning_given = true;
-            }
-            "--batch-deadline-ms" => {
-                i += 1;
-                let value = args
-                    .get(i)
-                    .ok_or("--batch-deadline-ms needs milliseconds")?;
-                let ms: u64 = value
-                    .parse()
-                    .map_err(|_| format!("invalid --batch-deadline-ms {value:?}"))?;
-                batch_deadline_ms = Some(ms);
-                durable_tuning_given = true;
-                monitor_flag_given = true;
-            }
-            "--heartbeat-ms" => {
-                i += 1;
-                let value = args.get(i).ok_or("--heartbeat-ms needs milliseconds")?;
-                heartbeat_ms = value
-                    .parse()
-                    .map_err(|_| format!("invalid --heartbeat-ms {value:?}"))?;
-                if heartbeat_ms == 0 {
-                    return Err("--heartbeat-ms must be at least 1".to_string());
-                }
-                router_flag_given = true;
-            }
-            "--metrics-addr" => {
-                i += 1;
-                let value = args.get(i).ok_or("--metrics-addr needs host:port")?;
-                let addr = value
-                    .parse()
-                    .map_err(|_| format!("invalid --metrics-addr {value:?}"))?;
-                observability.metrics_addr = Some(addr);
-            }
-            "--metrics-interval-ms" => {
-                i += 1;
-                let value = args
-                    .get(i)
-                    .ok_or("--metrics-interval-ms needs milliseconds")?;
-                let ms: u64 = value
-                    .parse()
-                    .map_err(|_| format!("invalid --metrics-interval-ms {value:?}"))?;
-                if ms == 0 {
-                    return Err("--metrics-interval-ms must be at least 1".to_string());
-                }
-                observability.metrics_interval_ms = ms;
-            }
-            "--trace-sample-rate" => {
-                i += 1;
-                let value = args.get(i).ok_or("--trace-sample-rate needs a rate")?;
-                observability.trace_sample_rate = value
-                    .parse()
-                    .map_err(|_| format!("invalid --trace-sample-rate {value:?}"))?;
-            }
-            "--flight-capacity" => {
-                i += 1;
-                let value = args.get(i).ok_or("--flight-capacity needs a count")?;
-                let capacity: u32 = value
-                    .parse()
-                    .map_err(|_| format!("invalid --flight-capacity {value:?}"))?;
-                if capacity == 0 {
-                    return Err("--flight-capacity must be at least 1".to_string());
-                }
-                observability.flight_capacity = capacity;
-            }
-            "--trace-out" => {
-                i += 1;
-                trace_out = Some(args.get(i).ok_or("--trace-out needs a path")?.clone());
-            }
-            "--state-dir" => {
-                i += 1;
-                state_dir = Some(args.get(i).ok_or("--state-dir needs a directory")?.clone());
-            }
-            "--checkpoint-interval-ms" => {
-                i += 1;
-                let value = args
-                    .get(i)
-                    .ok_or("--checkpoint-interval-ms needs milliseconds")?;
-                let ms: u64 = value
-                    .parse()
-                    .map_err(|_| format!("invalid --checkpoint-interval-ms {value:?}"))?;
-                if ms == 0 {
-                    return Err("--checkpoint-interval-ms must be at least 1".to_string());
-                }
-                checkpoint_interval_ms = ms;
-                durable_tuning_given = true;
-            }
-            "--journal-fsync-ms" => {
-                i += 1;
-                let value = args.get(i).ok_or("--journal-fsync-ms needs milliseconds")?;
-                journal_fsync_ms = value
-                    .parse()
-                    .map_err(|_| format!("invalid --journal-fsync-ms {value:?}"))?;
-                durable_tuning_given = true;
-            }
-            "--journal-segment-bytes" => {
-                i += 1;
-                let value = args.get(i).ok_or("--journal-segment-bytes needs a size")?;
-                let bytes: u64 = value
-                    .parse()
-                    .map_err(|_| format!("invalid --journal-segment-bytes {value:?}"))?;
-                if bytes < 1_024 {
-                    return Err("--journal-segment-bytes must be at least 1024".to_string());
-                }
-                journal_segment_bytes = bytes;
-                durable_tuning_given = true;
-            }
-            "--sink-http" => {
-                i += 1;
-                let value = args.get(i).ok_or("--sink-http needs a url")?;
-                if !value.starts_with("http://") {
-                    return Err(format!(
-                        "invalid --sink-http {value:?}: only http:// urls are supported"
-                    ));
-                }
-                sinks.http = Some(value.clone());
-                sinks_given = true;
-            }
-            "--sink-tcp" => {
-                i += 1;
-                let value = args.get(i).ok_or("--sink-tcp needs host:port")?;
-                if !value.contains(':') {
-                    return Err(format!("invalid --sink-tcp {value:?}: expected host:port"));
-                }
-                sinks.tcp = Some(value.clone());
-                sinks_given = true;
-            }
-            "--sink-retry-max-ms" => {
-                i += 1;
-                let value = args
-                    .get(i)
-                    .ok_or("--sink-retry-max-ms needs milliseconds")?;
-                let ms: u64 = value
-                    .parse()
-                    .map_err(|_| format!("invalid --sink-retry-max-ms {value:?}"))?;
-                if ms == 0 {
-                    return Err("--sink-retry-max-ms must be at least 1".to_string());
-                }
-                sinks.retry_max_ms = ms;
-                sinks_given = true;
-            }
-            "--sink-buffer-bytes" => {
-                i += 1;
-                let value = args.get(i).ok_or("--sink-buffer-bytes needs a size")?;
-                let bytes: u64 = value
-                    .parse()
-                    .map_err(|_| format!("invalid --sink-buffer-bytes {value:?}"))?;
-                if bytes < 4_096 {
-                    return Err("--sink-buffer-bytes must be at least 4096".to_string());
-                }
-                sinks.buffer_bytes = bytes;
-                sinks_given = true;
-            }
-            "--route-critical" => {
-                i += 1;
-                let value = args.get(i).ok_or("--route-critical needs http|tcp|file")?;
-                if !matches!(value.as_str(), "http" | "tcp" | "file") {
-                    return Err(format!(
-                        "invalid --route-critical {value:?}: expected http, tcp or file"
-                    ));
-                }
-                sinks.route_critical = Some(value.clone());
-                sinks_given = true;
-            }
-            "--page-at" => {
-                i += 1;
-                let value = args.get(i).ok_or("--page-at needs low|moderate|high")?;
-                sinks.page_at = match value.as_str() {
-                    "low" => Criticality::Low,
-                    "moderate" => Criticality::Moderate,
-                    "high" => Criticality::High,
-                    _ => {
-                        return Err(format!(
-                            "invalid --page-at {value:?}: expected low, moderate or high"
-                        ))
-                    }
-                };
-                sinks_given = true;
-            }
-            "--config-file" => {
-                i += 1;
-                config_file = Some(args.get(i).ok_or("--config-file needs a path")?.clone());
-                durable_tuning_given = true;
-            }
-            "--latency-budget-ms" => {
-                i += 1;
-                let value = args
-                    .get(i)
-                    .ok_or("--latency-budget-ms needs milliseconds")?;
-                let ms: u64 = value
-                    .parse()
-                    .map_err(|_| format!("invalid --latency-budget-ms {value:?}"))?;
-                if ms == 0 {
-                    return Err("--latency-budget-ms must be at least 1".to_string());
-                }
-                latency_budget_ms = ms;
-                durable_tuning_given = true;
-            }
-            "--listen-syslog-tcp" => {
-                i += 1;
-                let value = args.get(i).ok_or("--listen-syslog-tcp needs host:port")?;
-                sources.syslog_tcp = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("invalid --listen-syslog-tcp {value:?}"))?,
-                );
-            }
-            "--listen-syslog-udp" => {
-                i += 1;
-                let value = args.get(i).ok_or("--listen-syslog-udp needs host:port")?;
-                sources.syslog_udp = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("invalid --listen-syslog-udp {value:?}"))?,
-                );
-            }
-            "--listen-http" => {
-                i += 1;
-                let value = args.get(i).ok_or("--listen-http needs host:port")?;
-                sources.http = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("invalid --listen-http {value:?}"))?,
-                );
-            }
-            "--tail" => {
-                i += 1;
-                let value = args.get(i).ok_or("--tail needs a path")?;
-                sources.tails.push(value.clone());
-            }
-            "--join" => {
-                i += 1;
-                let value = args.get(i).ok_or("--join needs host:port")?;
-                sources.join = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("invalid --join {value:?}"))?,
-                );
-            }
-            "--node-id" => {
-                i += 1;
-                let value = args.get(i).ok_or("--node-id needs a name")?;
-                if value.is_empty() || value.len() > 64 {
-                    return Err("--node-id must be 1..=64 characters".to_string());
-                }
-                sources.node_id = Some(value.clone());
-            }
-            "--listen-cluster" => {
-                i += 1;
-                let value = args.get(i).ok_or("--listen-cluster needs host:port")?;
-                listen_cluster = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("invalid --listen-cluster {value:?}"))?,
-                );
-                router_flag_given = true;
-            }
-            "--expect-nodes" => {
-                i += 1;
-                let value = args.get(i).ok_or("--expect-nodes needs a count")?;
-                expect_nodes = value
-                    .parse()
-                    .map_err(|_| format!("invalid --expect-nodes {value:?}"))?;
-                if expect_nodes == 0 {
-                    return Err("--expect-nodes must be at least 1".to_string());
-                }
-                router_flag_given = true;
-            }
-            "--dead-after-ms" => {
-                i += 1;
-                let value = args.get(i).ok_or("--dead-after-ms needs milliseconds")?;
-                dead_after_ms = value
-                    .parse()
-                    .map_err(|_| format!("invalid --dead-after-ms {value:?}"))?;
-                if dead_after_ms == 0 {
-                    return Err("--dead-after-ms must be at least 1".to_string());
-                }
-                router_flag_given = true;
-            }
-            "--rebalance-grace-ms" => {
-                i += 1;
-                let value = args
-                    .get(i)
-                    .ok_or("--rebalance-grace-ms needs milliseconds")?;
-                rebalance_grace_ms = value
-                    .parse()
-                    .map_err(|_| format!("invalid --rebalance-grace-ms {value:?}"))?;
-                if rebalance_grace_ms == 0 {
-                    return Err("--rebalance-grace-ms must be at least 1".to_string());
-                }
-                router_flag_given = true;
-            }
-            "--help" | "-h" => return Ok(CliCommand::Help),
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
-            positional_arg => positional.push(positional_arg.to_string()),
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if arg == "--help" || arg == "-h" {
+            return Ok(CliCommand::Help);
         }
-        i += 1;
+        if !arg.starts_with("--") {
+            positional.push(arg.clone());
+            continue;
+        }
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name == arg)
+            .ok_or_else(|| format!("unknown flag {arg}"))?;
+        let value = args
+            .next()
+            .ok_or_else(|| format!("{arg} needs {}", flag.hint))?;
+        (flag.apply)(&mut o, value).map_err(|why| format!("invalid {arg} {value:?}: {why}"))?;
+        given.push(flag);
     }
-    if sinks_given {
-        // Delivery is disk-buffered under the state directory and its
-        // cursors ride in the durable checkpoint — meaningless without it.
-        if state_dir.is_none() {
-            return Err(
-                "--sink-http / --sink-tcp / --sink-retry-max-ms / --sink-buffer-bytes / \
-                 --route-critical / --page-at require --state-dir"
-                    .to_string(),
-            );
+    let mut positional = positional.into_iter();
+    let command = positional.next().ok_or(USAGE.to_string())?;
+    if command == "help" {
+        return Ok(CliCommand::Help);
+    }
+    if !COMMANDS.contains(&command.as_str()) {
+        return Err(format!("unknown command {command:?}\n\n{USAGE}"));
+    }
+    for flag in given {
+        if !flag.scope.commands.contains(&command.as_str()) {
+            return Err(format!(
+                "{} is not supported by the {command} command (only by {})",
+                flag.name,
+                flag.scope.commands.join(", ")
+            ));
         }
+        // Network input, delivery and WAL tuning are journaled or
+        // checkpointed under the state directory — meaningless without it.
+        if flag.scope.needs_state_dir && o.state_dir.is_none() {
+            return Err(format!("{} requires --state-dir", flag.name));
+        }
+    }
+    if o.sources.join.is_some() != o.sources.node_id.is_some() {
+        // The node name keys the router's acked high-water marks; a
+        // default would silently collide across fleet members.
+        return Err("--join and --node-id must be given together".to_string());
+    }
+    if let Some(sinks) = &o.durable.sinks {
         if let Some(target) = &sinks.route_critical {
             let available = match target.as_str() {
                 "http" => sinks.http.is_some(),
@@ -758,101 +667,50 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
             }
         }
     }
-    let durable = match state_dir {
-        Some(dir) => Some(DurableOptions {
-            state_dir: dir,
-            checkpoint_interval_ms,
-            journal_fsync_ms,
-            journal_segment_bytes,
-            sinks: sinks_given.then_some(sinks),
-            config_file,
-            latency_budget_ms,
-            batch_lines,
-            batch_deadline_ms,
-        }),
-        None if durable_tuning_given => {
-            return Err(
-                "--checkpoint-interval-ms / --journal-fsync-ms / --journal-segment-bytes / \
-                 --config-file / --latency-budget-ms / --batch-lines / --batch-deadline-ms \
-                 require --state-dir"
-                    .to_string(),
-            );
-        }
-        None => None,
-    };
-    if sources.join.is_some() != sources.node_id.is_some() {
-        // The node name keys the router's acked high-water marks; a
-        // default would silently collide across fleet members.
-        return Err("--join and --node-id must be given together".to_string());
-    }
-    let mut positional = positional.into_iter();
-    let command = positional.next().ok_or(USAGE.to_string())?;
-    if durable.is_some() && command != "monitor" && command != "router" {
-        return Err("--state-dir is only supported by the monitor and router commands".to_string());
-    }
-    if router_flag_given && command != "router" {
-        return Err(
-            "--listen-cluster / --expect-nodes / --heartbeat-ms / --dead-after-ms / \
-             --rebalance-grace-ms are only supported by the router command"
-                .to_string(),
-        );
-    }
-    if monitor_flag_given && command != "monitor" {
-        return Err(
-            "--on-overload / --batch-deadline-ms are only supported by the monitor command"
-                .to_string(),
-        );
-    }
-    if sources.any() {
-        if command != "monitor" {
-            return Err(
-                "--listen-syslog-tcp / --listen-syslog-udp / --listen-http / --tail / --join \
-                 are only supported by the monitor command"
-                    .to_string(),
-            );
-        }
-        // Network input is journaled before the pipeline acts on it, and
-        // tail cursors live in the durable checkpoint — meaningless
-        // without a state directory.
-        if durable.is_none() {
-            return Err(
-                "--listen-syslog-tcp / --listen-syslog-udp / --listen-http / --tail / --join \
-                 require --state-dir"
-                    .to_string(),
-            );
-        }
-    }
+    let durable = o.state_dir.map(|state_dir| DurableOptions {
+        state_dir,
+        ..o.durable
+    });
     match command.as_str() {
         "parse" => Ok(CliCommand::Parse {
             logfile: positional.next().ok_or("parse needs a <logfile>")?,
-            format,
+            format: o.format,
         }),
         "calibrate" => Ok(CliCommand::Calibrate {
             logfile: positional.next().ok_or("calibrate needs a <logfile>")?,
         }),
         "train" => Ok(CliCommand::Train {
             logfile: positional.next().ok_or("train needs a <logfile>")?,
-            checkpoint: checkpoint.ok_or("train needs --checkpoint <out>")?,
-            format,
-            observability,
-            trace_out,
+            checkpoint: o.checkpoint.ok_or("train needs --checkpoint <out>")?,
+            format: o.format,
+            observability: o.observability,
+            trace_out: o.trace_out,
         }),
         "monitor" => {
             let logfile = positional.next();
-            if logfile.is_none() && !sources.any() {
-                return Err("monitor needs a <logfile> (or network sources: \
-                     --listen-syslog-tcp / --listen-syslog-udp / --listen-http / --tail)"
-                    .to_string());
+            match (&logfile, o.sources.any()) {
+                (None, false) => {
+                    return Err("monitor needs a <logfile> (or network sources: \
+                         --listen-syslog-tcp / --listen-syslog-udp / --listen-http / --tail)"
+                        .to_string())
+                }
+                (Some(path), true) => {
+                    return Err(format!(
+                        "monitor takes either <logfile> or network sources, not both; \
+                         follow {path} alongside the listeners with --tail {path}"
+                    ))
+                }
+                _ => {}
             }
             Ok(CliCommand::Monitor {
                 logfile,
-                checkpoint: checkpoint.ok_or("monitor needs --checkpoint <in>")?,
-                format,
-                fault,
-                observability,
-                trace_out,
+                checkpoint: o.checkpoint.ok_or("monitor needs --checkpoint <in>")?,
+                format: o.format,
+                fault: o.fault,
+                observability: o.observability,
+                trace_out: o.trace_out,
                 durable,
-                sources: sources.any().then_some(sources),
+                sources: o.sources.any().then_some(o.sources),
             })
         }
         "router" => {
@@ -863,18 +721,18 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
             let opts = durable.ok_or("router needs --state-dir for its retention buffers")?;
             Ok(CliCommand::Router {
                 logfiles,
-                listen: listen_cluster
+                listen: o
+                    .listen_cluster
                     .unwrap_or_else(|| "127.0.0.1:0".parse().expect("static addr")),
-                expect_nodes,
+                expect_nodes: o.expect_nodes.unwrap_or(1),
                 state_dir: opts.state_dir,
                 batch_lines: opts.batch_lines.unwrap_or(64),
-                heartbeat_ms,
-                dead_after_ms,
-                rebalance_grace_ms,
+                heartbeat_ms: o.heartbeat_ms.unwrap_or(250),
+                dead_after_ms: o.dead_after_ms.unwrap_or(1_500),
+                rebalance_grace_ms: o.rebalance_grace_ms.unwrap_or(500),
             })
         }
-        "help" => Ok(CliCommand::Help),
-        other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
+        _ => unreachable!("checked against COMMANDS"),
     }
 }
 
@@ -905,6 +763,20 @@ fn pipeline_config(format: HeaderChoice, fault: FaultToleranceConfig) -> MoniLog
     }
 }
 
+/// The metrics endpoint `--metrics-addr` asks for, if any.
+fn metrics_endpoint(
+    monilog: &MoniLog,
+    observability: ObservabilityConfig,
+    ops: Option<&OpsState>,
+) -> Option<MetricsEndpoint> {
+    Some(MetricsEndpoint {
+        addr: observability.metrics_addr?,
+        interval: std::time::Duration::from_millis(observability.metrics_interval_ms),
+        tracer: Some(monilog.tracer()),
+        ops: ops.map(|o| Arc::new(o.clone())),
+    })
+}
+
 /// Start the metrics endpoint when `--metrics-addr` was given. The
 /// returned guard keeps the listener alive for the duration of the run;
 /// it is dropped (and the listener joined) when the command finishes.
@@ -914,15 +786,10 @@ fn spawn_exporter(
     ops: Option<&OpsState>,
     out: &mut String,
 ) -> Result<Option<MetricsExporter>, String> {
-    let Some(addr) = observability.metrics_addr else {
+    let Some(endpoint) = metrics_endpoint(monilog, observability, ops) else {
         return Ok(None);
     };
-    let endpoint = MetricsEndpoint {
-        addr,
-        interval: std::time::Duration::from_millis(observability.metrics_interval_ms),
-        tracer: Some(monilog.tracer()),
-        ops: ops.map(|o| Arc::new(o.clone())),
-    };
+    let addr = endpoint.addr;
     let exporter = MetricsExporter::spawn(endpoint, monilog.registry())
         .map_err(|e| format!("cannot serve metrics on {addr}: {e}"))?;
     let _ = writeln!(out, "metrics: http://{}/metrics", exporter.local_addr());
@@ -936,14 +803,14 @@ fn spawn_exporter(
 /// Honour `--trace-out`: write everything still in the flight recorder as
 /// Chrome trace-event JSON (open in `chrome://tracing` or Perfetto).
 fn write_trace_out(
-    monilog: &MoniLog,
+    tracer: &monilog_stream::Tracer,
     trace_out: Option<String>,
     out: &mut String,
 ) -> Result<(), String> {
     let Some(path) = trace_out else {
         return Ok(());
     };
-    std::fs::write(&path, monilog.tracer().chrome_trace_json())
+    std::fs::write(&path, tracer.chrome_trace_json())
         .map_err(|e| format!("cannot write {path}: {e}"))?;
     let _ = writeln!(out, "trace events: {path}");
     Ok(())
@@ -1014,6 +881,14 @@ pub fn run(command: CliCommand) -> Result<String, String> {
             for (i, line) in lines.iter().enumerate() {
                 monilog.ingest_training(&RawLog::new(SourceId(0), i as u64, line.clone()));
             }
+            let unparsed = PipelineMetrics::get(&monilog.metrics().header_errors);
+            if unparsed == lines.len() as u64 {
+                return Err(format!(
+                    "no line of {logfile} parsed as --format {} (0 of {}); check --format",
+                    format.name(),
+                    lines.len()
+                ));
+            }
             monilog.train();
             let blob = monilog.checkpoint()?;
             std::fs::write(&checkpoint, &blob)
@@ -1026,7 +901,7 @@ pub fn run(command: CliCommand) -> Result<String, String> {
                 checkpoint,
                 blob.len()
             );
-            write_trace_out(&monilog, trace_out, &mut out)?;
+            write_trace_out(&monilog.tracer(), trace_out, &mut out)?;
         }
         CliCommand::Monitor {
             logfile,
@@ -1042,38 +917,42 @@ pub fn run(command: CliCommand) -> Result<String, String> {
                 std::fs::read(&checkpoint).map_err(|e| format!("cannot read {checkpoint}: {e}"))?;
             let mut config = pipeline_config(format, fault);
             config.observability = observability;
-            if let Some(src) = sources {
-                let opts = durable.ok_or("network sources require --state-dir")?;
-                run_sources_monitor(config, &blob, &src, &opts, trace_out, &mut out)?;
-                return Ok(out);
+            let input = match &sources {
+                Some(src) => MonitorInput::Network(src),
+                None => MonitorInput::File(logfile.as_deref().ok_or("monitor needs a <logfile>")?),
+            };
+            match (durable, input) {
+                (Some(opts), input) => {
+                    run_monitor_runtime(config, &blob, input, &opts, trace_out, &mut out)?
+                }
+                (None, MonitorInput::Network(_)) => {
+                    return Err("network sources require --state-dir".to_string())
+                }
+                (None, MonitorInput::File(logfile)) => {
+                    let mut monilog = MoniLog::restore(config, &blob)
+                        .map_err(|e| format!("invalid checkpoint: {e}"))?;
+                    let _exporter = spawn_exporter(&monilog, observability, None, &mut out)?;
+                    let lines = read_lines(logfile)?;
+                    let mut reports = ReportLines::default();
+                    // Live sequence numbers continue far past any training range.
+                    for (i, line) in lines.iter().enumerate() {
+                        reports.extend(&monilog.ingest(&RawLog::new(
+                            SourceId(0),
+                            1_000_000_000 + i as u64,
+                            line.clone(),
+                        )));
+                    }
+                    reports.extend(&monilog.flush());
+                    let _ = writeln!(
+                        out,
+                        "monitored {} lines: {} anomalies",
+                        lines.len(),
+                        reports.count
+                    );
+                    out.push_str(&reports.text);
+                    write_trace_out(&monilog.tracer(), trace_out, &mut out)?;
+                }
             }
-            let logfile = logfile.ok_or("monitor needs a <logfile>")?;
-            if let Some(opts) = durable {
-                run_durable_monitor(config, &blob, &logfile, &opts, trace_out, &mut out)?;
-                return Ok(out);
-            }
-            let mut monilog =
-                MoniLog::restore(config, &blob).map_err(|e| format!("invalid checkpoint: {e}"))?;
-            let _exporter = spawn_exporter(&monilog, observability, None, &mut out)?;
-            let lines = read_lines(&logfile)?;
-            let mut reports = ReportLines::default();
-            // Live sequence numbers continue far past any training range.
-            for (i, line) in lines.iter().enumerate() {
-                reports.extend(&monilog.ingest(&RawLog::new(
-                    SourceId(0),
-                    1_000_000_000 + i as u64,
-                    line.clone(),
-                )));
-            }
-            reports.extend(&monilog.flush());
-            let _ = writeln!(
-                out,
-                "monitored {} lines: {} anomalies",
-                lines.len(),
-                reports.count
-            );
-            out.push_str(&reports.text);
-            write_trace_out(&monilog, trace_out, &mut out)?;
         }
         CliCommand::Router {
             logfiles,
@@ -1112,35 +991,31 @@ struct ReportLines {
 impl ReportLines {
     fn extend(&mut self, anomalies: &[ClassifiedAnomaly]) {
         self.count += anomalies.len();
-        write_report_lines(&mut self.text, anomalies);
-    }
-}
-
-/// Render the per-anomaly report block shared by both monitor paths.
-fn write_report_lines(out: &mut String, anomalies: &[ClassifiedAnomaly]) {
-    for a in anomalies {
-        let _ = writeln!(
-            out,
-            "[{}] {} anomaly (score {:.2}, {} events, pool {}, {})",
-            a.report.id,
-            a.report.kind,
-            a.report.score,
-            a.report.events.len(),
-            a.assignment.pool,
-            a.assignment.criticality,
-        );
-        if let Some((first, last)) = a.report.span() {
-            let _ = writeln!(out, "      span {first} .. {last}");
-        }
-        if !a.report.provenance.trace_ids.is_empty() {
-            let ids: Vec<String> = a
-                .report
-                .provenance
-                .trace_ids
-                .iter()
-                .map(|t| t.0.to_string())
-                .collect();
-            let _ = writeln!(out, "      traces {}", ids.join(", "));
+        let out = &mut self.text;
+        for a in anomalies {
+            let _ = writeln!(
+                out,
+                "[{}] {} anomaly (score {:.2}, {} events, pool {}, {})",
+                a.report.id,
+                a.report.kind,
+                a.report.score,
+                a.report.events.len(),
+                a.assignment.pool,
+                a.assignment.criticality,
+            );
+            if let Some((first, last)) = a.report.span() {
+                let _ = writeln!(out, "      span {first} .. {last}");
+            }
+            if !a.report.provenance.trace_ids.is_empty() {
+                let ids: Vec<String> = a
+                    .report
+                    .provenance
+                    .trace_ids
+                    .iter()
+                    .map(|t| t.0.to_string())
+                    .collect();
+                let _ = writeln!(out, "      traces {}", ids.join(", "));
+            }
         }
     }
 }
@@ -1346,7 +1221,7 @@ impl OpsDriver {
     fn poll_reload(
         &mut self,
         durable: &mut DurableMoniLog,
-        server: Option<&monilog_stream::SourcesServer>,
+        server: Option<&SourcesServer>,
         out: &mut String,
     ) -> Arc<ConfigSnapshot> {
         if monilog_stream::take_reload_request() {
@@ -1442,39 +1317,64 @@ impl OpsDriver {
     }
 }
 
-/// The `--state-dir` monitor path: WAL-gated ingestion with crash
-/// recovery and SIGTERM/SIGINT graceful drain. The model checkpoint
-/// (`--checkpoint`) seeds the pipeline only on the first run against a
-/// state directory; afterwards the durable checkpoint wins.
-fn run_durable_monitor(
+/// What a durable monitor run reads.
+enum MonitorInput<'a> {
+    /// A `<logfile>`: line `i` is seq `i + 1` of source 0, as in the WAL
+    /// of every earlier run against the same state directory.
+    File(&'a str),
+    /// Listeners, tails and the router link.
+    Network(&'a SourcesOptions),
+}
+
+/// The durable monitor (`--state-dir`): one loop over a log file or the
+/// network sources, every line journaled to the WAL before the pipeline
+/// acts on it. The model checkpoint (`--checkpoint`) seeds the pipeline
+/// only on the first run against a state directory; afterwards the durable
+/// checkpoint wins. Tail cursors are written into the checkpoint manifest
+/// *before* the line they account for is ingested, so a checkpoint cut
+/// mid-batch pairs consistently.
+///
+/// A file run ends at end of file; a network run at SIGTERM/SIGINT
+/// (graceful drain; a *second* signal forces an immediate exit with status
+/// 130 whose WAL suffix replays on the next start), or at a router `Fin`
+/// when the router link is its only input. Two env hooks for tests and
+/// gates: `MONILOG_IDLE_EXIT_MS` finishes a network run after that long
+/// with no queued lines, and `MONILOG_DRAIN_HOLD_MS` holds the drain open
+/// before the final checkpoint so a forced exit can be exercised.
+fn run_monitor_runtime(
     config: MoniLogConfig,
     model_blob: &[u8],
-    logfile: &str,
+    input: MonitorInput<'_>,
     opts: &DurableOptions,
     trace_out: Option<String>,
     out: &mut String,
 ) -> Result<(), String> {
+    use crate::durable::{encode_tail_cursors, SOURCES_SECTION};
+    use std::time::{Duration, Instant};
+
     monilog_stream::install_shutdown_handler();
+    let state_dir = std::path::Path::new(&opts.state_dir);
     let delivery = match &opts.sinks {
-        Some(sinks) => Some(build_delivery(
-            sinks,
-            std::path::Path::new(&opts.state_dir),
-        )?),
+        Some(sinks) => Some(build_delivery(sinks, state_dir)?),
         None => None,
     };
-    let (mut durable, mut stats) = DurableMoniLog::open_with_delivery(
+    let (mut durable, mut stats) = DurableMoniLog::open(
         config,
         opts.to_config(),
         || MoniLog::restore(config, model_blob).map_err(|e| format!("invalid checkpoint: {e}")),
         delivery,
     )?;
     let mut ops = build_ops(&mut durable, &config, opts, out)?;
-    let _exporter = spawn_exporter(
-        durable.pipeline(),
-        config.observability,
-        Some(&ops.ops),
-        out,
-    )?;
+    // Network sources serve `/metrics` from their own event loop.
+    let _exporter = match input {
+        MonitorInput::File(_) => spawn_exporter(
+            durable.pipeline(),
+            config.observability,
+            Some(&ops.ops),
+            out,
+        )?,
+        MonitorInput::Network(_) => None,
+    };
     match stats.resumed_generation {
         Some(generation) => {
             let fallback_note = if stats.fell_back {
@@ -1497,302 +1397,29 @@ fn run_durable_monitor(
         stats.replayed_lines, stats.replay_ms, stats.suppressed_duplicates
     );
 
-    let lines = read_lines(logfile)?;
-    let mut reports = ReportLines::default();
-    reports.extend(&std::mem::take(&mut stats.anomalies));
-    // Sequence i+1 identifies input line i; everything at or below the
-    // journal high-water mark was already journaled by a previous life.
-    let skip = (durable.next_seq(SourceId(0)) - 1) as usize;
-    if skip > 0 {
-        let _ = writeln!(out, "input: skipping {skip} lines already journaled");
-    }
-    let mut drained = false;
-    let mut processed = 0usize;
-    ops.publish_status(&durable, 0);
-    for (i, line) in lines.iter().enumerate().skip(skip) {
-        if monilog_stream::shutdown_requested() {
-            drained = true;
-            break;
-        }
-        // Consult the hot config and refresh /status at batch granularity
-        // — cheap enough to never show up against per-line work.
-        if processed.is_multiple_of(512) {
-            ops.poll_reload(&mut durable, None, out);
-            ops.publish_status(&durable, 0);
-        }
-        reports.extend(&durable.ingest(&RawLog::new(SourceId(0), i as u64 + 1, line.clone()))?);
-        processed += 1;
-    }
-    ops.publish_status(&durable, 0);
-    // Keep tracer/metrics handles: drain/finish consume the pipeline.
-    let tracer = durable.pipeline().tracer();
-    let metrics = durable.pipeline().metrics();
-    let delivery_attached = durable.delivery().is_some();
-    let (tail, generation) = if drained {
-        durable.drain()?
-    } else {
-        durable.finish()?
-    };
-    reports.extend(&tail);
-    if delivery_attached {
-        let _ = writeln!(
-            out,
-            "delivery: {} accepted, {} delivered, {} retries, {} spilled locally",
-            PipelineMetrics::get(&metrics.reports_accepted),
-            PipelineMetrics::get(&metrics.reports_delivered),
-            PipelineMetrics::get(&metrics.delivery_retries),
-            PipelineMetrics::get(&metrics.reports_spilled),
-        );
-    }
-    if drained {
-        let _ = writeln!(
-            out,
-            "drained gracefully at checkpoint generation {generation}; \
-             restart resumes with zero replay"
-        );
-    }
-    let _ = writeln!(
-        out,
-        "monitored {processed} lines: {} anomalies (checkpoint generation {generation})",
-        reports.count
-    );
-    out.push_str(&reports.text);
-    if let Some(path) = trace_out {
-        std::fs::write(&path, tracer.chrome_trace_json())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        let _ = writeln!(out, "trace events: {path}");
-    }
-    Ok(())
-}
-
-/// The network-source monitor: TCP/UDP syslog, HTTP bulk ingest and file
-/// tails multiplexed on one event loop, every line journaled to the WAL
-/// before the pipeline acts on it. Seqs are assigned per source as lines
-/// leave the ingest queue; tail cursors are written into the checkpoint
-/// manifest *before* the line they account for is ingested, so a
-/// checkpoint cut mid-batch pairs consistently.
-///
-/// Runs until SIGTERM/SIGINT (graceful drain; a *second* signal forces an
-/// immediate exit with status 130 whose WAL suffix replays on the next
-/// start). Two env hooks for tests and gates: `MONILOG_IDLE_EXIT_MS`
-/// finishes the run after that long with no queued lines, and
-/// `MONILOG_DRAIN_HOLD_MS` holds the drain open before the final
-/// checkpoint so a forced exit can be exercised.
-fn run_sources_monitor(
-    config: MoniLogConfig,
-    model_blob: &[u8],
-    src: &SourcesOptions,
-    opts: &DurableOptions,
-    trace_out: Option<String>,
-    out: &mut String,
-) -> Result<(), String> {
-    use crate::durable::{
-        decode_tail_cursors, encode_tail_cursors, PersistedTailCursor, SOURCES_SECTION,
-    };
-    use monilog_stream::sources::{
-        glob_match, GlobResume, TailCursor, TailGlobSpec, TailSpec, TAIL_SOURCE_BASE,
-    };
-    use monilog_stream::{DeadLetterLog, SourcesConfig, SourcesServer};
-    use std::time::{Duration, Instant};
-
-    monilog_stream::install_shutdown_handler();
-    let state_dir = std::path::Path::new(&opts.state_dir);
-    let delivery = match &opts.sinks {
-        Some(sinks) => Some(build_delivery(sinks, state_dir)?),
-        None => None,
-    };
-    let (mut durable, mut stats) = DurableMoniLog::open_with_delivery(
-        config,
-        opts.to_config(),
-        || MoniLog::restore(config, model_blob).map_err(|e| format!("invalid checkpoint: {e}")),
-        delivery,
-    )?;
-    let mut ops = build_ops(&mut durable, &config, opts, out)?;
-    match stats.resumed_generation {
-        Some(generation) => {
-            let _ = writeln!(out, "recovery: resumed checkpoint generation {generation}");
-        }
-        None => {
-            let _ = writeln!(out, "recovery: fresh state directory");
-        }
-    }
-    let _ = writeln!(
-        out,
-        "recovery: replayed {} journal lines in {} ms ({} duplicate reports suppressed)",
-        stats.replayed_lines, stats.replay_ms, stats.suppressed_duplicates
-    );
-
-    // Resume file tails from the checkpointed cursors. Lines journaled
-    // after the cursor snapshot replayed from the WAL above; the tail
-    // seeks to the cursor and skips exactly that many lines.
-    //
-    // A `--tail` whose basename carries `*`/`?` is a glob: files are
-    // discovered at runtime and their cursors resume *path-keyed* (a
-    // discovered file has no stable position in the flag list), while
-    // static tails resume index-keyed as before.
-    let recovered = durable
-        .recovered_section(SOURCES_SECTION)
-        .map(decode_tail_cursors)
-        .unwrap_or_default();
-    let is_glob = |path: &str| {
-        std::path::Path::new(path)
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.contains(['*', '?']))
-    };
-    let static_paths: Vec<&String> = src.tails.iter().filter(|p| !is_glob(p)).collect();
-    let mut tails = Vec::new();
-    let mut cursors: Vec<PersistedTailCursor> = Vec::new();
-    let skip_for = |durable: &DurableMoniLog, slot: usize, last_seq: u64| {
-        let source = SourceId(TAIL_SOURCE_BASE + slot as u16);
-        let high_water = durable.next_seq(source).saturating_sub(1);
-        high_water.saturating_sub(last_seq)
-    };
-    for (index, path) in static_paths.iter().enumerate() {
-        let mut spec = TailSpec::new(path.as_str());
-        match recovered.iter().find(|c| c.index == index) {
-            Some(c) => {
-                spec.resume = Some(TailCursor {
-                    inode: c.inode,
-                    offset: c.offset,
-                    last_seq: c.last_seq,
-                });
-                spec.skip_lines = skip_for(&durable, index, c.last_seq);
-                cursors.push(c.clone());
+    let (mut lines, mut server, queue, mut cursors) = match input {
+        MonitorInput::File(logfile) => {
+            let lines = read_lines(logfile)?;
+            let skip = durable.next_seq(SourceId(0)) - 1;
+            if skip > 0 {
+                let _ = writeln!(out, "input: skipping {skip} lines already journaled");
             }
-            None => cursors.push(PersistedTailCursor {
-                index,
-                inode: 0,
-                offset: 0,
-                last_seq: 0,
-                path: (*path).clone(),
-            }),
+            (lines.into_iter().enumerate(), None, None, Vec::new())
         }
-        tails.push(spec);
-    }
-    let mut tail_globs = Vec::new();
-    for pattern in src.tails.iter().filter(|p| is_glob(p)) {
-        let pat = std::path::Path::new(pattern);
-        let basename = pat.file_name().and_then(|n| n.to_str()).unwrap_or("*");
-        let dir = match pat.parent() {
-            Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-            _ => std::path::PathBuf::from("."),
-        };
-        // Cursors persisted for files this glob discovered before: slots
-        // above the static range whose path sits in the glob's directory
-        // and matches its basename pattern. A slot inside the static
-        // range means the flag list changed shape; start that file fresh
-        // rather than resume someone else's position.
-        let known: Vec<GlobResume> = recovered
-            .iter()
-            .filter(|c| c.index >= static_paths.len())
-            .filter(|c| {
-                let p = std::path::Path::new(&c.path);
-                p.parent().map(|d| d == dir).unwrap_or(false)
-                    && p.file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| glob_match(basename, n))
-            })
-            .map(|c| GlobResume {
-                slot: c.index,
-                path: c.path.clone().into(),
-                resume: TailCursor {
-                    inode: c.inode,
-                    offset: c.offset,
-                    last_seq: c.last_seq,
-                },
-                skip_lines: skip_for(&durable, c.index, c.last_seq),
-            })
-            .collect();
-        for k in &known {
-            cursors.push(PersistedTailCursor {
-                index: k.slot,
-                inode: k.resume.inode,
-                offset: k.resume.offset,
-                last_seq: k.resume.last_seq,
-                path: k.path.display().to_string(),
-            });
+        MonitorInput::Network(src) => {
+            let (server, queue, cursors) =
+                spawn_sources(src, &config, &durable, &ops.ops, state_dir, out)?;
+            let lines = Vec::new().into_iter().enumerate();
+            (lines, Some(server), Some(queue), cursors)
         }
-        tail_globs.push(TailGlobSpec {
-            pattern: pattern.into(),
-            known,
-        });
-    }
-
-    let dlq = match config.fault_tolerance.on_overload {
-        OverloadPolicy::DeadLetter => Some(std::sync::Arc::new(
-            DeadLetterLog::open(state_dir.join("sources_dead_letter.jsonl"), 1 << 20)
-                .map_err(|e| format!("open sources dead-letter log: {e}"))?,
-        )),
-        _ => None,
     };
-    let sources_config = SourcesConfig {
-        syslog_tcp: src.syslog_tcp,
-        syslog_udp: src.syslog_udp,
-        http: src.http,
-        tails,
-        tail_globs,
-        on_overload: config.fault_tolerance.on_overload,
-        router: src.join.map(|addr| {
-            monilog_stream::RouterLinkConfig::new(
-                addr,
-                src.node_id
-                    .clone()
-                    .expect("--join validated with --node-id"),
-            )
-        }),
-        ..SourcesConfig::default()
-    };
-    // `/metrics` rides the same event loop as the sources — one thread
-    // serves every network endpoint.
-    let endpoint = config
-        .observability
-        .metrics_addr
-        .map(|addr| MetricsEndpoint {
-            addr,
-            interval: Duration::from_millis(config.observability.metrics_interval_ms),
-            tracer: Some(durable.pipeline().tracer()),
-            ops: Some(Arc::new(ops.ops.clone())),
-        });
-    let (server, queue) =
-        SourcesServer::spawn(sources_config, durable.pipeline().registry(), dlq, endpoint)
-            .map_err(|e| format!("bind sources: {e}"))?;
-
-    // Publish the bound addresses (ports may have been 0) where both the
-    // operator and the driving harness can find them.
-    let mut addrs = String::new();
-    if let Some(a) = server.syslog_tcp_addr() {
-        let _ = writeln!(addrs, "syslog-tcp {a}");
-    }
-    if let Some(a) = server.syslog_udp_addr() {
-        let _ = writeln!(addrs, "syslog-udp {a}");
-    }
-    if let Some(a) = server.http_addr() {
-        let _ = writeln!(addrs, "http {a}");
-    }
-    if let Some(a) = server.metrics_addr() {
-        let _ = writeln!(addrs, "metrics {a}");
-    }
-    write_file_atomic(&state_dir.join("listen-addrs"), addrs.as_bytes())
-        .map_err(|e| format!("write listen-addrs: {e}"))?;
-    for line in addrs.lines() {
-        let _ = writeln!(out, "listening: {line}");
-    }
-
+    let depth = || queue.as_ref().map_or(0, |q| q.depth() as u64);
     // Fleet membership: the link supervisor rides the sources event loop;
     // the mailbox is this thread's window into it.
-    let mailbox = server.cluster_mailbox();
+    let mailbox = server.as_ref().and_then(|s| s.cluster_mailbox());
     ops.mailbox = mailbox.clone();
-    let router_only = src.router_only();
+    let router_only = matches!(input, MonitorInput::Network(src) if src.router_only());
     let mut known_templates = durable.pipeline().templates().len();
-    if let Some(mb) = &mailbox {
-        let _ = writeln!(
-            out,
-            "cluster: joining router at {} as node {}",
-            src.join.expect("join implies addr"),
-            mb.node()
-        );
-    }
 
     let idle_exit: Option<Duration> = std::env::var("MONILOG_IDLE_EXIT_MS")
         .ok()
@@ -1804,30 +1431,43 @@ fn run_sources_monitor(
     let mut processed = 0u64;
     let mut last_event = Instant::now();
     let mut drained = false;
-    // On the first SIGTERM/SIGINT the server is dropped immediately (no
-    // source can accept more input) but the queue keeps draining: lines a
-    // source already acknowledged must reach the pipeline before the final
-    // checkpoint, or a graceful drain would silently lose them.
-    let mut server = Some(server);
-    ops.publish_status(&durable, queue.depth() as u64);
+    ops.publish_status(&durable, depth());
     loop {
-        if server.is_some() && monilog_stream::shutdown_requested() {
+        // On the first SIGTERM/SIGINT the server is dropped immediately (no
+        // source can accept more input) but the queue keeps draining: lines a
+        // source already acknowledged must reach the pipeline before the final
+        // checkpoint, or a graceful drain would silently lose them. The
+        // unread rest of a file is left to the next run.
+        if !drained && monilog_stream::shutdown_requested() {
             drained = true;
             server = None;
+            lines = Vec::new().into_iter().enumerate();
         }
         // One consult per batch: a reload lands between batches, never
         // mid-line — zero restart, zero dropped lines.
         let snap = ops.poll_reload(&mut durable, server.as_ref(), out);
         let deadline = Duration::from_millis(snap.batch_deadline_ms.max(1));
-        let batch = queue.recv_batch(
-            snap.batch_lines,
-            durable
-                .commit_due_in()
-                .map_or(deadline, |due| due.min(deadline)),
-        );
-        ops.publish_status(&durable, queue.depth() as u64);
+        let batch = match &queue {
+            Some(queue) => queue.recv_batch(
+                snap.batch_lines,
+                durable
+                    .commit_due_in()
+                    .map_or(deadline, |due| due.min(deadline)),
+            ),
+            None => lines
+                .by_ref()
+                .take(snap.batch_lines)
+                .map(|(i, line)| SourceEvent {
+                    source: SourceId(0),
+                    line: line.into(),
+                    cursor: None,
+                    seq: Some(i as u64 + 1),
+                })
+                .collect(),
+        };
+        ops.publish_status(&durable, depth());
         if batch.is_empty() {
-            if drained {
+            if drained || queue.is_none() {
                 break;
             }
             // Honor the group-commit interval in wall-clock time: without
@@ -1839,11 +1479,7 @@ fn run_sources_monitor(
                 // A router `Fin` ends a file-driven run — but only once
                 // every delivered batch is journaled and acked, and only
                 // when the link is this monitor's sole input.
-                if router_only
-                    && mb.fin_received()
-                    && mb.unacked_batches() == 0
-                    && queue.depth() == 0
-                {
+                if router_only && mb.fin_received() && mb.unacked_batches() == 0 && depth() == 0 {
                     let _ = writeln!(out, "cluster: router finished the run; draining");
                     break;
                 }
@@ -1858,11 +1494,12 @@ fn run_sources_monitor(
         last_event = Instant::now();
         for ev in batch {
             let seq = match ev.seq {
-                // Router-assigned wire seq: journal under exactly this
-                // seq. Anything at or below the per-source high-water
-                // mark was journaled by a previous life (or an earlier
-                // delivery) and replays here as a duplicate — at-least-
-                // once on the wire, exactly-once in the journal.
+                // An explicit seq (a file line number, a router wire seq):
+                // journal under exactly this seq. Anything at or below the
+                // per-source high-water mark was journaled by a previous
+                // life (or an earlier delivery) and replays here as a
+                // duplicate — at-least-once on the wire, exactly-once in
+                // the journal.
                 Some(wire) => {
                     if wire < durable.next_seq(ev.source) {
                         continue;
@@ -1930,13 +1567,26 @@ fn run_sources_monitor(
         }
     }
 
+    // Keep tracer/metrics handles: drain/finish consume the pipeline.
     let tracer = durable.pipeline().tracer();
+    let metrics = durable.pipeline().metrics();
+    let delivery_attached = durable.delivery().is_some();
     let (tail_reports, generation) = if drained {
         durable.drain()?
     } else {
         durable.finish()?
     };
     reports.extend(&tail_reports);
+    if delivery_attached {
+        let _ = writeln!(
+            out,
+            "delivery: {} accepted, {} delivered, {} retries, {} spilled locally",
+            PipelineMetrics::get(&metrics.reports_accepted),
+            PipelineMetrics::get(&metrics.reports_delivered),
+            PipelineMetrics::get(&metrics.delivery_retries),
+            PipelineMetrics::get(&metrics.reports_spilled),
+        );
+    }
     if drained {
         let _ = writeln!(
             out,
@@ -1944,19 +1594,192 @@ fn run_sources_monitor(
              restart resumes with zero replay"
         );
     }
+    let from = queue.map_or("", |_| " from network sources");
     let _ = writeln!(
         out,
-        "monitored {processed} lines from network sources: {} anomalies \
-         (checkpoint generation {generation})",
+        "monitored {processed} lines{from}: {} anomalies (checkpoint generation {generation})",
         reports.count
     );
     out.push_str(&reports.text);
-    if let Some(path) = trace_out {
-        std::fs::write(&path, tracer.chrome_trace_json())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        let _ = writeln!(out, "trace events: {path}");
+    write_trace_out(&tracer, trace_out, out)
+}
+
+/// Bring up the network sources of a durable run: TCP/UDP syslog, HTTP
+/// bulk ingest, file tails and the router link, multiplexed on one event
+/// loop that also serves `/metrics` and the ops surface. Tails resume
+/// from the cursors in the recovered checkpoint, which land in `cursors`.
+fn spawn_sources(
+    src: &SourcesOptions,
+    config: &MoniLogConfig,
+    durable: &DurableMoniLog,
+    ops: &OpsState,
+    state_dir: &std::path::Path,
+    out: &mut String,
+) -> Result<(SourcesServer, SourceQueue, Vec<PersistedTailCursor>), String> {
+    use crate::durable::{decode_tail_cursors, SOURCES_SECTION};
+    use monilog_stream::sources::{
+        glob_match, GlobResume, TailCursor, TailGlobSpec, TailSpec, TAIL_SOURCE_BASE,
+    };
+    use monilog_stream::{DeadLetterLog, SourcesConfig};
+
+    // Resume file tails from the checkpointed cursors. Lines journaled
+    // after the cursor snapshot replayed from the WAL above; the tail
+    // seeks to the cursor and skips exactly that many lines.
+    //
+    // A `--tail` whose basename carries `*`/`?` is a glob: files are
+    // discovered at runtime and their cursors resume *path-keyed* (a
+    // discovered file has no stable position in the flag list), while
+    // static tails resume index-keyed as before.
+    let recovered = durable
+        .recovered_section(SOURCES_SECTION)
+        .map(decode_tail_cursors)
+        .unwrap_or_default();
+    let is_glob = |path: &str| {
+        std::path::Path::new(path)
+            .file_name()
+            .and_then(|n| n.to_str())
+            .is_some_and(|n| n.contains(['*', '?']))
+    };
+    let static_paths: Vec<&String> = src.tails.iter().filter(|p| !is_glob(p)).collect();
+    let mut tails = Vec::new();
+    let mut cursors = Vec::new();
+    let skip_for = |slot: usize, last_seq: u64| {
+        let source = SourceId(TAIL_SOURCE_BASE + slot as u16);
+        let high_water = durable.next_seq(source).saturating_sub(1);
+        high_water.saturating_sub(last_seq)
+    };
+    for (index, path) in static_paths.iter().enumerate() {
+        let mut spec = TailSpec::new(path.as_str());
+        match recovered.iter().find(|c| c.index == index) {
+            Some(c) => {
+                spec.resume = Some(TailCursor {
+                    inode: c.inode,
+                    offset: c.offset,
+                    last_seq: c.last_seq,
+                });
+                spec.skip_lines = skip_for(index, c.last_seq);
+                cursors.push(c.clone());
+            }
+            None => cursors.push(PersistedTailCursor {
+                index,
+                inode: 0,
+                offset: 0,
+                last_seq: 0,
+                path: (*path).clone(),
+            }),
+        }
+        tails.push(spec);
     }
-    Ok(())
+    let mut tail_globs = Vec::new();
+    for pattern in src.tails.iter().filter(|p| is_glob(p)) {
+        let pat = std::path::Path::new(pattern);
+        let basename = pat.file_name().and_then(|n| n.to_str()).unwrap_or("*");
+        let dir = match pat.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
+            _ => std::path::PathBuf::from("."),
+        };
+        // Cursors persisted for files this glob discovered before: slots
+        // above the static range whose path sits in the glob's directory
+        // and matches its basename pattern. A slot inside the static
+        // range means the flag list changed shape; start that file fresh
+        // rather than resume someone else's position.
+        let known: Vec<GlobResume> = recovered
+            .iter()
+            .filter(|c| c.index >= static_paths.len())
+            .filter(|c| {
+                let p = std::path::Path::new(&c.path);
+                p.parent().map(|d| d == dir).unwrap_or(false)
+                    && p.file_name()
+                        .and_then(|n| n.to_str())
+                        .is_some_and(|n| glob_match(basename, n))
+            })
+            .map(|c| GlobResume {
+                slot: c.index,
+                path: c.path.clone().into(),
+                resume: TailCursor {
+                    inode: c.inode,
+                    offset: c.offset,
+                    last_seq: c.last_seq,
+                },
+                skip_lines: skip_for(c.index, c.last_seq),
+            })
+            .collect();
+        for k in &known {
+            cursors.push(PersistedTailCursor {
+                index: k.slot,
+                inode: k.resume.inode,
+                offset: k.resume.offset,
+                last_seq: k.resume.last_seq,
+                path: k.path.display().to_string(),
+            });
+        }
+        tail_globs.push(TailGlobSpec {
+            pattern: pattern.into(),
+            known,
+        });
+    }
+
+    let dlq = match config.fault_tolerance.on_overload {
+        OverloadPolicy::DeadLetter => Some(std::sync::Arc::new(
+            DeadLetterLog::open(state_dir.join("sources_dead_letter.jsonl"), 1 << 20)
+                .map_err(|e| format!("open sources dead-letter log: {e}"))?,
+        )),
+        _ => None,
+    };
+    let sources_config = SourcesConfig {
+        syslog_tcp: src.syslog_tcp,
+        syslog_udp: src.syslog_udp,
+        http: src.http,
+        tails,
+        tail_globs,
+        on_overload: config.fault_tolerance.on_overload,
+        router: src.join.map(|addr| {
+            monilog_stream::RouterLinkConfig::new(
+                addr,
+                src.node_id
+                    .clone()
+                    .expect("--join validated with --node-id"),
+            )
+        }),
+        ..SourcesConfig::default()
+    };
+    // `/metrics` rides the same event loop as the sources — one thread
+    // serves every network endpoint.
+    let endpoint = metrics_endpoint(durable.pipeline(), config.observability, Some(ops));
+    let (server, queue) =
+        SourcesServer::spawn(sources_config, durable.pipeline().registry(), dlq, endpoint)
+            .map_err(|e| format!("bind sources: {e}"))?;
+
+    // Publish the bound addresses (ports may have been 0) where both the
+    // operator and the driving harness can find them.
+    let mut addrs = String::new();
+    if let Some(a) = server.syslog_tcp_addr() {
+        let _ = writeln!(addrs, "syslog-tcp {a}");
+    }
+    if let Some(a) = server.syslog_udp_addr() {
+        let _ = writeln!(addrs, "syslog-udp {a}");
+    }
+    if let Some(a) = server.http_addr() {
+        let _ = writeln!(addrs, "http {a}");
+    }
+    if let Some(a) = server.metrics_addr() {
+        let _ = writeln!(addrs, "metrics {a}");
+    }
+    write_file_atomic(&state_dir.join("listen-addrs"), addrs.as_bytes())
+        .map_err(|e| format!("write listen-addrs: {e}"))?;
+    for line in addrs.lines() {
+        let _ = writeln!(out, "listening: {line}");
+    }
+
+    if let Some(mb) = server.cluster_mailbox() {
+        let _ = writeln!(
+            out,
+            "cluster: joining router at {} as node {}",
+            src.join.expect("join implies addr"),
+            mb.node()
+        );
+    }
+    Ok((server, queue, cursors))
 }
 
 /// Per-round cluster bookkeeping for a fleet member: discard state for
@@ -2104,12 +1927,8 @@ fn run_router(
 /// For `parse` (template discovery only): drop headers so templates are
 /// message-level, tolerating lines that don't match the declared format.
 fn strip_headers(lines: &[String], format: HeaderChoice) -> Vec<String> {
-    use monilog_model::{parse_header, HeaderFormat, Timestamp};
-    let hf = match format {
-        HeaderChoice::Dash => HeaderFormat::DashSeparated,
-        HeaderChoice::Syslog => HeaderFormat::SyslogLike,
-        HeaderChoice::Bare => HeaderFormat::Bare,
-    };
+    use monilog_model::{parse_header, Timestamp};
+    let hf = format.to_config().as_format();
     lines
         .iter()
         .enumerate()
@@ -2336,7 +2155,7 @@ mod tests {
             "50",
         ]))
         .unwrap_err();
-        assert_eq!(err, dead_after);
+        assert!(dead_after.contains("--dead-after-ms"), "{dead_after}");
         assert!(err.contains("--heartbeat-ms"), "{err}");
         assert!(parse_args(&args(&["router", "x", "--heartbeat-ms", "0"])).is_err());
         assert!(
@@ -2353,63 +2172,109 @@ mod tests {
         );
     }
 
-    /// Every `--flag` in `USAGE` must parse for a command named in the
-    /// same paragraph, so the help text cannot advertise a flag that the
-    /// parser rejects (or one that only another command takes).
-    #[test]
-    fn every_usage_flag_parses_for_a_command_it_is_listed_under() {
-        // A valid value (plus any companion flag) for each flag.
-        fn value_args(flag: &str) -> &'static [&'static str] {
-            match flag {
-                "--format" => &["dash"],
-                "--on-overload" => &["shed"],
-                "--batch-lines" | "--expect-nodes" => &["2"],
-                "--metrics-addr"
-                | "--listen-syslog-tcp"
+    /// A valid value (plus any companion flag) for each flag.
+    fn value_args(flag: &str) -> &'static [&'static str] {
+        match flag {
+            "--format" => &["dash"],
+            "--on-overload" => &["shed"],
+            "--batch-lines" | "--expect-nodes" => &["2"],
+            "--metrics-addr"
+            | "--listen-syslog-tcp"
+            | "--listen-syslog-udp"
+            | "--listen-http"
+            | "--listen-cluster" => &["127.0.0.1:0"],
+            "--join" => &["127.0.0.1:9", "--node-id", "n"],
+            "--node-id" => &["n", "--join", "127.0.0.1:9"],
+            "--sink-http" => &["http://127.0.0.1:9/hook"],
+            "--sink-tcp" => &["127.0.0.1:9"],
+            "--route-critical" => &["file"],
+            "--page-at" => &["low"],
+            "--journal-segment-bytes" | "--sink-buffer-bytes" => &["65536"],
+            "--checkpoint" | "--state-dir" | "--trace-out" | "--config-file" | "--tail" => &["p"],
+            _ => &["50"],
+        }
+    }
+
+    /// The smallest valid invocation of `command` that gives `flag`.
+    fn invocation<'a>(command: &'a str, flag: &'a str) -> Vec<&'a str> {
+        let mut argv = match command {
+            "train" => vec!["train", "x.log", "--checkpoint", "m"],
+            "monitor" => vec!["monitor", "x.log", "--checkpoint", "m", "--state-dir", "d"],
+            "router" => vec!["router", "x.log", "--state-dir", "d"],
+            other => vec![other, "x.log"],
+        };
+        let network_input = matches!(
+            flag,
+            "--listen-syslog-tcp"
                 | "--listen-syslog-udp"
                 | "--listen-http"
-                | "--listen-cluster" => &["127.0.0.1:0"],
-                "--join" => &["127.0.0.1:9", "--node-id", "n"],
-                "--node-id" => &["n", "--join", "127.0.0.1:9"],
-                "--sink-http" => &["http://127.0.0.1:9/hook"],
-                "--sink-tcp" => &["127.0.0.1:9"],
-                "--route-critical" => &["file"],
-                "--page-at" => &["low"],
-                "--journal-segment-bytes" | "--sink-buffer-bytes" => &["65536"],
-                "--checkpoint" | "--state-dir" | "--trace-out" | "--config-file" | "--tail" => {
-                    &["p"]
+                | "--tail"
+                | "--join"
+                | "--node-id"
+        );
+        if command == "monitor" && network_input {
+            argv.remove(1); // network sources replace the logfile
+        }
+        argv.push(flag);
+        argv.extend(value_args(flag));
+        argv
+    }
+
+    /// `USAGE` and [`FLAGS`] describe the same surface: every flag parses
+    /// for each command the table scopes it to and is listed in a `USAGE`
+    /// paragraph naming that command, and every `--flag` in `USAGE` is in
+    /// the table.
+    #[test]
+    fn every_usage_flag_parses_for_a_command_it_is_listed_under() {
+        let paragraphs: Vec<Vec<&str>> = USAGE
+            .split("\n\n")
+            .map(|p| {
+                p.split(|c: char| !c.is_ascii_alphanumeric() && c != '-')
+                    .collect()
+            })
+            .collect();
+        for flag in FLAGS {
+            for &command in flag.scope.commands {
+                let listed = paragraphs
+                    .iter()
+                    .any(|words| words.contains(&flag.name) && words.contains(&command));
+                assert!(
+                    listed,
+                    "USAGE lists {} under no {command} paragraph",
+                    flag.name
+                );
+                let argv = invocation(command, flag.name);
+                let parsed = parse_args(&args(&argv));
+                assert!(parsed.is_ok(), "{argv:?}: {parsed:?}");
+            }
+        }
+        for word in paragraphs.iter().flatten() {
+            if word.starts_with("--") && word.len() > 2 {
+                assert!(
+                    FLAGS.iter().any(|f| f.name == *word),
+                    "USAGE lists {word}, which the flag table lacks"
+                );
+            }
+        }
+    }
+
+    /// A command rejects, by name, every flag it would ignore (e.g.
+    /// `calibrate --trace-out`, `router --metrics-addr`).
+    #[test]
+    fn every_flag_outside_its_scope_is_rejected_by_name() {
+        let mut rejected = 0;
+        for flag in FLAGS {
+            for command in COMMANDS {
+                if flag.scope.commands.contains(&command) {
+                    continue;
                 }
-                _ => &["50"],
+                let argv = invocation(command, flag.name);
+                let err = parse_args(&args(&argv)).unwrap_err();
+                assert!(err.contains(flag.name), "{argv:?}: {err}");
+                rejected += 1;
             }
         }
-        fn base(command: &str) -> Vec<&str> {
-            match command {
-                "train" => vec!["train", "x.log", "--checkpoint", "m"],
-                "monitor" => vec!["monitor", "x.log", "--checkpoint", "m", "--state-dir", "d"],
-                "router" => vec!["router", "x.log", "--state-dir", "d"],
-                other => vec![other, "x.log"],
-            }
-        }
-        const COMMANDS: [&str; 5] = ["parse", "calibrate", "train", "monitor", "router"];
-        let mut checked = 0;
-        for paragraph in USAGE.split("\n\n") {
-            let words: Vec<&str> = paragraph
-                .split(|c: char| !c.is_ascii_alphanumeric() && c != '-')
-                .collect();
-            let listed: Vec<&str> = COMMANDS.into_iter().filter(|c| words.contains(c)).collect();
-            for &flag in words.iter().filter(|w| w.starts_with("--") && w.len() > 2) {
-                assert!(!listed.is_empty(), "{flag} is listed under no command");
-                let accepted = listed.iter().any(|&command| {
-                    let mut argv = base(command);
-                    argv.push(flag);
-                    argv.extend(value_args(flag));
-                    parse_args(&args(&argv)).is_ok()
-                });
-                assert!(accepted, "{flag} is rejected by every one of {listed:?}");
-                checked += 1;
-            }
-        }
-        assert!(checked >= 30, "only {checked} flags found in USAGE");
+        assert!(rejected > 80, "only {rejected} out-of-scope pairs");
     }
 
     #[test]
@@ -2508,27 +2373,19 @@ mod tests {
             other => panic!("expected Monitor, got {other:?}"),
         }
 
-        // A logfile can still ride along with sources.
-        let parsed = parse_args(&args(&[
+        // A logfile does not ride along with sources: it would be ignored.
+        let err = parse_args(&args(&[
             "monitor",
             "replay.log",
             "--checkpoint",
             "m.bin",
             "--state-dir",
             "/tmp/state",
-            "--tail",
-            "/var/log/a.log",
+            "--listen-http",
+            "127.0.0.1:8080",
         ]))
-        .unwrap();
-        match parsed {
-            CliCommand::Monitor {
-                logfile, sources, ..
-            } => {
-                assert_eq!(logfile.as_deref(), Some("replay.log"));
-                assert!(sources.is_some());
-            }
-            other => panic!("expected Monitor, got {other:?}"),
-        }
+        .unwrap_err();
+        assert!(err.contains("--tail replay.log"), "{err}");
 
         // Sources require --state-dir (WAL + cursor persistence).
         let err = parse_args(&args(&[
@@ -3225,6 +3082,106 @@ mod tests {
         );
         let second_sink = std::fs::read_to_string(&sink).unwrap();
         assert_eq!(first_sink, second_sink, "rerun must not duplicate reports");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn train_on_a_file_no_line_of_which_parses_is_an_error() {
+        let dir = std::env::temp_dir().join("monilog_cli_unparsable_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let logfile = dir.join("bad.log");
+        std::fs::write(&logfile, "hello world\nno header here\n").unwrap();
+        let err = run(CliCommand::Train {
+            logfile: logfile.to_string_lossy().into_owned(),
+            checkpoint: dir.join("m.mlcp").to_string_lossy().into_owned(),
+            format: HeaderChoice::Dash,
+            observability: ObservabilityConfig::default(),
+            trace_out: None,
+        })
+        .unwrap_err();
+        assert!(err.contains("parsed as --format dash (0 of 2)"), "{err}");
+        assert!(!dir.join("m.mlcp").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// File and network inputs run one runtime, so a network run reports
+    /// the same recovery and delivery facts as a file run.
+    #[test]
+    fn network_input_reports_checkpoint_fallback_and_delivery() {
+        let dir = std::env::temp_dir().join("monilog_cli_fallback_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (train_file, live_file) = (dir.join("train.log"), dir.join("live.log"));
+        let ckpt = dir.join("model.mlcp");
+        let state_dir = dir.join("state");
+        let workload = |n_sessions, seed| {
+            HdfsWorkload::new(HdfsWorkloadConfig {
+                n_sessions,
+                sequential_anomaly_rate: 0.0,
+                quantitative_anomaly_rate: 0.0,
+                seed,
+                ..Default::default()
+            })
+            .generate()
+        };
+        write_workload(&train_file, &workload(40, 31));
+        write_workload(&live_file, &workload(10, 32));
+        run(CliCommand::Train {
+            logfile: train_file.to_string_lossy().into_owned(),
+            checkpoint: ckpt.to_string_lossy().into_owned(),
+            format: HeaderChoice::Dash,
+            observability: ObservabilityConfig::default(),
+            trace_out: None,
+        })
+        .expect("training succeeds");
+        let monitor = |logfile: Option<&std::path::Path>, sources| CliCommand::Monitor {
+            logfile: logfile.map(|p| p.to_string_lossy().into_owned()),
+            sources,
+            checkpoint: ckpt.to_string_lossy().into_owned(),
+            format: HeaderChoice::Dash,
+            fault: FaultToleranceConfig::default(),
+            observability: ObservabilityConfig::default(),
+            trace_out: None,
+            durable: Some(DurableOptions {
+                state_dir: state_dir.to_string_lossy().into_owned(),
+                sinks: Some(SinkOptions::default()),
+                ..DurableOptions::default()
+            }),
+        };
+        // Two file runs leave checkpoint generations 1 and 2.
+        for _ in 0..2 {
+            let report = run(monitor(Some(&live_file), None)).expect("file run succeeds");
+            assert!(report.contains("delivery: "), "{report}");
+        }
+        let newest = state_dir
+            .join(crate::durable::CHECKPOINTS_DIR)
+            .join(format!("checkpoint-{:020}.ckpt", 2));
+        let mut bytes = std::fs::read(&newest).unwrap();
+        let middle = bytes.len() / 2;
+        bytes[middle] ^= 0xff;
+        std::fs::write(&newest, bytes).unwrap();
+
+        std::env::set_var("MONILOG_IDLE_EXIT_MS", "200");
+        let sources = SourcesOptions {
+            syslog_tcp: Some("127.0.0.1:0".parse().unwrap()),
+            ..SourcesOptions::default()
+        };
+        let report = run(monitor(None, Some(sources))).expect("network run succeeds");
+        assert!(
+            report.contains(
+                "recovery: resumed checkpoint generation 1 \
+                 (newest generation was corrupt; fell back one)"
+            ),
+            "{report}"
+        );
+        assert!(
+            report.contains("delivery: 0 accepted, 0 delivered, 0 retries, 0 spilled locally"),
+            "{report}"
+        );
+        assert!(
+            report.contains("monitored 0 lines from network sources"),
+            "{report}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -332,7 +332,6 @@ fn emit(
 /// A [`MoniLog`] whose state survives process death.
 pub struct DurableMoniLog {
     pipeline: MoniLog,
-    config: MoniLogConfig,
     durable: DurableConfig,
     journal: Journal,
     store: CheckpointStore,
@@ -366,20 +365,13 @@ impl DurableMoniLog {
     /// journal suffix, and suppress reports already emitted. When no
     /// checkpoint exists, `fresh` supplies the trained pipeline (e.g.
     /// restored from a model checkpoint written by `train`).
+    ///
+    /// With `delivery`, outbound anomaly delivery is attached: its buffers
+    /// live under `<state-dir>/delivery/` and their cursors are recovered
+    /// from the [`DELIVERY_SECTION`] of the checkpoint manifest, so reports
+    /// accepted-but-undelivered before a SIGKILL are pumped again after
+    /// restart.
     pub fn open(
-        config: MoniLogConfig,
-        durable: DurableConfig,
-        fresh: impl FnOnce() -> Result<MoniLog, String>,
-    ) -> Result<(DurableMoniLog, RecoveryStats), String> {
-        Self::open_with_delivery(config, durable, fresh, None)
-    }
-
-    /// [`DurableMoniLog::open`] with outbound anomaly delivery attached.
-    /// The delivery buffers live under `<state-dir>/delivery/`; their
-    /// cursors are recovered from the [`DELIVERY_SECTION`] of the
-    /// checkpoint manifest, so reports accepted-but-undelivered before a
-    /// SIGKILL are pumped again after restart.
-    pub fn open_with_delivery(
         config: MoniLogConfig,
         durable: DurableConfig,
         fresh: impl FnOnce() -> Result<MoniLog, String>,
@@ -482,7 +474,6 @@ impl DurableMoniLog {
         Ok((
             DurableMoniLog {
                 pipeline,
-                config,
                 durable,
                 journal,
                 store,
@@ -776,11 +767,6 @@ impl DurableMoniLog {
         self.generation
     }
 
-    /// The pipeline configuration in force.
-    pub fn config(&self) -> &MoniLogConfig {
-        &self.config
-    }
-
     /// Path of the emitted-report sink.
     pub fn anomalies_path(&self) -> PathBuf {
         self.durable.state_dir.join(ANOMALIES_FILE)
@@ -910,7 +896,7 @@ mod tests {
             ..DurableConfig::new(&dir)
         };
         let (mut first, stats) =
-            DurableMoniLog::open(test_config(), durable.clone(), || Ok(trained())).unwrap();
+            DurableMoniLog::open(test_config(), durable.clone(), || Ok(trained()), None).unwrap();
         assert!(stats.resumed_generation.is_none());
         assert_eq!(stats.replayed_lines, 0);
         let mut emitted = Vec::new();
@@ -936,9 +922,12 @@ mod tests {
 
         // Second life: recover. The journal suffix (41..=45) replays on
         // top of generation 1; reports already in the sink stay quiet.
-        let (mut second, stats) = DurableMoniLog::open(test_config(), durable, || {
-            panic!("must recover from checkpoint, not retrain")
-        })
+        let (mut second, stats) = DurableMoniLog::open(
+            test_config(),
+            durable,
+            || panic!("must recover from checkpoint, not retrain"),
+            None,
+        )
         .unwrap();
         assert_eq!(stats.resumed_generation, Some(1));
         assert!(!stats.fell_back);
@@ -995,7 +984,7 @@ mod tests {
             ..DurableConfig::new(&dir)
         };
         let (mut first, _) =
-            DurableMoniLog::open(test_config(), durable.clone(), || Ok(trained())).unwrap();
+            DurableMoniLog::open(test_config(), durable.clone(), || Ok(trained()), None).unwrap();
         let mut emitted = Vec::new();
         for i in 32..50u64 {
             emitted.extend(
@@ -1008,9 +997,12 @@ mod tests {
         emitted.extend(batch);
         assert!(generation >= 1);
 
-        let (mut second, stats) = DurableMoniLog::open(test_config(), durable, || {
-            panic!("drain must leave a checkpoint")
-        })
+        let (mut second, stats) = DurableMoniLog::open(
+            test_config(),
+            durable,
+            || panic!("drain must leave a checkpoint"),
+            None,
+        )
         .unwrap();
         assert_eq!(
             stats.replayed_lines, 0,
@@ -1126,7 +1118,7 @@ mod tests {
         // First life: sink endpoint down the whole time. Checkpoint, then
         // one commit batch holding the three anomalous windows (lines
         // 40..52), then the crash.
-        let (mut first, _) = DurableMoniLog::open_with_delivery(
+        let (mut first, _) = DurableMoniLog::open(
             test_config(),
             durable.clone(),
             || Ok(trained()),
@@ -1169,7 +1161,7 @@ mod tests {
         // The endpoint comes back before the second life starts.
         let server =
             FlakySinkServer::spawn(&addr.to_string(), SinkProtocol::Framed, vec![]).unwrap();
-        let (mut second, stats) = DurableMoniLog::open_with_delivery(
+        let (mut second, stats) = DurableMoniLog::open(
             test_config(),
             durable,
             || panic!("must recover"),
@@ -1319,7 +1311,7 @@ mod tests {
             ..DurableConfig::new(&dir)
         };
         let (mut first, _) =
-            DurableMoniLog::open(test_config(), durable.clone(), || Ok(trained())).unwrap();
+            DurableMoniLog::open(test_config(), durable.clone(), || Ok(trained()), None).unwrap();
         assert!(first.recovered_section(SOURCES_SECTION).is_none());
         first.set_section(SOURCES_SECTION, b"0\t7\t128\t5\t/var/log/a\n".to_vec());
         first
@@ -1328,9 +1320,13 @@ mod tests {
         first.checkpoint_now().unwrap();
         drop(first);
 
-        let (second, _) =
-            DurableMoniLog::open(test_config(), durable.clone(), || panic!("must recover"))
-                .unwrap();
+        let (second, _) = DurableMoniLog::open(
+            test_config(),
+            durable.clone(),
+            || panic!("must recover"),
+            None,
+        )
+        .unwrap();
         assert_eq!(
             second.recovered_section(SOURCES_SECTION),
             Some(b"0\t7\t128\t5\t/var/log/a\n".as_slice())
@@ -1344,7 +1340,7 @@ mod tests {
         second.checkpoint_now().unwrap();
         drop(second);
         let (third, _) =
-            DurableMoniLog::open(test_config(), durable, || panic!("must recover")).unwrap();
+            DurableMoniLog::open(test_config(), durable, || panic!("must recover"), None).unwrap();
         assert!(third.recovered_section(SOURCES_SECTION).is_some());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1352,9 +1348,13 @@ mod tests {
     #[test]
     fn metrics_count_journal_and_checkpoint_activity() {
         let dir = tmp_dir("metrics");
-        let (mut dm, _) =
-            DurableMoniLog::open(test_config(), DurableConfig::new(&dir), || Ok(trained()))
-                .unwrap();
+        let (mut dm, _) = DurableMoniLog::open(
+            test_config(),
+            DurableConfig::new(&dir),
+            || Ok(trained()),
+            None,
+        )
+        .unwrap();
         for i in 32..40u64 {
             dm.ingest(&RawLog::new(SourceId(0), i + 1, line(i)))
                 .unwrap();
@@ -1382,7 +1382,8 @@ mod tests {
             },
             ..DurableConfig::new(&dir)
         };
-        let (mut dm, _) = DurableMoniLog::open(test_config(), durable, || Ok(trained())).unwrap();
+        let (mut dm, _) =
+            DurableMoniLog::open(test_config(), durable, || Ok(trained()), None).unwrap();
         // The burst lands well inside the interval: every line stays
         // pending and no report surfaces, even for anomalous windows.
         let mut emitted = Vec::new();

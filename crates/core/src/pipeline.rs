@@ -106,7 +106,7 @@ pub enum HeaderFormatChoice {
 }
 
 impl HeaderFormatChoice {
-    fn as_format(self) -> HeaderFormat {
+    pub(crate) fn as_format(self) -> HeaderFormat {
         match self {
             HeaderFormatChoice::DashSeparated => HeaderFormat::DashSeparated,
             HeaderFormatChoice::SyslogLike => HeaderFormat::SyslogLike,

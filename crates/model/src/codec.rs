@@ -80,6 +80,65 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// The largest frame payload a durable log or the sink wire accepts: a
+/// longer length word is corruption, not data, and is never allocated for.
+pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
+
+/// Why [`split_frame`] refused a frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameError {
+    /// The length word exceeds the caller's cap.
+    Oversized(usize),
+    /// The payload does not match its checksum.
+    Crc { expected: u32, found: u32 },
+}
+
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FrameError::Oversized(len) => write!(f, "frame too large: {len}"),
+            FrameError::Crc { .. } => f.write_str("frame CRC mismatch"),
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
+
+/// Append one `[len: u32 LE][crc32(payload): u32 LE][payload]` frame to
+/// `out` — the framing of the WAL segments, the delivery buffers, the
+/// framed-TCP sink and the cluster wire protocol.
+pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    out.reserve(8 + payload.len());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// Decode the frame at the start of `bytes`. `Ok(Some((payload, next)))`
+/// has `next` = the offset just past the frame; `Ok(None)` means the frame
+/// is not complete yet. A length word above `max` is refused before the
+/// payload is waited for, so a hostile length never costs an allocation.
+pub fn split_frame(bytes: &[u8], max: usize) -> Result<Option<(&[u8], usize)>, FrameError> {
+    let Some((len, rest)) = bytes.split_first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*len) as usize;
+    if len > max {
+        return Err(FrameError::Oversized(len));
+    }
+    let Some((crc, rest)) = rest.split_first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let Some(payload) = rest.get(..len) else {
+        return Ok(None);
+    };
+    let (expected, found) = (u32::from_le_bytes(*crc), crc32(payload));
+    if expected != found {
+        return Err(FrameError::Crc { expected, found });
+    }
+    Ok(Some((payload, 8 + len)))
+}
+
 /// Append-only binary writer.
 #[derive(Debug, Default)]
 pub struct Encoder {
@@ -298,6 +357,23 @@ mod tests {
             assert_ne!(crc32(&copy), base, "flip at byte {i} undetected");
             copy[i] ^= 0x10;
         }
+    }
+
+    #[test]
+    fn frames_split_back_out_and_refuse_damage() {
+        let mut buf = Vec::new();
+        put_frame(&mut buf, b"first");
+        put_frame(&mut buf, b"");
+        let (payload, next) = split_frame(&buf, 64).unwrap().unwrap();
+        assert_eq!((payload, next), (&b"first"[..], 13));
+        assert_eq!(split_frame(&buf[next..], 64), Ok(Some((&b""[..], 8))));
+        // Every strict prefix of a frame is incomplete, not an error.
+        for cut in 0..13 {
+            assert_eq!(split_frame(&buf[..cut], 64), Ok(None), "cut at {cut}");
+        }
+        assert_eq!(split_frame(&buf, 4), Err(FrameError::Oversized(5)));
+        buf[9] ^= 0x01;
+        assert!(matches!(split_frame(&buf, 64), Err(FrameError::Crc { .. })));
     }
 
     #[test]

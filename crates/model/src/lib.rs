@@ -54,7 +54,7 @@ pub mod trace;
 
 pub use anomaly::{AnomalyKind, AnomalyReport, Criticality, DeliveryClass};
 pub use checkpoint::{CheckpointManifest, JournalPosition};
-pub use codec::{crc32, CodecError, Decoder, Encoder};
+pub use codec::{crc32, put_frame, split_frame, CodecError, Decoder, Encoder, MAX_FRAME_BYTES};
 pub use event::{EventId, LogEvent, SessionKey};
 pub use header::{parse_header, HeaderFormat, HeaderParseError};
 pub use line::ByteLine;

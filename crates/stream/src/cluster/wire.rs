@@ -23,7 +23,9 @@
 //! own write-ahead journal — at-least-once over the wire, exactly-once end
 //! to end.
 
-use monilog_model::codec::{crc32, CodecError, Decoder, Encoder};
+#[cfg(test)]
+use monilog_model::codec::crc32;
+use monilog_model::codec::{put_frame, split_frame, CodecError, Decoder, Encoder, FrameError};
 use monilog_model::SourceId;
 use std::fmt;
 
@@ -67,6 +69,15 @@ impl std::error::Error for WireError {}
 impl From<CodecError> for WireError {
     fn from(e: CodecError) -> Self {
         WireError::Codec(e)
+    }
+}
+
+impl From<FrameError> for WireError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Oversized(len) => WireError::Oversized(len),
+            FrameError::Crc { expected, found } => WireError::Crc { expected, found },
+        }
     }
 }
 
@@ -181,11 +192,8 @@ pub fn encode_frame(msg: &Message) -> Vec<u8> {
         Message::Revoke { source } => e.put_u16(source.0),
         Message::Fin => {}
     }
-    let payload = e.finish();
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    let mut frame = Vec::new();
+    put_frame(&mut frame, &e.finish());
     frame
 }
 
@@ -275,24 +283,11 @@ impl FrameReader {
 
     /// Pull the next complete message, if one is fully buffered.
     pub fn next_message(&mut self) -> Result<Option<Message>, WireError> {
-        if self.buf.len() < 8 {
+        let Some((payload, next)) = split_frame(&self.buf, MAX_WIRE_FRAME)? else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[0..4].try_into().expect("sized")) as usize;
-        if len > MAX_WIRE_FRAME {
-            return Err(WireError::Oversized(len));
-        }
-        let expected = u32::from_le_bytes(self.buf[4..8].try_into().expect("sized"));
-        if self.buf.len() < 8 + len {
-            return Ok(None);
-        }
-        let payload = &self.buf[8..8 + len];
-        let found = crc32(payload);
-        if found != expected {
-            return Err(WireError::Crc { expected, found });
-        }
+        };
         let msg = decode_payload(payload)?;
-        self.buf.drain(..8 + len);
+        self.buf.drain(..next);
         Ok(Some(msg))
     }
 }

@@ -22,7 +22,7 @@
 //! segments fully covered by a checkpoint position.
 
 use super::DurabilityError;
-use monilog_model::{crc32, JournalPosition, RawLog, SourceId};
+use monilog_model::{put_frame, split_frame, JournalPosition, RawLog, SourceId, MAX_FRAME_BYTES};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
@@ -32,9 +32,6 @@ use std::time::{Duration, Instant};
 const SEGMENT_MAGIC: [u8; 4] = *b"MLWJ";
 const SEGMENT_VERSION: u16 = 1;
 const SEGMENT_HEADER_LEN: usize = 16;
-/// Frames larger than this are rejected as corruption rather than
-/// allocated — no legitimate log line approaches it.
-const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
 /// Journal tuning knobs (`--journal-fsync-ms`, `--journal-segment-bytes`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,6 +66,9 @@ pub struct Journal {
     dirty: bool,
     last_sync: Instant,
     appended_bytes: u64,
+    /// Reused per append: the `[seq][line]` payload and its frame.
+    payload: Vec<u8>,
+    frame: Vec<u8>,
 }
 
 impl Journal {
@@ -86,6 +86,8 @@ impl Journal {
             dirty: false,
             last_sync: Instant::now(),
             appended_bytes: 0,
+            payload: Vec::new(),
+            frame: Vec::new(),
         })
     }
 
@@ -136,18 +138,17 @@ impl Journal {
             );
         }
         let writer = self.writers.get_mut(&raw.source.0).expect("just inserted");
-        let mut payload = Vec::with_capacity(8 + raw.line.len());
-        payload.extend_from_slice(&raw.seq.to_le_bytes());
-        payload.extend_from_slice(raw.line.as_bytes());
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        writer.file.write_all(&frame)?;
-        writer.bytes += frame.len() as u64;
+        self.payload.clear();
+        self.payload.extend_from_slice(&raw.seq.to_le_bytes());
+        self.payload.extend_from_slice(raw.line.as_bytes());
+        self.frame.clear();
+        put_frame(&mut self.frame, &self.payload);
+        writer.file.write_all(&self.frame)?;
+        let written = self.frame.len() as u64;
+        writer.bytes += written;
         self.dirty = true;
-        self.appended_bytes += frame.len() as u64;
-        Ok(frame.len() as u64)
+        self.appended_bytes += written;
+        Ok(written)
     }
 
     /// Whether the group-commit interval has elapsed since the last sync.
@@ -282,25 +283,17 @@ fn read_segment(path: &Path) -> Result<Vec<RawLog>, DurabilityError> {
     }
     let source = SourceId(u16::from_le_bytes([bytes[6], bytes[7]]));
     let mut at = SEGMENT_HEADER_LEN;
-    // A torn length/crc prefix ends the journal.
-    while let Some(frame_header) = bytes.get(at..at + 8) {
-        let len = u32::from_le_bytes(frame_header[..4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(frame_header[4..].try_into().expect("4 bytes"));
-        if !(8..=MAX_FRAME_BYTES).contains(&len) {
-            break; // corrupt length: end of journal
-        }
-        let Some(payload) = bytes.get(at + 8..at + 8 + len as usize) else {
-            break; // torn payload: end of journal
+    // A torn, oversized or bit-flipped frame ends the journal, and so does
+    // one that passes its CRC but holds no seq or no UTF-8 text.
+    while let Ok(Some((payload, next))) = split_frame(&bytes[at..], MAX_FRAME_BYTES) {
+        let Some((seq, line)) = payload.split_first_chunk::<8>() else {
+            break;
         };
-        if crc32(payload) != crc {
-            break; // bit-flipped frame: end of journal
-        }
-        let seq = u64::from_le_bytes(payload[..8].try_into().expect("len >= 8"));
-        let Ok(line) = std::str::from_utf8(&payload[8..]) else {
-            break; // CRC passed but text is invalid: treat as tail damage
+        let Ok(line) = std::str::from_utf8(line) else {
+            break;
         };
-        out.push(RawLog::new(source, seq, line));
-        at += 8 + len as usize;
+        out.push(RawLog::new(source, u64::from_le_bytes(*seq), line));
+        at += next;
     }
     Ok(out)
 }

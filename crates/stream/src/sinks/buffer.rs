@@ -26,9 +26,8 @@
 //! mid-buffer flip is re-accepted by the upstream replay path, not
 //! silently trusted.
 
-use super::MAX_FRAME_BYTES;
 use crate::durable::DurabilityError;
-use monilog_model::{crc32, DeliveryClass};
+use monilog_model::{put_frame, split_frame, DeliveryClass, MAX_FRAME_BYTES};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -146,10 +145,7 @@ impl DeliveryBuffer {
         }
         let mut buf = Vec::new();
         for r in reports {
-            let payload = super::encode_report_payload(r);
-            buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-            buf.extend_from_slice(&payload);
+            put_frame(&mut buf, &super::encode_report_payload(r));
         }
         self.file.seek(SeekFrom::Start(self.len))?;
         self.file.write_all(&buf)?;
@@ -175,8 +171,8 @@ impl DeliveryBuffer {
         self.read_window(&mut window, PEEK_WINDOW.min(pending))?;
         if next_frame(&window, 0).is_none() && window.len() >= 8 {
             // No whole frame fits: its length field says how far to read.
-            let len = u32::from_le_bytes(window[..4].try_into().expect("sized"));
-            let need = 8 + len as usize;
+            let len = u32::from_le_bytes(window[..4].try_into().expect("sized")) as usize;
+            let need = 8 + len;
             if len <= MAX_FRAME_BYTES && need > window.len() && need <= pending {
                 self.read_window(&mut window, need)?;
             }
@@ -269,24 +265,8 @@ fn scan_valid_len(bytes: &[u8]) -> u64 {
 /// Parse the frame at `pos`; `None` if torn, corrupt or past the end.
 /// Returns the payload slice and the offset just past the frame.
 fn next_frame(bytes: &[u8], pos: usize) -> Option<(&[u8], usize)> {
-    let header_end = pos.checked_add(8)?;
-    if header_end > bytes.len() {
-        return None;
-    }
-    let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().ok()?);
-    if len > MAX_FRAME_BYTES {
-        return None;
-    }
-    let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().ok()?);
-    let end = header_end.checked_add(len as usize)?;
-    if end > bytes.len() {
-        return None;
-    }
-    let payload = &bytes[header_end..end];
-    if crc32(payload) != crc {
-        return None;
-    }
-    Some((payload, end))
+    let (payload, next) = split_frame(bytes.get(pos..)?, MAX_FRAME_BYTES).ok()??;
+    Some((payload, pos + next))
 }
 
 #[cfg(test)]

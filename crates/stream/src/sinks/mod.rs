@@ -58,7 +58,7 @@ pub use tcp::FramedTcpSink;
 use std::fmt;
 use std::io::{Read, Write};
 
-use monilog_model::crc32;
+use monilog_model::{put_frame, split_frame, MAX_FRAME_BYTES};
 
 /// Why a delivery attempt failed, typed so the pipeline can tell a flaky
 /// endpoint (retry with backoff, maybe open the breaker) from a hopeless
@@ -133,38 +133,31 @@ pub trait Sink: Send {
 /// Ack value for a ping (empty) frame.
 pub const PING_ACK: u64 = u64::MAX;
 
-/// Frames larger than this are rejected as corruption rather than
-/// allocated — same guard as the ingest journal.
-pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
-
-/// Write one frame (length, CRC, payload).
+/// Write one frame (length, CRC, payload) in a single write.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
-    w.write_all(payload)
+    let mut frame = Vec::new();
+    put_frame(&mut frame, payload);
+    w.write_all(&frame)
 }
 
 /// Read one frame; `Ok(None)` on clean EOF before the length word. A
 /// corrupt length or CRC is an error (the connection is poisoned).
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
+    let mut frame = vec![0u8; 8];
+    match r.read_exact(&mut frame) {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
-    let len = u32::from_le_bytes(len_buf);
+    let len = u32::from_le_bytes(frame[..4].try_into().expect("sized")) as usize;
     if len > MAX_FRAME_BYTES {
         return Err(std::io::Error::other(format!("frame too large: {len}")));
     }
-    let mut crc_buf = [0u8; 4];
-    r.read_exact(&mut crc_buf)?;
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    if crc32(&payload) != u32::from_le_bytes(crc_buf) {
-        return Err(std::io::Error::other("frame CRC mismatch"));
-    }
-    Ok(Some(payload))
+    frame.resize(8 + len, 0);
+    r.read_exact(&mut frame[8..])?;
+    split_frame(&frame, MAX_FRAME_BYTES).map_err(std::io::Error::other)?;
+    frame.drain(..8);
+    Ok(Some(frame))
 }
 
 /// Encode a data-frame payload (`report_id`, class tag, body bytes).

@@ -15,6 +15,7 @@
 //! the connection dies.
 
 use super::{write_frame, BufferedReport, Sink, SinkError, PING_ACK};
+use monilog_model::put_frame;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -116,11 +117,12 @@ impl Sink for FramedTcpSink {
         if batch.is_empty() {
             return Ok(());
         }
+        let mut frames = Vec::new();
+        for r in batch {
+            put_frame(&mut frames, &super::encode_report_payload(r));
+        }
         self.with_conn(|stream| {
-            for r in batch {
-                write_frame(stream, &super::encode_report_payload(r))?;
-            }
-            stream.flush()?;
+            stream.write_all(&frames)?;
             for r in batch {
                 let ack = read_ack(stream)?;
                 if ack != r.id {

@@ -86,7 +86,7 @@ fn main() {
             sink: Box::new(FramedTcpSink::new(server.addr().to_string())),
         }],
     );
-    let (mut durable, _) = DurableMoniLog::open_with_delivery(
+    let (mut durable, _) = DurableMoniLog::open(
         config,
         DurableConfig::new(&state_dir),
         || Ok(pipeline),

@@ -196,7 +196,7 @@ fn crash_respawn_wal_replay_matches_owned_reference() {
         ..DurableConfig::new(&dir)
     };
     let (mut first, stats) =
-        DurableMoniLog::open(bare_config(), durable.clone(), || Ok(bare_trained())).unwrap();
+        DurableMoniLog::open(bare_config(), durable.clone(), || Ok(bare_trained()), None).unwrap();
     assert_eq!(stats.replayed_lines, 0);
     let mut emitted = Vec::new();
     for raw in bare_raws(32..40) {
@@ -210,9 +210,12 @@ fn crash_respawn_wal_replay_matches_owned_reference() {
     }
     drop(first); // SIGKILL stand-in: lines 41..=45 only live in the WAL
 
-    let (mut second, stats) = DurableMoniLog::open(bare_config(), durable, || {
-        panic!("must recover from checkpoint, not retrain")
-    })
+    let (mut second, stats) = DurableMoniLog::open(
+        bare_config(),
+        durable,
+        || panic!("must recover from checkpoint, not retrain"),
+        None,
+    )
     .unwrap();
     assert_eq!(stats.resumed_generation, Some(1));
     assert_eq!(stats.replayed_lines, 5, "lines 41..=45 replay from the WAL");
