@@ -1328,8 +1328,9 @@ enum MonitorInput<'a> {
 
 /// The durable monitor (`--state-dir`): one loop over a log file or the
 /// network sources, every line journaled to the WAL before the pipeline
-/// acts on it. The model checkpoint (`--checkpoint`) seeds the pipeline
-/// only on the first run against a state directory; afterwards the durable
+/// acts on it, and nothing it produces released before the WAL fsync.
+/// The model checkpoint (`--checkpoint`) seeds the pipeline only on the
+/// first run against a state directory; afterwards the durable
 /// checkpoint wins. Tail cursors are written into the checkpoint manifest
 /// *before* the line they account for is ingested, so a checkpoint cut
 /// mid-batch pairs consistently.
@@ -1472,7 +1473,7 @@ fn run_monitor_runtime(
             }
             // Honor the group-commit interval in wall-clock time: without
             // this, a stream that goes quiet leaves its last burst
-            // unsynced and unapplied until the next line arrives.
+            // unsynced and its reports held until the next line arrives.
             reports.extend(&durable.tick()?);
             if let Some(mb) = &mailbox {
                 cluster_roundup(mb, &mut durable, &mut known_templates, out);
@@ -1551,13 +1552,20 @@ fn run_monitor_runtime(
             // queued from the old assignment must discard them too.
             cluster_roundup(mb, &mut durable, &mut known_templates, out);
         }
+        // Nothing queued: apply the journaled lines now, in time the loop
+        // would otherwise spend blocked on the queue, so the group commit
+        // only fsyncs and releases their reports. A file never drains, so
+        // a file run applies at the commit alone.
+        if queue.as_ref().is_some_and(|q| q.depth() == 0) {
+            durable.catch_up();
+        }
     }
 
     // Stop accepting before the final checkpoint: no source can add lines
     // the checkpoint won't cover. (Already dropped if a drain was
     // requested; the idle-exit path lands here with it still live.)
     drop(server);
-    // Quiesce: fsync the WAL and apply everything pending *before* the
+    // Quiesce: apply everything pending and fsync the WAL *before* the
     // final checkpoint. From here on even a forced (second-signal) exit
     // loses nothing a source acknowledged — the restart replays it.
     reports.extend(&durable.sync_wal()?);

@@ -12,18 +12,21 @@
 //!   delivery/        per-route outbound buffers and spill files
 //! ```
 //!
-//! The contract is *journal first, apply second*: a raw line is appended
-//! to the WAL, and only once the group commit fsyncs is it fed to the
-//! pipeline. A crash therefore loses only lines the pipeline never acted
-//! on; everything it did act on replays from the journal suffix after the
-//! newest valid checkpoint. Replayed lines regenerate the same anomaly
-//! reports deterministically (same event ids, same report ids), and the
-//! `anomalies.jsonl` sink suppresses ids it has already recorded — so
-//! across any number of kill/restart cycles every report is emitted
-//! exactly once.
+//! The contract is *journal first, release second*: a raw line is
+//! appended to the WAL before the pipeline sees it, and the pipeline may
+//! run ahead of the fsync ([`DurableMoniLog::catch_up`]), but nothing
+//! derived from a line — a report, a checkpoint, a cluster ack — leaves
+//! the process before the group commit that covers it has fsynced. A
+//! crash therefore loses only in-memory state whose effects never left
+//! (it dies with the process); everything that did leave replays from the
+//! journal suffix after the newest valid checkpoint. Replayed lines
+//! regenerate the same anomaly reports deterministically (same event ids,
+//! same report ids), and the `anomalies.jsonl` sink suppresses ids it has
+//! already recorded — so across any number of kill/restart cycles every
+//! report is emitted exactly once.
 //!
-//! Graceful drain ([`DurableMoniLog::drain`]) is the SIGTERM path: sync
-//! the journal, apply what was pending, write a final checkpoint, and
+//! Graceful drain ([`DurableMoniLog::drain`]) is the SIGTERM path: apply
+//! what was pending, sync the journal, write a final checkpoint, and
 //! stop — the next start replays zero lines. [`DurableMoniLog::finish`]
 //! is the end-of-input path, which additionally flushes open windows.
 
@@ -343,12 +346,18 @@ pub struct DurableMoniLog {
     /// Queryable recent-report ring for the ops surface, when attached
     /// ([`DurableMoniLog::attach_report_store`]).
     report_store: Option<Arc<ReportStore>>,
-    /// Per-source highest seq fed to the pipeline (== checkpointable).
+    /// Per-source highest seq fed to the pipeline *and* fsynced
+    /// (== checkpointable, ackable).
     applied: HashMap<u16, u64>,
+    /// Per-source highest seq fed to the pipeline ahead of the fsync that
+    /// covers it; promoted into `applied` by the next commit.
+    unsynced: HashMap<u16, u64>,
     /// Per-source highest seq appended to the journal (>= applied).
     journaled: HashMap<u16, u64>,
-    /// Appended but not yet fsync'd — and therefore not yet applied.
+    /// Appended but not yet fed to the pipeline.
     pending: Vec<RawLog>,
+    /// Reports of lines fed ahead of their fsync, released by the commit.
+    held: Vec<ClassifiedAnomaly>,
     /// Caller-owned manifest sections (e.g. [`SOURCES_SECTION`] tail
     /// cursors) written into every checkpoint.
     extra_sections: HashMap<String, Vec<u8>>,
@@ -483,8 +492,10 @@ impl DurableMoniLog {
                 router,
                 report_store: None,
                 applied,
+                unsynced: HashMap::new(),
                 journaled,
                 pending: Vec::new(),
+                held: Vec::new(),
                 // Recovered sections seed the write-side map so a restart
                 // that never calls set_section still carries them forward.
                 extra_sections: recovered_sections.clone(),
@@ -496,10 +507,12 @@ impl DurableMoniLog {
         ))
     }
 
-    /// Journal a raw line and, on group-commit boundaries, apply the
-    /// synced batch to the pipeline. Reports surface on those boundaries;
-    /// an empty return does not mean the line was uninteresting, only
-    /// that its batch has not committed yet.
+    /// Journal a raw line and, on group-commit boundaries, commit the
+    /// batch. Reports surface on those boundaries; an empty return does
+    /// not mean the line was uninteresting, only that its batch has not
+    /// committed yet. The line is not applied here: a caller with idle
+    /// time applies it early with [`DurableMoniLog::catch_up`], otherwise
+    /// the commit does.
     pub fn ingest(&mut self, raw: &RawLog) -> Result<Vec<ClassifiedAnomaly>, String> {
         let bytes = self
             .journal
@@ -510,19 +523,37 @@ impl DurableMoniLog {
         *entry = (*entry).max(raw.seq);
         self.pending.push(raw.clone());
 
-        let mut out = Vec::new();
-        if self.journal.sync_due() {
-            out.extend(self.commit_pending()?);
+        let now = Instant::now();
+        let checkpoint_due = now
+            .saturating_duration_since(self.last_checkpoint)
+            .as_millis() as u64
+            >= self.durable.checkpoint_interval_ms;
+        if !checkpoint_due && !self.journal.sync_due_at(now) {
+            return Ok(Vec::new());
         }
-        if self.last_checkpoint.elapsed().as_millis() as u64 >= self.durable.checkpoint_interval_ms
-        {
-            out.extend(self.commit_pending()?);
+        let out = self.commit_pending()?;
+        if checkpoint_due {
             self.write_checkpoint()?;
         }
         Ok(out)
     }
 
-    /// Fsync the WAL and apply every pending line, without writing a
+    /// Apply every journaled line the pipeline has not seen yet, ahead of
+    /// the fsync that will cover it. Nothing leaves: the reports are held
+    /// and the lines' seqs stay out of [`DurableMoniLog::applied_marks`]
+    /// until the next commit ([`DurableMoniLog::tick`],
+    /// [`DurableMoniLog::sync_wal`], or an `ingest` on a commit boundary)
+    /// releases them. A consumer calls this when its input runs dry, so
+    /// the commit finds little left to apply.
+    pub fn catch_up(&mut self) {
+        for raw in self.pending.drain(..) {
+            self.held.extend(self.pipeline.ingest(&raw));
+            let entry = self.unsynced.entry(raw.source.0).or_insert(0);
+            *entry = (*entry).max(raw.seq);
+        }
+    }
+
+    /// Apply every pending line and fsync the WAL, without writing a
     /// checkpoint. This is the quiesce step of a graceful drain: after it
     /// returns, even a forced (second-signal) `_exit` loses nothing a
     /// source acknowledged — a restart replays the journal suffix since
@@ -534,8 +565,8 @@ impl DurableMoniLog {
     /// Time-based group commit. [`DurableMoniLog::ingest`] only commits
     /// when the *next* append finds the fsync interval elapsed, so a
     /// stream that goes quiet would leave its final burst pending
-    /// indefinitely: unsynced (a kill loses it), unapplied (its reports
-    /// never surface). The monitor loops call this on idle so the
+    /// indefinitely: unsynced (a kill loses it), its reports held or not
+    /// yet produced. The monitor loops call this on idle so the
     /// interval is honored in wall-clock time; a clean journal makes it
     /// a no-op.
     pub fn tick(&mut self) -> Result<Vec<ClassifiedAnomaly>, String> {
@@ -560,8 +591,8 @@ impl DurableMoniLog {
         Ok((out, generation))
     }
 
-    /// Graceful drain — the SIGTERM path. Syncs the journal, applies
-    /// whatever was pending, writes a final checkpoint, and consumes the
+    /// Graceful drain — the SIGTERM path. Applies whatever was pending,
+    /// syncs the journal, writes a final checkpoint, and consumes the
     /// handle. Open windows stay open *in the checkpoint*: the next start
     /// picks them up with zero journal replay. Reports still undelivered
     /// when the delivery flush window closes stay in the durable buffers
@@ -602,34 +633,38 @@ impl DurableMoniLog {
         }
     }
 
-    /// Fsync the journal, apply every synced-but-unapplied line, then emit
-    /// the reports of the whole batch at once: one durability point for
-    /// the delivery buffers and one for `anomalies.jsonl` per group commit.
+    /// The group commit, the one place anything derived from a line is
+    /// released: apply what [`DurableMoniLog::catch_up`] has not, fsync the
+    /// journal, promote the applied seqs to ackable, then emit the held
+    /// reports of the whole batch at once — one durability point for the
+    /// delivery buffers and one for `anomalies.jsonl` per group commit.
     fn commit_pending(&mut self) -> Result<Vec<ClassifiedAnomaly>, String> {
+        self.catch_up();
         self.journal
             .sync()
             .map_err(|e| format!("journal sync: {e}"))?;
-        let mut produced = Vec::new();
-        for raw in std::mem::take(&mut self.pending) {
-            produced.extend(self.pipeline.ingest(&raw));
-            let entry = self.applied.entry(raw.source.0).or_insert(0);
-            *entry = (*entry).max(raw.seq);
+        for (source, seq) in self.unsynced.drain() {
+            let entry = self.applied.entry(source).or_insert(0);
+            *entry = (*entry).max(seq);
         }
         let (emitted, _) = emit(
             &mut self.sink,
             self.delivery.as_ref(),
             &self.router,
             self.report_store.as_deref(),
-            produced,
+            std::mem::take(&mut self.held),
         )?;
         Ok(emitted)
     }
 
     /// Export full pipeline state and commit it as the next generation;
-    /// callers must have drained `pending` first so the journal positions
-    /// match the exported state exactly.
+    /// callers must have committed first so the journal positions match
+    /// the exported state exactly.
     fn write_checkpoint(&mut self) -> Result<u64, String> {
-        debug_assert!(self.pending.is_empty(), "checkpoint with unapplied lines");
+        debug_assert!(
+            self.pending.is_empty() && self.unsynced.is_empty() && self.held.is_empty(),
+            "checkpoint ahead of the commit"
+        );
         let start = Instant::now();
         let state = self.pipeline.export_durable_state()?;
         self.generation += 1;
@@ -680,7 +715,8 @@ impl DurableMoniLog {
     /// Per-source high-water marks that are fsync'd *and* applied — the
     /// safe-to-ack set for the cluster link (`ClusterMailbox::
     /// publish_journaled`). Lines still in the group-commit window are
-    /// excluded; publish right after [`DurableMoniLog::sync_wal`].
+    /// excluded, caught up or not; publish right after
+    /// [`DurableMoniLog::sync_wal`].
     pub fn applied_marks(&self) -> Vec<(SourceId, u64)> {
         let mut marks: Vec<(SourceId, u64)> = self
             .applied
@@ -701,10 +737,13 @@ impl DurableMoniLog {
 
     /// Cluster revocation: purge every trace of `source` that has not yet
     /// become a report — open windows, reorder-buffer records, and lines
-    /// journaled but still awaiting group commit. The WAL entries remain
-    /// (history is append-only); a later recovery replays them into open
-    /// windows again, and the re-handshake's revocation discards them
-    /// again before they can close.
+    /// journaled but not yet applied. Lines already caught up count as
+    /// committed: their held reports and seqs are released by the next
+    /// commit, the outcome of a commit that wins the race against the
+    /// revoke. The WAL entries remain (history is append-only); a later
+    /// recovery replays them into open windows again, and the
+    /// re-handshake's revocation discards them again before they can
+    /// close.
     pub fn discard_source(&mut self, source: SourceId) -> usize {
         self.pending.retain(|r| r.source != source);
         self.pipeline.discard_source(source)
@@ -750,11 +789,11 @@ impl DurableMoniLog {
         self.last_checkpoint.elapsed().as_millis() as u64
     }
 
-    /// Bytes journaled but not yet applied to the pipeline — the
-    /// group-commit window a crash would replay. The `/status` WAL-lag
+    /// Bytes journaled, not yet durable: WAL frames appended since the
+    /// last fsync, which a crash now could lose. The `/status` WAL-lag
     /// input.
     pub fn wal_lag_bytes(&self) -> u64 {
-        self.pending.iter().map(|r| r.line.len() as u64).sum()
+        self.journal.unsynced_bytes()
     }
 
     /// The wrapped pipeline (read-only: metrics, registry, tracer).
@@ -793,9 +832,12 @@ mod tests {
         dir
     }
 
-    /// Where an armed `emit` dies, between its two durability points.
+    /// Where a first life dies: before its commit, or where an armed
+    /// `emit` dies, between its two durability points.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum CrashPoint {
+        /// Batch caught up, its reports held; nothing fsynced or emitted.
+        BeforeWalSync,
         /// Delivery buffers fsynced; `anomalies.jsonl` untouched.
         BeforeSinkCommit,
         /// Torn `anomalies.jsonl` append: first line whole, second cut.
@@ -852,6 +894,45 @@ mod tests {
         }
         m.train();
         m
+    }
+
+    /// Delivery of every report to a framed-TCP receiver at `addr`, with
+    /// short retries so a dead endpoint keeps the reports buffered.
+    fn framed_delivery(addr: std::net::SocketAddr) -> DeliverySetup {
+        use monilog_stream::sinks::FramedTcpSink;
+
+        let mut config = DeliveryConfig::new("ignored");
+        config.retry.base_backoff = Duration::from_millis(1);
+        config.retry.max_backoff = Duration::from_millis(20);
+        DeliverySetup::new(
+            config,
+            vec![RouteSpec {
+                name: "all".into(),
+                classes: monilog_model::DeliveryClass::ALL.to_vec(),
+                sink: Box::new(
+                    FramedTcpSink::new(addr.to_string())
+                        .with_timeouts(Duration::from_millis(100), Duration::from_millis(300)),
+                ),
+            }],
+        )
+    }
+
+    /// An address with nothing listening on it (yet).
+    fn unused_addr() -> std::net::SocketAddr {
+        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        l.local_addr().unwrap()
+    }
+
+    /// No group commit or checkpoint on its own: commits are cut by hand.
+    fn manual_commits(dir: &Path) -> DurableConfig {
+        DurableConfig {
+            checkpoint_interval_ms: u64::MAX,
+            journal: JournalConfig {
+                fsync_interval_ms: u64::MAX,
+                ..JournalConfig::default()
+            },
+            ..DurableConfig::new(dir)
+        }
     }
 
     fn report_keys(anomalies: &[ClassifiedAnomaly]) -> Vec<(u64, String, u64)> {
@@ -1058,7 +1139,6 @@ mod tests {
     /// batch is delivered twice.
     fn kill_and_restart_with_crash_at(point: Option<CrashPoint>, name: &str) {
         use monilog_stream::chaos::{FlakySinkServer, SinkProtocol};
-        use monilog_stream::sinks::FramedTcpSink;
 
         let dir = tmp_dir(name);
         let expected: Vec<u64> = {
@@ -1075,36 +1155,9 @@ mod tests {
         // Reserve an address with nothing listening on it yet: the whole
         // first life runs against a dead endpoint, so every report stays
         // buffered on disk.
-        let addr = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
-
-        // Nothing commits on its own: batches are cut by hand.
-        let durable = DurableConfig {
-            checkpoint_interval_ms: u64::MAX,
-            journal: JournalConfig {
-                fsync_interval_ms: u64::MAX,
-                ..JournalConfig::default()
-            },
-            ..DurableConfig::new(&dir)
-        };
-        let setup = || {
-            let mut config = DeliveryConfig::new("ignored");
-            config.retry.base_backoff = Duration::from_millis(1);
-            config.retry.max_backoff = Duration::from_millis(20);
-            DeliverySetup::new(
-                config,
-                vec![RouteSpec {
-                    name: "all".into(),
-                    classes: monilog_model::DeliveryClass::ALL.to_vec(),
-                    sink: Box::new(
-                        FramedTcpSink::new(addr.to_string())
-                            .with_timeouts(Duration::from_millis(100), Duration::from_millis(300)),
-                    ),
-                }],
-            )
-        };
+        let addr = unused_addr();
+        let durable = manual_commits(&dir);
+        let setup = || framed_delivery(addr);
         // Ids of the whole (newline-terminated) lines in the sink file.
         let sink_ids = |dir: &Path| -> Vec<u64> {
             let bytes = fs::read(dir.join(ANOMALIES_FILE)).unwrap_or_default();
@@ -1138,24 +1191,36 @@ mod tests {
                 .unwrap();
             assert!(surfaced.is_empty(), "the batch must not commit early");
         }
-        CRASH.set(point);
-        let committed = first.sync_wal();
-        let in_sink = sink_ids(&dir).len() - before_batch;
-        match point {
-            None => assert_eq!(committed.unwrap().len(), 3, "three reports in one batch"),
-            Some(CrashPoint::BeforeSinkCommit) => {
-                assert!(committed.is_err());
-                assert_eq!(in_sink, 0);
+        if point == Some(CrashPoint::BeforeWalSync) {
+            let buffered = first.delivery().unwrap().pending_bytes();
+            first.catch_up();
+            assert_eq!(sink_ids(&dir).len(), before_batch, "held, not emitted");
+            assert_eq!(
+                first.delivery().unwrap().pending_bytes(),
+                buffered,
+                "nothing is accepted before the fsync"
+            );
+        } else {
+            CRASH.set(point);
+            let committed = first.sync_wal();
+            let in_sink = sink_ids(&dir).len() - before_batch;
+            match point {
+                None => assert_eq!(committed.unwrap().len(), 3, "three reports in one batch"),
+                Some(CrashPoint::BeforeSinkCommit) => {
+                    assert!(committed.is_err());
+                    assert_eq!(in_sink, 0);
+                }
+                Some(CrashPoint::MidSinkCommit) => {
+                    assert!(committed.is_err());
+                    assert_eq!(in_sink, 1, "one whole line, then the torn one");
+                }
+                Some(CrashPoint::BeforeWalSync) => unreachable!(),
             }
-            Some(CrashPoint::MidSinkCommit) => {
-                assert!(committed.is_err());
-                assert_eq!(in_sink, 1, "one whole line, then the torn one");
-            }
+            assert!(
+                first.delivery().unwrap().pending_bytes() > 0,
+                "accept comes before commit: the batch is buffered at every crash point"
+            );
         }
-        assert!(
-            first.delivery().unwrap().pending_bytes() > 0,
-            "accept comes before commit: the batch is buffered at every crash point"
-        );
         drop(first); // SIGKILL stand-in
 
         // The endpoint comes back before the second life starts.
@@ -1173,7 +1238,7 @@ mod tests {
             (stats.suppressed_duplicates, stats.anomalies.len()),
             match point {
                 None => (3, 0),
-                Some(CrashPoint::BeforeSinkCommit) => (0, 3),
+                Some(CrashPoint::BeforeWalSync | CrashPoint::BeforeSinkCommit) => (0, 3),
                 Some(CrashPoint::MidSinkCommit) => (1, 2),
             },
             "suppressed ids are exactly those the sink file kept"
@@ -1214,6 +1279,127 @@ mod tests {
     #[test]
     fn delivery_survives_a_torn_sink_append_inside_a_batch() {
         kill_and_restart_with_crash_at(Some(CrashPoint::MidSinkCommit), "delivery-torn");
+    }
+
+    /// A batch applied ahead of its fsync dies with the process: the
+    /// restart replays it and emits each of its reports exactly once.
+    #[test]
+    fn delivery_survives_a_kill_after_catch_up_before_the_commit() {
+        kill_and_restart_with_crash_at(Some(CrashPoint::BeforeWalSync), "delivery-caught-up");
+    }
+
+    /// Everything that leaves the process, as seen from outside it.
+    #[derive(Debug, PartialEq)]
+    struct Released {
+        jsonl: Vec<u8>,
+        pending_bytes: u64,
+        marks: Vec<(SourceId, u64)>,
+        store: Vec<StoredReport>,
+    }
+
+    fn released(dm: &DurableMoniLog, store: &ReportStore) -> Released {
+        use monilog_stream::ops::ReportsQuery;
+
+        Released {
+            jsonl: fs::read(dm.anomalies_path()).unwrap(),
+            pending_bytes: dm.delivery().unwrap().pending_bytes(),
+            marks: dm.applied_marks(),
+            store: store
+                .query(&ReportsQuery::default())
+                .1
+                .iter()
+                .map(|r| (**r).clone())
+                .collect(),
+        }
+    }
+
+    /// `catch_up` runs the pipeline ahead of the fsync, and nothing it
+    /// produces leaves before the commit: `anomalies.jsonl`, the delivery
+    /// buffers, the ackable marks and the `/reports` store are untouched
+    /// until `tick`/`sync_wal`, and byte-identical afterwards to a run that
+    /// never caught up.
+    #[test]
+    fn catch_up_releases_nothing_before_the_commit() {
+        let addr = unused_addr();
+        let run = |name: &str, catch_up: bool| {
+            let dir = tmp_dir(name);
+            let (mut dm, _) = DurableMoniLog::open(
+                test_config(),
+                manual_commits(&dir),
+                || Ok(trained()),
+                Some(framed_delivery(addr)),
+            )
+            .unwrap();
+            let store = ReportStore::shared(64);
+            dm.attach_report_store(Arc::clone(&store));
+            for i in 32..64u64 {
+                let surfaced = dm
+                    .ingest(&RawLog::new(SourceId(0), i + 1, line(i)))
+                    .unwrap();
+                assert!(surfaced.is_empty(), "no commit falls due");
+            }
+            let before = released(&dm, &store);
+            assert!(before.jsonl.is_empty() && before.marks.is_empty());
+            if catch_up {
+                dm.catch_up();
+                assert_eq!(released(&dm, &store), before, "catch_up releases nothing");
+                assert!(dm.wal_lag_bytes() > 0, "caught up, still not durable");
+            }
+            let ids: Vec<u64> = dm.sync_wal().unwrap().iter().map(|a| a.report.id).collect();
+            let after = released(&dm, &store);
+            drop(dm);
+            fs::remove_dir_all(&dir).unwrap();
+            (ids, after)
+        };
+        let (ids, after) = run("release-caught-up", true);
+        assert!(ids.len() >= 3, "the corpus must produce reports");
+        assert!(!after.jsonl.is_empty() && after.pending_bytes > 0);
+        assert_eq!(after.marks, vec![(SourceId(0), 64)]);
+        assert_eq!((ids, after), run("release-plain", false));
+    }
+
+    /// Cluster revocation after a catch-up: the revoked source's caught-up
+    /// lines count as committed (their reports and seqs are released by
+    /// the next commit) and its pending lines are dropped — the outcome of
+    /// a commit that wins the race against the revoke. The ackable marks
+    /// never show a seq the fsync has not covered.
+    #[test]
+    fn revoke_keeps_caught_up_lines_and_drops_pending_ones() {
+        let src = SourceId(3);
+        let run = |name: &str, commit_first: bool| {
+            let dir = tmp_dir(name);
+            let (mut dm, _) =
+                DurableMoniLog::open(test_config(), manual_commits(&dir), || Ok(trained()), None)
+                    .unwrap();
+            let mut emitted = Vec::new();
+            for seq in 1..=12u64 {
+                emitted.extend(dm.ingest(&RawLog::new(src, seq, line(35 + seq))).unwrap());
+            }
+            if commit_first {
+                emitted.extend(dm.sync_wal().unwrap());
+            } else {
+                dm.catch_up();
+                assert!(dm.applied_marks().is_empty(), "caught up is not ackable");
+            }
+            for seq in 13..=20u64 {
+                emitted.extend(dm.ingest(&RawLog::new(src, seq, line(35 + seq))).unwrap());
+            }
+            dm.discard_source(src);
+            assert!(
+                dm.applied_marks().iter().all(|&(_, seq)| seq <= 12),
+                "an unsynced seq is never ackable"
+            );
+            emitted.extend(dm.sync_wal().unwrap());
+            let marks = dm.applied_marks();
+            assert_eq!(dm.next_seq(src), 21, "discarded lines stay journaled");
+            drop(dm);
+            fs::remove_dir_all(&dir).unwrap();
+            (report_keys(&emitted), marks)
+        };
+        let (reports, marks) = run("revoke-caught-up", false);
+        assert!(!reports.is_empty(), "caught-up reports are released");
+        assert_eq!(marks, vec![(src, 12)], "caught-up lines count as committed");
+        assert_eq!((reports, marks), run("revoke-committed", true));
     }
 
     /// Emitting a commit batch at once is the concatenation of emitting
@@ -1269,6 +1455,51 @@ mod tests {
         let batch = run("emit-batch", vec![per_line.concat()]);
         assert!(!lines.1.is_empty());
         assert_eq!(batch, lines);
+    }
+
+    mod catch_up_anywhere {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Report ids in emission order and the `anomalies.jsonl` bytes of
+        /// the live stream, with `step[k]` after line `k`: 2 catches up, 3
+        /// commits, anything else does neither.
+        fn run(name: &str, steps: &[u8]) -> (Vec<u64>, Vec<u8>) {
+            let dir = tmp_dir(name);
+            let (mut dm, _) =
+                DurableMoniLog::open(test_config(), manual_commits(&dir), || Ok(trained()), None)
+                    .unwrap();
+            let mut emitted = Vec::new();
+            for (k, i) in (32..64u64).enumerate() {
+                emitted.extend(
+                    dm.ingest(&RawLog::new(SourceId(0), i + 1, line(i)))
+                        .unwrap(),
+                );
+                match steps.get(k) {
+                    Some(2) => dm.catch_up(),
+                    Some(3) => emitted.extend(dm.sync_wal().unwrap()),
+                    _ => {}
+                }
+            }
+            emitted.extend(dm.finish().unwrap().0);
+            let jsonl = fs::read(dir.join(ANOMALIES_FILE)).unwrap();
+            fs::remove_dir_all(&dir).unwrap();
+            (emitted.iter().map(|a| a.report.id).collect(), jsonl)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            /// Catching up at any points, with commits cut at any others,
+            /// emits what committing at the end alone does: same ids in the
+            /// same order, same `anomalies.jsonl` bytes.
+            #[test]
+            fn emits_what_the_commit_alone_does(steps in proptest::collection::vec(0u8..4, 32)) {
+                let reference = run("anywhere-reference", &[]);
+                prop_assert!(reference.0.len() >= 3);
+                prop_assert_eq!(run("anywhere-steps", &steps), reference);
+            }
+        }
     }
 
     #[test]
@@ -1394,6 +1625,14 @@ mod tests {
             );
         }
         assert!(dm.wal_lag_bytes() > 0, "burst tail must be pending");
+        // Applying the burst early releases nothing: it is still not
+        // durable, and its reports wait for the commit.
+        dm.catch_up();
+        assert!(dm.wal_lag_bytes() > 0, "caught up is not durable");
+        assert!(
+            fs::read(dm.anomalies_path()).unwrap().is_empty(),
+            "no report surfaces before the tick"
+        );
         // Quiet stream: once the interval elapses, the idle tick must
         // commit the tail — reports surface without another append.
         let deadline = Instant::now() + Duration::from_secs(5);

@@ -10,11 +10,13 @@
 //! payload = [seq: u64 LE][line bytes (UTF-8)]
 //! ```
 //!
-//! The durability contract is *journal first, apply second*: the caller
-//! appends a line and fsyncs (group commit, [`JournalConfig::fsync_interval_ms`])
-//! before feeding it to the pipeline. A crash can therefore lose only
-//! lines that were never applied — and those are re-read from the input —
-//! while every line the pipeline acted on is replayable.
+//! The durability contract is *journal first, release second*: the caller
+//! appends a line before feeding it to the pipeline, and lets nothing
+//! derived from it (a report, a checkpoint, a source ack) leave the
+//! process before the group commit ([`JournalConfig::fsync_interval_ms`])
+//! has fsynced it. A crash can therefore lose only lines whose effects
+//! never left — those are re-read from the input — while every line
+//! behind an observable effect is replayable.
 //!
 //! Segments rotate at [`JournalConfig::segment_bytes`]; replay tolerates a
 //! truncated or corrupt tail (the torn final frame of a crash) by treating
@@ -63,7 +65,9 @@ pub struct Journal {
     dir: PathBuf,
     config: JournalConfig,
     writers: HashMap<u16, SegmentWriter>,
-    dirty: bool,
+    /// Frame bytes appended since the last [`Journal::sync`]; non-zero
+    /// exactly while a group commit is owed.
+    unsynced_bytes: u64,
     last_sync: Instant,
     appended_bytes: u64,
     /// Reused per append: the `[seq][line]` payload and its frame.
@@ -83,7 +87,7 @@ impl Journal {
             dir,
             config,
             writers: HashMap::new(),
-            dirty: false,
+            unsynced_bytes: 0,
             last_sync: Instant::now(),
             appended_bytes: 0,
             payload: Vec::new(),
@@ -146,34 +150,48 @@ impl Journal {
         writer.file.write_all(&self.frame)?;
         let written = self.frame.len() as u64;
         writer.bytes += written;
-        self.dirty = true;
+        self.unsynced_bytes += written;
         self.appended_bytes += written;
         Ok(written)
     }
 
     /// Whether the group-commit interval has elapsed since the last sync.
     pub fn sync_due(&self) -> bool {
-        self.sync_due_in().is_some_and(|left| left.is_zero())
+        self.sync_due_at(Instant::now())
+    }
+
+    /// [`Journal::sync_due`] against a clock reading the caller already
+    /// holds.
+    pub fn sync_due_at(&self, now: Instant) -> bool {
+        self.unsynced_bytes > 0
+            && now.saturating_duration_since(self.last_sync)
+                >= Duration::from_millis(self.config.fsync_interval_ms)
     }
 
     /// How long until the group commit falls due; `None` while nothing is
     /// waiting for one.
     pub fn sync_due_in(&self) -> Option<Duration> {
-        self.dirty.then(|| {
+        (self.unsynced_bytes > 0).then(|| {
             Duration::from_millis(self.config.fsync_interval_ms)
                 .saturating_sub(self.last_sync.elapsed())
         })
     }
 
+    /// Frame bytes journaled but not yet durable: appended since the last
+    /// [`Journal::sync`], so a crash now could lose them.
+    pub fn unsynced_bytes(&self) -> u64 {
+        self.unsynced_bytes
+    }
+
     /// Flush and fsync every dirty segment. After this returns, every
     /// appended frame survives a crash.
     pub fn sync(&mut self) -> Result<(), DurabilityError> {
-        if self.dirty {
+        if self.unsynced_bytes > 0 {
             for w in self.writers.values_mut() {
                 w.file.flush()?;
                 w.file.get_ref().sync_data()?;
             }
-            self.dirty = false;
+            self.unsynced_bytes = 0;
         }
         self.last_sync = Instant::now();
         Ok(())
@@ -456,8 +474,15 @@ mod tests {
         )
         .unwrap();
         assert!(!j.sync_due(), "clean journal never due");
-        j.append(&raw(0, 1, "x")).unwrap();
+        assert_eq!(j.unsynced_bytes(), 0);
+        let written = j.append(&raw(0, 1, "x")).unwrap();
         assert!(!j.sync_due(), "interval has not elapsed");
+        assert_eq!(j.unsynced_bytes(), written, "the frame is not durable yet");
+        let later = Instant::now() + Duration::from_secs(11);
+        assert!(j.sync_due_at(later), "due once the interval has passed");
+        j.sync().unwrap();
+        assert_eq!(j.unsynced_bytes(), 0, "sync makes every frame durable");
+        assert!(!j.sync_due_at(later), "clean journal never due");
         let mut eager = Journal::open(
             &dir,
             JournalConfig {

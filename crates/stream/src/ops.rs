@@ -506,8 +506,8 @@ pub struct StatusInputs {
     pub checkpoint_generation: u64,
     /// Milliseconds since the last committed checkpoint.
     pub checkpoint_age_ms: u64,
-    /// Journal bytes appended since the last checkpoint (replay cost of a
-    /// crash right now).
+    /// Journal bytes appended since the last WAL fsync: journaled, not
+    /// yet durable.
     pub wal_lag_bytes: u64,
     /// Cluster router link (`--join` monitors only): `(state, reason)`
     /// from the link supervisor's snapshot. A lost link *degrades* the
