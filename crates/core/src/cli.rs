@@ -81,7 +81,7 @@ pub enum CliCommand {
         listen: std::net::SocketAddr,
         /// Monitors to wait for before routing (`--expect-nodes`).
         expect_nodes: usize,
-        /// Root for the per-source retention buffers and `listen-addrs`.
+        /// Root for the retention journal (`router-buffers/`) and `listen-addrs`.
         state_dir: String,
         /// Lines per sealed batch (`--batch-lines`).
         batch_lines: usize,
@@ -1030,7 +1030,10 @@ fn build_delivery(
     state_dir: &std::path::Path,
 ) -> Result<DeliverySetup, String> {
     use monilog_model::DeliveryClass;
-    use monilog_stream::sinks::{DeliveryConfig, FileSink, FramedTcpSink, RouteSpec, WebhookSink};
+    use monilog_stream::sinks::{
+        DeliveryConfig, FileSink, FramedTcpSink, RouteSpec, WebhookSink, FILE_RETAIN,
+        FILE_ROTATE_BYTES,
+    };
 
     let critical = opts
         .route_critical
@@ -1071,24 +1074,29 @@ fn build_delivery(
     let file_path = state_dir
         .join(crate::durable::DELIVERY_DIR)
         .join("reports.jsonl");
-    std::fs::create_dir_all(file_path.parent().expect("delivery dir"))
-        .map_err(|e| format!("create delivery dir: {e}"))?;
-    let file_sink = FileSink::open(&file_path, 16 * 1024 * 1024, 2)
-        .map_err(|e| format!("open file sink: {e}"))?;
     let mut classes = vec![DeliveryClass::Log];
     if critical == "file" {
         classes.push(DeliveryClass::Page);
     }
-    specs.push(RouteSpec {
-        name: "file".into(),
-        classes,
-        sink: Box::new(file_sink),
-    });
 
     let mut config = DeliveryConfig::new("overridden-by-open");
     config.retry.max_backoff = std::time::Duration::from_millis(opts.retry_max_ms);
     config.buffer_spill_bytes = opts.buffer_bytes;
-    let mut setup = DeliverySetup::new(config, specs);
+    let mut setup = DeliverySetup::new(config, move |metrics| {
+        let file_sink = FileSink::open(
+            &file_path,
+            FILE_ROTATE_BYTES,
+            FILE_RETAIN,
+            Arc::clone(metrics),
+        )
+        .map_err(|e| format!("open file sink: {e}"))?;
+        specs.push(RouteSpec {
+            name: "file".into(),
+            classes,
+            sink: Box::new(file_sink),
+        });
+        Ok(specs)
+    });
     // `--page-at` lowers the page threshold; the ticket threshold never
     // sits above it (a report can't be "page but not ticket worthy").
     setup.router.page_at = opts.page_at;
@@ -1729,8 +1737,12 @@ fn spawn_sources(
 
     let dlq = match config.fault_tolerance.on_overload {
         OverloadPolicy::DeadLetter => Some(std::sync::Arc::new(
-            DeadLetterLog::open(state_dir.join("sources_dead_letter.jsonl"), 1 << 20)
-                .map_err(|e| format!("open sources dead-letter log: {e}"))?,
+            DeadLetterLog::open(
+                state_dir.join("sources_dead_letter.jsonl"),
+                1 << 20,
+                durable.pipeline().metrics(),
+            )
+            .map_err(|e| format!("open sources dead-letter log: {e}"))?,
         )),
         _ => None,
     };

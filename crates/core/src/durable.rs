@@ -33,7 +33,7 @@
 use crate::{ClassifiedAnomaly, MoniLog, MoniLogConfig};
 use monilog_classify::SeverityRouter;
 use monilog_model::{CheckpointManifest, JournalPosition, RawLog, SourceId};
-use monilog_stream::durable::{CheckpointStore, Journal, JournalConfig};
+use monilog_stream::durable::{CheckpointStore, Journal, JournalConfig, RotatingLog};
 use monilog_stream::ops::StoredReport;
 use monilog_stream::sinks::{
     decode_positions, encode_positions, BufferedReport, DeliveryConfig, DeliveryPipeline,
@@ -41,8 +41,8 @@ use monilog_stream::sinks::{
 };
 use monilog_stream::{PipelineMetrics, ReportStore, Stage};
 use std::collections::{HashMap, HashSet};
-use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::fs::{self, OpenOptions};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -155,8 +155,10 @@ pub struct DeliverySetup {
     /// Buffer/retry/breaker tuning. `config.dir` is overridden to
     /// `<state-dir>/delivery` so all durable state shares one root.
     pub config: DeliveryConfig,
-    /// Routes, first match wins; last route is the fallback.
-    pub specs: Vec<RouteSpec>,
+    /// Builds the routes (first match wins; last route is the fallback)
+    /// from the pipeline's counters, once they exist: a route that writes
+    /// a local file counts the bytes its rotation drops there.
+    pub specs: RouteBuilder,
     /// Maps report criticality to a [`monilog_model::DeliveryClass`].
     pub router: SeverityRouter,
     /// Fallback wait of the background pump worker: it normally wakes on
@@ -164,12 +166,18 @@ pub struct DeliverySetup {
     pub worker_poll: Duration,
 }
 
+/// See [`DeliverySetup::specs`].
+pub type RouteBuilder = Box<dyn FnOnce(&Arc<PipelineMetrics>) -> Result<Vec<RouteSpec>, String>>;
+
 impl DeliverySetup {
-    /// Delivery with default routing/poll and the given routes.
-    pub fn new(config: DeliveryConfig, specs: Vec<RouteSpec>) -> DeliverySetup {
+    /// Delivery with default routing/poll and the routes `specs` builds.
+    pub fn new(
+        config: DeliveryConfig,
+        specs: impl FnOnce(&Arc<PipelineMetrics>) -> Result<Vec<RouteSpec>, String> + 'static,
+    ) -> DeliverySetup {
         DeliverySetup {
             config,
-            specs,
+            specs: Box::new(specs),
             router: SeverityRouter::default(),
             worker_poll: Duration::from_millis(50),
         }
@@ -200,41 +208,28 @@ pub struct RecoveryStats {
 /// regenerated by journal replay. A torn tail (crash mid-append) is
 /// truncated on open so the cut-off report re-emits in full.
 struct EmittedSink {
-    file: File,
+    file: RotatingLog,
     ids: HashSet<u64>,
 }
 
 impl EmittedSink {
     fn open(path: &Path) -> Result<EmittedSink, String> {
-        let mut ids = HashSet::new();
-        if path.exists() {
-            let bytes = fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-            let mut start = 0;
-            let mut keep = 0u64;
-            for (i, b) in bytes.iter().enumerate() {
-                if *b == b'\n' {
-                    if let Some(id) = report_id_of(&bytes[start..i]) {
-                        ids.insert(id);
-                    }
-                    start = i + 1;
-                    keep = (i + 1) as u64;
-                }
-            }
-            if keep != bytes.len() as u64 {
-                let f = OpenOptions::new()
-                    .write(true)
-                    .open(path)
-                    .map_err(|e| format!("open {}: {e}", path.display()))?;
-                f.set_len(keep)
-                    .and_then(|()| f.sync_data())
-                    .map_err(|e| format!("truncate torn sink tail: {e}"))?;
-            }
-        }
-        let file = OpenOptions::new()
+        let file =
+            RotatingLog::unrotated(path).map_err(|e| format!("open {}: {e}", path.display()))?;
+        // Created up front: the state directory holds the record even
+        // before the first report. A damaged line costs only its own id.
+        let mut bytes = Vec::new();
+        OpenOptions::new()
             .create(true)
             .append(true)
+            .read(true)
             .open(path)
-            .map_err(|e| format!("open {}: {e}", path.display()))?;
+            .and_then(|mut f| f.read_to_end(&mut bytes))
+            .map_err(|e| format!("read {}: {e}", path.display()))?;
+        let ids = bytes
+            .split(|&b| b == b'\n')
+            .filter_map(report_id_of)
+            .collect();
         Ok(EmittedSink { file, ids })
     }
 
@@ -260,14 +255,13 @@ impl EmittedSink {
     /// Durably append the fresh reports' rendered lines to the sink file:
     /// one write, one fsync.
     fn commit(&mut self, rendered: &[String]) -> Result<(), String> {
-        let mut buf = Vec::new();
+        let mut buf = String::new();
         for json in rendered {
-            buf.extend_from_slice(json.as_bytes());
-            buf.push(b'\n');
+            buf.push_str(json);
+            buf.push('\n');
         }
         self.file
-            .write_all(&buf)
-            .and_then(|()| self.file.sync_data())
+            .append_text(&buf)
             .map_err(|e| format!("append anomaly sink: {e}"))
     }
 }
@@ -435,9 +429,10 @@ impl DurableMoniLog {
         let (delivery, worker, router) = match delivery {
             Some(mut setup) => {
                 setup.config.dir = durable.state_dir.join(DELIVERY_DIR);
+                let specs = (setup.specs)(&pipeline.metrics())?;
                 let pipe = DeliveryPipeline::open(
                     setup.config,
-                    setup.specs,
+                    specs,
                     &delivery_positions,
                     pipeline.registry(),
                 )
@@ -859,7 +854,7 @@ mod tests {
         };
         if point == CrashPoint::MidSinkCommit {
             let torn = format!("{}\n{}", rendered[0], &rendered[1][..10]);
-            sink.file.write_all(torn.as_bytes()).unwrap();
+            sink.file.append_text(&torn).unwrap();
         }
         Err(format!("injected crash: {point:?}"))
     }
@@ -904,17 +899,16 @@ mod tests {
         let mut config = DeliveryConfig::new("ignored");
         config.retry.base_backoff = Duration::from_millis(1);
         config.retry.max_backoff = Duration::from_millis(20);
-        DeliverySetup::new(
-            config,
-            vec![RouteSpec {
+        DeliverySetup::new(config, move |_| {
+            Ok(vec![RouteSpec {
                 name: "all".into(),
                 classes: monilog_model::DeliveryClass::ALL.to_vec(),
                 sink: Box::new(
                     FramedTcpSink::new(addr.to_string())
                         .with_timeouts(Duration::from_millis(100), Duration::from_millis(300)),
                 ),
-            }],
-        )
+            }])
+        })
     }
 
     /// An address with nothing listening on it (yet).
@@ -1112,7 +1106,7 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join(ANOMALIES_FILE);
         fs::write(&path, "{\"id\":7,\"kind\":\"x\"}\n{\"id\":9,\"kind").unwrap();
-        let mut sink = EmittedSink::open(&path).unwrap();
+        let sink = EmittedSink::open(&path).unwrap();
         assert!(sink.ids.contains(&7));
         assert!(
             !sink.ids.contains(&9),
@@ -1124,7 +1118,9 @@ mod tests {
             "torn tail truncated"
         );
         // Appending after truncation lands on a clean boundary.
-        sink.file.write_all(b"{\"id\":9,\"kind\":\"y\"}\n").unwrap();
+        sink.file
+            .append_text("{\"id\":9,\"kind\":\"y\"}\n")
+            .unwrap();
         let reopened = EmittedSink::open(&dir.join(ANOMALIES_FILE));
         drop(sink);
         assert!(reopened.unwrap().ids.contains(&9));
@@ -1428,7 +1424,15 @@ mod tests {
                 vec![RouteSpec {
                     name: "all".into(),
                     classes: monilog_model::DeliveryClass::ALL.to_vec(),
-                    sink: Box::new(FileSink::open(dir.join("out.jsonl"), 1 << 20, 1).unwrap()),
+                    sink: Box::new(
+                        FileSink::open(
+                            dir.join("out.jsonl"),
+                            1 << 20,
+                            1,
+                            PipelineMetrics::shared(),
+                        )
+                        .unwrap(),
+                    ),
                 }],
                 &[],
                 monilog_stream::MetricsRegistry::shared(),

@@ -12,19 +12,21 @@
 //! Robustness model, end to end:
 //!
 //! - **At-least-once over the wire.** Every line the router accepts is
-//!   journaled to a per-source disk buffer (the PR 6
-//!   [`crate::sinks::DeliveryBuffer`] machinery) *before* it is sent. A
-//!   batch stays in flight until the owning monitor acks it — and a
-//!   monitor acks only after its own journal fsync covers the batch.
+//!   journaled and fsynced to its retention [`crate::durable::Journal`]
+//!   (the monitors' WAL format, one segment series per source) *before*
+//!   it is sent. A batch stays in flight until the owning monitor acks
+//!   it — and a monitor acks only after its own journal fsync covers the
+//!   batch.
 //! - **Exactly-once end to end.** Batch entries carry per-source sequence
 //!   numbers; a monitor drops any seq its write-ahead journal already
 //!   holds, so replays and reconnect storms never double-ingest.
 //! - **Failover.** Missed heartbeats mark a node dead. After a grace
 //!   window with capped, jittered backoff (a restart gets a chance to
 //!   rejoin cheaply), the dead node's sources are re-assigned to the
-//!   survivors and **replayed in full from the disk buffer** — the new
-//!   owner rebuilds each source's windows from line one, deterministically
-//!   reproducing the reports the dead node would have emitted.
+//!   survivors and **replayed in full from the retention journal** — the
+//!   new owner rebuilds each source's windows from line one,
+//!   deterministically reproducing the reports the dead node would have
+//!   emitted.
 //! - **Rejoin.** A restarted monitor re-handshakes over the control
 //!   channel; the router replays from that node's acked high-water mark
 //!   and hands it the fleet's merged template snapshot warm. Sources that

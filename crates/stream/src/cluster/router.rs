@@ -6,8 +6,8 @@
 //! driver thread (the CLI's `router` mode) feeds lines through
 //! [`Router::route_line`]; the router assigns each new source an owner by
 //! rendezvous hashing over the currently-connected fleet, journals every
-//! sealed batch to a per-source disk buffer (the PR 6
-//! [`DeliveryBuffer`]), and ships it as a CRC-framed [`Message::Batch`].
+//! sealed batch to its retention [`Journal`] (the WAL segment format, one
+//! series per source), and ships it as a CRC-framed [`Message::Batch`].
 //!
 //! ## Failure model
 //!
@@ -17,8 +17,8 @@
 //! receives a targeted replay (everything past its acked high-water mark)
 //! instead of triggering a fleet-wide reshuffle. If the grace expires, the
 //! dead node's sources are re-assigned to the survivors and **replayed in
-//! full from the disk buffer**: the new owner rebuilds every window from
-//! line one, so the reports it emits are a deterministic superset of
+//! full from the retention journal**: the new owner rebuilds every window
+//! from line one, so the reports it emits are a deterministic superset of
 //! whatever the dead node had already delivered — content-identical
 //! duplicates, deduplicated downstream. Acked high-water marks, not
 //! in-flight bookkeeping, are the single source of truth: on any
@@ -27,10 +27,9 @@
 
 use super::wire::{encode_frame, BatchEntry, FrameReader, Message};
 use super::{backoff_delay_ms, rendezvous_owner};
-use crate::durable::DurabilityError;
+use crate::durable::{DurabilityError, Journal, JournalConfig};
 use crate::net::{EventLoop, Handler, Interest, LoopCtx, Next};
-use crate::sinks::{BufferedReport, DeliveryBuffer};
-use monilog_model::{DeliveryClass, SourceId, TemplateStore};
+use monilog_model::{RawLog, SourceId, TemplateStore};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -46,7 +45,8 @@ use std::time::{Duration, Instant};
 pub struct RouterConfig {
     /// TCP listen address for monitor nodes (`0` port picks a free one).
     pub listen: SocketAddr,
-    /// Directory for the per-source retention buffers.
+    /// Directory of the retention journal. A run deletes the segments a
+    /// previous run left there: the router never recovers.
     pub buffer_dir: PathBuf,
     /// Lines per sealed batch.
     pub batch_lines: usize,
@@ -172,9 +172,9 @@ struct Core {
     nodes: HashMap<String, Node>,
     /// source → owning node name. Sticky: only death moves an entry.
     assignments: HashMap<SourceId, String>,
-    /// Per-source retention: every accepted line, journaled before send,
-    /// never advanced until the run ends — the full-replay substrate.
-    retention: HashMap<SourceId, DeliveryBuffer>,
+    /// Every accepted line, journaled before send and never pruned while
+    /// the run lasts — the full-replay substrate.
+    retention: Journal,
     /// Per-source: highest seq accepted from the driver.
     source_seq: HashMap<SourceId, u64>,
     fleet_templates: TemplateStore,
@@ -198,39 +198,25 @@ impl Core {
         v
     }
 
-    fn retention_for(&mut self, source: SourceId) -> Result<&mut DeliveryBuffer, DurabilityError> {
-        if !self.retention.contains_key(&source) {
-            let path = self.cfg.buffer_dir.join(format!("src{}.buf", source.0));
-            self.retention
-                .insert(source, DeliveryBuffer::open(path, None)?);
-        }
-        Ok(self.retention.get_mut(&source).expect("just inserted"))
-    }
-
-    /// Seal `node`'s pending lines into a batch: journal to the retention
-    /// buffers first (durability point), then enqueue the frame.
+    /// Seal `node`'s pending lines into a batch: journal and fsync them to
+    /// the retention journal first (durability point), then enqueue the
+    /// frame.
     fn seal_pending(&mut self, name: &str) -> Result<(), DurabilityError> {
         let node = self.nodes.get_mut(name).expect("sealing unknown node");
         if node.pending.is_empty() {
             return Ok(());
         }
         let entries = std::mem::take(&mut node.pending);
-        let mut by_source: HashMap<SourceId, Vec<BufferedReport>> = HashMap::new();
         let mut maxima: Vec<(SourceId, u64)> = Vec::new();
         for e in &entries {
-            by_source.entry(e.source).or_default().push(BufferedReport {
-                id: e.seq,
-                class: DeliveryClass::Log,
-                body: String::from_utf8_lossy(&e.line).into_owned(),
-            });
+            let line = String::from_utf8_lossy(&e.line).into_owned();
+            self.retention.append(&RawLog::new(e.source, e.seq, line))?;
             match maxima.iter_mut().find(|(s, _)| *s == e.source) {
                 Some((_, m)) => *m = (*m).max(e.seq),
                 None => maxima.push((e.source, e.seq)),
             }
         }
-        for (source, reports) in &by_source {
-            self.retention_for(*source)?.append(reports)?;
-        }
+        self.retention.sync()?;
         let id = self.next_batch_id;
         self.next_batch_id += 1;
         let frame = encode_frame(&Message::Batch {
@@ -252,14 +238,12 @@ impl Core {
             .get(name)
             .and_then(|n| n.acked_hw.get(&source))
             .unwrap_or(&0);
-        let (all, _) = self.retention_for(source)?.peek(usize::MAX)?;
-        let lines: Vec<BatchEntry> = all
+        let lines: Vec<BatchEntry> = Journal::replay_source(&self.cfg.buffer_dir, source, from)?
             .into_iter()
-            .filter(|r| r.id > from)
             .map(|r| BatchEntry {
                 source,
-                seq: r.id,
-                line: r.body.into_bytes(),
+                seq: r.seq,
+                line: r.line.as_bytes().to_vec(),
             })
             .collect();
         let mut queued = 0u64;
@@ -393,7 +377,7 @@ pub struct Router {
 impl Router {
     /// Bind the listener, start the event-loop thread, return the handle.
     pub fn spawn(cfg: RouterConfig) -> Result<Router, RouterError> {
-        std::fs::create_dir_all(&cfg.buffer_dir)?;
+        let retention = Journal::open_empty(&cfg.buffer_dir, JournalConfig::default())?;
         let listen = cfg.listen;
 
         let shared = Arc::new(Shared {
@@ -401,7 +385,7 @@ impl Router {
                 cfg,
                 nodes: HashMap::new(),
                 assignments: HashMap::new(),
-                retention: HashMap::new(),
+                retention,
                 source_seq: HashMap::new(),
                 fleet_templates: TemplateStore::new(),
                 template_epoch: 0,
@@ -1188,6 +1172,72 @@ mod tests {
         // dead node's sources were replayed to it from line one.
         let merged = a.join();
         assert_complete(&merged, &sources, 20);
+        router.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A source's retention outgrows any read window: a failover must
+    /// still replay every line of it, not a prefix.
+    #[test]
+    fn failover_replays_a_long_source_in_full() {
+        let dir = tmp_dir("long");
+        let config = RouterConfig {
+            batch_lines: 64,
+            ..fast_config(&dir)
+        };
+        let router = Router::spawn(config).unwrap();
+        let a = TestMonitor::spawn("mon-a", router.local_addr());
+        let b = TestMonitor::spawn("mon-b", router.local_addr());
+        router.wait_for_nodes(2, Duration::from_secs(5)).unwrap();
+
+        let sources: Vec<SourceId> = (32..38).map(SourceId).collect();
+        feed(&router, &sources, 1..=3_000);
+        router.flush().unwrap();
+        let _ = b.join(); // SIGKILL stand-in
+
+        feed(&router, &sources, 3_001..=3_010);
+        let stats = router.finish(Duration::from_secs(30)).unwrap();
+        assert!(stats.rebalances >= 1, "dead node never rebalanced");
+        assert_complete(&a.join(), &sources, 3_010);
+        router.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The router never recovers, so a second run in the same directory
+    /// restarts every seq at 1: a failover in it must replay that run's
+    /// lines only, never the lines the first run retained.
+    #[test]
+    fn a_rerun_replays_none_of_the_previous_runs_lines() {
+        let dir = tmp_dir("rerun");
+        let sources: Vec<SourceId> = (32..38).map(SourceId).collect();
+        {
+            let router = Router::spawn(fast_config(&dir)).unwrap();
+            let a = TestMonitor::spawn("mon-a", router.local_addr());
+            router.wait_for_nodes(1, Duration::from_secs(5)).unwrap();
+            for i in 1..=40 {
+                for &s in &sources {
+                    router
+                        .route_line(s, format!("previous run {i}").as_bytes())
+                        .unwrap();
+                }
+            }
+            router.finish(Duration::from_secs(10)).unwrap();
+            let _ = a.join();
+            router.shutdown();
+        }
+
+        let router = Router::spawn(fast_config(&dir)).unwrap();
+        let a = TestMonitor::spawn("mon-a", router.local_addr());
+        let b = TestMonitor::spawn("mon-b", router.local_addr());
+        router.wait_for_nodes(2, Duration::from_secs(5)).unwrap();
+        feed(&router, &sources, 1..=10);
+        router.flush().unwrap();
+        let _ = b.join(); // SIGKILL stand-in
+
+        feed(&router, &sources, 11..=20);
+        let stats = router.finish(Duration::from_secs(15)).unwrap();
+        assert!(stats.rebalances >= 1, "dead node never rebalanced");
+        assert_complete(&a.join(), &sources, 20);
         router.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -58,6 +58,8 @@ impl Default for JournalConfig {
 struct SegmentWriter {
     file: BufWriter<File>,
     bytes: u64,
+    /// Appended to since the last [`Journal::sync`].
+    dirty: bool,
 }
 
 /// The append side of the write-ahead journal.
@@ -76,6 +78,20 @@ pub struct Journal {
 }
 
 impl Journal {
+    /// Open a journal that starts empty: every segment already in `dir`
+    /// is deleted first. For a writer that never recovers and so restarts
+    /// its seqs at 1 (the router's retention).
+    pub fn open_empty(
+        dir: impl Into<PathBuf>,
+        config: JournalConfig,
+    ) -> Result<Journal, DurabilityError> {
+        let dir = dir.into();
+        for (path, _, _) in sorted_segments(&dir)? {
+            fs::remove_file(path)?;
+        }
+        Self::open(dir, config)
+    }
+
     /// Open (creating if needed) the journal directory for appending.
     pub fn open(
         dir: impl Into<PathBuf>,
@@ -138,6 +154,7 @@ impl Journal {
                 SegmentWriter {
                     file: writer,
                     bytes: SEGMENT_HEADER_LEN as u64,
+                    dirty: false,
                 },
             );
         }
@@ -150,6 +167,7 @@ impl Journal {
         writer.file.write_all(&self.frame)?;
         let written = self.frame.len() as u64;
         writer.bytes += written;
+        writer.dirty = true;
         self.unsynced_bytes += written;
         self.appended_bytes += written;
         Ok(written)
@@ -183,13 +201,14 @@ impl Journal {
         self.unsynced_bytes
     }
 
-    /// Flush and fsync every dirty segment. After this returns, every
-    /// appended frame survives a crash.
+    /// Flush and fsync every segment appended to since the last sync.
+    /// After this returns, every appended frame survives a crash.
     pub fn sync(&mut self) -> Result<(), DurabilityError> {
         if self.unsynced_bytes > 0 {
-            for w in self.writers.values_mut() {
+            for w in self.writers.values_mut().filter(|w| w.dirty) {
                 w.file.flush()?;
                 w.file.get_ref().sync_data()?;
+                w.dirty = false;
             }
             self.unsynced_bytes = 0;
         }
@@ -210,19 +229,37 @@ impl Journal {
         dir: &Path,
         positions: &[JournalPosition],
     ) -> Result<Vec<RawLog>, DurabilityError> {
+        let mut sources: Vec<u16> = sorted_segments(dir)?.iter().map(|(_, s, _)| *s).collect();
+        sources.dedup();
         let mut out = Vec::new();
-        for (path, _, _) in sorted_segments(dir)? {
-            for raw in read_segment(&path)? {
-                let applied = positions
-                    .iter()
-                    .find(|p| p.source == raw.source)
-                    .map_or(0, |p| p.last_seq);
-                if raw.seq > applied {
-                    out.push(raw);
-                }
+        for source in sources {
+            let applied = positions
+                .iter()
+                .find(|p| p.source.0 == source)
+                .map_or(0, |p| p.last_seq);
+            out.extend(Self::replay_source(dir, SourceId(source), applied)?);
+        }
+        Ok(out)
+    }
+
+    /// Replay every decodable line of `source` with `seq` greater than
+    /// `after_seq`, in seq order, reading every frame of its segments.
+    pub fn replay_source(
+        dir: &Path,
+        source: SourceId,
+        after_seq: u64,
+    ) -> Result<Vec<RawLog>, DurabilityError> {
+        let mut out = Vec::new();
+        for (path, s, _) in sorted_segments(dir)? {
+            if s == source.0 {
+                out.extend(
+                    read_segment(&path)?
+                        .into_iter()
+                        .filter(|r| r.seq > after_seq),
+                );
             }
         }
-        out.sort_by_key(|r| (r.source.0, r.seq));
+        out.sort_by_key(|r| r.seq);
         Ok(out)
     }
 
@@ -365,6 +402,11 @@ mod tests {
             suffix,
             vec![raw(0, 49, "line 49"), raw(0, 50, "line 50")],
             "only unapplied lines replay"
+        );
+        assert_eq!(
+            Journal::replay_source(&dir, SourceId(1), 48).unwrap(),
+            vec![raw(1, 49, "other 49"), raw(1, 50, "other 50")],
+            "one source replays alone"
         );
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -1,5 +1,6 @@
 //! Durable state: the write-ahead ingest journal, the checkpoint store,
-//! the persistent dead-letter log, and process shutdown signalling.
+//! the one JSONL file type and the dead-letter log on it, and process
+//! shutdown signalling.
 //!
 //! Together these give the streaming pipeline crash recovery across
 //! process restarts (ISSUE: "kill -9 at any point; restart loses nothing
@@ -8,13 +9,18 @@
 //! - [`Journal`] — per-source append-only segment files of CRC-framed raw
 //!   lines, fsync'd on a group-commit interval. Lines are journaled
 //!   *before* they are applied to the pipeline, so anything the pipeline
-//!   ever saw is re-readable after a crash.
+//!   ever saw is re-readable after a crash. The router keeps its
+//!   per-source retention in a journal of its own.
 //! - [`CheckpointStore`] — atomic (temp-file + rename) versioned snapshots
 //!   of the full pipeline state, previous generation kept as fallback; a
 //!   torn or bit-flipped newest checkpoint falls back one generation
 //!   instead of failing recovery.
-//! - [`DeadLetterLog`] — quarantined poison lines persisted as replayable
-//!   size-capped JSONL, reloaded on restart so quarantine survives crashes.
+//! - [`RotatingLog`] — every JSONL file (dead letters, delivery spill, the
+//!   file route, `anomalies.jsonl`, `config-audit.log`): fsync'd appends,
+//!   a torn final line cut on open, optional size rotation whose dropped
+//!   bytes go to a counter fixed at open.
+//! - [`DeadLetterLog`] — quarantined lines as size-capped JSONL on a
+//!   [`RotatingLog`], a record that outlives the process.
 //! - [`signal`] — SIGTERM/SIGINT latching for graceful drain: quiesce,
 //!   final checkpoint, clean exit (a restart then replays zero lines).
 //!

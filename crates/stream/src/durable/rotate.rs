@@ -1,46 +1,75 @@
-//! Size-capped file rotation with a retained-generation cap.
+//! The one append-only JSONL file type: torn-tail repair on open, and
+//! optional size rotation with a retained-generation cap.
 //!
-//! Both the dead-letter queue and the delivery spill file are append-only
-//! line files that must not grow without bound. [`RotatingLog`] gives them
-//! one rotation policy: when the current file exceeds `rotate_bytes` it is
-//! renamed to `<name>.1` (older generations shift to `.2`, `.3`, …), and
-//! generations past `retain` are deleted. Deletion is the only place data
-//! is lost, and it is *accounted*: every append reports how many bytes
-//! rotation dropped so callers can surface the loss as a counter instead
-//! of silently truncating history.
+//! Every line file the system writes is a [`RotatingLog`]: the dead-letter
+//! queue, the delivery spill files, the file route, `anomalies.jsonl` and
+//! `config-audit.log`. Each append is fsync'd. A crash mid-append can
+//! leave a final line without its `\n`; opening the log truncates that
+//! torn line (and fsyncs), so the next record starts on a clean boundary
+//! instead of merging into the fragment.
+//!
+//! A rotating log renames the current file to `<name>.1` once it exceeds
+//! `rotate_bytes` (older generations shift to `.2`, `.3`, …) and deletes
+//! generations past `retain`. Deletion is the only place data is lost, and
+//! it is *accounted*: the log takes the counter its dropped bytes go to at
+//! open, so no caller can forget to surface the loss.
 
 use super::DurabilityError;
-use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use crate::metrics::PipelineMetrics;
+use std::fs::{self, OpenOptions};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
 
-/// An append-only text file that rotates by size, keeping a bounded number
-/// of previous generations.
+/// An append-only line file, optionally rotating by size.
 #[derive(Debug)]
 pub struct RotatingLog {
     path: PathBuf,
+    rotation: Option<Rotation>,
+}
+
+#[derive(Debug)]
+struct Rotation {
     rotate_bytes: u64,
     retain: usize,
+    metrics: Arc<PipelineMetrics>,
+    dropped: fn(&PipelineMetrics) -> &AtomicU64,
 }
 
 impl RotatingLog {
-    /// Open (creating parent directories if needed) the log at `path`.
-    /// `rotate_bytes` is the size past which the current file rotates;
-    /// `retain` is how many rotated generations survive (0 = rotation
-    /// deletes immediately).
+    /// Open (creating parent directories if needed) a log at `path` that
+    /// rotates past `rotate_bytes` and keeps `retain` rotated generations
+    /// (0 = rotation deletes immediately). Bytes rotation deletes are
+    /// added to the counter `dropped` selects from `metrics`.
     pub fn open(
         path: impl Into<PathBuf>,
         rotate_bytes: u64,
         retain: usize,
+        metrics: Arc<PipelineMetrics>,
+        dropped: fn(&PipelineMetrics) -> &AtomicU64,
     ) -> Result<RotatingLog, DurabilityError> {
+        let mut log = Self::unrotated(path)?;
+        log.rotation = Some(Rotation {
+            rotate_bytes,
+            retain,
+            metrics,
+            dropped,
+        });
+        Ok(log)
+    }
+
+    /// Open (creating parent directories if needed) a log at `path` that
+    /// never rotates, so never drops a byte.
+    pub fn unrotated(path: impl Into<PathBuf>) -> Result<RotatingLog, DurabilityError> {
         let path = path.into();
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent)?;
         }
+        truncate_torn_line(&path)?;
         Ok(RotatingLog {
             path,
-            rotate_bytes,
-            retain,
+            rotation: None,
         })
     }
 
@@ -55,16 +84,17 @@ impl RotatingLog {
     }
 
     /// Append `text` (caller includes trailing newlines), rotating first if
-    /// the current file is over its cap. Returns the bytes deleted by
-    /// rotation during this call (0 almost always). Appends are fsync'd.
-    pub fn append_text(&self, text: &str) -> Result<u64, DurabilityError> {
+    /// the current file is over its cap. The append is fsync'd.
+    pub fn append_text(&self, text: &str) -> Result<(), DurabilityError> {
         if text.is_empty() {
-            return Ok(0);
+            return Ok(());
         }
-        let mut dropped = 0;
-        let size = fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0);
-        if size > self.rotate_bytes {
-            dropped = self.rotate()?;
+        if let Some(rotation) = &self.rotation {
+            let size = fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0);
+            if size > rotation.rotate_bytes {
+                let dropped = self.rotate(rotation.retain)?;
+                PipelineMetrics::add((rotation.dropped)(&rotation.metrics), dropped);
+            }
         }
         let mut f = OpenOptions::new()
             .create(true)
@@ -72,16 +102,16 @@ impl RotatingLog {
             .open(&self.path)?;
         f.write_all(text.as_bytes())?;
         f.sync_data()?;
-        Ok(dropped)
+        Ok(())
     }
 
     /// Shift generations up by one and retire the oldest. Returns bytes
     /// deleted.
-    fn rotate(&self) -> Result<u64, DurabilityError> {
+    fn rotate(&self, retain: usize) -> Result<u64, DurabilityError> {
         let mut dropped = 0;
         // Retire everything at or past the cap (normally just one file,
         // but a lowered `retain` cleans up extras too).
-        let mut n = self.retain.max(1);
+        let mut n = retain.max(1);
         loop {
             let p = self.generation(n);
             match fs::metadata(&p) {
@@ -89,18 +119,18 @@ impl RotatingLog {
                     dropped += m.len();
                     fs::remove_file(&p)?;
                 }
-                Err(_) if n > self.retain => break,
+                Err(_) if n > retain => break,
                 Err(_) => {}
             }
             n += 1;
         }
-        for k in (1..self.retain.max(1)).rev() {
+        for k in (1..retain.max(1)).rev() {
             let from = self.generation(k);
             if from.exists() {
                 fs::rename(&from, self.generation(k + 1))?;
             }
         }
-        if self.retain == 0 {
+        if retain == 0 {
             if let Ok(m) = fs::metadata(&self.path) {
                 dropped += m.len();
             }
@@ -110,44 +140,32 @@ impl RotatingLog {
         }
         Ok(dropped)
     }
+}
 
-    /// Concatenated contents, oldest generation first, current file last.
-    /// Missing or non-UTF-8 generations are skipped, never fatal.
-    pub fn load_text(&self) -> Result<String, DurabilityError> {
-        let mut out = String::new();
-        let mut paths: Vec<PathBuf> = (1..=self.retain)
-            .rev()
-            .map(|n| self.generation(n))
-            .collect();
-        paths.push(self.path.clone());
-        for p in paths {
-            let Ok(mut f) = File::open(&p) else {
-                continue;
-            };
-            let mut text = String::new();
-            if f.read_to_string(&mut text).is_err() {
-                continue; // non-UTF-8 damage: nothing salvageable here
-            }
-            out.push_str(&text);
-        }
-        Ok(out)
+/// Cut a final line that lacks its `\n` (a crash mid-append) and fsync,
+/// so the next append starts a line of its own. A missing file is fine.
+fn truncate_torn_line(path: &Path) -> Result<(), DurabilityError> {
+    let mut f = match OpenOptions::new().read(true).write(true).open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e.into()),
+    };
+    let len = f.metadata()?.len();
+    if len == 0 {
+        return Ok(());
     }
-
-    /// The current (non-rotated) file path.
-    pub fn path(&self) -> &Path {
-        &self.path
+    let mut last = [0u8];
+    f.seek(SeekFrom::End(-1))?;
+    f.read_exact(&mut last)?;
+    if last[0] != b'\n' {
+        let mut bytes = Vec::new();
+        f.seek(SeekFrom::Start(0))?;
+        f.read_to_end(&mut bytes)?;
+        let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        f.set_len(keep as u64)?;
+        f.sync_data()?;
     }
-
-    /// Total bytes currently on disk across all generations.
-    pub fn disk_bytes(&self) -> u64 {
-        let mut total = fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0);
-        for n in 1..=self.retain {
-            total += fs::metadata(self.generation(n))
-                .map(|m| m.len())
-                .unwrap_or(0);
-        }
-        total
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -161,14 +179,51 @@ mod tests {
         dir.join("log.jsonl")
     }
 
+    fn rotating(
+        path: &Path,
+        rotate_bytes: u64,
+        retain: usize,
+    ) -> (RotatingLog, Arc<PipelineMetrics>) {
+        let metrics = PipelineMetrics::shared();
+        let log = RotatingLog::open(path, rotate_bytes, retain, Arc::clone(&metrics), |m| {
+            &m.spill_bytes_dropped
+        })
+        .unwrap();
+        (log, metrics)
+    }
+
+    fn dropped(metrics: &PipelineMetrics) -> u64 {
+        PipelineMetrics::get(&metrics.spill_bytes_dropped)
+    }
+
+    /// Bytes on disk across the current file and every retained generation.
+    fn disk_bytes(log: &RotatingLog, retain: usize) -> u64 {
+        (1..=retain)
+            .map(|n| log.generation(n))
+            .chain([log.path.clone()])
+            .map(|p| fs::metadata(p).map_or(0, |m| m.len()))
+            .sum()
+    }
+
+    /// Generations oldest first, then the current file.
+    fn read_all(log: &RotatingLog, retain: usize) -> String {
+        (1..=retain)
+            .rev()
+            .map(|n| log.generation(n))
+            .chain([log.path.clone()])
+            .filter_map(|p| fs::read_to_string(p).ok())
+            .collect()
+    }
+
     #[test]
     fn small_appends_never_rotate() {
         let path = tmp("small");
-        let log = RotatingLog::open(&path, 1 << 20, 2).unwrap();
+        let (log, metrics) = rotating(&path, 1 << 20, 2);
         for i in 0..10 {
-            assert_eq!(log.append_text(&format!("line {i}\n")).unwrap(), 0);
+            log.append_text(&format!("line {i}\n")).unwrap();
         }
-        let text = log.load_text().unwrap();
+        assert_eq!(dropped(&metrics), 0);
+        let text = fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 10);
         assert!(text.starts_with("line 0"));
         fs::remove_dir_all(path.parent().unwrap()).unwrap();
@@ -177,25 +232,20 @@ mod tests {
     #[test]
     fn rotation_keeps_retain_generations_and_counts_dropped_bytes() {
         let path = tmp("retain");
-        let log = RotatingLog::open(&path, 100, 2).unwrap();
-        let mut dropped = 0;
+        let (log, metrics) = rotating(&path, 100, 2);
         for i in 0..30 {
-            dropped += log
-                .append_text(&format!("payload {i:03} {}\n", "x".repeat(30)))
+            log.append_text(&format!("payload {i:03} {}\n", "x".repeat(30)))
                 .unwrap();
         }
-        assert!(dropped > 0, "old generations were deleted");
+        assert!(dropped(&metrics) > 0, "old generations were deleted");
         assert!(log.generation(1).exists());
         assert!(log.generation(2).exists());
         assert!(!log.generation(3).exists());
         // Disk usage is bounded: current + 2 generations, each near the cap.
-        assert!(
-            log.disk_bytes() <= 100 * 3 + 200,
-            "bytes={}",
-            log.disk_bytes()
-        );
-        // Newest data always survives; load is oldest-first.
-        let text = log.load_text().unwrap();
+        let bytes = disk_bytes(&log, 2);
+        assert!(bytes <= 100 * 3 + 200, "bytes={bytes}");
+        // Newest data always survives; generations read oldest-first.
+        let text = read_all(&log, 2);
         assert!(text
             .trim_end()
             .ends_with(&format!("payload 029 {}", "x".repeat(30))));
@@ -212,31 +262,51 @@ mod tests {
     #[test]
     fn retain_zero_drops_the_whole_file_on_rotation() {
         let path = tmp("zero");
-        let log = RotatingLog::open(&path, 50, 0).unwrap();
-        let mut dropped = 0;
+        let (log, metrics) = rotating(&path, 50, 0);
         for i in 0..10 {
-            dropped += log
-                .append_text(&format!("entry {i} {}\n", "y".repeat(20)))
+            log.append_text(&format!("entry {i} {}\n", "y".repeat(20)))
                 .unwrap();
         }
-        assert!(dropped > 0);
+        assert!(dropped(&metrics) > 0);
         assert!(!log.generation(1).exists());
-        assert!(log.disk_bytes() <= 100);
+        assert!(disk_bytes(&log, 0) <= 100);
         fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
     fn dropped_bytes_match_what_disk_lost() {
         let path = tmp("account");
-        let log = RotatingLog::open(&path, 80, 1).unwrap();
+        let (log, metrics) = rotating(&path, 80, 1);
         let mut written = 0u64;
-        let mut dropped = 0u64;
         for i in 0..40 {
             let line = format!("row {i:02} {}\n", "z".repeat(10));
             written += line.len() as u64;
-            dropped += log.append_text(&line).unwrap();
+            log.append_text(&line).unwrap();
         }
-        assert_eq!(log.disk_bytes(), written - dropped);
+        assert_eq!(disk_bytes(&log, 1), written - dropped(&metrics));
+        fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn a_torn_final_line_is_cut_before_the_next_append() {
+        let path = tmp("torn");
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        // A crash mid-append: one whole record, then half of the next.
+        fs::write(&path, "{\"seq\":1}\n{\"seq\":2,\"li").unwrap();
+        let (log, _) = rotating(&path, 1 << 20, 1);
+        log.append_text("{\"seq\":3}\n").unwrap();
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            "{\"seq\":1}\n{\"seq\":3}\n",
+            "the torn record is gone and the next one has its own line"
+        );
+        // A file that is one torn line, and a clean one, both reopen fine.
+        fs::write(&path, "{\"seq\":4").unwrap();
+        RotatingLog::unrotated(&path).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"");
+        fs::write(&path, "{\"seq\":5}\n").unwrap();
+        RotatingLog::unrotated(&path).unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), "{\"seq\":5}\n");
         fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 }

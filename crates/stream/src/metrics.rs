@@ -62,9 +62,9 @@
 //!   deadline (degraded but never dropped).
 //! - `breaker_opened` / `breaker_half_open` — circuit-breaker transitions
 //!   into Open (sink quarantined) and HalfOpen (probe allowed).
-//! - `spill_bytes_dropped` / `dlq_bytes_dropped` — bytes deleted when the
-//!   spill file or dead-letter queue rotated past its retained-generation
-//!   cap.
+//! - `spill_bytes_dropped` / `dlq_bytes_dropped` — bytes deleted when a
+//!   spill file or the file route, or the dead-letter log, rotated past
+//!   its retained-generation cap.
 //!
 //! Network sources (see [`crate::sources`]):
 //! - `sources_connections` / `sources_disconnects` — TCP connections

@@ -38,6 +38,7 @@
 //! state, which is a restart, not a reload.
 
 use crate::config::OverloadPolicy;
+use crate::durable::RotatingLog;
 use crate::metrics::PipelineMetrics;
 use crate::observe::MetricsSnapshot;
 use crate::supervisor::ShardHealth;
@@ -45,7 +46,6 @@ use crate::trace::Tracer;
 use monilog_model::trace::json_string;
 use monilog_model::{AnomalyReport, Criticality, TraceId};
 use std::collections::VecDeque;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -838,7 +838,7 @@ pub fn parse_config_pairs(text: &str) -> Result<Vec<(String, String)>, String> {
 #[derive(Debug)]
 pub struct ReloadableConfig {
     current: Mutex<Arc<ConfigSnapshot>>,
-    audit_path: Option<PathBuf>,
+    audit: Option<RotatingLog>,
     counters: Arc<PipelineMetrics>,
 }
 
@@ -854,7 +854,9 @@ impl ReloadableConfig {
         initial.version = 0;
         Arc::new(ReloadableConfig {
             current: Mutex::new(Arc::new(initial)),
-            audit_path,
+            // Best-effort like every audit write: a log that cannot be
+            // opened leaves reloads unaudited, never refused.
+            audit: audit_path.and_then(|p| RotatingLog::unrotated(p).ok()),
             counters,
         })
     }
@@ -930,7 +932,7 @@ impl ReloadableConfig {
     /// Append one audit record. Best-effort: the reload has already been
     /// applied; a failing audit write must not take the pipeline down.
     fn audit(&self, snap: &ConfigSnapshot, origin: &str, pairs: &[(String, String)]) {
-        let Some(path) = &self.audit_path else {
+        let Some(log) = &self.audit else {
             return;
         };
         let unix_ms = SystemTime::now()
@@ -946,13 +948,7 @@ impl ReloadableConfig {
             json_string(origin),
             changes.join(",")
         );
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = f.write_all(line.as_bytes());
-        }
+        let _ = log.append_text(&line);
     }
 
     /// The `POST /config` / `GET /config` response body.

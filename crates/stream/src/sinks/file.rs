@@ -5,47 +5,49 @@
 //! [`RotatingLog`] and fsync. It has no transient failure mode — disk
 //! full or permission errors are real I/O errors and surface as
 //! retryable (the delivery buffer holds the batch; an operator fixing the
-//! disk unblocks the drain).
+//! disk unblocks the drain). The delivery pipeline writes each route's
+//! spill file through a `FileSink` too.
 
 use super::{BufferedReport, Sink, SinkError};
-use crate::durable::RotatingLog;
+use crate::durable::{DurabilityError, RotatingLog};
 use crate::metrics::PipelineMetrics;
 use std::path::PathBuf;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
+
+/// Rotation cap of the file route and of every spill file.
+pub const FILE_ROTATE_BYTES: u64 = 16 * 1024 * 1024;
+/// Rotated generations the file route and every spill file keep.
+pub const FILE_RETAIN: usize = 2;
 
 /// Sink that appends reports to a rotating local JSONL file.
 pub struct FileSink {
     log: RotatingLog,
-    /// Rotation-dropped bytes are accounted here (the pipeline wires this
-    /// to `spill_bytes_dropped`).
-    dropped_bytes: Option<Arc<PipelineMetrics>>,
 }
 
 impl FileSink {
     /// Open (creating parents) the sink file with a rotation cap and
-    /// retained-generation count.
+    /// retained-generation count. Bytes rotation deletes are counted in
+    /// `metrics.spill_bytes_dropped`.
     pub fn open(
         path: impl Into<PathBuf>,
         rotate_bytes: u64,
         retain: usize,
-    ) -> Result<FileSink, SinkError> {
-        let log = RotatingLog::open(path, rotate_bytes, retain)
-            .map_err(|e| SinkError::Fatal(format!("open file sink: {e}")))?;
-        Ok(FileSink {
-            log,
-            dropped_bytes: None,
-        })
+        metrics: Arc<PipelineMetrics>,
+    ) -> Result<FileSink, DurabilityError> {
+        let log = RotatingLog::open(path, rotate_bytes, retain, metrics, |m| {
+            &m.spill_bytes_dropped
+        })?;
+        Ok(FileSink { log })
     }
 
-    /// Account rotation-dropped bytes into `metrics.spill_bytes_dropped`.
-    pub fn with_metrics(mut self, metrics: Arc<PipelineMetrics>) -> FileSink {
-        self.dropped_bytes = Some(metrics);
-        self
-    }
-
-    fn counter(&self) -> Option<&AtomicU64> {
-        self.dropped_bytes.as_ref().map(|m| &m.spill_bytes_dropped)
+    /// Append each report's JSON line, fsync'd.
+    pub fn append(&self, batch: &[BufferedReport]) -> Result<(), DurabilityError> {
+        let mut text = String::new();
+        for r in batch {
+            text.push_str(&r.body);
+            text.push('\n');
+        }
+        self.log.append_text(&text)
     }
 }
 
@@ -59,26 +61,12 @@ impl Sink for FileSink {
         // but opening the file exercises the same path.
         self.log
             .append_text("")
-            .map(|_| ())
             .map_err(|e| SinkError::Retryable(format!("file sink: {e}")))
     }
 
     fn deliver(&mut self, batch: &[BufferedReport]) -> Result<(), SinkError> {
-        let mut text = String::new();
-        for r in batch {
-            text.push_str(&r.body);
-            text.push('\n');
-        }
-        let dropped = self
-            .log
-            .append_text(&text)
-            .map_err(|e| SinkError::Retryable(format!("file sink append: {e}")))?;
-        if dropped > 0 {
-            if let Some(counter) = self.counter() {
-                PipelineMetrics::add(counter, dropped);
-            }
-        }
-        Ok(())
+        self.append(batch)
+            .map_err(|e| SinkError::Retryable(format!("file sink append: {e}")))
     }
 }
 
@@ -94,9 +82,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let path = dir.join("reports.jsonl");
         let metrics = PipelineMetrics::shared();
-        let mut sink = FileSink::open(&path, 200, 1)
-            .unwrap()
-            .with_metrics(Arc::clone(&metrics));
+        let mut sink = FileSink::open(&path, 200, 1, Arc::clone(&metrics)).unwrap();
         sink.healthcheck().unwrap();
         for i in 0..20u64 {
             sink.deliver(&[BufferedReport {

@@ -47,7 +47,7 @@ pub mod tcp;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use buffer::{BufferPosition, BufferedReport, DeliveryBuffer};
-pub use file::FileSink;
+pub use file::{FileSink, FILE_RETAIN, FILE_ROTATE_BYTES};
 pub use http::WebhookSink;
 pub use pipeline::{
     decode_positions, encode_positions, AcceptedReport, DeliveryConfig, DeliveryPipeline,

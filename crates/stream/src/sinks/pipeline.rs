@@ -26,9 +26,10 @@
 
 use super::breaker::{Admit, BreakerConfig, BreakerState, CircuitBreaker};
 use super::buffer::{BufferPosition, BufferedReport, DeliveryBuffer};
+use super::file::{FileSink, FILE_RETAIN, FILE_ROTATE_BYTES};
 use super::{Sink, SinkError};
 use crate::config::RetryPolicy;
-use crate::durable::{DurabilityError, RotatingLog};
+use crate::durable::DurabilityError;
 use crate::metrics::PipelineMetrics;
 use crate::observe::{MetricsRegistry, Stage};
 use monilog_model::DeliveryClass;
@@ -60,9 +61,6 @@ pub struct DeliveryConfig {
     /// Pending bytes per route above which the oldest buffered reports
     /// are spilled (bounds buffer growth while a sink is slow).
     pub buffer_spill_bytes: u64,
-    /// Spill file rotation cap and retained generations.
-    pub spill_rotate_bytes: u64,
-    pub spill_retain: usize,
 }
 
 impl DeliveryConfig {
@@ -78,8 +76,6 @@ impl DeliveryConfig {
             batch_max: 64,
             spill_grace_ms: 60_000,
             buffer_spill_bytes: 64 * 1024 * 1024,
-            spill_rotate_bytes: 16 * 1024 * 1024,
-            spill_retain: 2,
         }
     }
 }
@@ -110,7 +106,7 @@ struct Route {
     classes: Vec<DeliveryClass>,
     sink: Mutex<Box<dyn Sink>>,
     state: Mutex<RouteState>,
-    spill: RotatingLog,
+    spill: FileSink,
 }
 
 /// What one [`DeliveryPipeline::pump_once`] tick (or one
@@ -222,10 +218,11 @@ impl DeliveryPipeline {
                 .find(|(n, _)| *n == spec.name)
                 .map(|(_, p)| *p);
             let buffer = DeliveryBuffer::open(config.dir.join(format!("{}.buf", spec.name)), pos)?;
-            let spill = RotatingLog::open(
+            let spill = FileSink::open(
                 config.dir.join(format!("{}.spill.jsonl", spec.name)),
-                config.spill_rotate_bytes,
-                config.spill_retain,
+                FILE_ROTATE_BYTES,
+                FILE_RETAIN,
+                Arc::clone(&metrics),
             )?;
             routes.push(Arc::new(Route {
                 name: spec.name,
@@ -327,18 +324,9 @@ impl DeliveryPipeline {
         if batch.is_empty() {
             return Ok(0);
         }
-        let mut text = String::new();
-        for r in &batch {
-            text.push_str(&r.body);
-            text.push('\n');
-        }
-        let dropped = route.spill.append_text(&text)?;
+        route.spill.append(&batch)?;
         st.buffer.advance(next_off)?;
-        let m = &self.shared.metrics;
-        PipelineMetrics::add(&m.reports_spilled, batch.len() as u64);
-        if dropped > 0 {
-            PipelineMetrics::add(&m.spill_bytes_dropped, dropped);
-        }
+        PipelineMetrics::add(&self.shared.metrics.reports_spilled, batch.len() as u64);
         Ok(batch.len() as u64)
     }
 
@@ -480,18 +468,10 @@ impl DeliveryPipeline {
             Err(SinkError::Fatal(_)) => {
                 // The sink judged the batch and said no. Spill it so the
                 // operator has the bytes, and move on.
-                let mut text = String::new();
-                for r in &batch {
-                    text.push_str(&r.body);
-                    text.push('\n');
-                }
-                let dropped = route.spill.append_text(&text)?;
+                route.spill.append(&batch)?;
                 st.buffer.advance(next_off)?;
                 PipelineMetrics::add(&m.delivery_failures, batch.len() as u64);
                 PipelineMetrics::add(&m.reports_spilled, batch.len() as u64);
-                if dropped > 0 {
-                    PipelineMetrics::add(&m.spill_bytes_dropped, dropped);
-                }
                 out.spilled += batch.len() as u64;
             }
         }

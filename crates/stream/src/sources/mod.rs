@@ -980,16 +980,18 @@ mod tests {
         assert_eq!(got.len() as u64 + shed, 100, "every line accounted for");
     }
 
-    #[test]
-    fn dead_letter_policy_diverts_to_the_dlq() {
-        let dir = std::env::temp_dir().join(format!("monilog-src-dlq-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let dlq = Arc::new(DeadLetterLog::open(dir.join("dead_letter.jsonl"), 1 << 20).unwrap());
+    /// Burst 50 lines into a 2-slot queue under `DeadLetter`, with the
+    /// DLQ at `dir/dead_letter.jsonl` rotating past `cap` bytes. Returns
+    /// how many lines the queue delivered, and the registry.
+    fn dead_letter_burst(dir: &std::path::Path, cap: u64) -> (usize, Arc<MetricsRegistry>) {
+        let _ = std::fs::remove_dir_all(dir);
         let reg = registry();
+        let dlq = DeadLetterLog::open(dir.join("dead_letter.jsonl"), cap, reg.counters().clone())
+            .unwrap();
         let mut cfg = test_config(2);
         cfg.on_overload = OverloadPolicy::DeadLetter;
         let (server, queue) =
-            SourcesServer::spawn(cfg, reg.clone(), Some(dlq.clone()), None).unwrap();
+            SourcesServer::spawn(cfg, reg.clone(), Some(Arc::new(dlq)), None).unwrap();
         let addr = server.syslog_tcp_addr().unwrap();
 
         let mut conn = TcpStream::connect(addr).unwrap();
@@ -999,11 +1001,32 @@ mod tests {
         drop(conn);
         std::thread::sleep(Duration::from_millis(500));
         let got = drain_for(&queue, 50, 1);
-        let letters = dlq.load().unwrap();
-        assert!(!letters.is_empty(), "overload must dead-letter lines");
-        assert!(letters.iter().all(|l| l.reason == FailureReason::Overload));
-        assert_eq!(got.len() + letters.len(), 50, "every line accounted for");
         drop(server);
+        (got.len(), reg)
+    }
+
+    #[test]
+    fn dead_letter_policy_diverts_to_the_dlq() {
+        let dir = std::env::temp_dir().join(format!("monilog-src-dlq-{}", std::process::id()));
+        let (got, _) = dead_letter_burst(&dir, 1 << 20);
+        let text = std::fs::read_to_string(dir.join("dead_letter.jsonl")).unwrap();
+        let letters: Vec<&str> = text.lines().collect();
+        assert!(!letters.is_empty(), "overload must dead-letter lines");
+        assert!(letters
+            .iter()
+            .all(|l| l.ends_with(r#","reason":"overload","attempts":0}"#)));
+        assert_eq!(got + letters.len(), 50, "every line accounted for");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dead_letter_rotation_counts_dropped_bytes() {
+        let dir = std::env::temp_dir().join(format!("monilog-src-dlq-cap-{}", std::process::id()));
+        let (_, reg) = dead_letter_burst(&dir, 256);
+        assert!(
+            PipelineMetrics::get(&reg.counters().dlq_bytes_dropped) > 0,
+            "rotation past a small cap must count what it deleted"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

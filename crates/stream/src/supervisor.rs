@@ -49,7 +49,6 @@
 
 use crate::chaos::{FaultContext, FaultInjector, WorkerKill};
 use crate::config::{ConfigError, OverloadPolicy, RetryPolicy};
-use crate::durable::{DeadLetterLog, DurabilityError};
 use crate::metrics::PipelineMetrics;
 use crate::observe::{MetricsRegistry, ShardGauges, Stage};
 use crate::trace::{SpanStage, Tracer};
@@ -277,28 +276,11 @@ struct Shared {
     dlq: Mutex<VecDeque<DeadLetter>>,
     dlq_capacity: usize,
     dlq_evicted: AtomicU64,
-    /// Optional persistent mirror of the DLQ (see
-    /// [`SupervisedParseService::attach_dead_letter_log`]). Append-only:
-    /// in-memory eviction never rewrites it.
-    dlq_file: Mutex<Option<DeadLetterLog>>,
     catch_all_count: AtomicU64,
 }
 
 impl Shared {
     fn push_dead_letter(&self, letter: DeadLetter) {
-        // Persist before exposing in memory: a crash right after quarantine
-        // must not lose the evidence.
-        if let Some(log) = &*self.dlq_file.lock() {
-            if let Ok(dropped) = log.append(std::slice::from_ref(&letter)) {
-                if dropped > 0 {
-                    PipelineMetrics::add(&self.metrics.dlq_bytes_dropped, dropped);
-                }
-            }
-        }
-        self.push_dead_letter_in_memory(letter);
-    }
-
-    fn push_dead_letter_in_memory(&self, letter: DeadLetter) {
         let mut q = self.dlq.lock();
         if q.len() >= self.dlq_capacity {
             q.pop_front();
@@ -359,7 +341,6 @@ impl SupervisedParseService {
             dlq: Mutex::new(VecDeque::new()),
             dlq_capacity: config.dlq_capacity,
             dlq_evicted: AtomicU64::new(0),
-            dlq_file: Mutex::new(None),
             catch_all_count: AtomicU64::new(0),
         });
         let stop = Arc::new(AtomicBool::new(false));
@@ -532,22 +513,6 @@ impl SupervisedParseService {
     /// the replay/triage entry point.
     pub fn drain_dead_letters(&self) -> Vec<DeadLetter> {
         self.shared.dlq.lock().drain(..).collect()
-    }
-
-    /// Attach a persistent dead-letter log (under `--state-dir`): letters
-    /// already on disk from a previous process are reloaded into the
-    /// in-memory queue (oldest first, respecting its bound) and every
-    /// future quarantine is appended to the file before it becomes visible
-    /// in memory. Returns how many letters were reloaded. Call this right
-    /// after spawn, before submitting lines.
-    pub fn attach_dead_letter_log(&self, log: DeadLetterLog) -> Result<usize, DurabilityError> {
-        let prior = log.load()?;
-        let reloaded = prior.len();
-        for letter in prior {
-            self.shared.push_dead_letter_in_memory(letter);
-        }
-        *self.shared.dlq_file.lock() = Some(log);
-        Ok(reloaded)
     }
 
     /// Point-in-time health of every shard. Stalled shards are reported,
@@ -1205,50 +1170,6 @@ mod tests {
             .iter()
             .all(|l| l.reason == FailureReason::Overload && l.shard.is_none()));
         drop(service);
-    }
-
-    #[test]
-    fn dead_letters_persist_across_service_restarts() {
-        let dir = std::env::temp_dir().join(format!("monilog-sup-dlq-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let dlq_path = dir.join("dead_letters.jsonl");
-        let mut config = test_config(1, 1);
-        config.overload = OverloadPolicy::DeadLetter;
-        config.dlq_capacity = 1024;
-
-        // First life: saturate so lines are quarantined, then crash
-        // (drop without draining the DLQ).
-        let service = SupervisedParseService::spawn(config).expect("spawn");
-        let reloaded = service
-            .attach_dead_letter_log(DeadLetterLog::open(&dlq_path, 1 << 20).unwrap())
-            .unwrap();
-        assert_eq!(reloaded, 0, "fresh state dir");
-        let mut diverted = 0;
-        for i in 0..200 {
-            if service
-                .submit(i, format!("line {i} payload"))
-                .expect("never errors")
-                == SubmitOutcome::DeadLettered
-            {
-                diverted += 1;
-            }
-        }
-        assert!(diverted > 0, "saturation must divert");
-        drop(service);
-
-        // Second life: the quarantined lines come back from disk.
-        let service = SupervisedParseService::spawn(config).expect("respawn");
-        let reloaded = service
-            .attach_dead_letter_log(DeadLetterLog::open(&dlq_path, 1 << 20).unwrap())
-            .unwrap();
-        assert_eq!(reloaded, diverted as usize, "every letter reloaded");
-        let letters = service.drain_dead_letters();
-        assert_eq!(letters.len(), diverted as usize);
-        assert!(letters
-            .iter()
-            .all(|l| l.reason == FailureReason::Overload && l.line.contains("payload")));
-        drop(service);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

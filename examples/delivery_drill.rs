@@ -78,14 +78,14 @@ fn main() {
     let mut delivery_config = DeliveryConfig::new("overridden-by-open");
     delivery_config.retry.base_backoff = Duration::from_millis(25);
     delivery_config.retry.max_backoff = Duration::from_millis(250);
-    let setup = DeliverySetup::new(
-        delivery_config,
-        vec![RouteSpec {
+    let sink_addr = server.addr().to_string();
+    let setup = DeliverySetup::new(delivery_config, move |_| {
+        Ok(vec![RouteSpec {
             name: "tcp".into(),
             classes: DeliveryClass::ALL.to_vec(),
-            sink: Box::new(FramedTcpSink::new(server.addr().to_string())),
-        }],
-    );
+            sink: Box::new(FramedTcpSink::new(sink_addr)),
+        }])
+    });
     let (mut durable, _) = DurableMoniLog::open(
         config,
         DurableConfig::new(&state_dir),
