@@ -15,17 +15,18 @@
 
 use crate::durable::{DeliverySetup, DurableConfig, DurableMoniLog, PersistedTailCursor};
 use crate::{
-    ClassifiedAnomaly, DetectorChoice, FaultToleranceConfig, MoniLog, MoniLogConfig,
-    ObservabilityConfig, WindowPolicy,
+    ClassifiedAnomaly, DetectorChoice, MoniLog, MoniLogConfig, ObservabilityConfig, WindowPolicy,
 };
+use monilog_classify::SeverityRouter;
 use monilog_detect::DeepLogConfig;
-use monilog_model::{Criticality, RawLog, SourceId};
+use monilog_model::{RawLog, SourceId};
 use monilog_parse::autotune::{autotune_drain, TuneGrid};
 use monilog_parse::{Drain, DrainConfig, OnlineParser};
+use monilog_stream::ops::{apply_key, at_least};
 use monilog_stream::{
     BreakerState, ConfigSnapshot, JournalConfig, MetricsEndpoint, MetricsExporter, OpsState,
-    OverloadPolicy, PipelineMetrics, ReloadableConfig, ReportStore, SourceEvent, SourceQueue,
-    SourcesServer, StatusBoard, StatusInputs, DEFAULT_LATENCY_BUDGET_MS, DEFAULT_REPORT_CAPACITY,
+    PipelineMetrics, ReloadableConfig, ReportStore, SourceEvent, SourceQueue, SourcesServer,
+    StatusBoard, StatusInputs, DEFAULT_LATENCY_BUDGET_MS, DEFAULT_REPORT_CAPACITY,
 };
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -57,7 +58,12 @@ pub enum CliCommand {
         logfile: Option<String>,
         checkpoint: String,
         format: HeaderChoice,
-        fault: FaultToleranceConfig,
+        /// The runtime settings (`--on-overload`, `--trace-sample-rate`,
+        /// `--page-at`, `--route-critical`, `--batch-lines`,
+        /// `--batch-deadline-ms`, `--sink-retry-max-ms`): version 0 of the
+        /// monitor's reloadable config. The tracer samples at its
+        /// `trace_sample_rate`, not at `observability`'s.
+        settings: ConfigSnapshot,
         observability: ObservabilityConfig,
         /// Write a Chrome trace-event JSON file of the recorded spans here
         /// after the run (`--trace-out`).
@@ -162,37 +168,22 @@ pub struct DurableOptions {
     /// Per-stage p99 budget that flips `/status` to degraded, in
     /// milliseconds (`--latency-budget-ms`).
     pub latency_budget_ms: u64,
-    /// `--batch-lines`: the boot `batch-lines` of the network monitor loop
-    /// (and the router's lines per wire batch); `None` keeps the default.
-    pub batch_lines: Option<usize>,
-    /// `--batch-deadline-ms`: the boot `batch-deadline-ms` of the network
-    /// monitor loop; `None` keeps the default.
-    pub batch_deadline_ms: Option<u64>,
 }
 
 /// Outbound delivery flags (`--sink-http`, `--sink-tcp`,
-/// `--sink-retry-max-ms`, `--sink-buffer-bytes`, `--route-critical`).
-/// All of them require `--state-dir`: delivery is disk-buffered and its
-/// cursors live in the durable checkpoint.
+/// `--sink-buffer-bytes`). All of them require `--state-dir`: delivery is
+/// disk-buffered and its cursors live in the durable checkpoint. The
+/// delivery settings a reload can change (`page-at`, `route-critical`,
+/// `sink-retry-max-ms`) live in the monitor's [`ConfigSnapshot`]; their
+/// flags turn delivery on too.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SinkOptions {
     /// Webhook endpoint for page-level reports (`http://host:port/path`).
     pub http: Option<String>,
     /// Length-framed TCP endpoint (`host:port`).
     pub tcp: Option<String>,
-    /// Cap on the exponential retry backoff, in milliseconds.
-    pub retry_max_ms: u64,
     /// Per-route delivery buffer cap before oldest reports spill locally.
     pub buffer_bytes: u64,
-    /// Which sink receives page-level (critical) reports: `http`, `tcp`
-    /// or `file`. Defaults to the most interactive sink configured.
-    pub route_critical: Option<String>,
-    /// Criticality at or above which a report is page-level (`low`,
-    /// `moderate`, `high`). Defaults to `high`. `low` pages on everything
-    /// — the right setting while the criticality head is still untrained,
-    /// since a cold classifier rates every anomaly `low` and would
-    /// otherwise starve the network sinks.
-    pub page_at: Criticality,
 }
 
 impl Default for SinkOptions {
@@ -200,11 +191,25 @@ impl Default for SinkOptions {
         SinkOptions {
             http: None,
             tcp: None,
-            retry_max_ms: 5_000,
             buffer_bytes: 64 * 1024 * 1024,
-            route_critical: None,
-            page_at: Criticality::High,
         }
+    }
+}
+
+impl SinkOptions {
+    /// The sinks delivery runs, most interactive first: what
+    /// `route-critical` may name ([`ConfigSnapshot::page_sink`]). The file
+    /// sink always runs.
+    fn names(&self) -> Vec<&'static str> {
+        let mut names = Vec::new();
+        if self.http.is_some() {
+            names.push("http");
+        }
+        if self.tcp.is_some() {
+            names.push("tcp");
+        }
+        names.push("file");
+        names
     }
 }
 
@@ -219,8 +224,6 @@ impl Default for DurableOptions {
             sinks: None,
             config_file: None,
             latency_budget_ms: DEFAULT_LATENCY_BUDGET_MS,
-            batch_lines: None,
-            batch_deadline_ms: None,
         }
     }
 }
@@ -337,7 +340,8 @@ listener — GET /status, /readyz, /reports, /reports/{id} and GET|POST
                                          route-critical, batch-lines,
                                          batch-deadline-ms,
                                          sink-retry-max-ms); applied once
-                                         at startup when present
+                                         at startup when present; each key
+                                         takes exactly its flag's values
   --latency-budget-ms <n>                per-stage p99 budget that flips
                                          /status to degraded (default 250)
 
@@ -348,13 +352,13 @@ delivery options (monitor, require --state-dir):
   --sink-tcp <host:port>                 stream reports over length-framed
                                          TCP with per-report acks
   --sink-retry-max-ms <n>                cap on the exponential retry
-                                         backoff (default 5000)
+                                         backoff (default 5000; at least 1)
   --sink-buffer-bytes <n>                per-route delivery buffer cap
                                          before the oldest reports spill
                                          to a local file (default 67108864)
-  --route-critical http|tcp|file         which sink receives page-level
-                                         reports (default: http if given,
-                                         else tcp, else file)
+  --route-critical http|tcp|file|none    which sink receives page-level
+                                         reports (none, the default: http
+                                         if given, else tcp, else file)
   --page-at low|moderate|high            criticality at or above which a
                                          report is page-level (default
                                          high; use low while the
@@ -453,7 +457,8 @@ struct Flag {
 struct Opts {
     checkpoint: Option<String>,
     format: HeaderChoice,
-    fault: FaultToleranceConfig,
+    /// The seven reloadable settings, each set by its flag.
+    settings: ConfigSnapshot,
     observability: ObservabilityConfig,
     trace_out: Option<String>,
     state_dir: Option<String>,
@@ -472,22 +477,17 @@ impl Opts {
     fn sinks(&mut self) -> &mut SinkOptions {
         self.durable.sinks.get_or_insert_with(SinkOptions::default)
     }
+
+    /// Set a reloadable delivery setting; its flag turns delivery on.
+    fn delivery_setting(&mut self, key: &str, value: &str) -> Result<(), String> {
+        self.sinks();
+        apply_key(&mut self.settings, key, value)
+    }
 }
 
 fn set<T>(slot: &mut T, value: T) -> Result<(), String> {
     *slot = value;
     Ok(())
-}
-
-fn at_least<T: std::str::FromStr + PartialOrd + std::fmt::Display>(
-    value: &str,
-    min: T,
-) -> Result<T, String> {
-    match value.parse() {
-        Ok(n) if n >= min => Ok(n),
-        Ok(_) => Err(format!("must be at least {min}")),
-        Err(_) => Err("not a number".to_string()),
-    }
 }
 
 fn addr(value: &str) -> Result<Option<std::net::SocketAddr>, String> {
@@ -511,15 +511,11 @@ fn valid(value: &str, ok: bool, why: &str) -> Result<Option<String>, String> {
         .ok_or_else(|| why.to_string())
 }
 
-const PAGE_LEVELS: [(&str, Criticality); 3] = [
-    ("low", Criticality::Low),
-    ("moderate", Criticality::Moderate),
-    ("high", Criticality::High),
-];
-
 /// Every flag: its value hint, the commands that take it, and how its
 /// value is checked and stored. `USAGE` lists exactly these flags, each
-/// under the commands of its scope (a test holds the two in step).
+/// under the commands of its scope (a test holds the two in step). The
+/// seven reloadable settings are parsed by [`apply_key`] under the flag's
+/// name minus `--`, as a reload parses them.
 #[rustfmt::skip]
 const FLAGS: &[Flag] = &[
     Flag { name: "--checkpoint", hint: "a path", scope: TRAIN_MONITOR,
@@ -527,17 +523,17 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--format", hint: "dash|syslog|bare", scope: PARSE_TRAIN_MONITOR,
         apply: |o, v| set(&mut o.format, one_of(v, &HeaderChoice::NAMES)?) },
     Flag { name: "--on-overload", hint: "a policy", scope: MONITOR,
-        apply: |o, v| set(&mut o.fault.on_overload, OverloadPolicy::parse(v)?) },
+        apply: |o, v| apply_key(&mut o.settings, "on-overload", v) },
     Flag { name: "--batch-lines", hint: "a count", scope: DURABLE_MONITOR_ROUTER,
-        apply: |o, v| set(&mut o.durable.batch_lines, Some(at_least(v, 1)?)) },
+        apply: |o, v| apply_key(&mut o.settings, "batch-lines", v) },
     Flag { name: "--batch-deadline-ms", hint: "milliseconds", scope: DURABLE_MONITOR,
-        apply: |o, v| set(&mut o.durable.batch_deadline_ms, Some(at_least(v, 0)?)) },
+        apply: |o, v| apply_key(&mut o.settings, "batch-deadline-ms", v) },
     Flag { name: "--metrics-addr", hint: "host:port", scope: TRAIN_MONITOR,
         apply: |o, v| set(&mut o.observability.metrics_addr, addr(v)?) },
     Flag { name: "--metrics-interval-ms", hint: "milliseconds", scope: TRAIN_MONITOR,
         apply: |o, v| set(&mut o.observability.metrics_interval_ms, at_least(v, 1)?) },
     Flag { name: "--trace-sample-rate", hint: "a rate", scope: TRAIN_MONITOR,
-        apply: |o, v| set(&mut o.observability.trace_sample_rate, at_least(v, 0)?) },
+        apply: |o, v| apply_key(&mut o.settings, "trace-sample-rate", v) },
     Flag { name: "--flight-capacity", hint: "a count", scope: TRAIN_MONITOR,
         apply: |o, v| set(&mut o.observability.flight_capacity, at_least(v, 1)?) },
     Flag { name: "--trace-out", hint: "a path", scope: TRAIN_MONITOR,
@@ -562,16 +558,13 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--sink-tcp", hint: "host:port", scope: DURABLE_MONITOR,
         apply: |o, v| set(&mut o.sinks().tcp, valid(v, v.contains(':'), "expected host:port")?) },
     Flag { name: "--sink-retry-max-ms", hint: "milliseconds", scope: DURABLE_MONITOR,
-        apply: |o, v| set(&mut o.sinks().retry_max_ms, at_least(v, 1)?) },
+        apply: |o, v| o.delivery_setting("sink-retry-max-ms", v) },
     Flag { name: "--sink-buffer-bytes", hint: "a size", scope: DURABLE_MONITOR,
         apply: |o, v| set(&mut o.sinks().buffer_bytes, at_least(v, 4_096)?) },
-    Flag { name: "--route-critical", hint: "http|tcp|file", scope: DURABLE_MONITOR,
-        apply: |o, v| {
-            let target = one_of(v, &[("http", "http"), ("tcp", "tcp"), ("file", "file")])?;
-            set(&mut o.sinks().route_critical, Some(target.into()))
-        } },
+    Flag { name: "--route-critical", hint: "http|tcp|file|none", scope: DURABLE_MONITOR,
+        apply: |o, v| o.delivery_setting("route-critical", v) },
     Flag { name: "--page-at", hint: "low|moderate|high", scope: DURABLE_MONITOR,
-        apply: |o, v| set(&mut o.sinks().page_at, one_of(v, &PAGE_LEVELS)?) },
+        apply: |o, v| o.delivery_setting("page-at", v) },
     Flag { name: "--listen-syslog-tcp", hint: "host:port", scope: DURABLE_MONITOR,
         apply: |o, v| set(&mut o.sources.syslog_tcp, addr(v)?) },
     Flag { name: "--listen-syslog-udp", hint: "host:port", scope: DURABLE_MONITOR,
@@ -634,7 +627,7 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
     if !COMMANDS.contains(&command.as_str()) {
         return Err(format!("unknown command {command:?}\n\n{USAGE}"));
     }
-    for flag in given {
+    for flag in &given {
         if !flag.scope.commands.contains(&command.as_str()) {
             return Err(format!(
                 "{} is not supported by the {command} command (only by {})",
@@ -653,20 +646,9 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
         // default would silently collide across fleet members.
         return Err("--join and --node-id must be given together".to_string());
     }
-    if let Some(sinks) = &o.durable.sinks {
-        if let Some(target) = &sinks.route_critical {
-            let available = match target.as_str() {
-                "http" => sinks.http.is_some(),
-                "tcp" => sinks.tcp.is_some(),
-                _ => true, // the file sink always exists
-            };
-            if !available {
-                return Err(format!(
-                    "--route-critical {target} requires --sink-{target}"
-                ));
-            }
-        }
-    }
+    // The check a reload makes: `route-critical` names a running sink.
+    let sinks = o.durable.sinks.clone().unwrap_or_default();
+    o.settings.page_sink(&sinks.names())?;
     let durable = o.state_dir.map(|state_dir| DurableOptions {
         state_dir,
         ..o.durable
@@ -683,7 +665,11 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
             logfile: positional.next().ok_or("train needs a <logfile>")?,
             checkpoint: o.checkpoint.ok_or("train needs --checkpoint <out>")?,
             format: o.format,
-            observability: o.observability,
+            // Train has no config snapshot: the rate goes to its tracer.
+            observability: ObservabilityConfig {
+                trace_sample_rate: o.settings.trace_sample_rate,
+                ..o.observability
+            },
             trace_out: o.trace_out,
         }),
         "monitor" => {
@@ -706,7 +692,7 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
                 logfile,
                 checkpoint: o.checkpoint.ok_or("monitor needs --checkpoint <in>")?,
                 format: o.format,
-                fault: o.fault,
+                settings: o.settings,
                 observability: o.observability,
                 trace_out: o.trace_out,
                 durable,
@@ -719,6 +705,12 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
                 return Err("router needs one or more <logfile> inputs".to_string());
             }
             let opts = durable.ok_or("router needs --state-dir for its retention buffers")?;
+            // The router's wire batch has its own default.
+            let batch_lines = if given.iter().any(|f| f.name == "--batch-lines") {
+                o.settings.batch_lines
+            } else {
+                64
+            };
             Ok(CliCommand::Router {
                 logfiles,
                 listen: o
@@ -726,7 +718,7 @@ pub fn parse_args(args: &[String]) -> Result<CliCommand, String> {
                     .unwrap_or_else(|| "127.0.0.1:0".parse().expect("static addr")),
                 expect_nodes: o.expect_nodes.unwrap_or(1),
                 state_dir: opts.state_dir,
-                batch_lines: opts.batch_lines.unwrap_or(64),
+                batch_lines,
                 heartbeat_ms: o.heartbeat_ms.unwrap_or(250),
                 dead_after_ms: o.dead_after_ms.unwrap_or(1_500),
                 rebalance_grace_ms: o.rebalance_grace_ms.unwrap_or(500),
@@ -745,7 +737,7 @@ fn read_lines(path: &str) -> Result<Vec<String>, String> {
         .collect())
 }
 
-fn pipeline_config(format: HeaderChoice, fault: FaultToleranceConfig) -> MoniLogConfig {
+fn pipeline_config(format: HeaderChoice, observability: ObservabilityConfig) -> MoniLogConfig {
     MoniLogConfig {
         header_format: format.to_config(),
         window: WindowPolicy::Session {
@@ -758,7 +750,7 @@ fn pipeline_config(format: HeaderChoice, fault: FaultToleranceConfig) -> MoniLog
             epochs: 3,
             ..DeepLogConfig::default()
         }),
-        fault_tolerance: fault,
+        observability,
         ..MoniLogConfig::default()
     }
 }
@@ -874,9 +866,7 @@ pub fn run(command: CliCommand) -> Result<String, String> {
             trace_out,
         } => {
             let lines = read_lines(&logfile)?;
-            let mut config = pipeline_config(format, FaultToleranceConfig::default());
-            config.observability = observability;
-            let mut monilog = MoniLog::new(config);
+            let mut monilog = MoniLog::new(pipeline_config(format, observability));
             let _exporter = spawn_exporter(&monilog, observability, None, &mut out)?;
             for (i, line) in lines.iter().enumerate() {
                 monilog.ingest_training(&RawLog::new(SourceId(0), i as u64, line.clone()));
@@ -907,7 +897,7 @@ pub fn run(command: CliCommand) -> Result<String, String> {
             logfile,
             checkpoint,
             format,
-            fault,
+            settings,
             observability,
             trace_out,
             durable,
@@ -915,16 +905,19 @@ pub fn run(command: CliCommand) -> Result<String, String> {
         } => {
             let blob =
                 std::fs::read(&checkpoint).map_err(|e| format!("cannot read {checkpoint}: {e}"))?;
-            let mut config = pipeline_config(format, fault);
-            config.observability = observability;
+            let observability = ObservabilityConfig {
+                trace_sample_rate: settings.trace_sample_rate,
+                ..observability
+            };
+            let config = pipeline_config(format, observability);
             let input = match &sources {
                 Some(src) => MonitorInput::Network(src),
                 None => MonitorInput::File(logfile.as_deref().ok_or("monitor needs a <logfile>")?),
             };
             match (durable, input) {
-                (Some(opts), input) => {
-                    run_monitor_runtime(config, &blob, input, &opts, trace_out, &mut out)?
-                }
+                (Some(opts), input) => run_monitor_runtime(
+                    config, &blob, input, &settings, &opts, trace_out, &mut out,
+                )?,
                 (None, MonitorInput::Network(_)) => {
                     return Err("network sources require --state-dir".to_string())
                 }
@@ -1021,12 +1014,14 @@ impl ReportLines {
 }
 
 /// Translate `SinkOptions` into concrete routes: page-level reports go
-/// to the `--route-critical` target (default: the most interactive sink
-/// configured), ticket-level to TCP when available, and everything else
-/// — plus anything unrouted — to a local rotating file under the state
-/// directory.
+/// to the page sink of `settings` (the choice a reload makes), ticket-level
+/// to TCP when available, and everything else — plus anything unrouted —
+/// to a local rotating file under the state directory. The severity router
+/// and retry cap come from `settings` too, so the reports the journal
+/// replay emits are delivered as the boot snapshot says.
 fn build_delivery(
     opts: &SinkOptions,
+    settings: &ConfigSnapshot,
     state_dir: &std::path::Path,
 ) -> Result<DeliverySetup, String> {
     use monilog_model::DeliveryClass;
@@ -1035,37 +1030,26 @@ fn build_delivery(
         FILE_ROTATE_BYTES,
     };
 
-    let critical = opts
-        .route_critical
-        .as_deref()
-        .unwrap_or(if opts.http.is_some() {
-            "http"
-        } else if opts.tcp.is_some() {
-            "tcp"
-        } else {
-            "file"
-        });
+    let page_route = route_name(settings.page_sink(&opts.names())?);
+    let classes = move |route: &str, mut classes: Vec<DeliveryClass>| {
+        if route == page_route {
+            classes.push(DeliveryClass::Page);
+        }
+        classes
+    };
     let mut specs = Vec::new();
     if let Some(url) = &opts.http {
         let sink = WebhookSink::from_url(url).map_err(|e| format!("--sink-http: {e}"))?;
-        let mut classes = Vec::new();
-        if critical == "http" {
-            classes.push(DeliveryClass::Page);
-        }
         specs.push(RouteSpec {
             name: "webhook".into(),
-            classes,
+            classes: classes("webhook", Vec::new()),
             sink: Box::new(sink),
         });
     }
     if let Some(addr) = &opts.tcp {
-        let mut classes = vec![DeliveryClass::Ticket];
-        if critical == "tcp" {
-            classes.push(DeliveryClass::Page);
-        }
         specs.push(RouteSpec {
             name: "tcp".into(),
-            classes,
+            classes: classes("tcp", vec![DeliveryClass::Ticket]),
             sink: Box::new(FramedTcpSink::new(addr.clone())),
         });
     }
@@ -1074,13 +1058,10 @@ fn build_delivery(
     let file_path = state_dir
         .join(crate::durable::DELIVERY_DIR)
         .join("reports.jsonl");
-    let mut classes = vec![DeliveryClass::Log];
-    if critical == "file" {
-        classes.push(DeliveryClass::Page);
-    }
+    let file_classes = classes("file", vec![DeliveryClass::Log]);
 
     let mut config = DeliveryConfig::new("overridden-by-open");
-    config.retry.max_backoff = std::time::Duration::from_millis(opts.retry_max_ms);
+    config.retry.max_backoff = std::time::Duration::from_millis(settings.sink_retry_max_ms);
     config.buffer_spill_bytes = opts.buffer_bytes;
     let mut setup = DeliverySetup::new(config, move |metrics| {
         let file_sink = FileSink::open(
@@ -1092,16 +1073,60 @@ fn build_delivery(
         .map_err(|e| format!("open file sink: {e}"))?;
         specs.push(RouteSpec {
             name: "file".into(),
-            classes,
+            classes: file_classes,
             sink: Box::new(file_sink),
         });
         Ok(specs)
     });
-    // `--page-at` lowers the page threshold; the ticket threshold never
-    // sits above it (a report can't be "page but not ticket worthy").
-    setup.router.page_at = opts.page_at;
-    setup.router.ticket_at = setup.router.ticket_at.min(opts.page_at);
+    setup.router = severity_router(settings);
     Ok(setup)
+}
+
+/// The delivery route of a sink `route-critical` names: the http sink's
+/// route is `webhook`.
+fn route_name(sink: &str) -> &str {
+    match sink {
+        "http" => "webhook",
+        other => other,
+    }
+}
+
+/// The severity router `settings` asks for: pages at `page-at`, and the
+/// ticket threshold never sits above it (a report can't be "page but not
+/// ticket worthy").
+fn severity_router(settings: &ConfigSnapshot) -> SeverityRouter {
+    let ticket_at = SeverityRouter::default().ticket_at;
+    SeverityRouter {
+        page_at: settings.page_at,
+        ticket_at: ticket_at.min(settings.page_at),
+    }
+}
+
+/// Map a settings snapshot onto the live components: the tracer's sample
+/// rate, the sources' overload policy, the severity router, and the
+/// delivery retry cap and page route. The boot snapshot (version 0) and
+/// every reload take this one path.
+fn apply_settings(
+    snap: &ConfigSnapshot,
+    sinks: &[&'static str],
+    durable: &mut DurableMoniLog,
+    server: Option<&SourcesServer>,
+) {
+    durable
+        .pipeline()
+        .tracer()
+        .set_sample_rate(snap.trace_sample_rate);
+    if let Some(server) = server {
+        server.set_overload_policy(snap.on_overload);
+    }
+    durable.set_router(severity_router(snap));
+    if let Some(delivery) = durable.delivery() {
+        delivery.set_retry_max_ms(snap.sink_retry_max_ms);
+        // `build_delivery` and `ReloadableConfig` admit only snapshots
+        // whose page sink runs.
+        let sink = snap.page_sink(sinks).expect("page sink checked");
+        delivery.set_page_route(route_name(sink));
+    }
 }
 
 /// Write a small control file atomically (tmp + fsync + rename), the
@@ -1117,33 +1142,13 @@ fn write_file_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()
     std::fs::rename(&tmp, path)
 }
 
-/// The boot [`ConfigSnapshot`] (version 0): every reloadable key seeded
-/// from the equivalent CLI flag so `GET /config` reflects what the
-/// process actually started with.
-fn boot_snapshot(config: &MoniLogConfig, opts: &DurableOptions) -> ConfigSnapshot {
-    let defaults = ConfigSnapshot::default();
-    let mut snap = ConfigSnapshot {
-        on_overload: config.fault_tolerance.on_overload,
-        trace_sample_rate: config.observability.trace_sample_rate,
-        batch_lines: opts.batch_lines.unwrap_or(defaults.batch_lines),
-        batch_deadline_ms: opts.batch_deadline_ms.unwrap_or(defaults.batch_deadline_ms),
-        ..defaults
-    };
-    if let Some(sinks) = &opts.sinks {
-        snap.page_at = sinks.page_at;
-        snap.route_critical = sinks.route_critical.clone();
-        snap.sink_retry_max_ms = sinks.retry_max_ms;
-    }
-    snap
-}
-
 /// Assemble the live operations surface for a durable monitor: the
 /// recent-reports ring (backfilled from `anomalies.jsonl`, then attached
 /// so the emit path keeps feeding it), the `/status` mailbox, and the
 /// hot-reloadable config with its audit trail.
 fn build_ops(
     durable: &mut DurableMoniLog,
-    config: &MoniLogConfig,
+    settings: &ConfigSnapshot,
     opts: &DurableOptions,
     out: &mut String,
 ) -> Result<OpsDriver, String> {
@@ -1162,7 +1167,8 @@ fn build_ops(
         );
     }
     let reload = ReloadableConfig::shared(
-        boot_snapshot(config, opts),
+        settings.clone(),
+        opts.sinks.clone().unwrap_or_default().names(),
         Some(state_dir.join("config-audit.log")),
         durable.pipeline().metrics(),
     );
@@ -1170,8 +1176,7 @@ fn build_ops(
     let driver = OpsDriver {
         ops,
         config_file: opts.config_file.clone().map(Into::into),
-        applied_version: 0,
-        boot_ticket_at: durable.router().ticket_at,
+        applied_version: None,
         spilled_seen: 0,
         mailbox: None,
     };
@@ -1204,16 +1209,15 @@ fn build_ops(
 
 /// Per-batch glue between the reload surface and the live components:
 /// folds SIGHUP requests into the versioned config, pushes any new
-/// snapshot into the tracer / sources / router / delivery layer, and
-/// publishes fresh [`StatusInputs`] for `/status` and `/readyz`.
+/// snapshot — the boot one first — into the tracer / sources / router /
+/// delivery layer, and publishes fresh [`StatusInputs`] for `/status` and
+/// `/readyz`.
 struct OpsDriver {
     ops: OpsState,
     config_file: Option<std::path::PathBuf>,
-    /// Last snapshot version pushed into the live components.
-    applied_version: u64,
-    /// The boot ticket threshold; reapplied (clamped to `page_at`) on
-    /// every router swap so repeated reloads can't ratchet it down.
-    boot_ticket_at: Criticality,
+    /// Last snapshot version pushed into the live components; `None`
+    /// until the first poll pushes the boot snapshot.
+    applied_version: Option<u64>,
     /// reports_spilled high-water mark from the previous publish; a delta
     /// means the delivery layer is actively spilling.
     spilled_seen: u64,
@@ -1224,8 +1228,8 @@ struct OpsDriver {
 
 impl OpsDriver {
     /// Consume a pending SIGHUP (re-reading `--config-file`) and apply
-    /// the current snapshot if its version moved. Returns the snapshot in
-    /// force so the caller can use its batch shape.
+    /// the current snapshot if it is not the one applied last. Returns the
+    /// snapshot in force so the caller can use its batch shape.
     fn poll_reload(
         &mut self,
         durable: &mut DurableMoniLog,
@@ -1253,35 +1257,9 @@ impl OpsDriver {
             }
         }
         let snap = self.ops.reload.current();
-        if snap.version != self.applied_version {
-            durable
-                .pipeline()
-                .tracer()
-                .set_sample_rate(snap.trace_sample_rate);
-            if let Some(server) = server {
-                server.set_overload_policy(snap.on_overload);
-            }
-            let mut router = *durable.router();
-            router.page_at = snap.page_at;
-            router.ticket_at = self.boot_ticket_at.min(snap.page_at);
-            durable.set_router(router);
-            if let Some(delivery) = durable.delivery() {
-                delivery.set_retry_max_ms(snap.sink_retry_max_ms);
-                // CLI route names: the http sink's route is "webhook".
-                let route = snap.route_critical.as_deref().map(|r| match r {
-                    "http" => "webhook",
-                    other => other,
-                });
-                if !delivery.set_page_route(route) {
-                    let _ = writeln!(
-                        out,
-                        "ops: route-critical {:?} names an unconfigured sink; \
-                         keeping current page route",
-                        snap.route_critical.as_deref().unwrap_or("none")
-                    );
-                }
-            }
-            self.applied_version = snap.version;
+        if self.applied_version != Some(snap.version) {
+            apply_settings(&snap, self.ops.reload.sinks(), durable, server);
+            self.applied_version = Some(snap.version);
         }
         snap
     }
@@ -1354,6 +1332,7 @@ fn run_monitor_runtime(
     config: MoniLogConfig,
     model_blob: &[u8],
     input: MonitorInput<'_>,
+    settings: &ConfigSnapshot,
     opts: &DurableOptions,
     trace_out: Option<String>,
     out: &mut String,
@@ -1364,7 +1343,7 @@ fn run_monitor_runtime(
     monilog_stream::install_shutdown_handler();
     let state_dir = std::path::Path::new(&opts.state_dir);
     let delivery = match &opts.sinks {
-        Some(sinks) => Some(build_delivery(sinks, state_dir)?),
+        Some(sinks) => Some(build_delivery(sinks, settings, state_dir)?),
         None => None,
     };
     let (mut durable, mut stats) = DurableMoniLog::open(
@@ -1373,7 +1352,7 @@ fn run_monitor_runtime(
         || MoniLog::restore(config, model_blob).map_err(|e| format!("invalid checkpoint: {e}")),
         delivery,
     )?;
-    let mut ops = build_ops(&mut durable, &config, opts, out)?;
+    let mut ops = build_ops(&mut durable, settings, opts, out)?;
     // Network sources serve `/metrics` from their own event loop.
     let _exporter = match input {
         MonitorInput::File(_) => spawn_exporter(
@@ -1622,8 +1601,9 @@ fn run_monitor_runtime(
 
 /// Bring up the network sources of a durable run: TCP/UDP syslog, HTTP
 /// bulk ingest, file tails and the router link, multiplexed on one event
-/// loop that also serves `/metrics` and the ops surface. Tails resume
-/// from the cursors in the recovered checkpoint, which land in `cursors`.
+/// loop that also serves `/metrics` and the ops surface, under the
+/// overload policy of the current config snapshot. Tails resume from the
+/// cursors in the recovered checkpoint, which land in `cursors`.
 fn spawn_sources(
     src: &SourcesOptions,
     config: &MoniLogConfig,
@@ -1633,93 +1613,24 @@ fn spawn_sources(
     out: &mut String,
 ) -> Result<(SourcesServer, SourceQueue, Vec<PersistedTailCursor>), String> {
     use crate::durable::{decode_tail_cursors, SOURCES_SECTION};
-    use monilog_stream::sources::{
-        glob_match, GlobResume, TailCursor, TailGlobSpec, TailSpec, TAIL_SOURCE_BASE,
-    };
+    use monilog_stream::sources::{TailGlobSpec, TAIL_SOURCE_BASE};
     use monilog_stream::{DeadLetterLog, SourcesConfig};
 
     // Resume file tails from the checkpointed cursors. Lines journaled
     // after the cursor snapshot replayed from the WAL above; the tail
     // seeks to the cursor and skips exactly that many lines.
-    //
-    // A `--tail` whose basename carries `*`/`?` is a glob: files are
-    // discovered at runtime and their cursors resume *path-keyed* (a
-    // discovered file has no stable position in the flag list), while
-    // static tails resume index-keyed as before.
     let recovered = durable
         .recovered_section(SOURCES_SECTION)
         .map(decode_tail_cursors)
         .unwrap_or_default();
-    let is_glob = |path: &str| {
-        std::path::Path::new(path)
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.contains(['*', '?']))
-    };
-    let static_paths: Vec<&String> = src.tails.iter().filter(|p| !is_glob(p)).collect();
-    let mut tails = Vec::new();
-    let mut cursors = Vec::new();
-    let skip_for = |slot: usize, last_seq: u64| {
+    let high_water = |slot: usize| {
         let source = SourceId(TAIL_SOURCE_BASE + slot as u16);
-        let high_water = durable.next_seq(source).saturating_sub(1);
-        high_water.saturating_sub(last_seq)
+        durable.next_seq(source).saturating_sub(1)
     };
-    for (index, path) in static_paths.iter().enumerate() {
-        let mut spec = TailSpec::new(path.as_str());
-        match recovered.iter().find(|c| c.index == index) {
-            Some(c) => {
-                spec.resume = Some(TailCursor {
-                    inode: c.inode,
-                    offset: c.offset,
-                    last_seq: c.last_seq,
-                });
-                spec.skip_lines = skip_for(index, c.last_seq);
-                cursors.push(c.clone());
-            }
-            None => cursors.push(PersistedTailCursor {
-                index,
-                inode: 0,
-                offset: 0,
-                last_seq: 0,
-                path: (*path).clone(),
-            }),
-        }
-        tails.push(spec);
-    }
+    let mut cursors = Vec::new();
     let mut tail_globs = Vec::new();
-    for pattern in src.tails.iter().filter(|p| is_glob(p)) {
-        let pat = std::path::Path::new(pattern);
-        let basename = pat.file_name().and_then(|n| n.to_str()).unwrap_or("*");
-        let dir = match pat.parent() {
-            Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-            _ => std::path::PathBuf::from("."),
-        };
-        // Cursors persisted for files this glob discovered before: slots
-        // above the static range whose path sits in the glob's directory
-        // and matches its basename pattern. A slot inside the static
-        // range means the flag list changed shape; start that file fresh
-        // rather than resume someone else's position.
-        let known: Vec<GlobResume> = recovered
-            .iter()
-            .filter(|c| c.index >= static_paths.len())
-            .filter(|c| {
-                let p = std::path::Path::new(&c.path);
-                p.parent().map(|d| d == dir).unwrap_or(false)
-                    && p.file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| glob_match(basename, n))
-            })
-            .map(|c| GlobResume {
-                slot: c.index,
-                path: c.path.clone().into(),
-                resume: TailCursor {
-                    inode: c.inode,
-                    offset: c.offset,
-                    last_seq: c.last_seq,
-                },
-                skip_lines: skip_for(c.index, c.last_seq),
-            })
-            .collect();
+    for pattern in &src.tails {
+        let known = tail_resumes(pattern, &recovered, high_water);
         for k in &known {
             cursors.push(PersistedTailCursor {
                 index: k.slot,
@@ -1735,24 +1646,20 @@ fn spawn_sources(
         });
     }
 
-    let dlq = match config.fault_tolerance.on_overload {
-        OverloadPolicy::DeadLetter => Some(std::sync::Arc::new(
-            DeadLetterLog::open(
-                state_dir.join("sources_dead_letter.jsonl"),
-                1 << 20,
-                durable.pipeline().metrics(),
-            )
-            .map_err(|e| format!("open sources dead-letter log: {e}"))?,
-        )),
-        _ => None,
-    };
+    // Opened whenever sources run, since a reload may switch the policy
+    // to dead-letter; the file appears with its first line.
+    let dlq = DeadLetterLog::open(
+        state_dir.join("sources_dead_letter.jsonl"),
+        1 << 20,
+        durable.pipeline().metrics(),
+    )
+    .map_err(|e| format!("open sources dead-letter log: {e}"))?;
     let sources_config = SourcesConfig {
         syslog_tcp: src.syslog_tcp,
         syslog_udp: src.syslog_udp,
         http: src.http,
-        tails,
         tail_globs,
-        on_overload: config.fault_tolerance.on_overload,
+        on_overload: ops.reload.current().on_overload,
         router: src.join.map(|addr| {
             monilog_stream::RouterLinkConfig::new(
                 addr,
@@ -1766,9 +1673,13 @@ fn spawn_sources(
     // `/metrics` rides the same event loop as the sources — one thread
     // serves every network endpoint.
     let endpoint = metrics_endpoint(durable.pipeline(), config.observability, Some(ops));
-    let (server, queue) =
-        SourcesServer::spawn(sources_config, durable.pipeline().registry(), dlq, endpoint)
-            .map_err(|e| format!("bind sources: {e}"))?;
+    let (server, queue) = SourcesServer::spawn(
+        sources_config,
+        durable.pipeline().registry(),
+        Some(Arc::new(dlq)),
+        endpoint,
+    )
+    .map_err(|e| format!("bind sources: {e}"))?;
 
     // Publish the bound addresses (ports may have been 0) where both the
     // operator and the driving harness can find them.
@@ -1800,6 +1711,46 @@ fn spawn_sources(
         );
     }
     Ok((server, queue, cursors))
+}
+
+/// The recovered cursors a `--tail` pattern resumes, path-keyed. Every
+/// `--tail` is a pattern whose basename may carry `*`/`?`, a literal
+/// basename being a one-file pattern, so a file keeps its slot — its
+/// source id and journal seqs — whatever the order of the flags. A cursor
+/// resumes when its file sits in the pattern's directory and matches the
+/// basename; a bare name (`app.log`) lives in `.`, as the tail sees it.
+/// `high_water(slot)` is the last seq journaled for that slot's source.
+fn tail_resumes(
+    pattern: &str,
+    recovered: &[PersistedTailCursor],
+    high_water: impl Fn(usize) -> u64,
+) -> Vec<monilog_stream::GlobResume> {
+    use monilog_stream::sources::{glob_match, GlobResume, TailCursor};
+    use std::path::{Path, PathBuf};
+    let dir_of = |path: &Path| match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
+        _ => PathBuf::from("."),
+    };
+    let pattern = Path::new(pattern);
+    let basename = pattern.file_name().and_then(|n| n.to_str()).unwrap_or("*");
+    let dir = dir_of(pattern);
+    recovered
+        .iter()
+        .filter_map(|c| {
+            let path = Path::new(&c.path);
+            let name = path.file_name()?.to_str()?;
+            (dir_of(path) == dir && glob_match(basename, name)).then(|| GlobResume {
+                slot: c.index,
+                path: dir.join(name),
+                resume: TailCursor {
+                    inode: c.inode,
+                    offset: c.offset,
+                    last_seq: c.last_seq,
+                },
+                skip_lines: high_water(c.index).saturating_sub(c.last_seq),
+            })
+        })
+        .collect()
 }
 
 /// Per-round cluster bookkeeping for a fleet member: discard state for
@@ -1966,6 +1917,8 @@ fn strip_headers(lines: &[String], format: HeaderChoice) -> Vec<String> {
 mod tests {
     use super::*;
     use monilog_loggen::{GenLog, HdfsWorkload, HdfsWorkloadConfig};
+    use monilog_model::Criticality;
+    use monilog_stream::OverloadPolicy;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -2140,8 +2093,8 @@ mod tests {
         ]))
         .unwrap();
         match parsed {
-            CliCommand::Monitor { fault, .. } => {
-                assert_eq!(fault.on_overload, OverloadPolicy::ShedToCatchAll);
+            CliCommand::Monitor { settings, .. } => {
+                assert_eq!(settings.on_overload, OverloadPolicy::ShedToCatchAll);
             }
             other => panic!("expected Monitor, got {other:?}"),
         }
@@ -2487,11 +2440,11 @@ mod tests {
             sources: None,
             checkpoint: ckpt.to_string_lossy().into_owned(),
             format: HeaderChoice::Dash,
-            fault: FaultToleranceConfig::default(),
-            observability: ObservabilityConfig {
+            settings: ConfigSnapshot {
                 trace_sample_rate: 1,
-                ..ObservabilityConfig::default()
+                ..ConfigSnapshot::default()
             },
+            observability: ObservabilityConfig::default(),
             trace_out: Some(trace_path.to_string_lossy().into_owned()),
             durable: None,
         })
@@ -2577,26 +2530,19 @@ mod tests {
 
     #[test]
     fn batch_flags_seed_the_boot_config_snapshot() {
-        let opts = |extra: &[&str]| -> (MoniLogConfig, DurableOptions) {
+        let settings = |extra: &[&str]| -> ConfigSnapshot {
             let mut argv = vec!["monitor", "--checkpoint", "m", "--state-dir", "d"];
             argv.extend(["--listen-syslog-tcp", "127.0.0.1:0"]);
             argv.extend(extra);
             match parse_args(&args(&argv)).unwrap() {
-                CliCommand::Monitor {
-                    format,
-                    fault,
-                    durable: Some(durable),
-                    ..
-                } => (pipeline_config(format, fault), durable),
-                other => panic!("expected a durable Monitor, got {other:?}"),
+                CliCommand::Monitor { settings, .. } => settings,
+                other => panic!("expected a Monitor, got {other:?}"),
             }
         };
-        let (config, given) = opts(&["--batch-lines", "128", "--batch-deadline-ms", "20"]);
-        let snap = boot_snapshot(&config, &given);
+        let snap = settings(&["--batch-lines", "128", "--batch-deadline-ms", "20"]);
         assert_eq!(snap.version, 0);
         assert_eq!((snap.batch_lines, snap.batch_deadline_ms), (128, 20));
-        let (config, absent) = opts(&[]);
-        let snap = boot_snapshot(&config, &absent);
+        let snap = settings(&[]);
         assert_eq!((snap.batch_lines, snap.batch_deadline_ms), (512, 50));
         assert_eq!(snap, ConfigSnapshot::default());
         // Without a state directory there is no monitor loop to shape.
@@ -2678,7 +2624,7 @@ mod tests {
             sources: None,
             checkpoint: ckpt.to_string_lossy().into_owned(),
             format: HeaderChoice::Dash,
-            fault: FaultToleranceConfig::default(),
+            settings: ConfigSnapshot::default(),
             observability: ObservabilityConfig::default(),
             trace_out: None,
             durable: None,
@@ -2725,7 +2671,7 @@ mod tests {
             sources: None,
             checkpoint: "/definitely/not/here.mlcp".into(),
             format: HeaderChoice::Dash,
-            fault: FaultToleranceConfig::default(),
+            settings: ConfigSnapshot::default(),
             observability: ObservabilityConfig::default(),
             trace_out: None,
             durable: None,
@@ -2763,8 +2709,6 @@ mod tests {
                         sinks: None,
                         config_file: None,
                         latency_budget_ms: DEFAULT_LATENCY_BUDGET_MS,
-                        batch_lines: None,
-                        batch_deadline_ms: None,
                     })
                 );
             }
@@ -2911,19 +2855,21 @@ mod tests {
         ]))
         .unwrap();
         match parsed {
-            CliCommand::Monitor { durable, .. } => {
+            CliCommand::Monitor {
+                durable, settings, ..
+            } => {
                 let sinks = durable.unwrap().sinks.unwrap();
                 assert_eq!(
                     sinks,
                     SinkOptions {
                         http: Some("http://alerts:9000/hooks".into()),
                         tcp: Some("collector:7600".into()),
-                        retry_max_ms: 2000,
                         buffer_bytes: 1_048_576,
-                        route_critical: Some("tcp".into()),
-                        page_at: Criticality::Low,
                     }
                 );
+                assert_eq!(settings.sink_retry_max_ms, 2000);
+                assert_eq!(settings.route_critical.as_deref(), Some("tcp"));
+                assert_eq!(settings.page_at, Criticality::Low);
             }
             other => panic!("expected Monitor, got {other:?}"),
         }
@@ -3064,7 +3010,7 @@ mod tests {
             sources: None,
             checkpoint: ckpt.to_string_lossy().into_owned(),
             format: HeaderChoice::Dash,
-            fault: FaultToleranceConfig::default(),
+            settings: ConfigSnapshot::default(),
             observability: ObservabilityConfig::default(),
             trace_out: None,
             durable: Some(DurableOptions {
@@ -3075,8 +3021,6 @@ mod tests {
                 sinks: None,
                 config_file: None,
                 latency_budget_ms: DEFAULT_LATENCY_BUDGET_MS,
-                batch_lines: None,
-                batch_deadline_ms: None,
             }),
         };
 
@@ -3159,7 +3103,7 @@ mod tests {
             sources,
             checkpoint: ckpt.to_string_lossy().into_owned(),
             format: HeaderChoice::Dash,
-            fault: FaultToleranceConfig::default(),
+            settings: ConfigSnapshot::default(),
             observability: ObservabilityConfig::default(),
             trace_out: None,
             durable: Some(DurableOptions {
@@ -3203,5 +3147,165 @@ mod tests {
             "{report}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn usage_lists_the_reloadable_keys_under_config_file() {
+        let (_, list) = USAGE.split_once("reloadable keys").unwrap();
+        let (_, list) = list.split_once("only:").unwrap();
+        let (list, _) = list.split_once(')').unwrap();
+        let keys: Vec<&str> = list.split(',').map(str::trim).collect();
+        assert_eq!(keys, monilog_stream::RELOADABLE_KEYS);
+    }
+
+    /// The boot settings and sink options of a durable monitor invocation.
+    fn monitor_settings(extra: &[&str]) -> (ConfigSnapshot, SinkOptions) {
+        let mut argv = vec!["monitor", "x.log", "--checkpoint", "m", "--state-dir", "d"];
+        argv.extend(extra);
+        match parse_args(&args(&argv)).unwrap() {
+            CliCommand::Monitor {
+                settings, durable, ..
+            } => (settings, durable.unwrap().sinks.unwrap_or_default()),
+            other => panic!("expected a Monitor, got {other:?}"),
+        }
+    }
+
+    /// A durable pipeline over a fresh state directory.
+    fn open_durable(
+        state_dir: &std::path::Path,
+        delivery: Option<DeliverySetup>,
+    ) -> DurableMoniLog {
+        let _ = std::fs::remove_dir_all(state_dir);
+        let config = pipeline_config(HeaderChoice::Dash, ObservabilityConfig::default());
+        let opts = DurableOptions {
+            state_dir: state_dir.to_string_lossy().into_owned(),
+            ..DurableOptions::default()
+        };
+        let fresh = || Ok(MoniLog::new(config));
+        DurableMoniLog::open(config, opts.to_config(), fresh, delivery)
+            .expect("open durable pipeline")
+            .0
+    }
+
+    /// Booted with `block` and reloaded to `dead-letter`, the sources
+    /// write every line they dead-letter to the sources DLQ.
+    #[test]
+    fn a_reload_to_dead_letter_writes_the_sources_dlq() {
+        use std::io::Write as _;
+        let state_dir = std::env::temp_dir().join("monilog_cli_dlq_reload_test");
+        let mut durable = open_durable(&state_dir, None);
+        let (settings, sinks) = monitor_settings(&[]);
+        let metrics = durable.pipeline().metrics();
+        let reload = ReloadableConfig::shared(settings, sinks.names(), None, metrics.clone());
+        let ops = OpsState::new(ReportStore::shared(8), StatusBoard::shared(250), reload);
+        let src = SourcesOptions {
+            syslog_tcp: Some("127.0.0.1:0".parse().unwrap()),
+            ..SourcesOptions::default()
+        };
+        let config = pipeline_config(HeaderChoice::Dash, ObservabilityConfig::default());
+        let (server, _queue, _) = spawn_sources(
+            &src,
+            &config,
+            &durable,
+            &ops,
+            &state_dir,
+            &mut String::new(),
+        )
+        .unwrap();
+        let update = [("on-overload".to_string(), "dead-letter".to_string())];
+        let snap = ops.reload.apply_pairs(&update, "test").unwrap();
+        apply_settings(&snap, ops.reload.sinks(), &mut durable, Some(&server));
+
+        // Nobody drains the queue: the lines past its capacity overflow.
+        let mut text = String::new();
+        for i in 0..10_000 {
+            let _ = writeln!(text, "<14>1 2020-09-13T14:26:40Z h app - - - line {i}");
+        }
+        let mut conn = std::net::TcpStream::connect(server.syslog_tcp_addr().unwrap()).unwrap();
+        conn.write_all(text.as_bytes()).unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        let dead_lettered = || PipelineMetrics::get(&metrics.sources_dead_lettered);
+        while dead_lettered() < 1_000 {
+            assert!(std::time::Instant::now() < deadline, "nothing overflowed");
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        drop(conn);
+        drop(server);
+        let dlq = std::fs::read_to_string(state_dir.join("sources_dead_letter.jsonl"));
+        let written = dlq.unwrap_or_default().lines().count() as u64;
+        assert_eq!(written, dead_lettered(), "every dead-lettered line is kept");
+        std::fs::remove_dir_all(&state_dir).unwrap();
+    }
+
+    /// Booted with `--sink-http … --route-critical file`, a reload to
+    /// `route-critical=none` pages the default sink: the webhook.
+    #[test]
+    fn a_reload_to_route_critical_none_pages_the_default_sink() {
+        use monilog_model::DeliveryClass;
+        use monilog_stream::BufferedReport;
+        let state_dir = std::env::temp_dir().join("monilog_cli_page_route_test");
+        let (settings, sinks) = monitor_settings(&[
+            "--sink-http",
+            "http://127.0.0.1:9/hook",
+            "--route-critical",
+            "file",
+        ]);
+        let setup = build_delivery(&sinks, &settings, &state_dir).unwrap();
+        let mut durable = open_durable(&state_dir, Some(setup));
+        let reload =
+            ReloadableConfig::shared(settings, sinks.names(), None, durable.pipeline().metrics());
+        let update = [("route-critical".to_string(), "none".to_string())];
+        let snap = reload.apply_pairs(&update, "test").unwrap();
+        apply_settings(&snap, reload.sinks(), &mut durable, None);
+        assert!(reload.to_json().contains("\"route-critical\":null"));
+
+        let buffer = |route: &str| {
+            let path = state_dir
+                .join(crate::durable::DELIVERY_DIR)
+                .join(format!("{route}.buf"));
+            std::fs::metadata(path).map_or(0, |m| m.len())
+        };
+        let (webhook, file) = (buffer("webhook"), buffer("file"));
+        let page = BufferedReport {
+            id: 1,
+            class: DeliveryClass::Page,
+            body: "{\"id\":1}".into(),
+        };
+        durable.delivery().unwrap().accept(vec![page]).unwrap();
+        assert!(buffer("webhook") > webhook, "the page went to the webhook");
+        assert_eq!(buffer("file"), file);
+        drop(durable);
+        std::fs::remove_dir_all(&state_dir).unwrap();
+    }
+
+    /// Cursors of an earlier build resume path-keyed, a bare `app.log`
+    /// included: its stored path has parent `""`, the tail's is `.`.
+    #[test]
+    fn tail_patterns_resume_their_files_by_path() {
+        let cursor = |index, path: &str| PersistedTailCursor {
+            index,
+            inode: 7,
+            offset: 40,
+            last_seq: 3,
+            path: path.into(),
+        };
+        let recovered = [
+            cursor(0, "app.log"),
+            cursor(1, "logs/b.log"),
+            cursor(2, "./c.log"),
+        ];
+        let resumes = |pattern| -> Vec<(usize, String, u64)> {
+            tail_resumes(pattern, &recovered, |slot| 5 + slot as u64)
+                .into_iter()
+                .map(|k| (k.slot, k.path.display().to_string(), k.skip_lines))
+                .collect()
+        };
+        assert_eq!(resumes("app.log"), [(0, "./app.log".to_string(), 2)]);
+        assert_eq!(resumes("./app.log"), [(0, "./app.log".to_string(), 2)]);
+        assert_eq!(resumes("logs/b.log"), [(1, "logs/b.log".to_string(), 3)]);
+        assert_eq!(resumes("c.log"), [(2, "./c.log".to_string(), 4)]);
+        let slots: Vec<usize> = resumes("*.log").iter().map(|k| k.0).collect();
+        assert_eq!(slots, [0, 2]);
+        assert!(resumes("logs/a.log").is_empty());
     }
 }

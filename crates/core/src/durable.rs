@@ -767,15 +767,11 @@ impl DurableMoniLog {
         self.report_store = Some(store);
     }
 
-    /// Replace the severity router live (the hot `page-at` /
-    /// `route-critical` reload path). Applies to the next emitted batch.
+    /// Replace the severity router live (the settings apply path: the
+    /// boot snapshot and every `page-at` reload). Applies to the next
+    /// emitted batch.
     pub fn set_router(&mut self, router: SeverityRouter) {
         self.router = router;
-    }
-
-    /// The severity router currently in force.
-    pub fn router(&self) -> &SeverityRouter {
-        &self.router
     }
 
     /// Milliseconds since the last checkpoint (or open). The `/status`

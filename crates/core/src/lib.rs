@@ -23,8 +23,8 @@ pub mod windowing;
 
 pub use durable::{DeliverySetup, DurableConfig, DurableMoniLog, RecoveryStats};
 pub use pipeline::{
-    ClassifiedAnomaly, DetectorChoice, FaultToleranceConfig, HeaderFormatChoice, MoniLog,
-    MoniLogConfig, ObservabilityConfig,
+    ClassifiedAnomaly, DetectorChoice, HeaderFormatChoice, MoniLog, MoniLogConfig,
+    ObservabilityConfig,
 };
 pub use windowing::WindowPolicy;
 

@@ -52,9 +52,6 @@ pub struct MoniLogConfig {
     pub dedup_window: usize,
     pub window: WindowPolicy,
     pub detector: DetectorChoice,
-    /// Overload handling at the network sources (`--on-overload`); the
-    /// facade itself never sheds.
-    pub fault_tolerance: FaultToleranceConfig,
     /// Metrics export (`--metrics-addr`, `--metrics-interval-ms`).
     pub observability: ObservabilityConfig,
 }
@@ -86,14 +83,6 @@ impl Default for ObservabilityConfig {
             flight_capacity: DEFAULT_FLIGHT_CAPACITY,
         }
     }
-}
-
-/// Fault-tolerance knobs surfaced through the CLI (`--on-overload`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct FaultToleranceConfig {
-    /// What a network source does when the ingest queue is saturated:
-    /// pause the sender, shed, or divert to the dead-letter log.
-    pub on_overload: monilog_stream::OverloadPolicy,
 }
 
 /// `HeaderFormat` is not `Copy`; this mirror is, keeping the config plain
@@ -128,7 +117,6 @@ impl Default for MoniLogConfig {
                 max_events: 256,
             },
             detector: DetectorChoice::DeepLog(DeepLogConfig::default()),
-            fault_tolerance: FaultToleranceConfig::default(),
             observability: ObservabilityConfig::default(),
         }
     }

@@ -498,6 +498,7 @@ mod tests {
             StatusBoard::shared(DEFAULT_LATENCY_BUDGET_MS),
             ReloadableConfig::shared(
                 ConfigSnapshot::default(),
+                vec!["file"],
                 None,
                 Arc::clone(registry.counters()),
             ),

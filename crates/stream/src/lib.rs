@@ -91,8 +91,8 @@ pub use sinks::{
 };
 pub use sources::{
     FrameDecoder, FrameError, GlobResume, MetricsEndpoint, SourceEvent, SourceQueue, SourcesConfig,
-    SourcesServer, SyslogMessage, TailCursor, TailGlobSpec, TailSpec, HTTP_SOURCE,
-    SYSLOG_TCP_SOURCE, SYSLOG_UDP_SOURCE, TAIL_SOURCE_BASE,
+    SourcesServer, SyslogMessage, TailCursor, TailGlobSpec, HTTP_SOURCE, SYSLOG_TCP_SOURCE,
+    SYSLOG_UDP_SOURCE, TAIL_SOURCE_BASE,
 };
 pub use trace::{
     SpanRecord, SpanStage, TraceConfig, Tracer, DEFAULT_FLIGHT_CAPACITY, DEFAULT_SAMPLE_RATE,

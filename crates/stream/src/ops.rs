@@ -36,6 +36,12 @@
 //! listener addresses, shard counts, state directory, journal layout —
 //! is structural: changing it means re-binding sockets or re-sharding
 //! state, which is a restart, not a reload.
+//!
+//! The boot configuration is the first snapshot: each of these keys'
+//! CLI flags (`--page-at low` for `page-at=low`) goes through the same
+//! [`apply_key`], so argv, `POST /config` and SIGHUP accept and reject
+//! exactly the same values, and the monitor maps version 0 onto its
+//! components through the same function as every reload.
 
 use crate::config::OverloadPolicy;
 use crate::durable::RotatingLog;
@@ -732,17 +738,19 @@ pub const RELOADABLE_KEYS: [&str; 7] = [
 /// current snapshot each batch ([`ReloadableConfig::current`]) and pushes
 /// any changes into the live components; readers never see a torn or
 /// partially-applied update.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigSnapshot {
-    /// Monotonic generation; 0 is the boot snapshot built from the CLI.
+    /// Monotonic generation; 0 is the boot snapshot built from the CLI
+    /// flags.
     pub version: u64,
     pub on_overload: OverloadPolicy,
     /// Trace one line in N (0 disables span sampling).
     pub trace_sample_rate: u32,
     /// Criticality at or above which reports are paged.
     pub page_at: Criticality,
-    /// Which sink gets the Page class (`http` | `tcp` | `file`), `None`
-    /// for the default file route.
+    /// Which sink gets the Page class (`http` | `tcp` | `file`); `None`
+    /// for the default, the most interactive sink configured (see
+    /// [`ConfigSnapshot::page_sink`]).
     pub route_critical: Option<String>,
     /// Max lines drained from the ingest queue per batch.
     pub batch_lines: usize,
@@ -767,48 +775,56 @@ impl Default for ConfigSnapshot {
     }
 }
 
-fn apply_key(snap: &mut ConfigSnapshot, key: &str, value: &str) -> Result<(), String> {
+/// Parse `value` as a number of at least `min`; the `Err` says why not.
+pub fn at_least<T: std::str::FromStr + PartialOrd + std::fmt::Display>(
+    value: &str,
+    min: T,
+) -> Result<T, String> {
+    match value.parse() {
+        Ok(n) if n >= min => Ok(n),
+        Ok(_) => Err(format!("must be at least {min}")),
+        Err(_) => Err("not a number".to_string()),
+    }
+}
+
+/// Set one reloadable key on `snap` — the only parser of these values,
+/// for the CLI flags, `POST /config` and config files alike. An `Err`
+/// says why the value is invalid.
+pub fn apply_key(snap: &mut ConfigSnapshot, key: &str, value: &str) -> Result<(), String> {
     match key {
         "on-overload" => snap.on_overload = OverloadPolicy::parse(value)?,
-        "trace-sample-rate" => {
-            snap.trace_sample_rate = value
-                .parse()
-                .map_err(|_| format!("bad trace-sample-rate {value:?}"))?;
-        }
+        "trace-sample-rate" => snap.trace_sample_rate = at_least(value, 0)?,
         "page-at" => snap.page_at = parse_criticality(value)?,
         "route-critical" => {
             snap.route_critical = match value {
                 "none" => None,
                 "http" | "tcp" | "file" => Some(value.to_string()),
-                other => {
-                    return Err(format!(
-                        "unknown route-critical {other:?} (expected http|tcp|file|none)"
-                    ))
-                }
+                _ => return Err("expected http, tcp, file or none".to_string()),
             };
         }
-        "batch-lines" => {
-            let n: usize = value
-                .parse()
-                .map_err(|_| format!("bad batch-lines {value:?}"))?;
-            if n == 0 {
-                return Err("batch-lines must be positive".to_string());
-            }
-            snap.batch_lines = n;
-        }
-        "batch-deadline-ms" => {
-            snap.batch_deadline_ms = value
-                .parse()
-                .map_err(|_| format!("bad batch-deadline-ms {value:?}"))?;
-        }
-        "sink-retry-max-ms" => {
-            snap.sink_retry_max_ms = value
-                .parse()
-                .map_err(|_| format!("bad sink-retry-max-ms {value:?}"))?;
-        }
-        other => return Err(format!("key {other:?} is not reloadable")),
+        "batch-lines" => snap.batch_lines = at_least(value, 1)?,
+        "batch-deadline-ms" => snap.batch_deadline_ms = at_least(value, 0)?,
+        "sink-retry-max-ms" => snap.sink_retry_max_ms = at_least(value, 1)?,
+        _ => return Err("not reloadable".to_string()),
     }
     Ok(())
+}
+
+impl ConfigSnapshot {
+    /// The sink that receives page-level reports, given the sinks this
+    /// monitor runs (`sinks`, most interactive first: `http`, `tcp`,
+    /// `file`): the one `route-critical` names, or by default the first.
+    /// An `Err` when `route-critical` names a sink that is not running.
+    pub fn page_sink(&self, sinks: &[&'static str]) -> Result<&'static str, String> {
+        match self.route_critical.as_deref() {
+            None => Ok(sinks.first().copied().unwrap_or("file")),
+            Some(name) => sinks
+                .iter()
+                .copied()
+                .find(|s| *s == name)
+                .ok_or_else(|| format!("route-critical {name} requires --sink-{name}")),
+        }
+    }
 }
 
 /// Split a `POST /config` body or config-file text into key/value pairs.
@@ -832,28 +848,34 @@ pub fn parse_config_pairs(text: &str) -> Result<Vec<(String, String)>, String> {
 
 /// Versioned atomic-swap runtime configuration with an allowlisted key
 /// set, an audit trail in the state dir, and reject-don't-crash
-/// semantics: an invalid update (unknown key, bad value, unreadable
+/// semantics: an invalid update (unknown key, bad value, a
+/// `route-critical` naming a sink the monitor does not run, unreadable
 /// file) leaves the previous snapshot in place and bumps
 /// `config_reload_rejected`.
 #[derive(Debug)]
 pub struct ReloadableConfig {
     current: Mutex<Arc<ConfigSnapshot>>,
+    /// The sinks the monitor runs, which `route-critical` may name.
+    sinks: Vec<&'static str>,
     audit: Option<RotatingLog>,
     counters: Arc<PipelineMetrics>,
 }
 
 impl ReloadableConfig {
-    /// Wrap the boot snapshot (version forced to 0). `audit_path` is the
-    /// append-only reload journal, conventionally
+    /// Wrap the boot snapshot (version forced to 0). `sinks` are the sinks
+    /// the monitor runs (see [`ConfigSnapshot::page_sink`]); `audit_path`
+    /// is the append-only reload journal, conventionally
     /// `<state-dir>/config-audit.log`.
     pub fn shared(
         mut initial: ConfigSnapshot,
+        sinks: Vec<&'static str>,
         audit_path: Option<PathBuf>,
         counters: Arc<PipelineMetrics>,
     ) -> Arc<Self> {
         initial.version = 0;
         Arc::new(ReloadableConfig {
             current: Mutex::new(Arc::new(initial)),
+            sinks,
             // Best-effort like every audit write: a log that cannot be
             // opened leaves reloads unaudited, never refused.
             audit: audit_path.and_then(|p| RotatingLog::unrotated(p).ok()),
@@ -871,6 +893,11 @@ impl ReloadableConfig {
         self.current().version
     }
 
+    /// The sinks the monitor runs, most interactive first.
+    pub fn sinks(&self) -> &[&'static str] {
+        &self.sinks
+    }
+
     /// Apply a set of key/value updates as one new snapshot —
     /// all-or-nothing: any invalid key or value rejects the whole update
     /// and keeps the previous snapshot. `origin` tags the audit record
@@ -886,8 +913,9 @@ impl ReloadableConfig {
             }
             let mut staged = (*self.current()).clone();
             for (k, v) in pairs {
-                apply_key(&mut staged, k, v)?;
+                apply_key(&mut staged, k, v).map_err(|why| format!("{k}={v}: {why}"))?;
             }
+            staged.page_sink(&self.sinks)?;
             Ok(staged)
         })();
         let mut staged = match staged {
@@ -1266,6 +1294,7 @@ mod tests {
         let counters = PipelineMetrics::shared();
         let reload = ReloadableConfig::shared(
             ConfigSnapshot::default(),
+            vec!["file"],
             Some(audit.clone()),
             Arc::clone(&counters),
         );
@@ -1304,8 +1333,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("monilog-ops-sighup-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let counters = PipelineMetrics::shared();
-        let reload =
-            ReloadableConfig::shared(ConfigSnapshot::default(), None, Arc::clone(&counters));
+        let reload = ReloadableConfig::shared(
+            ConfigSnapshot::default(),
+            vec!["file"],
+            None,
+            Arc::clone(&counters),
+        );
 
         // Invalid file: old snapshot kept, rejected counter bumped.
         let bad = dir.join("bad.conf");
@@ -1337,7 +1370,8 @@ mod tests {
     #[test]
     fn reloadable_key_list_matches_the_apply_table() {
         let counters = PipelineMetrics::shared();
-        let reload = ReloadableConfig::shared(ConfigSnapshot::default(), None, counters);
+        let reload =
+            ReloadableConfig::shared(ConfigSnapshot::default(), vec!["file"], None, counters);
         for key in RELOADABLE_KEYS {
             let value = match key {
                 "on-overload" => "block",

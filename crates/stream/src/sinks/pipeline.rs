@@ -158,15 +158,15 @@ struct Shared {
     config: DeliveryConfig,
     metrics: Arc<PipelineMetrics>,
     registry: Arc<MetricsRegistry>,
-    /// Live override for `config.retry.max_backoff`, in milliseconds
-    /// (0 = use the configured value). Set by hot config reload
+    /// The retry backoff cap in force, in milliseconds: opened at
+    /// `config.retry.max_backoff`, then set by hot config reload
     /// (`sink-retry-max-ms`) so an operator can shorten retry stalls on a
     /// recovering sink without a restart.
     retry_max_ms: AtomicU64,
-    /// Live override for the route serving [`DeliveryClass::Page`]: the
-    /// index of the overriding route, or `usize::MAX` for "use the static
-    /// `RouteSpec.classes`". Set by hot config reload (`route-critical`)
-    /// so pages can be re-pointed at a healthier sink without a restart.
+    /// Index of the route serving [`DeliveryClass::Page`]: opened at the
+    /// route whose `RouteSpec.classes` claim it, then set by hot config
+    /// reload (`route-critical`) so pages can be re-pointed at a
+    /// healthier sink without a restart.
     page_route: AtomicUsize,
     /// Serialises drain ticks (worker vs explicit flush). Never taken by
     /// `accept`.
@@ -175,16 +175,22 @@ struct Shared {
 }
 
 impl Shared {
-    /// The retry policy currently in force (configured values with the
-    /// hot override applied).
+    /// The retry policy currently in force.
     fn retry(&self) -> RetryPolicy {
-        let mut policy = self.config.retry;
-        let over = self.retry_max_ms.load(Ordering::Relaxed);
-        if over > 0 {
-            policy.max_backoff = Duration::from_millis(over);
+        RetryPolicy {
+            max_backoff: Duration::from_millis(self.retry_max_ms.load(Ordering::Relaxed)),
+            ..self.config.retry
         }
-        policy
     }
+}
+
+/// The first route whose `RouteSpec.classes` claim `class`, else the last
+/// route (the fallback).
+fn static_route(routes: &[Arc<Route>], class: DeliveryClass) -> usize {
+    routes
+        .iter()
+        .position(|r| r.classes.contains(&class))
+        .unwrap_or(routes.len() - 1)
 }
 
 /// Cloneable handle to the delivery pipeline.
@@ -240,14 +246,15 @@ impl DeliveryPipeline {
                 spill,
             }));
         }
+        let static_page_route = static_route(&routes, DeliveryClass::Page);
         Ok(DeliveryPipeline {
             shared: Arc::new(Shared {
+                retry_max_ms: AtomicU64::new(config.retry.max_backoff.as_millis() as u64),
+                page_route: AtomicUsize::new(static_page_route),
                 routes,
                 config,
                 metrics,
                 registry,
-                retry_max_ms: AtomicU64::new(0),
-                page_route: AtomicUsize::new(usize::MAX),
                 pump_lock: Mutex::new(()),
                 doorbell: Doorbell::default(),
             }),
@@ -256,34 +263,25 @@ impl DeliveryPipeline {
 
     /// Index of the route serving `class`.
     fn route_index(&self, class: DeliveryClass) -> usize {
-        if class == DeliveryClass::Page {
-            let over = self.shared.page_route.load(Ordering::Relaxed);
-            if over < self.shared.routes.len() {
-                return over;
-            }
+        match class {
+            DeliveryClass::Page => self.shared.page_route.load(Ordering::Relaxed),
+            _ => static_route(&self.shared.routes, class),
         }
-        self.shared
-            .routes
-            .iter()
-            .position(|r| r.classes.contains(&class))
-            .unwrap_or(self.shared.routes.len() - 1)
     }
 
-    /// Re-point [`DeliveryClass::Page`] at the named route (the hot
-    /// `route-critical` reload); `None` restores the static routing.
-    /// Returns false (and changes nothing) if no route has that name.
-    /// Only affects reports accepted after the call — already-buffered
-    /// reports drain through the route they were appended to.
-    pub fn set_page_route(&self, name: Option<&str>) -> bool {
-        let index = match name {
-            None => usize::MAX,
-            Some(n) => match self.shared.routes.iter().position(|r| r.name == n) {
-                Some(i) => i,
-                None => return false,
-            },
-        };
-        self.shared.page_route.store(index, Ordering::Relaxed);
-        true
+    /// Point [`DeliveryClass::Page`] at the named route (the hot
+    /// `route-critical` reload). Returns false (and changes nothing) if no
+    /// route has that name. Only affects reports accepted after the call —
+    /// already-buffered reports drain through the route they were
+    /// appended to.
+    pub fn set_page_route(&self, name: &str) -> bool {
+        match self.shared.routes.iter().position(|r| r.name == name) {
+            Some(index) => {
+                self.shared.page_route.store(index, Ordering::Relaxed);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Durably accept reports: append to the matching route buffers and
@@ -551,14 +549,13 @@ impl DeliveryPipeline {
             .sum()
     }
 
-    /// Cap every future retry backoff at `ms` milliseconds (0 restores
-    /// the configured cap). The hot `sink-retry-max-ms` reload path.
+    /// Cap every future retry backoff at `ms` milliseconds. The hot
+    /// `sink-retry-max-ms` reload path.
     pub fn set_retry_max_ms(&self, ms: u64) {
         self.shared.retry_max_ms.store(ms, Ordering::Relaxed);
     }
 
-    /// The retry policy currently in force (configured values plus any
-    /// live override).
+    /// The retry policy currently in force.
     pub fn retry_policy(&self) -> RetryPolicy {
         self.shared.retry()
     }
@@ -862,11 +859,11 @@ mod tests {
         p.accept(vec![report(1, DeliveryClass::Page)]).unwrap();
         // Re-point pages at the file route; an unknown route is refused
         // and changes nothing.
-        assert!(!p.set_page_route(Some("nope")));
-        assert!(p.set_page_route(Some("file")));
+        assert!(!p.set_page_route("nope"));
+        assert!(p.set_page_route("file"));
         p.accept(vec![report(2, DeliveryClass::Page)]).unwrap();
-        // Clearing the override restores the static RouteSpec routing.
-        assert!(p.set_page_route(None));
+        // Pointing pages back at the webhook route restores its routing.
+        assert!(p.set_page_route("webhook"));
         p.accept(vec![report(3, DeliveryClass::Page)]).unwrap();
         p.pump_once(Instant::now()).unwrap();
         assert_eq!(*page.delivered.lock().unwrap(), vec![1, 3]);
@@ -940,9 +937,6 @@ mod tests {
         let rep = p.pump_once(t0 + Duration::from_millis(60)).unwrap();
         assert_eq!(rep.delivered, 1);
         assert_eq!(*handle.delivered.lock().unwrap(), vec![9]);
-        // Clearing the override restores the configured cap.
-        p.set_retry_max_ms(0);
-        assert_eq!(p.retry_policy().max_backoff, Duration::from_secs(10));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -40,7 +40,7 @@ mod tail;
 
 pub use framing::{FrameDecoder, FrameError};
 pub use syslog::{parse_syslog, SyslogMessage};
-pub use tail::{glob_match, GlobResume, TailCursor, TailGlobSpec, TailSpec, MAX_TAIL_SLOTS};
+pub use tail::{glob_match, GlobResume, TailCursor, TailGlobSpec, MAX_TAIL_SLOTS};
 
 use crate::config::OverloadPolicy;
 use crate::durable::DeadLetterLog;
@@ -98,9 +98,9 @@ pub struct SourcesConfig {
     pub syslog_tcp: Option<SocketAddr>,
     pub syslog_udp: Option<SocketAddr>,
     pub http: Option<SocketAddr>,
-    pub tails: Vec<TailSpec>,
-    /// Glob tails (`--tail 'dir/app-*.log'`): the directory is rescanned
-    /// at runtime and every newly matching file gets its own tail slot.
+    /// File tails (`--tail dir/app.log`, `--tail 'dir/app-*.log'`): the
+    /// directory is rescanned at runtime and every matching file gets its
+    /// own tail slot; a literal basename matches one file.
     pub tail_globs: Vec<TailGlobSpec>,
     /// Bound on queued-but-not-consumed lines across all sources.
     pub queue_capacity: usize,
@@ -125,7 +125,6 @@ impl Default for SourcesConfig {
             syslog_tcp: None,
             syslog_udp: None,
             http: None,
-            tails: Vec::new(),
             tail_globs: Vec::new(),
             queue_capacity: 8192,
             max_frame_bytes: 1024 * 1024,
@@ -266,12 +265,11 @@ struct Shared {
     /// monotonically decreasing-from-max seq — the real journal seq is
     /// assigned by the consumer, which these lines never reach.
     dlq_seq: AtomicUsize,
-    /// Next free tail slot for glob-discovered files, seeded above every
-    /// static tail and every slot recovered from the checkpoint manifest.
+    /// Next free tail slot for discovered files, seeded above every slot
+    /// recovered from the checkpoint manifest.
     next_tail_slot: AtomicUsize,
-    /// Every live tail as `(slot, path)` — static and glob-discovered —
-    /// so the consumer can persist path-keyed cursors for files it never
-    /// saw in its configuration ([`SourcesServer::tail_paths`]).
+    /// Every live tail as `(slot, path)`, so the consumer can persist
+    /// path-keyed cursors ([`SourcesServer::tail_paths`]).
     tail_registry: std::sync::Mutex<Vec<(usize, std::path::PathBuf)>>,
 }
 
@@ -311,21 +309,16 @@ impl Shared {
             capacity: config.queue_capacity.max(1),
             needs_wake: needs_wake.clone(),
         };
-        // Glob slots start above every static tail and every slot a
-        // previous life handed out (recovered through `known`), so a
-        // restart never reassigns a slot to a different file.
-        let mut next_tail_slot = config.tails.len();
-        for glob in &config.tail_globs {
-            for k in &glob.known {
-                next_tail_slot = next_tail_slot.max(k.slot + 1);
-            }
-        }
-        let static_tails: Vec<(usize, std::path::PathBuf)> = config
-            .tails
+        // Tail slots start above every slot a previous life handed out
+        // (recovered through `known`), so a restart never reassigns a slot
+        // to a different file.
+        let next_tail_slot = config
+            .tail_globs
             .iter()
-            .enumerate()
-            .map(|(i, spec)| (i, spec.path.clone()))
-            .collect();
+            .flat_map(|glob| &glob.known)
+            .map(|k| k.slot + 1)
+            .max()
+            .unwrap_or(0);
         let shared = Arc::new(Shared {
             tx: queue_tx,
             metrics: registry.counters().clone(),
@@ -337,7 +330,7 @@ impl Shared {
             assumed_year: config.assumed_year,
             dlq_seq: AtomicUsize::new(0),
             next_tail_slot: AtomicUsize::new(next_tail_slot),
-            tail_registry: std::sync::Mutex::new(static_tails),
+            tail_registry: std::sync::Mutex::new(Vec::new()),
         });
 
         let queue = SourceQueue {
@@ -455,13 +448,6 @@ impl SourcesServer {
             let shared = shared.clone();
             http_addr = Some(event_loop.listen(addr, move |conn| http::serve(conn, &shared))?);
         }
-        for (index, spec) in config.tails.iter().enumerate() {
-            event_loop.register_timer(Box::new(tail::FileTailHandler::new(
-                spec.clone(),
-                index,
-                shared.clone(),
-            )));
-        }
         for glob in &config.tail_globs {
             event_loop.register_timer(Box::new(tail::GlobTailHandler::new(
                 glob.clone(),
@@ -537,10 +523,10 @@ impl SourcesServer {
         self.mailbox.clone()
     }
 
-    /// Every live tail as `(slot, path)` — static tails plus files a glob
-    /// discovered at runtime. The consumer resolves the path of a cursor
-    /// index it has never seen here, so the persisted cursor stays
-    /// path-keyed and survives restarts.
+    /// Every live tail as `(slot, path)`: the files the tails discovered.
+    /// The consumer resolves the path of a cursor index it has never seen
+    /// here, so the persisted cursor stays path-keyed and survives
+    /// restarts.
     pub fn tail_paths(&self) -> Vec<(usize, std::path::PathBuf)> {
         self.shared
             .tail_registry

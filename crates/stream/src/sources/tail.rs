@@ -15,14 +15,15 @@
 //! are always "ready"; readiness APIs are useless for them), polling at the
 //! loop tick.
 //!
-//! A `--tail` argument whose basename contains `*` or `?` is a glob: a
-//! [`GlobTailHandler`] rescans the parent directory on a timer and
-//! registers a fresh [`FileTailHandler`] for every newly matching file —
-//! discovery at runtime, not just at startup. Each discovered file gets a
-//! stable slot (hence a stable `SourceId`) from a shared allocator, and
-//! the `(slot, path)` pair is recorded in the server's tail registry so
-//! the consumer can persist *path-keyed* cursors for files it never saw in
-//! its static configuration.
+//! Every `--tail` argument is a pattern whose basename may contain `*` or
+//! `?` (a literal basename matches one file): a [`GlobTailHandler`]
+//! rescans the parent directory on a timer and registers a fresh
+//! [`FileTailHandler`] for every newly matching file — discovery at
+//! runtime, not just at startup. Each discovered file gets a stable slot
+//! (hence a stable `SourceId`) from a shared allocator, and the
+//! `(slot, path)` pair is recorded in the server's tail registry so the
+//! consumer can persist *path-keyed* cursors, which resume a file at its
+//! own slot whatever the order of the flags.
 
 use super::{Shared, SourceEvent, TAIL_SOURCE_BASE};
 use crate::net::{Handler, Interest, LoopCtx, Next};
@@ -60,29 +61,19 @@ pub struct TailCursor {
     pub last_seq: u64,
 }
 
-/// One file to tail.
+/// One discovered file to tail.
 #[derive(Debug, Clone)]
-pub struct TailSpec {
-    pub path: PathBuf,
+pub(super) struct TailSpec {
+    path: PathBuf,
     /// Recovered cursor from the checkpoint manifest, if any.
-    pub resume: Option<TailCursor>,
+    resume: Option<TailCursor>,
     /// Lines journaled past the checkpointed cursor (replayed from the
     /// WAL); the tail skips this many lines after seeking.
-    pub skip_lines: u64,
+    skip_lines: u64,
 }
 
-impl TailSpec {
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        TailSpec {
-            path: path.into(),
-            resume: None,
-            skip_lines: 0,
-        }
-    }
-}
-
-/// A glob tail: `dir/pattern` where the basename carries `*`/`?`
-/// wildcards. The directory part is literal.
+/// A tail: `dir/pattern` where the basename may carry `*`/`?` wildcards.
+/// The directory part is literal.
 #[derive(Debug, Clone)]
 pub struct TailGlobSpec {
     /// Full pattern as configured (e.g. `/var/log/app-*.log`).
@@ -524,9 +515,29 @@ mod tests {
         ))
     }
 
+    impl TailSpec {
+        fn new(path: impl Into<PathBuf>) -> Self {
+            TailSpec {
+                path: path.into(),
+                resume: None,
+                skip_lines: 0,
+            }
+        }
+    }
+
+    /// Tail the one file `spec` names, resuming from its cursor.
     fn spawn_tail(spec: TailSpec, queue_capacity: usize) -> (SourcesServer, SourceQueue) {
+        let known = spec.resume.map(|resume| GlobResume {
+            slot: 0,
+            path: spec.path.clone(),
+            resume,
+            skip_lines: spec.skip_lines,
+        });
         let cfg = SourcesConfig {
-            tails: vec![spec],
+            tail_globs: vec![TailGlobSpec {
+                pattern: spec.path,
+                known: known.into_iter().collect(),
+            }],
             queue_capacity,
             assumed_year: 2026,
             ..SourcesConfig::default()

@@ -17,7 +17,6 @@ use monilog_core::stream::{
     FailureReason, FaultPlan, OverloadPolicy, RetryPolicy, SubmitOutcome, SupervisedParseService,
     SupervisorConfig,
 };
-use monilog_core::FaultToleranceConfig;
 use monilog_loggen::{HdfsWorkload, HdfsWorkloadConfig};
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicU64;
@@ -39,13 +38,13 @@ fn corpus(n: usize, seed: u64) -> Vec<String> {
         .collect()
 }
 
-/// The facade's overload policy on a supervisor config, tightened for
-/// fast tests (short heartbeats, microsecond backoff).
-fn test_config(fault: FaultToleranceConfig) -> SupervisorConfig {
+/// An overload policy on a supervisor config, tightened for fast tests
+/// (short heartbeats, microsecond backoff).
+fn test_config(overload: OverloadPolicy) -> SupervisorConfig {
     SupervisorConfig {
         n_shards: 2,
         capacity: 64,
-        overload: fault.on_overload,
+        overload,
         heartbeat_interval: Duration::from_millis(5),
         retry: RetryPolicy {
             base_backoff: Duration::from_micros(100),
@@ -114,9 +113,9 @@ fn chaos_run_recovers_and_matches_fault_free_template_ids() {
 
     // Fault-free baseline: record the template id of every sequence
     // number, and where template discovery ends.
-    let fault_cfg = FaultToleranceConfig::default();
+    let overload = OverloadPolicy::default();
     let mut baseline_svc =
-        SupervisedParseService::spawn(test_config(fault_cfg)).expect("valid config");
+        SupervisedParseService::spawn(test_config(overload)).expect("valid config");
     let baseline_out = pump(&baseline_svc, &lines);
     let metrics = baseline_svc.metrics();
     baseline_svc.close();
@@ -144,7 +143,7 @@ fn chaos_run_recovers_and_matches_fault_free_template_ids() {
     // supervisor must neither kill the (blocked, healthy) workers nor
     // deadlock when consumption resumes.
     let mut chaos_svc =
-        SupervisedParseService::spawn_with_injector(test_config(fault_cfg), Some(plan.injector()))
+        SupervisedParseService::spawn_with_injector(test_config(overload), Some(plan.injector()))
             .expect("valid config");
     let chaos_out = pump_with_stall(&chaos_svc, &lines, Some(60));
     let metrics = chaos_svc.metrics();
@@ -178,7 +177,7 @@ fn chaos_run_recovers_and_matches_fault_free_template_ids() {
     );
     // Poison lines retry max_retries times before quarantine; transient
     // lines are rescued by their single retry.
-    let retry = test_config(fault_cfg).retry;
+    let retry = test_config(overload).retry;
     assert_eq!(
         get(&metrics.retries_attempted),
         2 * u64::from(retry.max_retries) + 3
@@ -211,10 +210,7 @@ fn chaos_run_recovers_and_matches_fault_free_template_ids() {
 #[test]
 fn facade_shed_policy_degrades_gracefully_under_saturation() {
     let lines = corpus(200, 11);
-    let fault = FaultToleranceConfig {
-        on_overload: OverloadPolicy::ShedToCatchAll,
-    };
-    let mut cfg = test_config(fault);
+    let mut cfg = test_config(OverloadPolicy::ShedToCatchAll);
     cfg.n_shards = 1;
     cfg.capacity = 2;
     let mut service = SupervisedParseService::spawn(cfg).expect("valid config");
@@ -248,10 +244,7 @@ fn facade_shed_policy_degrades_gracefully_under_saturation() {
 #[test]
 fn facade_dead_letter_policy_diverts_under_saturation() {
     let lines = corpus(200, 12);
-    let fault = FaultToleranceConfig {
-        on_overload: OverloadPolicy::DeadLetter,
-    };
-    let mut cfg = test_config(fault);
+    let mut cfg = test_config(OverloadPolicy::DeadLetter);
     cfg.n_shards = 1;
     cfg.capacity = 2;
     let mut service = SupervisedParseService::spawn(cfg).expect("valid config");
@@ -286,7 +279,7 @@ fn facade_dead_letter_policy_diverts_under_saturation() {
 #[test]
 fn facade_block_policy_preserves_backpressure_with_slow_consumer() {
     let lines = corpus(150, 13);
-    let mut cfg = test_config(FaultToleranceConfig::default());
+    let mut cfg = test_config(OverloadPolicy::default());
     cfg.capacity = 8;
     let mut service = SupervisedParseService::spawn(cfg).expect("valid config");
 
@@ -325,7 +318,7 @@ fn dropping_a_service_mid_chaos_does_not_deadlock() {
     let lines = corpus(60, 14);
     let plan = FaultPlan::new().crash_every(5).poison([7, 23]);
     let service = SupervisedParseService::spawn_with_injector(
-        test_config(FaultToleranceConfig::default()),
+        test_config(OverloadPolicy::default()),
         Some(plan.injector()),
     )
     .expect("valid config");
@@ -414,7 +407,7 @@ fn crash_loop_degradation_dumps_the_flight_recorder() {
         2,
     );
     let plan = FaultPlan::new().crash_every(1);
-    let mut cfg = test_config(FaultToleranceConfig::default());
+    let mut cfg = test_config(OverloadPolicy::default());
     cfg.n_shards = 1;
     cfg.capacity = 8;
     cfg.max_consecutive_crashes = 2;
@@ -472,7 +465,7 @@ fn quarantine_dumps_the_flight_recorder() {
     );
     let plan = FaultPlan::new().poison([3]);
     let service = SupervisedParseService::spawn_with_tracer(
-        test_config(FaultToleranceConfig::default()),
+        test_config(OverloadPolicy::default()),
         Some(plan.injector()),
         Some(std::sync::Arc::clone(&tracer)),
     )

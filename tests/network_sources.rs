@@ -4,7 +4,8 @@
 //! source queue must wire cleanly into the batched `submit_batch` path.
 
 use monilog_core::cli::{run, CliCommand, DurableOptions, HeaderChoice, SourcesOptions};
-use monilog_core::{FaultToleranceConfig, ObservabilityConfig};
+use monilog_core::stream::ConfigSnapshot;
+use monilog_core::ObservabilityConfig;
 use monilog_loggen::{GenLog, HdfsWorkload, HdfsWorkloadConfig};
 use monilog_stream::sources::parse_syslog;
 use monilog_stream::{FrameDecoder, SourcesConfig, SourcesServer};
@@ -76,8 +77,6 @@ fn durable_opts(state_dir: &Path) -> DurableOptions {
         sinks: None,
         config_file: None,
         latency_budget_ms: 250,
-        batch_lines: None,
-        batch_deadline_ms: None,
     }
 }
 
@@ -142,7 +141,7 @@ fn syslog_fed_monitor_matches_file_fed_reference() {
         sources: None,
         checkpoint: ckpt.to_string_lossy().into_owned(),
         format: HeaderChoice::Dash,
-        fault: FaultToleranceConfig::default(),
+        settings: ConfigSnapshot::default(),
         observability: ObservabilityConfig::default(),
         trace_out: None,
         durable: Some(durable_opts(&ref_state)),
@@ -163,7 +162,7 @@ fn syslog_fed_monitor_matches_file_fed_reference() {
         }),
         checkpoint: ckpt.to_string_lossy().into_owned(),
         format: HeaderChoice::Dash,
-        fault: FaultToleranceConfig::default(),
+        settings: ConfigSnapshot::default(),
         observability: ObservabilityConfig::default(),
         trace_out: None,
         durable: Some(durable_opts(&net_state)),
@@ -200,6 +199,54 @@ fn syslog_fed_monitor_matches_file_fed_reference() {
         got, expected,
         "syslog-framed ingest must be byte-identical to file ingest"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Tails resume by path: a restart with the `--tail` flags in the other
+/// order picks each file up at its own cursor, so every line is journaled
+/// once.
+#[test]
+fn reordered_tails_resume_each_file_by_path() {
+    let dir = tmp_dir("tail-order");
+    let ckpt = train_checkpoint(&dir);
+    let lines = live_lines();
+    let (a, b) = (dir.join("a.log"), dir.join("b.log"));
+    let chunk = lines.len() / 4;
+    let text = |part: &[String]| format!("{}\n", part.join("\n"));
+    std::fs::write(&a, text(&lines[..chunk])).unwrap();
+    std::fs::write(&b, text(&lines[chunk..2 * chunk])).unwrap();
+
+    std::env::set_var("MONILOG_IDLE_EXIT_MS", "1500");
+    let state = dir.join("state");
+    let monitor = |tails: [&Path; 2]| {
+        run(CliCommand::Monitor {
+            logfile: None,
+            sources: Some(SourcesOptions {
+                tails: tails.map(|p| p.to_string_lossy().into_owned()).to_vec(),
+                ..SourcesOptions::default()
+            }),
+            checkpoint: ckpt.to_string_lossy().into_owned(),
+            format: HeaderChoice::Dash,
+            settings: ConfigSnapshot::default(),
+            observability: ObservabilityConfig::default(),
+            trace_out: None,
+            durable: Some(durable_opts(&state)),
+        })
+        .expect("tail run succeeds")
+    };
+    let report = monitor([&a, &b]);
+    let first = format!("monitored {} lines from network sources", 2 * chunk);
+    assert!(report.contains(&first), "{report}");
+
+    let append = |path: &Path, part: &[String]| {
+        let mut f = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+        f.write_all(text(part).as_bytes()).unwrap();
+    };
+    append(&a, &lines[2 * chunk..3 * chunk]);
+    append(&b, &lines[3 * chunk..4 * chunk]);
+    let report = monitor([&b, &a]);
+    let second = format!("monitored {} lines from network sources", 2 * chunk);
+    assert!(report.contains(&second), "{report}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
