@@ -20,220 +20,45 @@
 //! All assertions are hard gates — the binary exits non-zero on any
 //! violation. With `--check` the results artifact is not rewritten.
 
-use monilog_loggen::{GenLog, HdfsWorkload, HdfsWorkloadConfig};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use monilog_bench::gate::{
+    assert_same_reports, dir_bytes, fail, numbers_in_line, report_keys, wait_until, write_workload,
+    Gate,
+};
+use monilog_loggen::{HdfsWorkload, HdfsWorkloadConfig};
+use std::path::Path;
+use std::time::Duration;
 
-/// How long to wait for any single child process or poll condition.
-const WAIT_BUDGET: Duration = Duration::from_secs(180);
 /// Acceptance bound on recovery replay time.
 const REPLAY_BUDGET_MS: u64 = 5_000;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("FAIL: {msg}");
-    std::process::exit(1);
-}
-
-/// The `monilog` binary next to this experiment binary.
-fn monilog_bin() -> PathBuf {
-    let exe = std::env::current_exe().expect("current_exe");
-    let mut dir = exe.parent().expect("exe dir").to_path_buf();
-    if dir.ends_with("deps") {
-        dir.pop();
-    }
-    let bin = dir.join("monilog");
-    if !bin.exists() {
-        fail(&format!(
-            "{} not found — build it first: cargo build --release -p monilog-core",
-            bin.display()
-        ));
-    }
-    bin
-}
-
-fn write_workload(path: &Path, logs: &[GenLog]) {
-    let text: Vec<String> = logs.iter().map(|l| l.record.to_line()).collect();
-    std::fs::write(path, text.join("\n")).expect("workload file writable");
-}
 
 /// Monitor argv for one state directory (fsync every line: worst-case
 /// durability, and it slows the run enough to kill mid-stream).
 fn monitor_args(live: &Path, ckpt: &Path, state: &Path) -> Vec<String> {
-    vec![
-        "monitor".into(),
-        live.display().to_string(),
-        "--checkpoint".into(),
-        ckpt.display().to_string(),
-        "--state-dir".into(),
-        state.display().to_string(),
-        "--journal-fsync-ms".into(),
-        "0".into(),
-        "--checkpoint-interval-ms".into(),
-        "100".into(),
+    [
+        "monitor",
+        &live.display().to_string(),
+        "--checkpoint",
+        &ckpt.display().to_string(),
+        "--state-dir",
+        &state.display().to_string(),
+        "--journal-fsync-ms",
+        "0",
+        "--checkpoint-interval-ms",
+        "100",
     ]
+    .map(String::from)
+    .to_vec()
 }
 
-/// Spawn a monitor and a drainer thread for its stdout (the report is
-/// printed in one burst at exit; draining keeps the pipe from blocking).
-fn spawn_monitor(args: &[String]) -> (Child, std::thread::JoinHandle<String>) {
-    let mut child = Command::new(monilog_bin())
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .unwrap_or_else(|e| fail(&format!("spawn monilog: {e}")));
-    let mut stdout = child.stdout.take().expect("piped stdout");
-    let reader = std::thread::spawn(move || {
-        use std::io::Read as _;
-        let mut buf = String::new();
-        let _ = stdout.read_to_string(&mut buf);
-        buf
-    });
-    (child, reader)
-}
-
-/// Run a monitor to completion, returning its stdout.
-fn run_monitor(args: &[String]) -> String {
-    let (mut child, reader) = spawn_monitor(args);
-    let status = child.wait().expect("wait");
-    let out = reader.join().expect("reader thread");
-    if !status.success() {
-        fail(&format!("monitor exited with {status}:\n{out}"));
-    }
-    out
-}
-
-/// Total bytes under the journal directory of a state dir.
-fn journal_bytes(state: &Path) -> u64 {
-    let Ok(entries) = std::fs::read_dir(state.join("journal")) else {
-        return 0;
-    };
-    entries
-        .flatten()
-        .filter_map(|e| e.metadata().ok())
-        .map(|m| m.len())
-        .sum()
-}
-
-/// Block until the monitor has made real progress (journal on disk),
-/// failing if it exits first — the workload must outlast the signal.
-fn wait_for_progress(child: &mut Child, state: &Path, label: &str) {
-    let deadline = Instant::now() + WAIT_BUDGET;
-    loop {
-        if journal_bytes(state) >= 32_768 {
-            return;
-        }
-        if let Some(status) = child.try_wait().expect("try_wait") {
-            fail(&format!(
-                "{label}: monitor finished ({status}) before it could be signalled — \
-                 grow the live workload"
-            ));
-        }
-        if Instant::now() > deadline {
-            fail(&format!(
-                "{label}: no journal progress within the wait budget"
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
-/// `(id, kind, score)` per sink line — the identity of a report. Trace
-/// ids are sampling-dependent and deliberately excluded.
-fn report_keys(sink: &Path) -> Vec<(u64, String, String)> {
-    let body = std::fs::read_to_string(sink)
-        .unwrap_or_else(|e| fail(&format!("read {}: {e}", sink.display())));
-    let mut keys = Vec::new();
-    for line in body.lines() {
-        let Some((id, kind, score)) = parse_key(line) else {
-            fail(&format!(
-                "unparseable sink line in {}: {line}",
-                sink.display()
-            ));
-        };
-        keys.push((id, kind, score));
-    }
-    keys
-}
-
-fn parse_key(line: &str) -> Option<(u64, String, String)> {
-    let id: u64 = {
-        let rest = line.strip_prefix("{\"id\":")?;
-        rest[..rest.find(',')?].parse().ok()?
-    };
-    let kind = {
-        let at = line.find("\"kind\":\"")? + 8;
-        let end = line[at..].find('"')? + at;
-        line[at..end].to_string()
-    };
-    let score = {
-        let at = line.find("\"score\":")? + 8;
-        let end = line[at..].find(',')? + at;
-        line[at..end].to_string()
-    };
-    Some((id, kind, score))
-}
-
-/// Extract `recovery: replayed N journal lines in M ms` from monitor output.
+/// `(replayed lines, replay ms)` from a monitor's recovery line.
 fn replay_stats(out: &str) -> (u64, u64) {
-    let line = out
-        .lines()
-        .find(|l| l.starts_with("recovery: replayed"))
-        .unwrap_or_else(|| fail(&format!("no replay line in output:\n{out}")));
-    let nums: Vec<u64> = line
-        .split(|c: char| !c.is_ascii_digit())
-        .filter(|s| !s.is_empty())
-        .map(|s| s.parse().expect("digits"))
-        .collect();
+    let nums = numbers_in_line(out, "recovery: replayed");
     (nums[0], nums[1])
 }
 
-fn assert_identical(label: &str, got: &[(u64, String, String)], want: &[(u64, String, String)]) {
-    let mut ids: Vec<u64> = got.iter().map(|k| k.0).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    if ids.len() != got.len() {
-        fail(&format!(
-            "{label}: duplicate report ids in the anomaly sink"
-        ));
-    }
-    let mut got_sorted = got.to_vec();
-    let mut want_sorted = want.to_vec();
-    got_sorted.sort();
-    want_sorted.sort();
-    if got_sorted != want_sorted {
-        fail(&format!(
-            "{label}: anomaly set diverged from the uninterrupted reference \
-             ({} vs {} reports)",
-            got.len(),
-            want.len()
-        ));
-    }
-}
-
 fn main() {
-    println!("# D5 — crash recovery and graceful drain\n");
-    let check = std::env::args().any(|a| a == "--check");
-    let bin = monilog_bin();
-    println!("driving {}", bin.display());
-
-    let dir = std::env::temp_dir().join(format!("monilog-exp-d5-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let train_file = dir.join("train.log");
-    let live_file = dir.join("live.log");
-    let ckpt = dir.join("model.mlcp");
-
-    let training = HdfsWorkload::new(HdfsWorkloadConfig {
-        n_sessions: 200,
-        sequential_anomaly_rate: 0.0,
-        quantitative_anomaly_rate: 0.0,
-        seed: 6,
-        start_ms: 1_600_000_000_000,
-    })
-    .generate();
-    write_workload(&train_file, &training);
+    let gate = Gate::start("d5_recovery", "D5 — crash recovery and graceful drain");
+    let live_file = gate.path("live.log");
     let live = HdfsWorkload::new(HdfsWorkloadConfig {
         n_sessions: 800,
         sequential_anomaly_rate: 0.15,
@@ -244,24 +69,17 @@ fn main() {
     .generate();
     write_workload(&live_file, &live);
     println!("live stream: {} lines", live.len());
-
-    let status = Command::new(&bin)
-        .args([
-            "train",
-            &train_file.display().to_string(),
-            "--checkpoint",
-            &ckpt.display().to_string(),
-        ])
-        .stdout(Stdio::null())
-        .status()
-        .expect("run train");
-    if !status.success() {
-        fail("training run failed");
-    }
+    let ckpt = gate.train();
 
     // 1. Reference: uninterrupted durable run.
-    let ref_state = dir.join("state-ref");
-    let out = run_monitor(&monitor_args(&live_file, &ckpt, &ref_state));
+    let ref_state = gate.path("state-ref");
+    let out = gate
+        .spawn(
+            "reference",
+            &monitor_args(&live_file, &ckpt, &ref_state),
+            &[],
+        )
+        .wait_ok();
     let reference = report_keys(&ref_state.join("anomalies.jsonl"));
     if reference.is_empty() {
         fail("reference run found no anomalies — nothing to compare");
@@ -273,16 +91,17 @@ fn main() {
     }
 
     // 2. SIGKILL mid-stream, then restart on the same state dir.
-    let kill_state = dir.join("state-kill");
+    let kill_state = gate.path("state-kill");
     let args = monitor_args(&live_file, &ckpt, &kill_state);
-    let (mut child, reader) = spawn_monitor(&args);
-    wait_for_progress(&mut child, &kill_state, "sigkill");
+    let mut child = gate.spawn("sigkill", &args, &[]);
+    // The workload must outlast the signal.
+    wait_until(&mut child, "journal progress", || {
+        dir_bytes(&kill_state.join("journal")) >= 32_768
+    });
     // Let checkpoints and more journal accumulate past first progress.
     std::thread::sleep(Duration::from_millis(150));
-    child.kill().expect("SIGKILL");
-    let _ = child.wait();
-    drop(reader);
-    let restart_out = run_monitor(&args);
+    child.kill();
+    let restart_out = gate.spawn("sigkill-restart", &args, &[]).wait_ok();
     let (kill_replayed, kill_replay_ms) = replay_stats(&restart_out);
     println!("sigkill: restart replayed {kill_replayed} journal lines in {kill_replay_ms} ms");
     if kill_replay_ms >= REPLAY_BUDGET_MS {
@@ -291,55 +110,42 @@ fn main() {
         ));
     }
     let killed = report_keys(&kill_state.join("anomalies.jsonl"));
-    assert_identical("sigkill", &killed, &reference);
+    assert_same_reports("sigkill", &killed, &reference);
     println!(
         "sigkill: anomaly set identical to reference ({} reports)",
         killed.len()
     );
 
     // 3. SIGTERM mid-stream (graceful drain), then restart.
-    let term_state = dir.join("state-term");
+    let term_state = gate.path("state-term");
     let args = monitor_args(&live_file, &ckpt, &term_state);
-    let (mut child, reader) = spawn_monitor(&args);
-    wait_for_progress(&mut child, &term_state, "sigterm");
-    let term_status = Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
-        .status()
-        .expect("send SIGTERM");
-    if !term_status.success() {
-        fail("kill -TERM failed");
-    }
-    let status = child.wait().expect("wait");
-    let drained_out = reader.join().expect("reader thread");
+    let mut child = gate.spawn("sigterm", &args, &[]);
+    wait_until(&mut child, "journal progress", || {
+        dir_bytes(&term_state.join("journal")) >= 32_768
+    });
+    child.sigterm();
+    let (status, drained_out) = child.wait();
     if !status.success() {
         fail(&format!("SIGTERM must exit cleanly, got {status}"));
     }
     if !drained_out.contains("drained gracefully") {
         fail(&format!("drain not reported:\n{drained_out}"));
     }
-    let restart_out = run_monitor(&args);
+    let restart_out = gate.spawn("sigterm-restart", &args, &[]).wait_ok();
     let (term_replayed, _) = replay_stats(&restart_out);
     println!("sigterm: drained cleanly; restart replayed {term_replayed} journal lines");
     if term_replayed != 0 {
         fail("graceful drain must leave zero journal lines to replay");
     }
     let termed = report_keys(&term_state.join("anomalies.jsonl"));
-    assert_identical("sigterm", &termed, &reference);
+    assert_same_reports("sigterm", &termed, &reference);
 
     println!("\nall recovery invariants hold");
-    if !check {
-        let json = format!(
-            "{{\"experiment\":\"d5_recovery\",\"live_lines\":{},\"reports\":{},\
-             \"sigkill_replayed_lines\":{kill_replayed},\"sigkill_replay_ms\":{kill_replay_ms},\
-             \"sigterm_replayed_lines\":{term_replayed}}}\n",
-            live.len(),
-            reference.len(),
-        );
-        let out_path = Path::new("results/exp_d5_recovery.json");
-        match monilog_bench::write_json_atomic(out_path, &json) {
-            Ok(()) => println!("wrote {}", out_path.display()),
-            Err(e) => println!("could not write {}: {e}", out_path.display()),
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    gate.finish(&format!(
+        "\"live_lines\":{},\"reports\":{},\
+         \"sigkill_replayed_lines\":{kill_replayed},\"sigkill_replay_ms\":{kill_replay_ms},\
+         \"sigterm_replayed_lines\":{term_replayed}",
+        live.len(),
+        reference.len(),
+    ));
 }

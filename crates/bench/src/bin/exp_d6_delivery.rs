@@ -29,43 +29,14 @@
 //! All assertions are hard gates — the binary exits non-zero on any
 //! violation. With `--check` the results artifact is not rewritten.
 
+use monilog_bench::gate::{
+    counter, dir_bytes, fail, http, read_reports, wait_until, write_workload, Gate,
+};
 use monilog_core::stream::chaos::{FlakySinkServer, SinkFault, SinkProtocol};
-use monilog_loggen::{GenLog, HdfsWorkload, HdfsWorkloadConfig};
-use std::io::{Read as _, Write as _};
-use std::net::{TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
-
-/// How long to wait for any single child process or poll condition.
-const WAIT_BUDGET: Duration = Duration::from_secs(180);
-
-fn fail(msg: &str) -> ! {
-    eprintln!("FAIL: {msg}");
-    std::process::exit(1);
-}
-
-/// The `monilog` binary next to this experiment binary.
-fn monilog_bin() -> PathBuf {
-    let exe = std::env::current_exe().expect("current_exe");
-    let mut dir = exe.parent().expect("exe dir").to_path_buf();
-    if dir.ends_with("deps") {
-        dir.pop();
-    }
-    let bin = dir.join("monilog");
-    if !bin.exists() {
-        fail(&format!(
-            "{} not found — build it first: cargo build --release -p monilog-core",
-            bin.display()
-        ));
-    }
-    bin
-}
-
-fn write_workload(path: &Path, logs: &[GenLog]) {
-    let text: Vec<String> = logs.iter().map(|l| l.record.to_line()).collect();
-    std::fs::write(path, text.join("\n")).expect("workload file writable");
-}
+use monilog_loggen::{HdfsWorkload, HdfsWorkloadConfig};
+use std::net::TcpListener;
+use std::path::Path;
+use std::time::Duration;
 
 /// Bind an ephemeral port, note it, release it. The small reuse window
 /// is fine for a single-process harness.
@@ -79,149 +50,49 @@ fn reserve_addr() -> String {
 /// criticality head is untrained in this experiment, so everything rates
 /// `low` and would otherwise stay on the local file route.
 fn monitor_args(live: &Path, ckpt: &Path, state: &Path, sink: &str) -> Vec<String> {
-    vec![
-        "monitor".into(),
-        live.display().to_string(),
-        "--checkpoint".into(),
-        ckpt.display().to_string(),
-        "--state-dir".into(),
-        state.display().to_string(),
-        "--journal-fsync-ms".into(),
-        "0".into(),
-        "--checkpoint-interval-ms".into(),
-        "100".into(),
-        "--sink-tcp".into(),
-        sink.into(),
-        "--page-at".into(),
-        "low".into(),
-        "--sink-retry-max-ms".into(),
-        "200".into(),
+    [
+        "monitor",
+        &live.display().to_string(),
+        "--checkpoint",
+        &ckpt.display().to_string(),
+        "--state-dir",
+        &state.display().to_string(),
+        "--journal-fsync-ms",
+        "0",
+        "--checkpoint-interval-ms",
+        "100",
+        "--sink-tcp",
+        sink,
+        "--page-at",
+        "low",
+        "--sink-retry-max-ms",
+        "200",
     ]
-}
-
-/// Spawn a monitor and a drainer thread for its stdout.
-fn spawn_monitor(args: &[String]) -> (Child, std::thread::JoinHandle<String>) {
-    let mut child = Command::new(monilog_bin())
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .unwrap_or_else(|e| fail(&format!("spawn monilog: {e}")));
-    let mut stdout = child.stdout.take().expect("piped stdout");
-    let reader = std::thread::spawn(move || {
-        let mut buf = String::new();
-        let _ = stdout.read_to_string(&mut buf);
-        buf
-    });
-    (child, reader)
-}
-
-/// Run a monitor to completion, returning its stdout.
-fn run_monitor(args: &[String]) -> String {
-    let (mut child, reader) = spawn_monitor(args);
-    let status = child.wait().expect("wait");
-    let out = reader.join().expect("reader thread");
-    if !status.success() {
-        fail(&format!("monitor exited with {status}:\n{out}"));
-    }
-    out
+    .map(String::from)
+    .to_vec()
 }
 
 /// Report ids committed to a state dir's `anomalies.jsonl`, ascending.
 fn committed_ids(state: &Path) -> Vec<u64> {
-    let sink = state.join("anomalies.jsonl");
-    let body = std::fs::read_to_string(&sink)
-        .unwrap_or_else(|e| fail(&format!("read {}: {e}", sink.display())));
-    let mut ids = Vec::new();
-    for line in body.lines() {
-        let id = line
-            .strip_prefix("{\"id\":")
-            .and_then(|r| r[..r.find(',')?].parse().ok())
-            .unwrap_or_else(|| fail(&format!("unparseable sink line: {line}")));
-        ids.push(id);
-    }
+    let mut ids = read_reports(&state.join("anomalies.jsonl"), |r| r.id);
     ids.sort_unstable();
     ids
 }
 
-/// Total bytes under one subdirectory of a state dir.
-fn dir_bytes(dir: &Path) -> u64 {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return 0;
-    };
-    entries
-        .flatten()
-        .filter_map(|e| e.metadata().ok())
-        .map(|m| m.len())
-        .sum()
-}
-
-/// Poll until `cond` holds, failing if the monitor exits first or the
-/// wait budget runs out.
-fn wait_until(child: &mut Child, label: &str, mut cond: impl FnMut() -> bool) {
-    let deadline = Instant::now() + WAIT_BUDGET;
-    loop {
-        if cond() {
-            return;
-        }
-        if let Some(status) = child.try_wait().expect("try_wait") {
-            fail(&format!(
-                "{label}: monitor finished ({status}) before the condition held — \
-                 grow the live workload"
-            ));
-        }
-        if Instant::now() > deadline {
-            fail(&format!(
-                "{label}: condition not reached within the wait budget"
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-/// Plain GET against the monitor's metrics endpoint, with a few retries
-/// — the exporter thread shares the host with a busy pipeline.
-fn http_get(addr: &str, path: &str) -> String {
+/// `GET /metrics`, retried a few times — the exporter thread shares the
+/// host with a busy pipeline.
+fn scrape(addr: &str) -> String {
     let mut last = String::new();
     for attempt in 0..10 {
-        match try_get(addr, path) {
-            Ok(body) if !body.is_empty() => return body,
+        match http(addr, "GET", "/metrics", "") {
+            Ok((_, body)) if !body.is_empty() => return body,
             Ok(_) => last = "empty response".into(),
             Err(e) => last = e,
         }
         eprintln!("scrape attempt {attempt} failed ({last}); retrying");
         std::thread::sleep(Duration::from_millis(200));
     }
-    fail(&format!("GET {path} from {addr} kept failing: {last}"));
-}
-
-fn try_get(addr: &str, path: &str) -> Result<String, String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .expect("read timeout");
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: monilog\r\nConnection: close\r\n\r\n"
-    )
-    .map_err(|e| format!("write: {e}"))?;
-    let mut body = String::new();
-    match stream.read_to_string(&mut body) {
-        Ok(_) => Ok(body),
-        Err(e) => Err(format!("read after {} bytes: {e}", body.len())),
-    }
-}
-
-/// Value of a `monilog_<name>_total` counter in a Prometheus scrape.
-fn scraped_counter(scrape: &str, name: &str) -> u64 {
-    let needle = format!("monilog_{name}_total ");
-    scrape
-        .lines()
-        .find_map(|l| l.strip_prefix(&needle))
-        .unwrap_or_else(|| fail(&format!("{needle}missing from /metrics scrape:\n{scrape}")))
-        .trim()
-        .parse()
-        .unwrap_or_else(|_| fail(&format!("unparseable value for {needle}")))
+    fail(&format!("GET /metrics from {addr} kept failing: {last}"));
 }
 
 fn assert_delivered(label: &str, got: &[u64], reference: &[u64]) {
@@ -242,27 +113,11 @@ fn assert_delivered(label: &str, got: &[u64], reference: &[u64]) {
 }
 
 fn main() {
-    println!("# D6 — at-least-once delivery under sink failure\n");
-    let check = std::env::args().any(|a| a == "--check");
-    let bin = monilog_bin();
-    println!("driving {}", bin.display());
-
-    let dir = std::env::temp_dir().join(format!("monilog-exp-d6-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let train_file = dir.join("train.log");
-    let live_file = dir.join("live.log");
-    let ckpt = dir.join("model.mlcp");
-
-    let training = HdfsWorkload::new(HdfsWorkloadConfig {
-        n_sessions: 200,
-        sequential_anomaly_rate: 0.0,
-        quantitative_anomaly_rate: 0.0,
-        seed: 6,
-        start_ms: 1_600_000_000_000,
-    })
-    .generate();
-    write_workload(&train_file, &training);
+    let gate = Gate::start(
+        "d6_delivery",
+        "D6 — at-least-once delivery under sink failure",
+    );
+    let live_file = gate.path("live.log");
     // Large enough that the stream comfortably outlasts the flaky
     // scenario's fault script plus one full breaker dwell (~1.5 s), so
     // the mid-run /metrics scrape and the endpoint restart both land
@@ -277,31 +132,19 @@ fn main() {
     .generate();
     write_workload(&live_file, &live);
     println!("live stream: {} lines", live.len());
-
-    let status = Command::new(&bin)
-        .args([
-            "train",
-            &train_file.display().to_string(),
-            "--checkpoint",
-            &ckpt.display().to_string(),
-        ])
-        .stdout(Stdio::null())
-        .status()
-        .expect("run train");
-    if !status.success() {
-        fail("training run failed");
-    }
+    let ckpt = gate.train();
 
     // 1. Reference: healthy sink, uninterrupted run.
     let ref_server = FlakySinkServer::spawn("127.0.0.1:0", SinkProtocol::Framed, vec![])
         .expect("spawn reference sink");
-    let ref_state = dir.join("state-ref");
-    let out = run_monitor(&monitor_args(
+    let ref_state = gate.path("state-ref");
+    let args = monitor_args(
         &live_file,
         &ckpt,
         &ref_state,
         &ref_server.addr().to_string(),
-    ));
+    );
+    let out = gate.spawn("reference", &args, &[]).wait_ok();
     if !out.contains("delivery: ") {
         fail(&format!("monitor printed no delivery summary:\n{out}"));
     }
@@ -336,17 +179,19 @@ fn main() {
         .expect("spawn flaky sink");
     let sink_addr = flaky.addr().to_string();
     let metrics_addr = reserve_addr();
-    let flaky_state = dir.join("state-flaky");
+    let flaky_state = gate.path("state-flaky");
     let mut args = monitor_args(&live_file, &ckpt, &flaky_state, &sink_addr);
     args.push("--metrics-addr".into());
     args.push(metrics_addr.clone());
-    let (mut child, reader) = spawn_monitor(&args);
+    let mut child = gate.spawn("flaky", &args, &[]);
     // Survive the fault script: wait until deliveries flow again.
-    wait_until(&mut child, "flaky", || !flaky.delivered_ids().is_empty());
-    let scrape = http_get(&metrics_addr, "/metrics");
-    let retries = scraped_counter(&scrape, "delivery_retries");
-    let breaker_opened = scraped_counter(&scrape, "breaker_opened");
-    let breaker_half_open = scraped_counter(&scrape, "breaker_half_open");
+    wait_until(&mut child, "deliveries resumed", || {
+        !flaky.delivered_ids().is_empty()
+    });
+    let scrape = scrape(&metrics_addr);
+    let retries = counter(&scrape, "monilog_delivery_retries_total");
+    let breaker_opened = counter(&scrape, "monilog_breaker_opened_total");
+    let breaker_half_open = counter(&scrape, "monilog_breaker_half_open_total");
     println!(
         "flaky: /metrics mid-run shows {retries} retries, breaker opened {breaker_opened}x, \
          half-open {breaker_half_open}x"
@@ -362,11 +207,7 @@ fn main() {
     let first_incarnation = flaky.shutdown();
     let flaky2 = FlakySinkServer::spawn(&sink_addr, SinkProtocol::Framed, vec![])
         .expect("respawn sink on the same port");
-    let status = child.wait().expect("wait");
-    let out = reader.join().expect("reader thread");
-    if !status.success() {
-        fail(&format!("flaky monitor exited with {status}:\n{out}"));
-    }
+    child.wait_ok();
     let mut union: Vec<u64> = first_incarnation;
     union.extend(flaky2.delivered_ids());
     union.sort_unstable();
@@ -380,7 +221,7 @@ fn main() {
             reference.len() - union.len(),
             reference.len()
         );
-        let drain_out = run_monitor(&args);
+        let drain_out = gate.spawn("flaky-drain", &args, &[]).wait_ok();
         if !drain_out.contains("delivery: ") {
             fail(&format!(
                 "drain life printed no delivery summary:\n{drain_out}"
@@ -398,11 +239,11 @@ fn main() {
     // 3. SIGKILL with a pending delivery buffer, restart with the
     // endpoint healthy.
     let dead_addr = reserve_addr(); // nobody listens: every attempt fails
-    let kill_state = dir.join("state-kill");
+    let kill_state = gate.path("state-kill");
     let args = monitor_args(&live_file, &ckpt, &kill_state, &dead_addr);
-    let (mut child, reader) = spawn_monitor(&args);
-    wait_until(&mut child, "sigkill", || {
-        !committed_ids_or_empty(&kill_state).is_empty()
+    let mut child = gate.spawn("sigkill", &args, &[]);
+    wait_until(&mut child, "a committed report", || {
+        !committed_ids(&kill_state).is_empty()
     });
     // Let checkpoints and more buffered reports accumulate.
     std::thread::sleep(Duration::from_millis(300));
@@ -410,13 +251,11 @@ fn main() {
     if buffered == 0 {
         fail("sigkill: no bytes in the delivery buffer — nothing pending to lose");
     }
-    child.kill().expect("SIGKILL");
-    let _ = child.wait();
-    drop(reader);
+    child.kill();
     println!("sigkill: killed with {buffered} bytes in the delivery buffer");
     let revived = FlakySinkServer::spawn(&dead_addr, SinkProtocol::Framed, vec![])
         .expect("spawn sink on the formerly dead port");
-    let restart_out = run_monitor(&args);
+    let restart_out = gate.spawn("sigkill-restart", &args, &[]).wait_ok();
     if !restart_out.contains("recovery: replayed") {
         fail(&format!("no replay line in restart output:\n{restart_out}"));
     }
@@ -426,30 +265,13 @@ fn main() {
     drop(revived);
 
     println!("\nall delivery invariants hold");
-    if !check {
-        let json = format!(
-            "{{\"experiment\":\"d6_delivery\",\"live_lines\":{},\"reports\":{},\
-             \"flaky_retries\":{retries},\"flaky_breaker_opened\":{breaker_opened},\
-             \"flaky_duplicate_acks\":{flaky_duplicates},\
-             \"sigkill_buffered_bytes\":{buffered},\
-             \"sigkill_duplicate_acks\":{kill_duplicates}}}\n",
-            live.len(),
-            reference.len(),
-        );
-        let out_path = Path::new("results/exp_d6_delivery.json");
-        match monilog_bench::write_json_atomic(out_path, &json) {
-            Ok(()) => println!("wrote {}", out_path.display()),
-            Err(e) => println!("could not write {}: {e}", out_path.display()),
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Like [`committed_ids`] but empty when the file does not exist yet.
-fn committed_ids_or_empty(state: &Path) -> Vec<u64> {
-    if state.join("anomalies.jsonl").exists() {
-        committed_ids(state)
-    } else {
-        Vec::new()
-    }
+    gate.finish(&format!(
+        "\"live_lines\":{},\"reports\":{},\
+         \"flaky_retries\":{retries},\"flaky_breaker_opened\":{breaker_opened},\
+         \"flaky_duplicate_acks\":{flaky_duplicates},\
+         \"sigkill_buffered_bytes\":{buffered},\
+         \"sigkill_duplicate_acks\":{kill_duplicates}",
+        live.len(),
+        reference.len(),
+    ));
 }

@@ -21,16 +21,17 @@
 //! All assertions are hard gates — the binary exits non-zero on any
 //! violation. With `--check` the results artifact is not rewritten.
 
+use monilog_bench::gate::{
+    assert_same_reports, counter, fail, feed_syslog, listen_addr, numbers_in_line, report_keys,
+    request, wait_until, write_workload, Gate,
+};
 use monilog_core::stream::{FlakySourceClient, SourceFault};
-use monilog_loggen::{GenLog, HdfsWorkload, HdfsWorkloadConfig};
-use std::io::{Read as _, Write as _};
+use monilog_loggen::{HdfsWorkload, HdfsWorkloadConfig};
+use std::io::Write as _;
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// How long to wait for any single child process or poll condition.
-const WAIT_BUDGET: Duration = Duration::from_secs(180);
 /// Idle connections to park on the event loop during the chaos run.
 const IDLE_CONNECTIONS: usize = 10_000;
 /// Acceptance bound on a `/metrics` scrape while the loop is loaded.
@@ -39,11 +40,6 @@ const SCRAPE_BUDGET: Duration = Duration::from_millis(500);
 const FORCED_EXIT_BUDGET: Duration = Duration::from_secs(3);
 /// Exit status of a forced shutdown (128 + SIGINT).
 const FORCED_EXIT_CODE: i32 = 130;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("FAIL: {msg}");
-    std::process::exit(1);
-}
 
 /// Raise the open-file soft limit to the hard limit (capped at what the
 /// idle-connection fleet needs, on both sides of the sockets). Inherited
@@ -84,227 +80,34 @@ fn raise_nofile_limit() -> u64 {
     }
 }
 
-/// The `monilog` binary next to this experiment binary.
-fn monilog_bin() -> PathBuf {
-    let exe = std::env::current_exe().expect("current_exe");
-    let mut dir = exe.parent().expect("exe dir").to_path_buf();
-    if dir.ends_with("deps") {
-        dir.pop();
-    }
-    let bin = dir.join("monilog");
-    if !bin.exists() {
-        fail(&format!(
-            "{} not found — build it first: cargo build --release -p monilog-core",
-            bin.display()
-        ));
-    }
-    bin
-}
-
-fn write_workload(path: &Path, logs: &[GenLog]) {
-    let text: Vec<String> = logs.iter().map(|l| l.record.to_line()).collect();
-    std::fs::write(path, text.join("\n")).expect("workload file writable");
-}
-
-/// Spawn a monitor and a drainer thread for its stdout.
-fn spawn_monitor(
-    args: &[String],
-    envs: &[(&str, &str)],
-) -> (Child, std::thread::JoinHandle<String>) {
-    let mut cmd = Command::new(monilog_bin());
-    cmd.args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit());
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    let mut child = cmd
-        .spawn()
-        .unwrap_or_else(|e| fail(&format!("spawn monilog: {e}")));
-    let mut stdout = child.stdout.take().expect("piped stdout");
-    let reader = std::thread::spawn(move || {
-        let mut buf = String::new();
-        let _ = stdout.read_to_string(&mut buf);
-        buf
-    });
-    (child, reader)
-}
-
 /// Argv for a syslog-TCP + metrics network monitor on one state dir.
 fn sources_args(ckpt: &Path, state: &Path) -> Vec<String> {
-    vec![
-        "monitor".into(),
-        "--listen-syslog-tcp".into(),
-        "127.0.0.1:0".into(),
-        "--metrics-addr".into(),
-        "127.0.0.1:0".into(),
-        "--checkpoint".into(),
-        ckpt.display().to_string(),
-        "--state-dir".into(),
-        state.display().to_string(),
-        "--journal-fsync-ms".into(),
-        "50".into(),
+    [
+        "monitor",
+        "--listen-syslog-tcp",
+        "127.0.0.1:0",
+        "--metrics-addr",
+        "127.0.0.1:0",
+        "--checkpoint",
+        &ckpt.display().to_string(),
+        "--state-dir",
+        &state.display().to_string(),
+        "--journal-fsync-ms",
+        "50",
         // No periodic checkpoint inside the run: the forced-exit scenario
         // must find journal lines to replay, proving the second SIGTERM
         // really skipped the final checkpoint.
-        "--checkpoint-interval-ms".into(),
-        "600000".into(),
+        "--checkpoint-interval-ms",
+        "600000",
     ]
+    .map(String::from)
+    .to_vec()
 }
 
-/// Poll `<state>/listen-addrs` for a published address.
-fn wait_for_addr(state: &Path, key: &str, child: &mut Child) -> String {
-    let deadline = Instant::now() + WAIT_BUDGET;
-    loop {
-        if let Ok(content) = std::fs::read_to_string(state.join("listen-addrs")) {
-            for line in content.lines() {
-                if let Some(addr) = line.strip_prefix(&format!("{key} ")) {
-                    return addr.to_string();
-                }
-            }
-        }
-        if let Some(status) = child.try_wait().expect("try_wait") {
-            fail(&format!(
-                "monitor exited ({status}) before publishing {key}"
-            ));
-        }
-        if Instant::now() > deadline {
-            fail(&format!("no {key} address within the wait budget"));
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-/// One `/metrics` scrape; returns the body and how long it took.
-fn scrape_metrics(addr: &str) -> (String, Duration) {
-    let start = Instant::now();
-    let mut conn = TcpStream::connect(addr)
-        .unwrap_or_else(|e| fail(&format!("connect /metrics at {addr}: {e}")));
-    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    conn.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
-        .unwrap_or_else(|e| fail(&format!("write scrape: {e}")));
-    let mut body = String::new();
-    conn.read_to_string(&mut body)
-        .unwrap_or_else(|e| fail(&format!("read scrape: {e}")));
-    (body, start.elapsed())
-}
-
-/// Value of a prometheus counter in a scrape body, 0 if absent.
-fn counter_value(body: &str, name: &str) -> u64 {
-    body.lines()
-        .find_map(|l| l.strip_prefix(&format!("{name} ")))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
-}
-
-/// `(id, kind, score)` per sink line — the identity of a report. The
-/// per-event `source` provenance differs between transports by design and
-/// is not part of the key.
-fn report_keys(sink: &Path) -> Vec<(u64, String, String)> {
-    let body = std::fs::read_to_string(sink)
-        .unwrap_or_else(|e| fail(&format!("read {}: {e}", sink.display())));
-    let mut keys = Vec::new();
-    for line in body.lines() {
-        let Some(key) = parse_key(line) else {
-            fail(&format!(
-                "unparseable sink line in {}: {line}",
-                sink.display()
-            ));
-        };
-        keys.push(key);
-    }
-    keys
-}
-
-fn parse_key(line: &str) -> Option<(u64, String, String)> {
-    let id: u64 = {
-        let rest = line.strip_prefix("{\"id\":")?;
-        rest[..rest.find(',')?].parse().ok()?
-    };
-    let kind = {
-        let at = line.find("\"kind\":\"")? + 8;
-        let end = line[at..].find('"')? + at;
-        line[at..end].to_string()
-    };
-    let score = {
-        let at = line.find("\"score\":")? + 8;
-        let end = line[at..].find(',')? + at;
-        line[at..end].to_string()
-    };
-    Some((id, kind, score))
-}
-
-fn assert_identical(label: &str, got: &[(u64, String, String)], want: &[(u64, String, String)]) {
-    let mut got_sorted = got.to_vec();
-    let mut want_sorted = want.to_vec();
-    got_sorted.sort();
-    want_sorted.sort();
-    if got_sorted != want_sorted {
-        fail(&format!(
-            "{label}: anomaly set diverged from the file-fed reference \
-             ({} vs {} reports)",
-            got.len(),
-            want.len()
-        ));
-    }
-}
-
-/// Feed every line as an enveloped LF-framed syslog message on one
-/// connection (ordering matters to the windowed detectors).
-fn feed_syslog(addr: &str, lines: &[String]) {
-    let mut conn =
-        TcpStream::connect(addr).unwrap_or_else(|e| fail(&format!("connect feeder: {e}")));
-    conn.set_nodelay(true).unwrap();
-    let mut wire = String::new();
-    for (i, line) in lines.iter().enumerate() {
-        if i % 2 == 0 {
-            wire.push_str(&format!(
-                "<14>1 2020-09-13T13:26:40Z host app - - - {line}\n"
-            ));
-        } else {
-            wire.push_str(&format!("<13>Sep 13 13:26:40 host app: {line}\n"));
-        }
-        if wire.len() >= 32 * 1024 {
-            conn.write_all(wire.as_bytes())
-                .unwrap_or_else(|e| fail(&format!("feeder write: {e}")));
-            wire.clear();
-        }
-    }
-    conn.write_all(wire.as_bytes())
-        .unwrap_or_else(|e| fail(&format!("feeder write: {e}")));
-}
-
-/// Block until the source has accepted `want` lines into its queue.
-fn wait_for_lines(metrics_addr: &str, want: u64, child: &mut Child) {
-    let deadline = Instant::now() + WAIT_BUDGET;
-    loop {
-        let (body, _) = scrape_metrics(metrics_addr);
-        let got = counter_value(&body, "monilog_sources_lines_total");
-        if got >= want {
-            return;
-        }
-        if let Some(status) = child.try_wait().expect("try_wait") {
-            fail(&format!(
-                "monitor exited ({status}) mid-feed at {got}/{want} lines"
-            ));
-        }
-        if Instant::now() > deadline {
-            fail(&format!(
-                "only {got}/{want} lines accepted within the wait budget"
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
-fn sigterm(child: &Child) {
-    let status = Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
-        .status()
-        .expect("send SIGTERM");
-    if !status.success() {
-        fail("kill -TERM failed");
-    }
+/// Lines accepted by the sources so far, per `/metrics`.
+fn lines_accepted(metrics_addr: &str) -> u64 {
+    let (_, body) = request(metrics_addr, "GET", "/metrics", "");
+    counter(&body, "monilog_sources_lines_total")
 }
 
 fn chaos_script() -> Vec<SourceFault> {
@@ -329,8 +132,7 @@ fn chaos_script() -> Vec<SourceFault> {
 }
 
 fn main() {
-    println!("# D7 — network sources under hostile clients\n");
-    let check = std::env::args().any(|a| a == "--check");
+    let gate = Gate::start("d7_sources", "D7 — network sources under hostile clients");
     let nofile = raise_nofile_limit();
     println!("open-file limit: {nofile}");
     if nofile != 0 && nofile < IDLE_CONNECTIONS as u64 + 2_048 {
@@ -338,25 +140,7 @@ fn main() {
             "open-file limit {nofile} too low for {IDLE_CONNECTIONS} idle connections"
         ));
     }
-    let bin = monilog_bin();
-    println!("driving {}", bin.display());
-
-    let dir = std::env::temp_dir().join(format!("monilog-exp-d7-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let train_file = dir.join("train.log");
-    let live_file = dir.join("live.log");
-    let ckpt = dir.join("model.mlcp");
-
-    let training = HdfsWorkload::new(HdfsWorkloadConfig {
-        n_sessions: 200,
-        sequential_anomaly_rate: 0.0,
-        quantitative_anomaly_rate: 0.0,
-        seed: 6,
-        start_ms: 1_600_000_000_000,
-    })
-    .generate();
-    write_workload(&train_file, &training);
+    let live_file = gate.path("live.log");
     let live = HdfsWorkload::new(HdfsWorkloadConfig {
         n_sessions: 300,
         sequential_anomaly_rate: 0.15,
@@ -366,41 +150,36 @@ fn main() {
     })
     .generate();
     write_workload(&live_file, &live);
-    let live_lines: Vec<String> = live.iter().map(|l| l.record.to_line()).collect();
-    println!("live stream: {} lines", live_lines.len());
-
-    let status = Command::new(&bin)
-        .args([
-            "train",
-            &train_file.display().to_string(),
-            "--checkpoint",
-            &ckpt.display().to_string(),
-        ])
-        .stdout(Stdio::null())
-        .status()
-        .expect("run train");
-    if !status.success() {
-        fail("training run failed");
-    }
+    let live_lines = live.len();
+    // RFC 5424 and RFC 3164 envelopes, alternating.
+    let wire: Vec<String> = live
+        .iter()
+        .enumerate()
+        .map(|(i, l)| match i % 2 {
+            0 => format!(
+                "<14>1 2020-09-13T13:26:40Z host app - - - {}",
+                l.record.to_line()
+            ),
+            _ => format!("<13>Sep 13 13:26:40 host app: {}", l.record.to_line()),
+        })
+        .collect();
+    println!("live stream: {live_lines} lines");
+    let ckpt = gate.train();
 
     // Reference: file-fed durable run over the same live stream.
-    let ref_state = dir.join("state-ref");
-    let ref_args = vec![
-        "monitor".into(),
-        live_file.display().to_string(),
-        "--checkpoint".into(),
-        ckpt.display().to_string(),
-        "--state-dir".into(),
-        ref_state.display().to_string(),
-        "--journal-fsync-ms".into(),
-        "50".into(),
+    let ref_state = gate.path("state-ref");
+    let ref_args = [
+        "monitor",
+        &live_file.display().to_string(),
+        "--checkpoint",
+        &ckpt.display().to_string(),
+        "--state-dir",
+        &ref_state.display().to_string(),
+        "--journal-fsync-ms",
+        "50",
     ];
-    let (mut child, reader) = spawn_monitor(&ref_args, &[]);
-    let status = child.wait().expect("wait");
-    let out = reader.join().expect("reader");
-    if !status.success() {
-        fail(&format!("reference run exited with {status}:\n{out}"));
-    }
+    gate.spawn("reference", &ref_args.map(String::from), &[])
+        .wait_ok();
     let reference = report_keys(&ref_state.join("anomalies.jsonl"));
     if reference.is_empty() {
         fail("reference run found no anomalies — nothing to compare");
@@ -408,11 +187,11 @@ fn main() {
     println!("reference: {} reports", reference.len());
 
     // 1. Chaos ingest: syslog feed + hostile clients + idle fleet.
-    let net_state = dir.join("state-net");
+    let net_state = gate.path("state-net");
     std::fs::create_dir_all(&net_state).expect("state dir");
-    let (mut child, reader) = spawn_monitor(&sources_args(&ckpt, &net_state), &[]);
-    let syslog_addr = wait_for_addr(&net_state, "syslog-tcp", &mut child);
-    let metrics_addr = wait_for_addr(&net_state, "metrics", &mut child);
+    let mut child = gate.spawn("chaos", &sources_args(&ckpt, &net_state), &[]);
+    let syslog_addr = listen_addr(&net_state, "syslog-tcp", &mut child);
+    let metrics_addr = listen_addr(&net_state, "metrics", &mut child);
     println!("syslog-tcp at {syslog_addr}, metrics at {metrics_addr}");
 
     // A stalled scrape client: half a request, then silence. The exporter
@@ -444,30 +223,25 @@ fn main() {
     let chaos: Vec<FlakySourceClient> = (0..3)
         .map(|_| FlakySourceClient::spawn(parse_addr, chaos_script()))
         .collect();
-    let feed_lines = live_lines.clone();
+    let feed = wire.clone();
     let feed_addr = syslog_addr.clone();
-    let feeder = std::thread::spawn(move || feed_syslog(&feed_addr, &feed_lines));
+    let feeder = std::thread::spawn(move || feed_syslog(&feed_addr, &feed));
 
     // Scrape continuously while the loop is loaded; every scrape must meet
     // the latency budget even with the stalled client holding its slot.
     let mut worst_scrape = Duration::ZERO;
-    let deadline = Instant::now() + WAIT_BUDGET;
-    loop {
-        let (body, took) = scrape_metrics(&metrics_addr);
+    wait_until(&mut child, "the whole feed accepted", || {
+        let start = Instant::now();
+        let accepted = lines_accepted(&metrics_addr);
+        let took = start.elapsed();
         worst_scrape = worst_scrape.max(took);
         if took > SCRAPE_BUDGET {
             fail(&format!(
                 "scrape took {took:?} under load (budget {SCRAPE_BUDGET:?})"
             ));
         }
-        if counter_value(&body, "monilog_sources_lines_total") >= live_lines.len() as u64 {
-            break;
-        }
-        if Instant::now() > deadline {
-            fail("feed did not complete within the wait budget");
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
+        accepted >= live_lines as u64
+    });
     feeder.join().expect("feeder thread");
     let mut chaos_connections = 0u64;
     for client in chaos {
@@ -480,16 +254,12 @@ fn main() {
     drop(stalled);
     drop(idle);
 
-    sigterm(&child);
-    let status = child.wait().expect("wait");
-    let out = reader.join().expect("reader");
-    if !status.success() {
-        fail(&format!("drain exited with {status}:\n{out}"));
-    }
+    child.sigterm();
+    let out = child.wait_ok();
     if !out.contains("drained gracefully") {
         fail(&format!("drain not reported:\n{out}"));
     }
-    let expected_line = format!("monitored {} lines from network sources", live_lines.len());
+    let expected_line = format!("monitored {live_lines} lines from network sources");
     if !out.contains(&expected_line) {
         fail(&format!(
             "chaos clients leaked lines into the pipeline — wanted \"{expected_line}\":\n{out}"
@@ -499,44 +269,41 @@ fn main() {
     // cannot know the stream ended); the file-fed reference ends with an
     // end-of-input flush. Restart on the drained state — zero journal
     // replay — and let the idle exit run that flush.
-    let (mut child, reader) = spawn_monitor(
-        &sources_args(&ckpt, &net_state),
-        &[("MONILOG_IDLE_EXIT_MS", "1000")],
-    );
-    let status = child.wait().expect("wait resume");
-    let out = reader.join().expect("reader");
-    if !status.success() {
-        fail(&format!("post-drain resume exited with {status}:\n{out}"));
-    }
+    let idle_exit = [("MONILOG_IDLE_EXIT_MS", "1000")];
+    let out = gate
+        .spawn("chaos-resume", &sources_args(&ckpt, &net_state), &idle_exit)
+        .wait_ok();
     if !out.contains("recovery: replayed 0 journal lines") {
         fail(&format!("graceful drain must leave zero replay:\n{out}"));
     }
     let netted = report_keys(&net_state.join("anomalies.jsonl"));
-    assert_identical("chaos ingest", &netted, &reference);
+    assert_same_reports("chaos ingest", &netted, &reference);
     println!(
         "chaos ingest: anomaly set identical to reference ({} reports)",
         netted.len()
     );
 
     // 2. Forced shutdown: second SIGTERM during a held drain.
-    let force_state = dir.join("state-force");
+    let force_state = gate.path("state-force");
     std::fs::create_dir_all(&force_state).expect("state dir");
-    let (mut child, reader) = spawn_monitor(
+    let mut child = gate.spawn(
+        "forced",
         &sources_args(&ckpt, &force_state),
         &[("MONILOG_DRAIN_HOLD_MS", "30000")],
     );
-    let syslog_addr = wait_for_addr(&force_state, "syslog-tcp", &mut child);
-    let metrics_addr = wait_for_addr(&force_state, "metrics", &mut child);
-    feed_syslog(&syslog_addr, &live_lines);
-    wait_for_lines(&metrics_addr, live_lines.len() as u64, &mut child);
+    let syslog_addr = listen_addr(&force_state, "syslog-tcp", &mut child);
+    let metrics_addr = listen_addr(&force_state, "metrics", &mut child);
+    feed_syslog(&syslog_addr, &wire);
+    wait_until(&mut child, "the whole feed accepted", || {
+        lines_accepted(&metrics_addr) >= live_lines as u64
+    });
 
-    sigterm(&child); // graceful drain starts, then parks in the hold
+    child.sigterm(); // graceful drain starts, then parks in the hold
     std::thread::sleep(Duration::from_millis(500));
     let forced_at = Instant::now();
-    sigterm(&child); // force immediate exit
-    let status = child.wait().expect("wait");
+    child.sigterm(); // force immediate exit
+    let (status, _) = child.wait();
     let forced_in = forced_at.elapsed();
-    drop(reader);
     if status.code() != Some(FORCED_EXIT_CODE) {
         fail(&format!(
             "second SIGTERM must exit with status {FORCED_EXIT_CODE}, got {status}"
@@ -552,53 +319,32 @@ fn main() {
     // Restart recovers from the WAL (the forced exit skipped the final
     // checkpoint, so there must be journal lines to replay) and converges
     // on the identical anomaly set.
-    let (mut child, reader) = spawn_monitor(
-        &sources_args(&ckpt, &force_state),
-        &[("MONILOG_IDLE_EXIT_MS", "1000")],
-    );
-    let status = child.wait().expect("wait restart");
-    let out = reader.join().expect("reader");
-    if !status.success() {
-        fail(&format!("recovery run exited with {status}:\n{out}"));
-    }
-    let replayed: u64 = out
-        .lines()
-        .find(|l| l.starts_with("recovery: replayed"))
-        .and_then(|l| {
-            l.split(|c: char| !c.is_ascii_digit())
-                .find(|s| !s.is_empty())?
-                .parse()
-                .ok()
-        })
-        .unwrap_or_else(|| fail(&format!("no replay line in output:\n{out}")));
+    let out = gate
+        .spawn(
+            "forced-restart",
+            &sources_args(&ckpt, &force_state),
+            &idle_exit,
+        )
+        .wait_ok();
+    let replayed = numbers_in_line(&out, "recovery: replayed")[0];
     if replayed == 0 {
         fail("forced exit left nothing to replay — the final checkpoint ran anyway");
     }
     println!("recovery: replayed {replayed} journal lines after forced exit");
     let recovered = report_keys(&force_state.join("anomalies.jsonl"));
-    assert_identical("forced-exit recovery", &recovered, &reference);
+    assert_same_reports("forced-exit recovery", &recovered, &reference);
     println!(
         "forced-exit recovery: anomaly set identical to reference ({} reports)",
         recovered.len()
     );
 
     println!("\nall source invariants hold");
-    if !check {
-        let json = format!(
-            "{{\"experiment\":\"d7_sources\",\"live_lines\":{},\"reports\":{},\
-             \"idle_connections\":{},\"chaos_connections\":{chaos_connections},\
-             \"worst_scrape_ms\":{},\"forced_exit_ms\":{},\"forced_replayed_lines\":{replayed}}}\n",
-            live_lines.len(),
-            reference.len(),
-            IDLE_CONNECTIONS,
-            worst_scrape.as_millis(),
-            forced_in.as_millis(),
-        );
-        let out_path = Path::new("results/exp_d7_sources.json");
-        match monilog_bench::write_json_atomic(out_path, &json) {
-            Ok(()) => println!("wrote {}", out_path.display()),
-            Err(e) => println!("could not write {}: {e}", out_path.display()),
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    gate.finish(&format!(
+        "\"live_lines\":{live_lines},\"reports\":{},\
+         \"idle_connections\":{IDLE_CONNECTIONS},\"chaos_connections\":{chaos_connections},\
+         \"worst_scrape_ms\":{},\"forced_exit_ms\":{},\"forced_replayed_lines\":{replayed}",
+        reference.len(),
+        worst_scrape.as_millis(),
+        forced_in.as_millis(),
+    ));
 }

@@ -27,224 +27,60 @@
 //! All assertions are hard gates — the binary exits non-zero on any
 //! violation. With `--check` the results artifact is not rewritten.
 
+use monilog_bench::gate::{
+    dir_bytes, fail, listen_addr, numbers_in_line, read_reports, wait_for, write_workload, Gate,
+};
 use monilog_loggen::{GenLog, HdfsWorkload, HdfsWorkloadConfig};
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::path::Path;
+use std::time::Duration;
 
-/// How long to wait for any single child process or poll condition.
-const WAIT_BUDGET: Duration = Duration::from_secs(180);
 /// Journal bytes that count as "real progress" before the kill.
 const KILL_THRESHOLD: u64 = 16_384;
 /// Number of file-backed sources the router partitions.
 const N_SOURCES: usize = 4;
 
-fn fail(msg: &str) -> ! {
-    eprintln!("FAIL: {msg}");
-    std::process::exit(1);
-}
-
-/// The `monilog` binary next to this experiment binary.
-fn monilog_bin() -> PathBuf {
-    let exe = std::env::current_exe().expect("current_exe");
-    let mut dir = exe.parent().expect("exe dir").to_path_buf();
-    if dir.ends_with("deps") {
-        dir.pop();
-    }
-    let bin = dir.join("monilog");
-    if !bin.exists() {
-        fail(&format!(
-            "{} not found — build it first: cargo build --release -p monilog-core",
-            bin.display()
-        ));
-    }
-    bin
-}
-
-fn write_workload(path: &Path, logs: &[GenLog]) {
-    let text: Vec<String> = logs.iter().map(|l| l.record.to_line()).collect();
-    std::fs::write(path, text.join("\n")).expect("workload file writable");
-}
-
-/// Spawn a monilog process with a drainer thread for its stdout (the
-/// report is printed in one burst at exit; draining keeps the pipe from
-/// blocking).
-fn spawn(args: &[String], envs: &[(&str, &str)]) -> (Child, std::thread::JoinHandle<String>) {
-    let mut cmd = Command::new(monilog_bin());
-    cmd.args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit());
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    let mut child = cmd
-        .spawn()
-        .unwrap_or_else(|e| fail(&format!("spawn monilog: {e}")));
-    let mut stdout = child.stdout.take().expect("piped stdout");
-    let reader = std::thread::spawn(move || {
-        use std::io::Read as _;
-        let mut buf = String::new();
-        let _ = stdout.read_to_string(&mut buf);
-        buf
-    });
-    (child, reader)
-}
-
-/// Wait for a child to exit cleanly, with a hard budget.
-fn wait_exit(mut child: Child, reader: std::thread::JoinHandle<String>, label: &str) -> String {
-    let deadline = Instant::now() + WAIT_BUDGET;
-    loop {
-        match child.try_wait().expect("try_wait") {
-            Some(status) => {
-                let out = reader.join().expect("reader thread");
-                if !status.success() {
-                    fail(&format!("{label} exited with {status}:\n{out}"));
-                }
-                return out;
-            }
-            None if Instant::now() > deadline => {
-                let _ = child.kill();
-                fail(&format!("{label} did not exit within the wait budget"));
-            }
-            None => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-}
-
-/// Run a monilog invocation to completion, returning its stdout.
-fn run_to_completion(args: &[String], label: &str) -> String {
-    let (child, reader) = spawn(args, &[]);
-    wait_exit(child, reader, label)
-}
-
-/// Total bytes under the journal directory of a state dir.
-fn journal_bytes(state: &Path) -> u64 {
-    let Ok(entries) = std::fs::read_dir(state.join("journal")) else {
-        return 0;
-    };
-    entries
-        .flatten()
-        .filter_map(|e| e.metadata().ok())
-        .map(|m| m.len())
-        .sum()
-}
-
-/// Poll `<state>/listen-addrs` for the router's bound cluster address.
-fn cluster_addr(state: &Path) -> String {
-    let path = state.join("listen-addrs");
-    let deadline = Instant::now() + WAIT_BUDGET;
-    loop {
-        if let Ok(body) = std::fs::read_to_string(&path) {
-            if let Some(line) = body.lines().find(|l| l.starts_with("cluster ")) {
-                return line["cluster ".len()..].to_string();
-            }
-        }
-        if Instant::now() > deadline {
-            fail("router never published its cluster address");
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-/// Canonical anomaly key for one `anomalies.jsonl` line: process-local
+/// The canonical anomaly set of one monitor's sink file: process-local
 /// report ids, source ids, template ids, and trace ids are all excluded
-/// (see the module docs).
-fn canonical_key(line: &str) -> Option<String> {
-    let field = |marker: &str| -> Option<String> {
-        let at = line.find(marker)? + marker.len();
-        let end = line[at..].find('"')? + at;
-        Some(line[at..end].to_string())
-    };
-    let kind = field("\"kind\":\"")?;
-    let detector = field("\"detector\":\"")?;
-    let score = {
-        let at = line.find("\"score\":")? + 8;
-        let end = line[at..].find(',')? + at;
-        line[at..end].to_string()
-    };
-    let ev_start = line.find("\"events\":[")? + 10;
-    let ev_end = line[ev_start..].find("],\"provenance\"")? + ev_start;
-    let mut rest = &line[ev_start..ev_end];
-    let mut ts: Vec<u64> = Vec::new();
-    while let Some(at) = rest.find("\"ts_ms\":") {
-        let s = &rest[at + 8..];
-        let end = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
-        ts.push(s[..end].parse().ok()?);
-        rest = &s[end..];
-    }
-    ts.sort_unstable();
-    Some(format!("{kind}|{detector}|{score}|{ts:?}"))
-}
-
-/// The canonical anomaly set of one monitor's sink file. A missing file
-/// is an empty set (a node that served no sources reports nothing).
+/// (see the module docs). A missing file is an empty set (a node that
+/// served no sources reports nothing).
 fn canonical_set(sink: &Path) -> BTreeSet<String> {
-    let Ok(body) = std::fs::read_to_string(sink) else {
-        return BTreeSet::new();
-    };
-    body.lines()
-        .map(|l| {
-            canonical_key(l).unwrap_or_else(|| {
-                fail(&format!("unparseable sink line in {}: {l}", sink.display()))
-            })
-        })
-        .collect()
-}
-
-/// Numbers in the first stdout line containing `marker`.
-fn stat_line(out: &str, marker: &str) -> Vec<u64> {
-    let line = out
-        .lines()
-        .find(|l| l.contains(marker))
-        .unwrap_or_else(|| fail(&format!("no `{marker}` line in output:\n{out}")));
-    line.split(|c: char| !c.is_ascii_digit())
-        .filter(|s| !s.is_empty())
-        .map(|s| s.parse().expect("digits"))
-        .collect()
+    let keys = read_reports(sink, |r| {
+        let mut ts: Vec<u64> = r.events.iter().map(|e| e.ts_ms).collect();
+        ts.sort_unstable();
+        format!("{}|{}|{}|{ts:?}", r.kind, r.detector, r.score)
+    });
+    keys.into_iter().collect()
 }
 
 fn fleet_monitor_args(ckpt: &Path, state: &Path, addr: &str, node: &str) -> Vec<String> {
-    vec![
-        "monitor".into(),
-        "--checkpoint".into(),
-        ckpt.display().to_string(),
-        "--state-dir".into(),
-        state.display().to_string(),
-        "--join".into(),
-        addr.to_string(),
-        "--node-id".into(),
-        node.into(),
+    [
+        "monitor",
+        "--checkpoint",
+        &ckpt.display().to_string(),
+        "--state-dir",
+        &state.display().to_string(),
+        "--join",
+        addr,
+        "--node-id",
+        node,
         // fsync every line: worst-case durability, and it slows the run
         // enough that the kill lands mid-stream.
-        "--journal-fsync-ms".into(),
-        "0".into(),
-        "--checkpoint-interval-ms".into(),
-        "100".into(),
+        "--journal-fsync-ms",
+        "0",
+        "--checkpoint-interval-ms",
+        "100",
     ]
+    .map(String::from)
+    .to_vec()
 }
 
 fn main() {
-    println!("# D9 — distributed fleet: node kill, rebalance, replay\n");
-    let check = std::env::args().any(|a| a == "--check");
-    let bin = monilog_bin();
-    println!("driving {}", bin.display());
-
-    let dir = std::env::temp_dir().join(format!("monilog-exp-d9-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let train_file = dir.join("train.log");
-    let ckpt = dir.join("model.mlcp");
-
-    let training = HdfsWorkload::new(HdfsWorkloadConfig {
-        n_sessions: 200,
-        sequential_anomaly_rate: 0.0,
-        quantitative_anomaly_rate: 0.0,
-        seed: 6,
-        start_ms: 1_600_000_000_000,
-    })
-    .generate();
-    write_workload(&train_file, &training);
+    let gate = Gate::start(
+        "d9_cluster",
+        "D9 — distributed fleet: node kill, rebalance, replay",
+    );
+    let ckpt = gate.train();
 
     // One live workload partitioned into N_SOURCES files by whole
     // session. A single generation keeps session keys globally unique —
@@ -276,40 +112,27 @@ fn main() {
     let mut live_files = Vec::new();
     let mut live_lines = 0usize;
     for (i, part) in partitions.iter().enumerate() {
-        let path = dir.join(format!("live-{i}.log"));
+        let path = gate.path(&format!("live-{i}.log"));
         write_workload(&path, part);
         live_lines += part.len();
         live_files.push(path);
     }
     println!("live stream: {live_lines} lines across {N_SOURCES} sources");
 
-    let status = Command::new(&bin)
-        .args([
-            "train",
-            &train_file.display().to_string(),
-            "--checkpoint",
-            &ckpt.display().to_string(),
-        ])
-        .stdout(Stdio::null())
-        .status()
-        .expect("run train");
-    if !status.success() {
-        fail("training run failed");
-    }
-
     // 1. Reference: one uninterrupted single-process run per source file.
     let mut reference = BTreeSet::new();
     for (i, live) in live_files.iter().enumerate() {
-        let state = dir.join(format!("state-ref-{i}"));
-        let args = vec![
-            "monitor".to_string(),
-            live.display().to_string(),
-            "--checkpoint".into(),
-            ckpt.display().to_string(),
-            "--state-dir".into(),
-            state.display().to_string(),
+        let state = gate.path(&format!("state-ref-{i}"));
+        let args = [
+            "monitor",
+            &live.display().to_string(),
+            "--checkpoint",
+            &ckpt.display().to_string(),
+            "--state-dir",
+            &state.display().to_string(),
         ];
-        run_to_completion(&args, &format!("reference monitor {i}"));
+        gate.spawn(&format!("reference-{i}"), &args.map(String::from), &[])
+            .wait_ok();
         reference.extend(canonical_set(&state.join("anomalies.jsonl")));
     }
     if reference.is_empty() {
@@ -318,7 +141,7 @@ fn main() {
     println!("reference: {} canonical anomalies", reference.len());
 
     // 2. Fleet: router + two monitors, SIGKILL one mid-stream, restart it.
-    let router_state = dir.join("state-router");
+    let router_state = gate.path("state-router");
     let mut router_args: Vec<String> = vec!["router".into()];
     router_args.extend(live_files.iter().map(|p| p.display().to_string()));
     router_args.extend(
@@ -336,56 +159,44 @@ fn main() {
             "--rebalance-grace-ms",
             "200",
         ]
-        .iter()
-        .map(|s| s.to_string()),
+        .map(String::from),
     );
-    let (router_child, router_reader) = spawn(&router_args, &[]);
-    let addr = cluster_addr(&router_state);
+    let mut router = gate.spawn("router", &router_args, &[]);
+    let addr = listen_addr(&router_state, "cluster", &mut router);
     println!("router listening on {addr}");
 
     let idle_guard = [("MONILOG_IDLE_EXIT_MS", "30000")];
-    let states = [dir.join("state-n1"), dir.join("state-n2")];
-    let args_n1 = fleet_monitor_args(&ckpt, &states[0], &addr, "n1");
-    let args_n2 = fleet_monitor_args(&ckpt, &states[1], &addr, "n2");
+    let states = [gate.path("state-n1"), gate.path("state-n2")];
+    let args = [
+        fleet_monitor_args(&ckpt, &states[0], &addr, "n1"),
+        fleet_monitor_args(&ckpt, &states[1], &addr, "n2"),
+    ];
     let mut nodes = vec![
-        Some(spawn(&args_n1, &idle_guard)),
-        Some(spawn(&args_n2, &idle_guard)),
+        Some(gate.spawn("n1", &args[0], &idle_guard)),
+        Some(gate.spawn("n2", &args[1], &idle_guard)),
     ];
 
     // Pick the victim dynamically: the first node whose journal shows
     // real progress provably owns sources, so killing it exercises the
     // rebalance path no matter how rendezvous split the assignment.
-    let victim = {
-        let deadline = Instant::now() + WAIT_BUDGET;
-        loop {
-            let grown: Vec<u64> = states.iter().map(|s| journal_bytes(s)).collect();
-            if let Some(i) = (0..2).find(|&i| grown[i] >= KILL_THRESHOLD) {
-                break i;
-            }
-            if Instant::now() > deadline {
-                fail("no monitor made journal progress within the wait budget");
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    };
-    let (mut victim_child, victim_reader) = nodes[victim].take().expect("victim running");
-    victim_child.kill().expect("SIGKILL victim");
-    let _ = victim_child.wait();
-    drop(victim_reader);
+    let victim = wait_for(&mut router, "monitor journal progress", || {
+        (0..2).find(|&i| dir_bytes(&states[i].join("journal")) >= KILL_THRESHOLD)
+    });
+    nodes[victim].take().expect("victim running").kill();
     println!("killed node n{} mid-stream (SIGKILL)", victim + 1);
 
     // Hold the node down past the dead-node timeout so the router must
     // detect the death and rebalance to the survivor — a too-fast restart
     // would be absorbed by the rejoin path alone.
     std::thread::sleep(Duration::from_millis(2_000));
-    let restart_args = if victim == 0 { &args_n1 } else { &args_n2 };
-    nodes[victim] = Some(spawn(restart_args, &idle_guard));
+    let label = format!("n{}-restart", victim + 1);
+    nodes[victim] = Some(gate.spawn(&label, &args[victim], &idle_guard));
     println!("restarted node n{} on the same state dir", victim + 1);
 
-    let router_out = wait_exit(router_child, router_reader, "router");
+    let router_out = router.wait_ok();
     print!("{router_out}");
-    let routed = stat_line(&router_out, "lines replayed");
-    let fleet = stat_line(&router_out, "rebalances");
+    let routed = numbers_in_line(&router_out, "lines replayed");
+    let fleet = numbers_in_line(&router_out, "rebalances");
     let (lines_routed, lines_replayed) = (routed[0], routed[routed.len() - 1]);
     let (rebalances, rejoins) = (fleet[0], fleet[1]);
     if lines_routed != live_lines as u64 {
@@ -403,16 +214,12 @@ fn main() {
         fail("rebalance must replay the dead node's sources from line one");
     }
 
-    let mut outs = Vec::new();
-    for (i, node) in nodes.into_iter().enumerate() {
-        let (child, reader) = node.expect("node spawned");
-        let out = wait_exit(child, reader, &format!("monitor n{}", i + 1));
-        // Keep each node's transcript next to its state dir: the temp dir
-        // survives a failed run, and fleet bugs are undebuggable without
-        // the monitors' own view of revokes, replays, and recovery.
-        let _ = std::fs::write(dir.join(format!("n{}.out", i + 1)), &out);
-        outs.push(out);
-    }
+    // Each node's transcript stays in the work dir (`n1.out`,
+    // `n2-restart.out`, ...) when the gate fails.
+    let outs: Vec<String> = nodes
+        .into_iter()
+        .map(|node| node.expect("node spawned").wait_ok())
+        .collect();
     let restart_out = &outs[victim];
     if !restart_out.contains("recovery: replayed") {
         fail(&format!(
@@ -442,19 +249,11 @@ fn main() {
     );
 
     println!("\nall fleet invariants hold");
-    if !check {
-        let json = format!(
-            "{{\"experiment\":\"d9_cluster\",\"live_lines\":{live_lines},\
-             \"sources\":{N_SOURCES},\"reports\":{},\"lines_routed\":{lines_routed},\
-             \"lines_replayed\":{lines_replayed},\"rebalances\":{rebalances},\
-             \"rejoins\":{rejoins}}}\n",
-            reference.len(),
-        );
-        let out_path = Path::new("results/exp_d9_cluster.json");
-        match monilog_bench::write_json_atomic(out_path, &json) {
-            Ok(()) => println!("wrote {}", out_path.display()),
-            Err(e) => println!("could not write {}: {e}", out_path.display()),
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    gate.finish(&format!(
+        "\"live_lines\":{live_lines},\
+         \"sources\":{N_SOURCES},\"reports\":{},\"lines_routed\":{lines_routed},\
+         \"lines_replayed\":{lines_replayed},\"rebalances\":{rebalances},\
+         \"rejoins\":{rejoins}",
+        reference.len(),
+    ));
 }

@@ -3,7 +3,10 @@
 //! One binary per experiment of `DESIGN.md` §4 lives in `src/bin/`; each
 //! prints the markdown table recorded in `EXPERIMENTS.md`. This library
 //! holds the glue they share: parsing streams into labeled windows,
-//! constructing the detector panel, and table formatting.
+//! constructing the detector panel, and table formatting. The process
+//! gates that drive the real `monilog` binary share [`gate`].
+
+pub mod gate;
 
 use monilog_core::detect::window::{session_windows, tumbling_windows};
 use monilog_core::detect::{

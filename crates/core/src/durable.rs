@@ -32,7 +32,7 @@
 
 use crate::{ClassifiedAnomaly, MoniLog, MoniLogConfig};
 use monilog_classify::SeverityRouter;
-use monilog_model::{CheckpointManifest, JournalPosition, RawLog, SourceId};
+use monilog_model::{CheckpointManifest, JournalPosition, RawLog, ReportLine, SourceId};
 use monilog_stream::durable::{CheckpointStore, Journal, JournalConfig, RotatingLog};
 use monilog_stream::ops::StoredReport;
 use monilog_stream::sinks::{
@@ -42,7 +42,6 @@ use monilog_stream::sinks::{
 use monilog_stream::{PipelineMetrics, ReportStore, Stage};
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, OpenOptions};
-use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -218,17 +217,15 @@ impl EmittedSink {
             RotatingLog::unrotated(path).map_err(|e| format!("open {}: {e}", path.display()))?;
         // Created up front: the state directory holds the record even
         // before the first report. A damaged line costs only its own id.
-        let mut bytes = Vec::new();
-        OpenOptions::new()
+        let bytes = OpenOptions::new()
             .create(true)
             .append(true)
-            .read(true)
             .open(path)
-            .and_then(|mut f| f.read_to_end(&mut bytes))
+            .and_then(|_| fs::read(path))
             .map_err(|e| format!("read {}: {e}", path.display()))?;
         let ids = bytes
             .split(|&b| b == b'\n')
-            .filter_map(report_id_of)
+            .filter_map(ReportLine::id_of)
             .collect();
         Ok(EmittedSink { file, ids })
     }
@@ -264,15 +261,6 @@ impl EmittedSink {
             .append_text(&buf)
             .map_err(|e| format!("append anomaly sink: {e}"))
     }
-}
-
-/// Extract the id from a sink line without a JSON parser — the writer is
-/// `AnomalyReport::to_json`, which always leads with `{"id":N,`.
-fn report_id_of(line: &[u8]) -> Option<u64> {
-    let s = std::str::from_utf8(line).ok()?;
-    let rest = s.strip_prefix("{\"id\":")?;
-    let end = rest.find(|c: char| !c.is_ascii_digit())?;
-    rest[..end].parse().ok()
 }
 
 /// The emit path shared by replay, commit and finish, called once per
@@ -1033,7 +1021,7 @@ mod tests {
         let sink = fs::read_to_string(dir.join(ANOMALIES_FILE)).unwrap();
         let ids: Vec<u64> = sink
             .lines()
-            .map(|l| report_id_of(l.as_bytes()).unwrap())
+            .map(|l| ReportLine::id_of(l.as_bytes()).unwrap())
             .collect();
         let mut unique = ids.clone();
         unique.sort_unstable();
@@ -1156,7 +1144,7 @@ mod tests {
             let whole = bytes.iter().rposition(|b| *b == b'\n').map_or(0, |i| i + 1);
             bytes[..whole]
                 .split(|b| *b == b'\n')
-                .filter_map(report_id_of)
+                .filter_map(ReportLine::id_of)
                 .collect()
         };
 

@@ -85,12 +85,6 @@ impl NoiseInjector {
         arrivals.sort_by_key(|(at, tie, _)| (*at, *tie));
         arrivals.into_iter().map(|(_, _, l)| l).collect()
     }
-
-    /// Maximum disorder bound of this configuration: a merger with a reorder
-    /// buffer of at least this many milliseconds sees every line in order.
-    pub fn disorder_bound_ms(&self) -> u64 {
-        self.config.max_delay_ms
-    }
 }
 
 #[cfg(test)]

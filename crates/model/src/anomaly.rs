@@ -213,6 +213,126 @@ impl AnomalyReport {
     }
 }
 
+/// The fields of one [`AnomalyReport::to_json`] line that its readers
+/// key on, read back without a JSON parser. `kind`, `score` and
+/// `detector` are the rendered text: `score` is `null` for a non-finite
+/// score and `detector` keeps its escapes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReportLine<'a> {
+    pub id: u64,
+    pub kind: &'a str,
+    pub score: &'a str,
+    pub detector: &'a str,
+    pub events: Vec<LineEvent>,
+    /// The provenance ids, as written.
+    pub template_ids: Vec<u64>,
+    pub trace_ids: Vec<u64>,
+}
+
+/// One event of a [`ReportLine`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineEvent {
+    pub ts_ms: u64,
+    pub source: u64,
+    pub template: u64,
+}
+
+impl<'a> ReportLine<'a> {
+    /// Read a line `to_json` wrote, up to the provenance template ids;
+    /// `None` for anything else. Each field is read where `to_json`
+    /// writes it (a struct literal evaluates its fields in the order
+    /// written), so key-like text inside a string is never taken for one.
+    pub fn parse(line: &'a str) -> Option<ReportLine<'a>> {
+        let mut s = Scan(line);
+        Some(ReportLine {
+            id: s.num("{\"id\":")?,
+            kind: s.text(",\"kind\":\"", |c| c != '"')?,
+            score: s.text("\",\"score\":", |c| c != ',')?,
+            detector: s.string(",\"detector\":\"")?,
+            events: s.events()?,
+            trace_ids: s.nums(",\"provenance\":{\"trace_ids\":[")?,
+            template_ids: s.nums(",\"template_ids\":[")?,
+        })
+    }
+
+    /// The id of a line from its leading `{"id":N` alone, so a line
+    /// damaged past its id still yields it.
+    pub fn id_of(line: &[u8]) -> Option<u64> {
+        let rest = line.strip_prefix(b"{\"id\":")?;
+        let end = rest.iter().position(|b| !b.is_ascii_digit())?;
+        std::str::from_utf8(&rest[..end]).ok()?.parse().ok()
+    }
+}
+
+/// A cursor over the fixed key layout of a report line. Each read
+/// starts with the literal `key` in front of its value.
+struct Scan<'a>(&'a str);
+
+impl<'a> Scan<'a> {
+    fn lit(&mut self, key: &str) -> Option<()> {
+        self.0 = self.0.strip_prefix(key)?;
+        Some(())
+    }
+
+    /// The text after `key` up to the first char `keep` rejects.
+    fn text(&mut self, key: &str, keep: impl Fn(char) -> bool) -> Option<&'a str> {
+        self.lit(key)?;
+        let (text, rest) = self
+            .0
+            .split_at(self.0.find(|c| !keep(c)).unwrap_or(self.0.len()));
+        self.0 = rest;
+        Some(text)
+    }
+
+    fn num(&mut self, key: &str) -> Option<u64> {
+        self.text(key, |c| c.is_ascii_digit())?.parse().ok()
+    }
+
+    /// A JSON string body up to its closing quote, escapes kept.
+    fn string(&mut self, key: &str) -> Option<&'a str> {
+        self.lit(key)?;
+        let bytes = self.0.as_bytes();
+        let mut end = 0;
+        while *bytes.get(end)? != b'"' {
+            end += if bytes[end] == b'\\' { 2 } else { 1 };
+        }
+        let (text, rest) = self.0.split_at(end);
+        self.0 = rest;
+        Some(text)
+    }
+
+    /// The explanation, skipped, then the events array.
+    fn events(&mut self) -> Option<Vec<LineEvent>> {
+        self.string("\",\"explanation\":\"")?;
+        self.lit("\",\"events\":[")?;
+        let mut events = Vec::new();
+        while self.lit("]").is_none() {
+            if !events.is_empty() {
+                self.lit(",")?;
+            }
+            self.num("{\"id\":")?;
+            events.push(LineEvent {
+                ts_ms: self.num(",\"ts_ms\":")?,
+                source: self.num(",\"source\":")?,
+                template: self.num(",\"template\":")?,
+            });
+            let _trace_id = self.num(",\"trace_id\":");
+            self.lit("}")?;
+        }
+        Some(events)
+    }
+
+    /// A JSON array of unsigned integers.
+    fn nums(&mut self, key: &str) -> Option<Vec<u64>> {
+        self.lit(key)?;
+        let mut out = Vec::new();
+        while self.lit("]").is_none() {
+            out.push(self.num(if out.is_empty() { "" } else { "," })?);
+        }
+        Some(out)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,5 +417,110 @@ mod tests {
     fn criticality_is_ordered() {
         assert!(Criticality::Low < Criticality::Moderate);
         assert!(Criticality::Moderate < Criticality::High);
+    }
+
+    #[test]
+    fn id_of_reads_only_the_leading_id() {
+        assert_eq!(ReportLine::id_of(b"{\"id\":42,\"kind"), Some(42));
+        assert_eq!(ReportLine::id_of(b"{\"id\":42"), None, "torn inside the id");
+        assert_eq!(ReportLine::id_of(b" {\"id\":42,"), None);
+        assert_eq!(ReportLine::parse("{\"id\":42,\"kind"), None);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::event::EventId;
+    use crate::severity::Severity;
+    use crate::template::TemplateId;
+    use crate::trace::{json_f64, ScoreComponent, TraceId};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// Text that a naive scan of the line would trip on.
+    fn tricky_text() -> impl Strategy<Value = String> {
+        const PIECES: [&str; 8] = [
+            "deeplog",
+            "\"",
+            "\\",
+            "\n\u{1}\u{1f}",
+            "\"events\":[",
+            "\"provenance\":{",
+            "é",
+            ",\"score\":",
+        ];
+        vec(0..PIECES.len(), 0..6).prop_map(|picks| picks.iter().map(|&i| PIECES[i]).collect())
+    }
+
+    fn score() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            any::<f64>(),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The reader recovers every field it keys on from `to_json`.
+        #[test]
+        fn reader_recovers_every_field(
+            (id, sequential, score, detector) in (any::<u64>(), any::<bool>(), score(), tricky_text()),
+            explanation in tricky_text(),
+            events in vec((any::<u64>(), any::<u16>(), any::<u32>(), (any::<bool>(), any::<u64>())), 0..5),
+            (trace_ids, template_ids, component) in (vec(any::<u64>(), 0..4), vec(any::<u32>(), 0..4), tricky_text()),
+        ) {
+            let report = AnomalyReport {
+                id,
+                kind: if sequential { AnomalyKind::Sequential } else { AnomalyKind::Quantitative },
+                score,
+                detector,
+                events: events
+                    .iter()
+                    .map(|&(ts, src, tpl, (traced, trace))| {
+                        LogEvent::new(
+                            EventId(ts ^ 1),
+                            Timestamp::from_millis(ts),
+                            SourceId(src),
+                            Severity::Info,
+                            TemplateId(tpl),
+                            vec![],
+                            None,
+                        )
+                        .with_trace(traced.then_some(TraceId(trace)))
+                    })
+                    .collect(),
+                explanation,
+                provenance: Provenance {
+                    trace_ids: trace_ids.iter().map(|&t| TraceId(t)).collect(),
+                    template_ids,
+                    window: None,
+                    score_components: vec![ScoreComponent::new(component, score)],
+                },
+            };
+            let json = report.to_json();
+            let line = ReportLine::parse(&json).expect("to_json output parses");
+            prop_assert_eq!(line.id, report.id);
+            prop_assert_eq!(line.kind, report.kind.to_string());
+            prop_assert_eq!(line.score, json_f64(report.score));
+            prop_assert_eq!(format!("\"{}\"", line.detector), json_string(&report.detector));
+            let want: Vec<LineEvent> = report
+                .events
+                .iter()
+                .map(|e| LineEvent {
+                    ts_ms: e.timestamp.as_millis(),
+                    source: e.source.0 as u64,
+                    template: e.template.0 as u64,
+                })
+                .collect();
+            prop_assert_eq!(line.events, want);
+            let want: Vec<u64> = report.provenance.template_ids.iter().map(|&t| t as u64).collect();
+            prop_assert_eq!(line.template_ids, want);
+            prop_assert_eq!(line.trace_ids, trace_ids);
+            prop_assert_eq!(ReportLine::id_of(json.as_bytes()), Some(report.id));
+        }
     }
 }

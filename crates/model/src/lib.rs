@@ -52,7 +52,7 @@ pub mod time;
 pub mod tokenize;
 pub mod trace;
 
-pub use anomaly::{AnomalyKind, AnomalyReport, Criticality, DeliveryClass};
+pub use anomaly::{AnomalyKind, AnomalyReport, Criticality, DeliveryClass, LineEvent, ReportLine};
 pub use checkpoint::{CheckpointManifest, JournalPosition};
 pub use codec::{crc32, put_frame, split_frame, CodecError, Decoder, Encoder, MAX_FRAME_BYTES};
 pub use event::{EventId, LogEvent, SessionKey};

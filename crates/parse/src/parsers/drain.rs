@@ -317,12 +317,6 @@ impl Drain {
         Ok(drain)
     }
 
-    /// Internal cache occupancy `(interned tokens, memoized shapes)` —
-    /// diagnostics for capacity tuning.
-    pub fn cache_debug(&self) -> (usize, usize) {
-        (self.cache.interner.len(), self.cache.map.len())
-    }
-
     /// `(hits, misses)` of the match cache so far. Misses count every
     /// cache-enabled parse that fell through to the tree walk.
     pub fn cache_stats(&self) -> (u64, u64) {

@@ -39,6 +39,7 @@
 
 use crate::net::http;
 use crate::sinks::{self, BufferedReport, PING_ACK};
+use monilog_model::ReportLine;
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashSet};
 use std::io::{Read, Write};
@@ -193,8 +194,6 @@ pub enum SinkProtocol {
 /// Shared observable state of a [`FlakySinkServer`].
 #[derive(Debug, Default)]
 struct SinkLedger {
-    /// Every id acknowledged, in arrival order (duplicates included).
-    acked: Mutex<Vec<u64>>,
     /// Ids seen at least once — the receiver-side dedup set.
     seen: Mutex<HashSet<u64>>,
     duplicates: AtomicU64,
@@ -234,28 +233,29 @@ impl FlakySinkServer {
         let handle = std::thread::Builder::new()
             .name("flaky-sink".into())
             .spawn(move || {
-                while !thread_stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let idx = thread_ledger.connections.fetch_add(1, Ordering::Relaxed);
-                            let fault = script
-                                .get(idx as usize)
-                                .copied()
-                                .unwrap_or(SinkFault::Healthy);
-                            let ledger = Arc::clone(&thread_ledger);
-                            let stop = Arc::clone(&thread_stop);
-                            // One thread per connection: hangs must not
-                            // block the accept loop.
-                            std::thread::spawn(move || {
-                                serve_connection(stream, protocol, fault, &ledger, &stop);
-                            });
+                let (ledger, stop) = (&*thread_ledger, &*thread_stop);
+                // One thread per connection, so a hang cannot block the
+                // accept loop; the scope joins them all before it returns.
+                std::thread::scope(|conns| {
+                    while !stop.load(Ordering::Relaxed) {
+                        match listener.accept() {
+                            Ok((stream, _)) => {
+                                let idx = ledger.connections.fetch_add(1, Ordering::Relaxed);
+                                let fault = script
+                                    .get(idx as usize)
+                                    .copied()
+                                    .unwrap_or(SinkFault::Healthy);
+                                conns.spawn(move || {
+                                    serve_connection(stream, protocol, fault, ledger, stop)
+                                });
+                            }
+                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                                std::thread::sleep(Duration::from_millis(5));
+                            }
+                            Err(_) => break,
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
                     }
-                }
+                })
             })
             .expect("spawn flaky sink server");
         Ok(FlakySinkServer {
@@ -289,24 +289,26 @@ impl FlakySinkServer {
         self.ledger.connections.load(Ordering::Relaxed)
     }
 
-    /// Stop accepting and join the accept loop. Returns the delivered set
-    /// so a harness can stop a server, keep its ledger, and start a fresh
-    /// one on the same port.
+    /// Stop accepting and join the accept loop and every connection
+    /// thread — each serve path sees the stop within its 200 ms read
+    /// timeout — so the returned delivered set is final. A harness keeps
+    /// it and can start a fresh server on the same port.
     pub fn shutdown(mut self) -> Vec<u64> {
+        self.stop_and_join();
+        self.delivered_ids()
+    }
+
+    fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
-        self.delivered_ids()
     }
 }
 
 impl Drop for FlakySinkServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.stop_and_join();
     }
 }
 
@@ -315,7 +317,6 @@ fn record(ledger: &SinkLedger, report: &BufferedReport) {
     if !fresh {
         ledger.duplicates.fetch_add(1, Ordering::Relaxed);
     }
-    ledger.acked.lock().push(report.id);
 }
 
 fn serve_connection(
@@ -442,7 +443,7 @@ fn serve_http(mut stream: TcpStream, ledger: &SinkLedger) {
     if head.method == "POST" {
         let text = String::from_utf8_lossy(&body);
         for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            let id = parse_report_id(line);
+            let id = ReportLine::id_of(line.trim_start().as_bytes()).unwrap_or(0);
             record(
                 ledger,
                 &BufferedReport {
@@ -455,13 +456,6 @@ fn serve_http(mut stream: TcpStream, ledger: &SinkLedger) {
         return respond(&mut stream, "200 OK", "");
     }
     respond(&mut stream, "404 Not Found", "");
-}
-
-/// Extract the id from a report JSON line (`{"id":N,...}`); 0 if absent.
-fn parse_report_id(line: &str) -> u64 {
-    let rest = line.trim_start().strip_prefix("{\"id\":").unwrap_or("");
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().unwrap_or(0)
 }
 
 /// One scripted misbehaviour of a [`FlakySourceClient`] connection against
@@ -956,5 +950,22 @@ mod tests {
         drop(sink);
         let delivered = server.shutdown();
         assert_eq!(delivered, vec![5]);
+    }
+
+    #[test]
+    fn shutdown_stops_open_connections_before_returning_the_ledger() {
+        let server = FlakySinkServer::spawn("127.0.0.1:0", SinkProtocol::Framed, vec![]).unwrap();
+        let mut conn = TcpStream::connect(server.addr()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let mut ack = [0u8; 8];
+        sinks::write_frame(&mut conn, &sinks::encode_report_payload(&report(1))).unwrap();
+        conn.read_exact(&mut ack).unwrap();
+        assert_eq!(server.shutdown(), vec![1]);
+        // The ledger is final: the open connection records and acks nothing.
+        let _ = sinks::write_frame(&mut conn, &sinks::encode_report_payload(&report(2)));
+        assert!(
+            conn.read_exact(&mut ack).is_err(),
+            "a frame was acked after shutdown"
+        );
     }
 }

@@ -17,8 +17,8 @@
 //!   trace spans).
 //! - [`StatusBoard`] + [`render_status`] — one JSON document scoring the
 //!   whole pipeline (`ok | degraded | critical` with machine-readable
-//!   reasons): per-stage p99 vs. a latency budget, shard health, breaker
-//!   states, WAL/checkpoint lag, queue depth, cache hit rates.
+//!   reasons): per-stage p99 vs. a latency budget, breaker states, the
+//!   router link, WAL/checkpoint lag, queue depth, cache hit rates.
 //! - [`ReloadableConfig`] — a versioned atomic-swap snapshot of the
 //!   allowlisted runtime knobs, driven by `POST /config` and SIGHUP
 //!   (see [`crate::durable::signal`]), audit-logged to the state dir,
@@ -47,10 +47,9 @@ use crate::config::OverloadPolicy;
 use crate::durable::RotatingLog;
 use crate::metrics::PipelineMetrics;
 use crate::observe::MetricsSnapshot;
-use crate::supervisor::ShardHealth;
 use crate::trace::Tracer;
 use monilog_model::trace::json_string;
-use monilog_model::{AnomalyReport, Criticality, TraceId};
+use monilog_model::{AnomalyReport, Criticality, ReportLine, TraceId};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -119,48 +118,30 @@ impl StoredReport {
         severity: Criticality,
         json: String,
     ) -> StoredReport {
-        let mut template_ids: Vec<u64> =
-            report.events.iter().map(|e| e.template.0 as u64).collect();
-        template_ids.extend(report.provenance.template_ids.iter().map(|&t| t as u64));
-        template_ids.sort_unstable();
-        template_ids.dedup();
+        let templates = report.events.iter().map(|e| e.template.0);
+        let templates = templates.chain(report.provenance.template_ids.iter().copied());
         StoredReport {
             id: report.id,
             severity: Some(severity),
-            template_ids,
-            source_ids: report.sources().iter().map(|s| s.0 as u64).collect(),
+            template_ids: distinct(templates.map(u64::from)),
+            source_ids: distinct(report.events.iter().map(|e| u64::from(e.source.0))),
             trace_ids: report.provenance.trace_ids.iter().map(|t| t.0).collect(),
             json,
         }
     }
 
-    /// Re-index one `anomalies.jsonl` line on restart. A string scan over
-    /// the exact key layout [`AnomalyReport::to_json`] emits — key
-    /// patterns are quoted, and quotes inside JSON string values are
-    /// escaped, so a pattern like `"events":[` cannot match inside one.
+    /// Re-index one `anomalies.jsonl` line on restart, through the
+    /// writer's own reader ([`ReportLine`]).
     pub fn from_json_line(line: &str) -> Option<StoredReport> {
         let line = line.trim();
-        if !line.starts_with('{') {
-            return None;
-        }
-        let id = num_after(line, "{\"id\":")?;
-        let events_start = line.find("\"events\":[")?;
-        let prov_start = line.find("\"provenance\":{")?;
-        let events = line.get(events_start..prov_start)?;
-        let mut template_ids = nums_after_each(events, "\"template\":");
-        let mut source_ids = nums_after_each(events, "\"source\":");
-        let prov = &line[prov_start..];
-        template_ids.extend(nums_in_array(prov, "\"template_ids\":["));
-        template_ids.sort_unstable();
-        template_ids.dedup();
-        source_ids.sort_unstable();
-        source_ids.dedup();
+        let r = ReportLine::parse(line)?;
+        let templates = r.events.iter().map(|e| e.template);
         Some(StoredReport {
-            id,
+            id: r.id,
             severity: None,
-            template_ids,
-            source_ids,
-            trace_ids: nums_in_array(prov, "\"trace_ids\":["),
+            template_ids: distinct(templates.chain(r.template_ids)),
+            source_ids: distinct(r.events.iter().map(|e| e.source)),
+            trace_ids: r.trace_ids,
             json: line.to_string(),
         })
     }
@@ -190,41 +171,12 @@ impl StoredReport {
     }
 }
 
-/// Parse the decimal number directly after the first occurrence of `key`.
-fn num_after(s: &str, key: &str) -> Option<u64> {
-    let at = s.find(key)? + key.len();
-    let digits: String = s[at..].chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
-/// Every decimal number directly following any occurrence of `key`.
-fn nums_after_each(s: &str, key: &str) -> Vec<u64> {
-    let mut out = Vec::new();
-    let mut rest = s;
-    while let Some(at) = rest.find(key) {
-        rest = &rest[at + key.len()..];
-        let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-        if let Ok(n) = digits.parse() {
-            out.push(n);
-        }
-    }
-    out
-}
-
-/// The comma-separated numbers of the JSON array opened by `key` (which
-/// must end in `[`).
-fn nums_in_array(s: &str, key: &str) -> Vec<u64> {
-    let Some(at) = s.find(key) else {
-        return Vec::new();
-    };
-    let rest = &s[at + key.len()..];
-    let Some(end) = rest.find(']') else {
-        return Vec::new();
-    };
-    rest[..end]
-        .split(',')
-        .filter_map(|n| n.trim().parse().ok())
-        .collect()
+/// `ids` ascending, each once.
+fn distinct(ids: impl Iterator<Item = u64>) -> Vec<u64> {
+    let mut ids: Vec<u64> = ids.collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
 }
 
 /// A parsed `GET /reports` query. Results are returned in ascending id
@@ -307,25 +259,6 @@ impl ReportsQuery {
         }
         Ok(q)
     }
-
-    /// Canonical query-string rendering; `parse` round-trips it.
-    pub fn to_query_string(&self) -> String {
-        let mut parts = Vec::new();
-        if let Some(s) = self.since {
-            parts.push(format!("since={s}"));
-        }
-        if let Some(s) = self.severity {
-            parts.push(format!("severity={s}"));
-        }
-        if let Some(t) = self.template {
-            parts.push(format!("template={t}"));
-        }
-        if let Some(s) = self.source {
-            parts.push(format!("source={s}"));
-        }
-        parts.push(format!("limit={}", self.limit));
-        parts.join("&")
-    }
 }
 
 /// Bounded, indexed ring of the most recent reports. Report ids are
@@ -372,15 +305,8 @@ impl ReportStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
             Err(e) => return Err(e),
         };
-        let mut n = 0;
-        for line in text.lines() {
-            if let Some(r) = StoredReport::from_json_line(line) {
-                if self.record(r) {
-                    n += 1;
-                }
-            }
-        }
-        Ok(n)
+        let fresh = text.lines().filter_map(StoredReport::from_json_line);
+        Ok(fresh.map(|r| self.record(r)).filter(|&new| new).count())
     }
 
     /// All matching reports in ascending id order: the total match count
@@ -495,12 +421,6 @@ impl StatusLevel {
 /// without reaching into the pipeline, supervisor, or delivery worker.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatusInputs {
-    pub shards_total: usize,
-    pub shards_alive: usize,
-    pub shards_stalled: usize,
-    /// Any shard in crash-loop degradation (supervisor gave up respawning
-    /// at full capability).
-    pub crash_looping: bool,
     /// Lines waiting in the ingest queue.
     pub ingest_queue_depth: u64,
     /// `(route name, breaker state name)` per delivery route.
@@ -520,17 +440,6 @@ pub struct StatusInputs {
     /// monitor — local sources keep flowing — so it reports through the
     /// degraded tier, never as a 503.
     pub router_link: Option<(String, String)>,
-}
-
-impl StatusInputs {
-    /// Fold a `SupervisedParseService::shard_status()` view into the
-    /// shard fields.
-    pub fn apply_shard_status(&mut self, shards: &[ShardHealth]) {
-        self.shards_total = shards.len();
-        self.shards_alive = shards.iter().filter(|h| h.alive).count();
-        self.shards_stalled = shards.iter().filter(|h| h.stalled).count();
-        self.crash_looping = shards.iter().any(|h| h.degraded);
-    }
 }
 
 /// Mailbox between the monitor loop (publisher) and the exporter thread
@@ -567,12 +476,6 @@ impl StatusBoard {
 /// ready.
 pub fn readiness_reasons(inputs: &StatusInputs) -> Vec<String> {
     let mut reasons = Vec::new();
-    if inputs.crash_looping {
-        reasons.push("crash-loop degradation: a shard exhausted its respawn budget".to_string());
-    }
-    if inputs.shards_total > 0 && inputs.shards_stalled == inputs.shards_total {
-        reasons.push(format!("all {} shards stalled", inputs.shards_total));
-    }
     if inputs.delivery_spilling {
         reasons.push("delivery layer is spilling reports to disk".to_string());
     }
@@ -584,12 +487,6 @@ pub fn readiness_reasons(inputs: &StatusInputs) -> Vec<String> {
 /// `GET /readyz` so probes distinguish "healthy" from "limping".
 pub fn degraded_reasons(inputs: &StatusInputs) -> Vec<String> {
     let mut reasons = Vec::new();
-    if inputs.shards_stalled > 0 && inputs.shards_stalled < inputs.shards_total {
-        reasons.push(format!(
-            "{}/{} shards stalled",
-            inputs.shards_stalled, inputs.shards_total
-        ));
-    }
     for (route, state) in &inputs.breakers {
         if state != "closed" {
             reasons.push(format!("breaker {route} {state}"));
@@ -688,7 +585,6 @@ pub fn render_status(
     let json = format!(
         "{{\"status\":\"{}\",\"reasons\":[{}],\"config_version\":{config_version},\
          \"latency_budget_ms\":{budget_ms},\"stages\":{{{stages}}},\
-         \"shards\":{{\"total\":{},\"alive\":{},\"stalled\":{},\"crash_looping\":{}}},\
          \"queue\":{{\"depth\":{}}},\
          \"delivery\":{{\"pending_bytes\":{},\"spilling\":{},\"breakers\":{{{breakers}}}}},\
          \"cluster\":{cluster},\
@@ -701,10 +597,6 @@ pub fn render_status(
          \"rates\":{{\"interval_secs\":{:.3},\"lines_per_second\":{:.3}}}}}",
         level.name(),
         reasons_json.join(","),
-        inputs.shards_total,
-        inputs.shards_alive,
-        inputs.shards_stalled,
-        inputs.crash_looping,
         inputs.ingest_queue_depth,
         inputs.delivery_pending_bytes,
         inputs.delivery_spilling,
@@ -1032,6 +924,25 @@ mod tests {
         Timestamp,
     };
 
+    /// Canonical query-string rendering; `ReportsQuery::parse` round-trips it.
+    fn query_string(q: &ReportsQuery) -> String {
+        let mut parts = Vec::new();
+        if let Some(s) = q.since {
+            parts.push(format!("since={s}"));
+        }
+        if let Some(s) = q.severity {
+            parts.push(format!("severity={s}"));
+        }
+        if let Some(t) = q.template {
+            parts.push(format!("template={t}"));
+        }
+        if let Some(s) = q.source {
+            parts.push(format!("source={s}"));
+        }
+        parts.push(format!("limit={}", q.limit));
+        parts.join("&")
+    }
+
     fn report(id: u64, sources: &[u16], templates: &[u32], traces: &[u64]) -> AnomalyReport {
         let events: Vec<LogEvent> = sources
             .iter()
@@ -1190,7 +1101,7 @@ mod tests {
         assert_eq!(q.source, Some(2));
         assert_eq!(q.limit, 10);
         assert_eq!(
-            q.to_query_string(),
+            query_string(&q),
             "since=5&severity=high&template=3&source=2&limit=10"
         );
         for bad in [
@@ -1224,8 +1135,6 @@ mod tests {
         let registry = crate::observe::MetricsRegistry::shared();
         let snap = registry.snapshot();
         let healthy = StatusInputs {
-            shards_total: 2,
-            shards_alive: 2,
             breakers: vec![("webhook".to_string(), "closed".to_string())],
             ..StatusInputs::default()
         };
@@ -1253,37 +1162,15 @@ mod tests {
         assert!(json.contains("stage parse_exec p99"), "{json}");
         assert!(json.contains("\"over_budget\":true"), "{json}");
 
-        // Critical conditions are the readiness reasons.
-        for bad in [
-            StatusInputs {
-                crash_looping: true,
-                ..healthy.clone()
-            },
-            StatusInputs {
-                shards_total: 2,
-                shards_alive: 0,
-                shards_stalled: 2,
-                ..healthy.clone()
-            },
-            StatusInputs {
-                delivery_spilling: true,
-                ..healthy.clone()
-            },
-        ] {
-            assert!(!readiness_reasons(&bad).is_empty());
-            let (level, json) = render_status(&snap, &bad, 250, 7);
-            assert_eq!(level, StatusLevel::Critical, "{json}");
-        }
-        // One stalled shard of two is degraded, not critical.
-        let partial = StatusInputs {
-            shards_total: 2,
-            shards_alive: 2,
-            shards_stalled: 1,
+        // Spilling is the readiness reason, and critical.
+        let spilling = StatusInputs {
+            delivery_spilling: true,
             ..healthy.clone()
         };
-        assert!(readiness_reasons(&partial).is_empty());
-        let (level, _) = render_status(&snap, &partial, 250, 7);
-        assert_eq!(level, StatusLevel::Degraded);
+        assert!(!readiness_reasons(&spilling).is_empty());
+        assert!(readiness_reasons(&degraded).is_empty());
+        let (level, json) = render_status(&snap, &spilling, 250, 7);
+        assert_eq!(level, StatusLevel::Critical, "{json}");
     }
 
     #[test]
@@ -1389,6 +1276,7 @@ mod tests {
 
     mod proptests {
         use super::*;
+        use proptest::collection::vec;
         use proptest::prelude::*;
 
         fn criticality() -> impl Strategy<Value = Criticality> {
@@ -1415,9 +1303,31 @@ mod tests {
                 limit in 1usize..=MAX_REPORT_LIMIT,
             ) {
                 let q = ReportsQuery { since, severity, template, source, limit };
-                let qs = q.to_query_string();
+                let qs = query_string(&q);
                 let back = ReportsQuery::parse(&qs).unwrap();
                 prop_assert_eq!(back, q);
+            }
+
+            /// A backfilled line indexes exactly as the live report did,
+            /// for strings a naive scan would misread and for non-finite
+            /// scores.
+            #[test]
+            fn backfill_indexes_like_the_live_report(
+                (id, score) in (0..u64::MAX / 1000, prop_oneof![Just(f64::NAN), any::<f64>()]),
+                picks in vec(0..6usize, 0..8),
+                sources in vec(any::<u16>(), 0..5),
+                (templates, traces) in (vec(any::<u32>(), 1..4), vec(any::<u64>(), 0..3)),
+            ) {
+                const PIECES: [&str; 6] =
+                    ["\"", "\\", "\n\u{1}", "\"events\":[", "\"provenance\":{", "x"];
+                let text: String = picks.iter().map(|&i| PIECES[i]).collect();
+                let mut r = report(id, &sources, &templates, &traces);
+                r.score = score;
+                r.detector = text.clone();
+                r.explanation = text;
+                let live = StoredReport::from_report(&r, Criticality::High);
+                let back = StoredReport::from_json_line(&r.to_json()).expect("parses");
+                prop_assert_eq!(back, StoredReport { severity: None, ..live });
             }
         }
     }
