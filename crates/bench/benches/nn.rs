@@ -1,6 +1,6 @@
-//! Criterion benchmark: neural-substrate primitives — matmul, LSTM step,
-//! full BPTT training step. These bound how fast the deep detectors can
-//! train and score.
+//! Criterion benchmark: neural-substrate primitives — matmul, DeepLog's
+//! training products, LSTM step, full BPTT training step. These bound how
+//! fast the deep detectors can train and score.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use monilog_nn::{Adam, Dense, Embedding, Graph, Lstm, Matrix, Optimizer, ParamSet, Var};
@@ -31,6 +31,33 @@ fn nn_primitives(c: &mut Criterion) {
             let x = g.input(Matrix::full(64, 16, 0.3));
             let state = lstm.zero_state(&mut g, 64);
             black_box(lstm.step(&mut g, &params, x, state));
+        })
+    });
+
+    // DeepLog's training products at batch 64: `z · W` with `z = [x | h]`
+    // (16 + 32 wide) and `W` 48 × 128 (four 32-wide gates), then the two
+    // products of its backward — `grad · Wᵀ` through a reused transpose,
+    // and `zᵀ · grad` read transposed in place.
+    let z = Matrix::xavier(64, 48, &mut rng);
+    let w = Matrix::xavier(48, 128, &mut rng);
+    let grad = Matrix::xavier(64, 128, &mut rng);
+    group.bench_function("deeplog_fwd_64x48x128", |bencher| {
+        bencher.iter(|| black_box(z.matmul(&w)))
+    });
+    let (mut w_t, mut out) = (Matrix::default(), Matrix::default());
+    group.bench_function("deeplog_grad_z_64x128x48", |bencher| {
+        bencher.iter(|| {
+            w.transpose_into(&mut w_t);
+            out.reset(64, 48);
+            grad.matmul_acc(&w_t, 0, &mut out);
+            black_box(&out);
+        })
+    });
+    group.bench_function("deeplog_grad_w_48x64x128", |bencher| {
+        bencher.iter(|| {
+            out.reset(48, 128);
+            z.tr_matmul_acc(&grad, &mut out);
+            black_box(&out);
         })
     });
 

@@ -434,11 +434,24 @@ impl DeepLog {
             seed: d.get_u64()?,
         };
         let unk = d.get_u32()?;
+        if config.history == 0 {
+            return Err(CodecError::Corrupt("history"));
+        }
+        if config.top_g == 0 {
+            return Err(CodecError::Corrupt("top-g"));
+        }
+        let eos = unk.checked_add(2).ok_or(CodecError::Corrupt("unk id"))?;
+        let (v, e, h) = (
+            eos as u64 + 1,
+            config.embedding_dim as u64,
+            config.hidden as u64,
+        );
+        deep::weights_fit(&d, &[(v, e), (e + h, 4 * h), (1, 4 * h), (h, v), (1, v)])?;
         let mut detector = DeepLog::new(config);
         detector.unk = unk;
         detector.pad = unk + 1;
-        detector.eos = unk + 2;
-        detector.vocab = detector.eos as usize + 1;
+        detector.eos = eos;
+        detector.vocab = eos as usize + 1;
 
         // Rebuild the layer structure (deterministic registration order),
         // then overwrite the weights with the checkpoint.
@@ -1025,9 +1038,18 @@ mod tests {
         assert!(DeepLog::load(b"garbage").is_err());
         let mut d = DeepLog::new(small_config());
         d.fit(&train_set());
-        let mut bytes = d.save().expect("checkpointable");
-        bytes.truncate(bytes.len() / 2);
-        assert!(DeepLog::load(&bytes).is_err());
+        let bytes = d.save().expect("checkpointable");
+        assert!(DeepLog::load(&bytes[..bytes.len() / 2]).is_err());
+        // A damaged header is an error, not a panic or a huge allocation:
+        // `history` at byte 6, `top_g` 10, `hidden` 18, `unk` 68.
+        for (at, value) in [(6, 0), (10, 0), (68, u32::MAX), (18, 1 << 31)] {
+            let mut bad = bytes.clone();
+            bad[at..at + 4].copy_from_slice(&u32::to_le_bytes(value));
+            assert!(
+                matches!(DeepLog::load(&bad), Err(CodecError::Corrupt(_))),
+                "field at byte {at} = {value} accepted"
+            );
+        }
     }
 
     /// `(history window, next id)` samples of one sequence as the per-sample

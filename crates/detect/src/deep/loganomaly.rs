@@ -239,6 +239,9 @@ impl LogAnomaly {
             count_tolerance: d.get_f64()?,
             seed: d.get_u64()?,
         };
+        if config.history == 0 {
+            return Err(CodecError::Corrupt("history"));
+        }
         let mut detector = LogAnomaly::new(config);
         let n = d.get_len()?;
         let mut vz_bytes = Vec::with_capacity(n);
@@ -265,6 +268,15 @@ impl LogAnomaly {
             }
             detector.known_vectors.insert(id, v);
         }
+        let (x, h, classes) = (
+            config.semantic_dim as u64,
+            config.hidden as u64,
+            detector.train_vocab.len().max(2) as u64,
+        );
+        deep::weights_fit(
+            &d,
+            &[(x + h, 4 * h), (1, 4 * h), (h, classes), (1, classes)],
+        )?;
         let mut rng = StdRng::seed_from_u64(config.seed);
         let lstm = Lstm::new(
             &mut detector.params,
@@ -743,6 +755,16 @@ mod tests {
         let mut bad = bytes.clone();
         bad.truncate(bad.len() - 3);
         assert!(LogAnomaly::load(&bad).is_err());
+        // A damaged header is an error, not a panic or a huge allocation:
+        // `history` at byte 6, `hidden` at byte 18.
+        for (at, value) in [(6, 0), (18, 1 << 31)] {
+            let mut bad = bytes.clone();
+            bad[at..at + 4].copy_from_slice(&u32::to_le_bytes(value));
+            assert!(
+                matches!(LogAnomaly::load(&bad), Err(CodecError::Corrupt(_))),
+                "field at byte {at} = {value} accepted"
+            );
+        }
         assert!(LogAnomaly::new(small_config()).save().is_err(), "unfitted");
     }
 

@@ -16,6 +16,7 @@
 //!   predict-normal, which is the finding P1 exists to show.
 
 use crate::api::{Detector, TrainSet, Window};
+use crate::deep;
 use crate::semantic::TemplateVectorizer;
 use monilog_model::codec::{CodecError, Decoder, Encoder};
 use monilog_model::{Template, TemplateStore};
@@ -148,6 +149,9 @@ impl LogRobust {
             max_windows: d.get_u32()? as usize,
             seed: d.get_u64()?,
         };
+        if config.max_len == 0 {
+            return Err(CodecError::Corrupt("max length"));
+        }
         let mut detector = LogRobust::new(config);
         let n = d.get_len()?;
         for _ in 0..n {
@@ -158,6 +162,23 @@ impl LogRobust {
             }
             detector.vectors.insert(id, v);
         }
+        let (x, h, a) = (
+            config.semantic_dim as u64,
+            config.hidden as u64,
+            config.attention_dim as u64,
+        );
+        // Both LSTM directions at once, then attention and head.
+        deep::weights_fit(
+            &d,
+            &[
+                (x + h, 8 * h),
+                (1, 8 * h),
+                (2 * h, a),
+                (a, 1),
+                (2 * h, 2),
+                (1, 2),
+            ],
+        )?;
         let mut rng = StdRng::seed_from_u64(config.seed);
         let encoder = BiLstm::new(
             &mut detector.params,
@@ -499,6 +520,16 @@ mod tests {
         d.fit(&train);
         let bytes = d.save().expect("fitted model checkpoints");
         let restored = LogRobust::load(&bytes).expect("valid checkpoint");
+        // A damaged header is an error, not a panic or a huge allocation:
+        // `max_len` at byte 18, `hidden` at byte 10.
+        for (at, value) in [(18, 0), (10, 1 << 31)] {
+            let mut bad = bytes.clone();
+            bad[at..at + 4].copy_from_slice(&u32::to_le_bytes(value));
+            assert!(
+                matches!(LogRobust::load(&bad), Err(CodecError::Corrupt(_))),
+                "field at byte {at} = {value} accepted"
+            );
+        }
         for w in [
             Window::from_ids(vec![0, 1, 2, 3]),
             Window::from_ids(vec![0, 3, 1]),

@@ -6,6 +6,7 @@ pub mod loganomaly;
 pub mod logrobust;
 
 use monilog_model::affinity::pin_current_thread;
+use monilog_model::codec::{CodecError, Decoder};
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -27,6 +28,17 @@ pub(crate) fn workers() -> usize {
 /// each holds [`ROW_FLOOR`] rows, else fewer, down to one.
 pub(crate) fn chunks(rows: usize, workers: usize) -> usize {
     workers.min(rows / ROW_FLOOR).max(1)
+}
+
+/// Reject a checkpoint whose header declares more weights than the bytes
+/// left in it can hold, before any layer is built for it: `shapes` are the
+/// `(rows, cols)` of every parameter the header implies.
+pub(crate) fn weights_fit(d: &Decoder<'_>, shapes: &[(u64, u64)]) -> Result<(), CodecError> {
+    let values: u128 = shapes.iter().map(|&(r, c)| r as u128 * c as u128).sum();
+    if values * 8 > d.remaining() as u128 {
+        return Err(CodecError::Corrupt("layer sizes exceed the checkpoint"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -326,6 +326,11 @@ impl<'a> Decoder<'a> {
         Ok(out)
     }
 
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.buf.remaining()
+    }
+
     /// True when every byte has been consumed.
     pub fn is_exhausted(&self) -> bool {
         !self.buf.has_remaining()

@@ -166,27 +166,23 @@ impl Graph {
     pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
         let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
         assert_eq!(av.rows, bv.rows, "concat_cols row mismatch");
-        let mut value = Matrix::zeros(av.rows, av.cols + bv.cols);
+        let mut data = Vec::with_capacity(av.len() + bv.len());
         for r in 0..av.rows {
-            for c in 0..av.cols {
-                value.set(r, c, av.get(r, c));
-            }
-            for c in 0..bv.cols {
-                value.set(r, av.cols + c, bv.get(r, c));
-            }
+            data.extend_from_slice(av.row_slice(r));
+            data.extend_from_slice(bv.row_slice(r));
         }
+        let value = Matrix::from_vec(av.rows, av.cols + bv.cols, data);
         self.push(Op::ConcatCols(a, b), value)
     }
 
     pub fn slice_cols(&mut self, a: Var, start: usize, len: usize) -> Var {
         let av = &self.nodes[a.0].value;
         assert!(start + len <= av.cols, "slice_cols out of range");
-        let mut value = Matrix::zeros(av.rows, len);
+        let mut data = Vec::with_capacity(av.rows * len);
         for r in 0..av.rows {
-            for c in 0..len {
-                value.set(r, c, av.get(r, start + c));
-            }
+            data.extend_from_slice(&av.row_slice(r)[start..start + len]);
         }
+        let value = Matrix::from_vec(av.rows, len, data);
         self.push(Op::SliceCols(a, start, len), value)
     }
 
@@ -269,183 +265,188 @@ impl Graph {
         self.nodes[loss.0].grad.set(0, 0, 1.0);
 
         // Nodes are created parents-first, so reverse construction order is
-        // a valid reverse-topological order.
+        // a valid reverse-topological order, and every parent of node `idx`
+        // lies in `nodes[..idx]`.
+        let mut scratch = Scratch::default();
         for idx in (0..self.nodes.len()).rev() {
-            let grad = self.nodes[idx].grad.clone();
-            if grad.norm() == 0.0 {
-                continue;
+            let (parents, rest) = self.nodes.split_at_mut(idx);
+            let node = &mut rest[0];
+            let grad = std::mem::take(&mut node.grad);
+            // `norm() == 0.0`, with early exit: a square is zero exactly
+            // when it underflows or the entry is ±0, and NaN never is.
+            if !grad.data().iter().all(|x| x * x == 0.0) {
+                backprop(&node.op, &node.value, &grad, parents, params, &mut scratch);
             }
-            match &self.nodes[idx].op {
-                Op::Input => {}
-                Op::Param(id) => params.grad_mut(*id).add_scaled(&grad, 1.0),
-                Op::MatMul(a, b) => {
-                    let (a, b) = (*a, *b);
-                    let ga = grad.matmul(&self.nodes[b.0].value.transpose());
-                    let gb = self.nodes[a.0].value.transpose().matmul(&grad);
-                    self.nodes[a.0].grad.add_scaled(&ga, 1.0);
-                    self.nodes[b.0].grad.add_scaled(&gb, 1.0);
-                }
-                Op::Add(a, b) => {
-                    let (a, b) = (*a, *b);
-                    self.nodes[a.0].grad.add_scaled(&grad, 1.0);
-                    let bshape = self.nodes[b.0].value.shape();
-                    if bshape == grad.shape() {
-                        self.nodes[b.0].grad.add_scaled(&grad, 1.0);
-                    } else {
-                        // Broadcast bias: sum gradient over rows.
-                        let mut gb = Matrix::zeros(1, grad.cols);
-                        for r in 0..grad.rows {
-                            for c in 0..grad.cols {
-                                gb.set(0, c, gb.get(0, c) + grad.get(r, c));
-                            }
-                        }
-                        self.nodes[b.0].grad.add_scaled(&gb, 1.0);
+            node.grad = grad;
+        }
+    }
+}
+
+/// Buffers [`Graph::backward`] reuses from node to node.
+#[derive(Default)]
+struct Scratch {
+    /// A product, computed into zeros and then added to a gradient: adding
+    /// it term by term into the gradient would re-associate the sum.
+    product: Matrix,
+    /// The right operand of a product, transposed.
+    transposed: Matrix,
+    /// A broadcast bias's gradient, summed over rows.
+    row: Matrix,
+}
+
+/// Add one node's contributions to its parents' gradients, given its
+/// gradient `grad` and forward value `value`.
+///
+/// Each gradient starts at `+0.0` and is only ever added to, so it never
+/// holds `-0.0`, and adding `+0.0` leaves it unchanged bit for bit: a rule
+/// writes only the entries it contributes to.
+fn backprop(
+    op: &Op,
+    value: &Matrix,
+    grad: &Matrix,
+    parents: &mut [Node],
+    params: &mut ParamSet,
+    s: &mut Scratch,
+) {
+    match op {
+        Op::Input => {}
+        Op::Param(id) => params.grad_mut(*id).add_scaled(grad, 1.0),
+        Op::MatMul(a, b) => {
+            let (a, b) = (*a, *b);
+            let bv = &parents[b.0].value;
+            bv.transpose_into(&mut s.transposed);
+            s.product.reset(grad.rows, bv.rows);
+            grad.matmul_acc(&s.transposed, 0, &mut s.product);
+            parents[a.0].grad.add_scaled(&s.product, 1.0);
+            let av = &parents[a.0].value;
+            s.product.reset(av.cols, grad.cols);
+            av.tr_matmul_acc(grad, &mut s.product);
+            parents[b.0].grad.add_scaled(&s.product, 1.0);
+        }
+        Op::Add(a, b) => {
+            let (a, b) = (*a, *b);
+            parents[a.0].grad.add_scaled(grad, 1.0);
+            if parents[b.0].value.shape() == grad.shape() {
+                parents[b.0].grad.add_scaled(grad, 1.0);
+            } else {
+                // Broadcast bias: sum gradient over rows.
+                s.row.reset(1, grad.cols);
+                for row in grad.data().chunks_exact(grad.cols.max(1)) {
+                    for (sum, g) in s.row.data_mut().iter_mut().zip(row) {
+                        *sum += g;
                     }
                 }
-                Op::Scale(a, factor) => {
-                    let (a, factor) = (*a, *factor);
-                    self.nodes[a.0].grad.add_scaled(&grad, factor);
+                parents[b.0].grad.add_scaled(&s.row, 1.0);
+            }
+        }
+        Op::Scale(a, factor) => parents[a.0].grad.add_scaled(grad, *factor),
+        Op::Hadamard(a, b) => {
+            let (a, b) = (*a, *b);
+            with_grad(parents, a, |ga, nodes| {
+                for ((o, g), y) in ga.iter_mut().zip(grad.data()).zip(nodes[b.0].value.data()) {
+                    *o += g * y;
                 }
-                Op::Hadamard(a, b) => {
-                    let (a, b) = (*a, *b);
-                    let ga_data: Vec<f64> = grad
-                        .data()
-                        .iter()
-                        .zip(self.nodes[b.0].value.data())
-                        .map(|(g, y)| g * y)
-                        .collect();
-                    let gb_data: Vec<f64> = grad
-                        .data()
-                        .iter()
-                        .zip(self.nodes[a.0].value.data())
-                        .map(|(g, x)| g * x)
-                        .collect();
-                    let ga = Matrix::from_vec(grad.rows, grad.cols, ga_data);
-                    let gb = Matrix::from_vec(grad.rows, grad.cols, gb_data);
-                    self.nodes[a.0].grad.add_scaled(&ga, 1.0);
-                    self.nodes[b.0].grad.add_scaled(&gb, 1.0);
+            });
+            with_grad(parents, b, |gb, nodes| {
+                for ((o, g), x) in gb.iter_mut().zip(grad.data()).zip(nodes[a.0].value.data()) {
+                    *o += g * x;
                 }
-                Op::Sigmoid(a) => {
-                    let a = *a;
-                    let y = &self.nodes[idx].value;
-                    let data: Vec<f64> = grad
-                        .data()
-                        .iter()
-                        .zip(y.data())
-                        .map(|(g, y)| g * y * (1.0 - y))
-                        .collect();
-                    let ga = Matrix::from_vec(grad.rows, grad.cols, data);
-                    self.nodes[a.0].grad.add_scaled(&ga, 1.0);
-                }
-                Op::Tanh(a) => {
-                    let a = *a;
-                    let y = &self.nodes[idx].value;
-                    let data: Vec<f64> = grad
-                        .data()
-                        .iter()
-                        .zip(y.data())
-                        .map(|(g, y)| g * (1.0 - y * y))
-                        .collect();
-                    let ga = Matrix::from_vec(grad.rows, grad.cols, data);
-                    self.nodes[a.0].grad.add_scaled(&ga, 1.0);
-                }
-                Op::Relu(a) => {
-                    let a = *a;
-                    let x = &self.nodes[a.0].value;
-                    let data: Vec<f64> = grad
-                        .data()
-                        .iter()
-                        .zip(x.data())
-                        .map(|(g, x)| if *x > 0.0 { *g } else { 0.0 })
-                        .collect();
-                    let ga = Matrix::from_vec(grad.rows, grad.cols, data);
-                    self.nodes[a.0].grad.add_scaled(&ga, 1.0);
-                }
-                Op::ConcatCols(a, b) => {
-                    let (a, b) = (*a, *b);
-                    let a_cols = self.nodes[a.0].value.cols;
-                    let b_cols = self.nodes[b.0].value.cols;
-                    let mut ga = Matrix::zeros(grad.rows, a_cols);
-                    let mut gb = Matrix::zeros(grad.rows, b_cols);
-                    for r in 0..grad.rows {
-                        for c in 0..a_cols {
-                            ga.set(r, c, grad.get(r, c));
-                        }
-                        for c in 0..b_cols {
-                            gb.set(r, c, grad.get(r, a_cols + c));
-                        }
-                    }
-                    self.nodes[a.0].grad.add_scaled(&ga, 1.0);
-                    self.nodes[b.0].grad.add_scaled(&gb, 1.0);
-                }
-                Op::SliceCols(a, start, len) => {
-                    let (a, start, len) = (*a, *start, *len);
-                    let parent_cols = self.nodes[a.0].value.cols;
-                    let mut ga = Matrix::zeros(grad.rows, parent_cols);
-                    for r in 0..grad.rows {
-                        for c in 0..len {
-                            ga.set(r, start + c, grad.get(r, c));
-                        }
-                    }
-                    self.nodes[a.0].grad.add_scaled(&ga, 1.0);
-                }
-                Op::Transpose(a) => {
-                    let a = *a;
-                    let ga = grad.transpose();
-                    self.nodes[a.0].grad.add_scaled(&ga, 1.0);
-                }
-                Op::RowSoftmax(a) => {
-                    let a = *a;
-                    let y = self.nodes[idx].value.clone();
-                    let mut ga = Matrix::zeros(grad.rows, grad.cols);
-                    for r in 0..grad.rows {
-                        let dot: f64 = (0..grad.cols).map(|c| grad.get(r, c) * y.get(r, c)).sum();
-                        for c in 0..grad.cols {
-                            ga.set(r, c, y.get(r, c) * (grad.get(r, c) - dot));
-                        }
-                    }
-                    self.nodes[a.0].grad.add_scaled(&ga, 1.0);
-                }
-                Op::MeanRows(a) => {
-                    let a = *a;
-                    let parent_rows = self.nodes[a.0].value.rows;
-                    let mut ga = Matrix::zeros(parent_rows, grad.cols);
-                    for r in 0..parent_rows {
-                        for c in 0..grad.cols {
-                            ga.set(r, c, grad.get(0, c) / parent_rows as f64);
-                        }
-                    }
-                    self.nodes[a.0].grad.add_scaled(&ga, 1.0);
-                }
-                Op::SoftmaxXent { logits, targets } => {
-                    let logits = *logits;
-                    let targets = targets.clone();
-                    let g_scalar = grad.get(0, 0);
-                    let probs = softmax_of(&self.nodes[logits.0].value);
-                    let batch = targets.len() as f64;
-                    let mut ga = probs;
-                    for (r, &t) in targets.iter().enumerate() {
-                        ga.set(r, t, ga.get(r, t) - 1.0);
-                    }
-                    let ga = ga.map(|x| x * g_scalar / batch);
-                    self.nodes[logits.0].grad.add_scaled(&ga, 1.0);
-                }
-                Op::Mse { pred, target } => {
-                    let pred = *pred;
-                    let target = target.clone();
-                    let g_scalar = grad.get(0, 0);
-                    let pv = &self.nodes[pred.0].value;
-                    let n = pv.len().max(1) as f64;
-                    let data: Vec<f64> = pv
-                        .data()
-                        .iter()
-                        .zip(target.data())
-                        .map(|(p, t)| 2.0 * (p - t) * g_scalar / n)
-                        .collect();
-                    let ga = Matrix::from_vec(pv.rows, pv.cols, data);
-                    self.nodes[pred.0].grad.add_scaled(&ga, 1.0);
+            });
+        }
+        Op::Sigmoid(a) => {
+            let ga = parents[a.0].grad.data_mut();
+            for ((o, g), y) in ga.iter_mut().zip(grad.data()).zip(value.data()) {
+                *o += g * y * (1.0 - y);
+            }
+        }
+        Op::Tanh(a) => {
+            let ga = parents[a.0].grad.data_mut();
+            for ((o, g), y) in ga.iter_mut().zip(grad.data()).zip(value.data()) {
+                *o += g * (1.0 - y * y);
+            }
+        }
+        Op::Relu(a) => with_grad(parents, *a, |ga, nodes| {
+            for ((o, g), x) in ga.iter_mut().zip(grad.data()).zip(nodes[a.0].value.data()) {
+                *o += if *x > 0.0 { *g } else { 0.0 };
+            }
+        }),
+        Op::ConcatCols(a, b) => {
+            let (a, b) = (*a, *b);
+            let a_cols = parents[a.0].value.cols;
+            add_cols(&mut parents[a.0].grad, 0, grad, 0, a_cols);
+            let b_cols = parents[b.0].value.cols;
+            add_cols(&mut parents[b.0].grad, 0, grad, a_cols, b_cols);
+        }
+        Op::SliceCols(a, start, len) => {
+            add_cols(&mut parents[a.0].grad, *start, grad, 0, *len);
+        }
+        Op::Transpose(a) => {
+            let ga = &mut parents[a.0].grad;
+            for r in 0..grad.rows {
+                for c in 0..grad.cols {
+                    ga.set(c, r, ga.get(c, r) + grad.get(r, c));
                 }
             }
+        }
+        Op::RowSoftmax(a) => {
+            let ga = &mut parents[a.0].grad;
+            for r in 0..grad.rows {
+                let (g, y) = (grad.row_slice(r), value.row_slice(r));
+                let dot: f64 = g.iter().zip(y).map(|(g, y)| g * y).sum();
+                for ((o, g), y) in ga.row_slice_mut(r).iter_mut().zip(g).zip(y) {
+                    *o += y * (g - dot);
+                }
+            }
+        }
+        Op::MeanRows(a) => {
+            let ga = &mut parents[a.0].grad;
+            let rows = ga.rows as f64;
+            for row in ga.data_mut().chunks_exact_mut(grad.cols.max(1)) {
+                for (o, g) in row.iter_mut().zip(grad.data()) {
+                    *o += g / rows;
+                }
+            }
+        }
+        Op::SoftmaxXent { logits, targets } => {
+            let g_scalar = grad.get(0, 0);
+            let batch = targets.len() as f64;
+            let mut probs = softmax_of(&parents[logits.0].value);
+            for (r, &t) in targets.iter().enumerate() {
+                probs.set(r, t, probs.get(r, t) - 1.0);
+            }
+            let ga = parents[logits.0].grad.data_mut();
+            for (o, p) in ga.iter_mut().zip(probs.data()) {
+                *o += p * g_scalar / batch;
+            }
+        }
+        Op::Mse { pred, target } => with_grad(parents, *pred, |ga, nodes| {
+            let g_scalar = grad.get(0, 0);
+            let pv = &nodes[pred.0].value;
+            let n = pv.len().max(1) as f64;
+            for ((o, p), t) in ga.iter_mut().zip(pv.data()).zip(target.data()) {
+                *o += 2.0 * (p - t) * g_scalar / n;
+            }
+        }),
+    }
+}
+
+/// Run `f` on `v`'s gradient with every node's value readable, `v`'s own
+/// included (the gradient is out of the tape meanwhile).
+fn with_grad(parents: &mut [Node], v: Var, f: impl FnOnce(&mut [f64], &[Node])) {
+    let mut grad = std::mem::take(&mut parents[v.0].grad);
+    f(grad.data_mut(), parents);
+    parents[v.0].grad = grad;
+}
+
+/// `dst[r][dst_col + c] += src[r][src_col + c]` for `c < len`, every row.
+fn add_cols(dst: &mut Matrix, dst_col: usize, src: &Matrix, src_col: usize, len: usize) {
+    for r in 0..src.rows {
+        let from = &src.row_slice(r)[src_col..src_col + len];
+        for (o, g) in dst.row_slice_mut(r)[dst_col..dst_col + len]
+            .iter_mut()
+            .zip(from)
+        {
+            *o += g;
         }
     }
 }

@@ -12,7 +12,9 @@
 //! Design:
 //! - [`matrix`] — a dense row-major `f64` matrix. `f64` keeps
 //!   finite-difference gradient checks tight; these models are far from
-//!   memory-bound at our scale.
+//!   memory-bound at our scale. Every product runs through one
+//!   register-blocked kernel (`kernel`), dispatched once to the widest
+//!   vector unit the CPU has and bit-identical to the plain loop on each.
 //! - [`graph`] — tape-based reverse-mode autodiff over matrices. Each
 //!   training step builds a fresh [`graph::Graph`] (define-by-run, like
 //!   PyTorch), calls [`graph::Graph::backward`], and feeds parameter
@@ -25,6 +27,7 @@
 
 pub mod gradcheck;
 pub mod graph;
+mod kernel;
 pub mod layers;
 pub mod matrix;
 pub mod optim;

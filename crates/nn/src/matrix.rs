@@ -1,5 +1,6 @@
 //! Dense row-major matrices.
 
+use crate::kernel::{self, Isa, Lhs};
 use rand::{Rng, RngExt};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -140,13 +141,18 @@ impl Matrix {
 
     /// `out += self @ other[row0 .. row0 + self.cols, :]`.
     ///
-    /// The one product loop of this crate: each `out[i][j]` takes its terms
-    /// in increasing `k`, and a zero `self[i][k]` contributes nothing (not
-    /// even a `+ 0.0`). A product split over row blocks of `other` and
-    /// accumulated block after block into the same `out` therefore equals
-    /// the unsplit product bit for bit — what lets the inference path
-    /// precompute the input half of `[x | h] · W` and still match the tape.
+    /// The one product of this crate ([`crate::kernel`]): each `out[i][j]`
+    /// takes its terms in increasing `k`, and a zero `self[i][k]`
+    /// contributes nothing (not even a `+ 0.0`), on every instruction set.
+    /// A product split over row blocks of `other` and accumulated block
+    /// after block into the same `out` therefore equals the unsplit product
+    /// bit for bit — what lets the inference path precompute the input half
+    /// of `[x | h] · W` and still match the tape.
     pub fn matmul_acc(&self, other: &Matrix, row0: usize, out: &mut Matrix) {
+        self.matmul_acc_on(Isa::widest(), other, row0, out);
+    }
+
+    fn matmul_acc_on(&self, isa: Isa, other: &Matrix, row0: usize, out: &mut Matrix) {
         assert!(
             row0 + self.cols <= other.rows && out.shape() == (self.rows, other.cols),
             "matmul_acc shape mismatch: {:?} @ {:?}[{row0}..] -> {:?}",
@@ -154,18 +160,41 @@ impl Matrix {
             other.shape(),
             out.shape()
         );
-        // i-k-j loop order: streams through `other` row-contiguously.
-        for i in 0..self.rows {
-            let out_row = out.row_slice_mut(i);
-            for (k, &a) in self.row_slice(i).iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                for (o, &b) in out_row.iter_mut().zip(other.row_slice(row0 + k)) {
-                    *o += a * b;
-                }
-            }
-        }
+        let lhs = Lhs {
+            data: &self.data,
+            rows: self.rows,
+            inner: self.cols,
+            row_step: self.cols,
+            col_step: 1,
+        };
+        let rhs = &other.data[row0 * other.cols..(row0 + self.cols) * other.cols];
+        kernel::product(isa, lhs, rhs, other.cols, &mut out.data);
+    }
+
+    /// `out += selfᵀ @ other`, reading `self` transposed in place: equal
+    /// bit for bit to `self.transpose().matmul_acc(other, 0, out)` (each
+    /// output sums over the rows of `self` in increasing order) without
+    /// building the transpose — the weight gradient of a product.
+    pub fn tr_matmul_acc(&self, other: &Matrix, out: &mut Matrix) {
+        self.tr_matmul_acc_on(Isa::widest(), other, out);
+    }
+
+    fn tr_matmul_acc_on(&self, isa: Isa, other: &Matrix, out: &mut Matrix) {
+        assert!(
+            self.rows == other.rows && out.shape() == (self.cols, other.cols),
+            "tr_matmul_acc shape mismatch: {:?}ᵀ @ {:?} -> {:?}",
+            self.shape(),
+            other.shape(),
+            out.shape()
+        );
+        let lhs = Lhs {
+            data: &self.data,
+            rows: self.cols,
+            inner: self.rows,
+            row_step: 1,
+            col_step: self.cols,
+        };
+        kernel::product(isa, lhs, &other.data, other.cols, &mut out.data);
     }
 
     /// `self[r][c] += bias[0][c]` for every row (the bias broadcast).
@@ -195,13 +224,19 @@ impl Matrix {
 
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
+        let mut out = Matrix::default();
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// Transpose into `out`, keeping its allocation.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.reset(self.cols, self.rows);
+        for (r, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
+            for (c, &x) in row.iter().enumerate() {
+                out.data[c * self.rows + r] = x;
             }
         }
-        out
     }
 
     /// Element-wise map.
@@ -245,6 +280,7 @@ impl fmt::Debug for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -299,5 +335,108 @@ mod tests {
     fn map_applies_elementwise() {
         let a = Matrix::from_rows(&[&[1.0, -2.0]]);
         assert_eq!(a.map(f64::abs), Matrix::from_rows(&[&[1.0, 2.0]]));
+    }
+
+    /// The i-k-j loop every kernel copy must reproduce bit for bit.
+    fn reference_acc(a: &Matrix, b: &Matrix, row0: usize, out: &mut Matrix) {
+        for i in 0..a.rows {
+            let out_row = out.row_slice_mut(i);
+            for (k, &x) in a.row_slice(i).iter().enumerate() {
+                if x == 0.0 {
+                    continue;
+                }
+                for (o, &y) in out_row.iter_mut().zip(b.row_slice(row0 + k)) {
+                    *o += x * y;
+                }
+            }
+        }
+    }
+
+    /// A `rows × cols` matrix of ±0.0, subnormals, ±inf, NaN and values of
+    /// wide magnitude; `zeros` is the share of exact zeros.
+    fn awkward(rows: usize, cols: usize, zeros: f64, rng: &mut StdRng) -> Matrix {
+        let data = (0..rows * cols)
+            .map(|_| {
+                if rng.random_range(0.0..1.0) < zeros {
+                    return if rng.random_range(0..2) == 0 {
+                        0.0
+                    } else {
+                        -0.0
+                    };
+                }
+                let sign = if rng.random_range(0..2) == 0 {
+                    1.0
+                } else {
+                    -1.0
+                };
+                sign * match rng.random_range(0..40) {
+                    0 => f64::INFINITY,
+                    1 => f64::NAN,
+                    2 => f64::from_bits(rng.random_range(1..1u64 << 52)),
+                    3 => f64::MIN_POSITIVE,
+                    4..=9 => 10f64.powi(rng.random_range(-300..300)),
+                    _ => rng.random_range(-2.0..2.0),
+                }
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    fn same_bits(x: &Matrix, y: &Matrix) -> bool {
+        x.shape() == y.shape()
+            && x.data()
+                .iter()
+                .zip(y.data())
+                .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()))
+    }
+
+    #[test]
+    fn the_widest_supported_isa_is_dispatched() {
+        let isas = Isa::supported();
+        assert_eq!(isas.first().map(|isa| isa.name()), Some("portable"));
+        assert_eq!(Some(&Isa::widest()), isas.last());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Every kernel copy this CPU runs equals the plain loop bit for
+        /// bit, through both entries, at shapes that hit every row and
+        /// column tail of every block width.
+        #[test]
+        fn kernels_equal_the_reference_loop(seed: u64,
+                                             rows in 0usize..=70,
+                                             inner in 0usize..=70,
+                                             cols in 0usize..=140,
+                                             row0 in 0usize..3,
+                                             zeros_pick in 0usize..3) {
+            static PRINTED: std::sync::Once = std::sync::Once::new();
+            PRINTED.call_once(|| {
+                let names: Vec<&str> = Isa::supported().iter().map(|isa| isa.name()).collect();
+                println!("kernel paths checked: {names:?}");
+            });
+            let mut rng = StdRng::seed_from_u64(seed);
+            let zeros = [0.0, 0.1, 0.6][zeros_pick];
+            let a = awkward(rows, inner, zeros, &mut rng);
+            let b = awkward(row0 + inner + 1, cols, zeros, &mut rng);
+            let out0 = awkward(rows, cols, 0.3, &mut rng);
+            let mut expected = out0.clone();
+            reference_acc(&a, &b, row0, &mut expected);
+
+            let at = awkward(inner, rows, zeros, &mut rng);
+            let bt = awkward(inner, cols, zeros, &mut rng);
+            let mut expected_t = out0.clone();
+            reference_acc(&at.transpose(), &bt, 0, &mut expected_t);
+
+            for isa in Isa::supported() {
+                let mut got = out0.clone();
+                a.matmul_acc_on(isa, &b, row0, &mut got);
+                prop_assert!(same_bits(&got, &expected),
+                             "{}: matmul_acc {rows}x{inner}x{cols} row0 {row0}", isa.name());
+                let mut got_t = out0.clone();
+                at.tr_matmul_acc_on(isa, &bt, &mut got_t);
+                prop_assert!(same_bits(&got_t, &expected_t),
+                             "{}: tr_matmul_acc {rows}x{inner}x{cols}", isa.name());
+            }
+        }
     }
 }

@@ -541,3 +541,54 @@ fn cloud_report_stream_matches_golden_hash() {
 /// `(reports, FNV-1a of the JSON lines)` per detector.
 const GOLDEN_DEEPLOG: (usize, u64) = (25, 11_066_496_327_358_873_008);
 const GOLDEN_LOGANOMALY: (usize, u64) = (20, 4_165_744_963_499_821_848);
+
+/// FNV-1a over the `save()` bytes of each tape-trained detector fitted on
+/// a fixed-seed HDFS corpus with labelled anomalies. The hashes were
+/// recorded on the commit before the blocked product kernel and the
+/// copy-free tape: every trained weight must be unchanged to the bit.
+#[test]
+fn trained_weights_match_golden_hash() {
+    let logs = HdfsWorkload::new(HdfsWorkloadConfig {
+        n_sessions: 120,
+        sequential_anomaly_rate: 0.1,
+        quantitative_anomaly_rate: 0.05,
+        seed: 41,
+        ..Default::default()
+    })
+    .generate();
+    let mut parser = Drain::new(DrainConfig::default());
+    let (windows, labels) = parse_sessions(&mut parser, &logs);
+    let train = TrainSet::labeled(windows, labels).with_templates(parser.store().clone());
+    let fnv = |bytes: Vec<u8>| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+    };
+
+    let mut deeplog = small_deeplog();
+    deeplog.fit(&train);
+    let mut loganomaly = small_loganomaly();
+    loganomaly.fit(&train);
+    let mut logrobust = LogRobust::new(LogRobustConfig {
+        epochs: 2,
+        max_windows: 200,
+        ..LogRobustConfig::default()
+    });
+    logrobust.fit(&train);
+    let got = [
+        fnv(deeplog.save().expect("fitted")),
+        fnv(loganomaly.save().expect("fitted")),
+        fnv(logrobust.save().expect("trained on labelled anomalies")),
+    ];
+    assert_eq!(
+        got, GOLDEN_TRAINED_WEIGHTS,
+        "trained weights moved (DeepLog, LogAnomaly, LogRobust)"
+    );
+}
+
+/// FNV-1a of `DeepLog`, `LogAnomaly` and `LogRobust` checkpoints.
+const GOLDEN_TRAINED_WEIGHTS: [u64; 3] = [
+    15_063_128_310_456_751_617,
+    13_349_547_526_779_361_144,
+    17_218_584_781_790_033_531,
+];
