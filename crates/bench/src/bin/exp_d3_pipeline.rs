@@ -17,6 +17,7 @@
 use monilog_bench::print_table;
 use monilog_core::detect::DeepLogConfig;
 use monilog_core::model::RawLog;
+use monilog_core::stream::durable::write_atomic;
 use monilog_core::stream::PipelineMetrics;
 use monilog_core::{DetectorChoice, MoniLog, MoniLogConfig, ObservabilityConfig, WindowPolicy};
 use monilog_loggen::{GenLog, HdfsWorkload, HdfsWorkloadConfig};
@@ -259,7 +260,7 @@ fn main() {
     // Baseline artifact for regression comparison across PRs.
     let out_path = std::path::Path::new("results/metrics_baseline.json");
     if !check {
-        match monilog_bench::write_json_atomic(out_path, &snap.to_json()) {
+        match write_atomic(out_path, snap.to_json().as_bytes()) {
             Ok(()) => println!("\nwrote {}", out_path.display()),
             Err(e) => println!("\ncould not write {}: {e}", out_path.display()),
         }
@@ -323,7 +324,7 @@ fn main() {
             untraced,
             traced,
         );
-        match monilog_bench::write_json_atomic(thr_path, &json) {
+        match write_atomic(thr_path, json.as_bytes()) {
             Ok(()) => println!("wrote {}", thr_path.display()),
             Err(e) => println!("could not write {}: {e}", thr_path.display()),
         }

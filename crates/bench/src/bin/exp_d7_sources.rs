@@ -58,6 +58,8 @@ fn raise_nofile_limit() -> u64 {
         }
         const RLIMIT_NOFILE: i32 = 7;
         let mut lim = RLimit { cur: 0, max: 0 };
+        // SAFETY: `lim` is a live `#[repr(C)]` struct laid out as the
+        // kernel's `struct rlimit` (two 64-bit words on Linux).
         if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
             return 0;
         }
@@ -67,6 +69,7 @@ fn raise_nofile_limit() -> u64 {
                 cur: want,
                 max: lim.max,
             };
+            // SAFETY: as above; the kernel only reads `new`.
             if unsafe { setrlimit(RLIMIT_NOFILE, &new) } != 0 {
                 return lim.cur;
             }

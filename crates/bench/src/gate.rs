@@ -9,8 +9,8 @@
 //! still running, keeps that directory for a post-mortem and exits 1; a
 //! gate that passes removes it in [`Gate::finish`].
 
-use crate::write_json_atomic;
 use monilog_core::model::ReportLine;
+use monilog_core::stream::durable::write_atomic;
 use monilog_loggen::{GenLog, HdfsWorkload, HdfsWorkloadConfig};
 use std::fs;
 use std::io::{Read as _, Write as _};
@@ -158,7 +158,7 @@ impl Gate {
         if !self.check {
             let json = format!("{{\"experiment\":\"{}\",{fields}}}\n", self.name);
             let out_path = PathBuf::from(format!("results/exp_{}.json", self.name));
-            match write_json_atomic(&out_path, &json) {
+            match write_atomic(&out_path, json.as_bytes()) {
                 Ok(()) => println!("wrote {}", out_path.display()),
                 Err(e) => println!("could not write {}: {e}", out_path.display()),
             }

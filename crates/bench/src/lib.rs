@@ -158,23 +158,6 @@ pub fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 
-/// Write a `results/*.json` artifact crash-safely: temp file in the same
-/// directory, fsync, atomic rename. A kill mid-write can therefore never
-/// leave a half-written artifact for the next run (or CI) to trip over.
-pub fn write_json_atomic(path: &std::path::Path, contents: &str) -> std::io::Result<()> {
-    use std::io::Write as _;
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let tmp = path.with_extension("json.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(contents.as_bytes())?;
-        f.sync_data()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

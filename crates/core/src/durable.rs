@@ -118,7 +118,7 @@ pub fn decode_tail_cursors(bytes: &[u8]) -> Vec<PersistedTailCursor> {
 /// Durability knobs surfaced through the CLI (`--state-dir`,
 /// `--checkpoint-interval-ms`, `--journal-fsync-ms`,
 /// `--journal-segment-bytes`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurableConfig {
     /// Root of the persistent state layout described in the module docs.
     pub state_dir: PathBuf,
@@ -799,10 +799,11 @@ impl DurableMoniLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DetectorChoice;
     use crate::WindowPolicy;
-    use crate::{DetectorChoice, HeaderFormatChoice};
     use crate::{MoniLog, MoniLogConfig};
     use monilog_detect::DeepLogConfig;
+    use monilog_model::HeaderFormat;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =
@@ -845,7 +846,7 @@ mod tests {
 
     fn test_config() -> MoniLogConfig {
         MoniLogConfig {
-            header_format: HeaderFormatChoice::Bare,
+            header_format: HeaderFormat::Bare,
             window: WindowPolicy::Tumbling { size: 4 },
             detector: DetectorChoice::DeepLog(DeepLogConfig {
                 history: 3,

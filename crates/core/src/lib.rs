@@ -23,8 +23,7 @@ pub mod windowing;
 
 pub use durable::{DeliverySetup, DurableConfig, DurableMoniLog, RecoveryStats};
 pub use pipeline::{
-    ClassifiedAnomaly, DetectorChoice, HeaderFormatChoice, MoniLog, MoniLogConfig,
-    ObservabilityConfig,
+    ClassifiedAnomaly, DetectorChoice, MoniLog, MoniLogConfig, ObservabilityConfig,
 };
 pub use windowing::WindowPolicy;
 

@@ -41,7 +41,7 @@ pub enum DetectorChoice {
 pub struct MoniLogConfig {
     /// Header layout of incoming lines (per-deployment; heterogeneous
     /// sources can be normalized upstream).
-    pub header_format: HeaderFormatChoice,
+    pub header_format: HeaderFormat,
     /// Extract embedded `{k=v}` / JSON payloads before template parsing
     /// (the Section IV recommendation; experiment P7 measures its effect).
     pub extract_payloads: bool,
@@ -52,21 +52,19 @@ pub struct MoniLogConfig {
     pub dedup_window: usize,
     pub window: WindowPolicy,
     pub detector: DetectorChoice,
-    /// Metrics export (`--metrics-addr`, `--metrics-interval-ms`).
+    /// Metrics export (`--metrics-addr`) and span tracing.
     pub observability: ObservabilityConfig,
 }
 
-/// Where and how often to export metrics snapshots. `metrics_addr: None`
-/// (the default) disables the endpoint; the in-process registry records
-/// either way.
+/// Where to export metrics snapshots, and how to trace. `metrics_addr:
+/// None` (the default) disables the endpoint; the in-process registry
+/// records either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ObservabilityConfig {
     /// Bind address of the HTTP metrics endpoint (`/metrics` Prometheus,
     /// `/metrics.json` JSON, `/trace/{id}`, `/flight`); `None` disables
     /// serving.
     pub metrics_addr: Option<std::net::SocketAddr>,
-    /// Snapshot re-render cadence of the exporter thread, in milliseconds.
-    pub metrics_interval_ms: u64,
     /// Trace one line in `trace_sample_rate` end-to-end (`--trace-sample-rate`;
     /// 0 disables span sampling).
     pub trace_sample_rate: u32,
@@ -78,28 +76,8 @@ impl Default for ObservabilityConfig {
     fn default() -> Self {
         ObservabilityConfig {
             metrics_addr: None,
-            metrics_interval_ms: 1_000,
             trace_sample_rate: DEFAULT_SAMPLE_RATE,
             flight_capacity: DEFAULT_FLIGHT_CAPACITY,
-        }
-    }
-}
-
-/// `HeaderFormat` is not `Copy`; this mirror is, keeping the config plain
-/// data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum HeaderFormatChoice {
-    DashSeparated,
-    SyslogLike,
-    Bare,
-}
-
-impl HeaderFormatChoice {
-    pub(crate) fn as_format(self) -> HeaderFormat {
-        match self {
-            HeaderFormatChoice::DashSeparated => HeaderFormat::DashSeparated,
-            HeaderFormatChoice::SyslogLike => HeaderFormat::SyslogLike,
-            HeaderFormatChoice::Bare => HeaderFormat::Bare,
         }
     }
 }
@@ -107,7 +85,7 @@ impl HeaderFormatChoice {
 impl Default for MoniLogConfig {
     fn default() -> Self {
         MoniLogConfig {
-            header_format: HeaderFormatChoice::DashSeparated,
+            header_format: HeaderFormat::DashSeparated,
             extract_payloads: true,
             drain: DrainConfig::default(),
             reorder_bound_ms: 1_000,
@@ -620,11 +598,7 @@ impl MoniLog {
             self.record_stage(Stage::Ingest, SpanStage::Ingest, ingest_start, trace);
             return Vec::new();
         }
-        let record = match parse_header(
-            raw,
-            &self.config.header_format.as_format(),
-            Timestamp::EPOCH,
-        ) {
+        let record = match parse_header(raw, &self.config.header_format, Timestamp::EPOCH) {
             Ok(r) => r,
             Err(_) => {
                 PipelineMetrics::incr(&self.metrics.header_errors);
@@ -899,7 +873,7 @@ mod tests {
     fn syslog_header_format_flows_through() {
         use monilog_model::SourceId;
         let mut m = MoniLog::new(MoniLogConfig {
-            header_format: HeaderFormatChoice::SyslogLike,
+            header_format: HeaderFormat::SyslogLike,
             window: crate::windowing::WindowPolicy::Tumbling { size: 4 },
             detector: DetectorChoice::Pca(monilog_detect::PcaDetectorConfig::default()),
             ..MoniLogConfig::default()
@@ -937,7 +911,7 @@ mod tests {
     fn bare_header_format_uses_collector_time() {
         use monilog_model::SourceId;
         let mut m = MoniLog::new(MoniLogConfig {
-            header_format: HeaderFormatChoice::Bare,
+            header_format: HeaderFormat::Bare,
             window: crate::windowing::WindowPolicy::Tumbling { size: 2 },
             detector: DetectorChoice::Pca(monilog_detect::PcaDetectorConfig::default()),
             ..MoniLogConfig::default()
@@ -961,7 +935,7 @@ mod tests {
         // PCA pipelines refuse (documented) even when trained.
         use monilog_model::SourceId;
         let mut m = MoniLog::new(MoniLogConfig {
-            header_format: HeaderFormatChoice::Bare,
+            header_format: HeaderFormat::Bare,
             window: crate::windowing::WindowPolicy::Tumbling { size: 2 },
             detector: DetectorChoice::Pca(monilog_detect::PcaDetectorConfig::default()),
             ..MoniLogConfig::default()
@@ -987,7 +961,7 @@ mod tests {
     fn durable_state_continues_identically_mid_stream() {
         use monilog_model::SourceId;
         let config = MoniLogConfig {
-            header_format: HeaderFormatChoice::Bare,
+            header_format: HeaderFormat::Bare,
             window: crate::windowing::WindowPolicy::Tumbling { size: 4 },
             detector: DetectorChoice::DeepLog(DeepLogConfig {
                 history: 3,
@@ -1070,7 +1044,7 @@ mod tests {
     fn stage_histograms_populate_end_to_end() {
         use monilog_model::SourceId;
         let mut m = MoniLog::new(MoniLogConfig {
-            header_format: HeaderFormatChoice::Bare,
+            header_format: HeaderFormat::Bare,
             window: crate::windowing::WindowPolicy::Tumbling { size: 4 },
             detector: DetectorChoice::Pca(monilog_detect::PcaDetectorConfig::default()),
             ..MoniLogConfig::default()
@@ -1185,7 +1159,7 @@ mod tests {
         use monilog_model::SourceId;
         let refreshes = || TEMPLATE_REFRESHES.with(|n| n.get());
         let mut m = MoniLog::new(MoniLogConfig {
-            header_format: HeaderFormatChoice::Bare,
+            header_format: HeaderFormat::Bare,
             window: crate::windowing::WindowPolicy::Tumbling { size: 4 },
             detector: DetectorChoice::LogAnomaly(LogAnomalyConfig {
                 epochs: 1,
@@ -1233,7 +1207,6 @@ mod tests {
     fn observability_config_defaults_to_disabled() {
         let c = MoniLogConfig::default();
         assert_eq!(c.observability.metrics_addr, None);
-        assert_eq!(c.observability.metrics_interval_ms, 1_000);
         assert_eq!(c.observability.trace_sample_rate, 1_024);
         assert_eq!(c.observability.flight_capacity, 4_096);
     }
@@ -1243,7 +1216,7 @@ mod tests {
         use monilog_model::SourceId;
         // Trace every line so the flagged window is fully attributable.
         let mut m = MoniLog::new(MoniLogConfig {
-            header_format: HeaderFormatChoice::Bare,
+            header_format: HeaderFormat::Bare,
             window: crate::windowing::WindowPolicy::Tumbling { size: 4 },
             detector: DetectorChoice::DeepLog(DeepLogConfig {
                 history: 3,

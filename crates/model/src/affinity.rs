@@ -35,6 +35,9 @@ pub fn pin_current_thread(core: usize) -> bool {
     let core = core % core_count().max(1);
     let mut mask = [0u64; WORDS];
     mask[(core / 64) % WORDS] |= 1u64 << (core % 64);
+    // SAFETY: `mask` is a live local array and the size passed is its exact
+    // byte length, so the kernel reads only memory we own; pid 0 names the
+    // calling thread.
     unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) == 0 }
 }
 

@@ -16,10 +16,11 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Layout of a source's log-line header.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum HeaderFormat {
     /// `<timestamp> - <component> - <LEVEL> - <message>` — the layout of the
     /// paper's Fig. 2 example and of the synthetic generators.
+    #[default]
     DashSeparated,
     /// `<timestamp> <LEVEL> <component>: <message>` — a syslog-like layout,
     /// to exercise multi-format ingestion.
@@ -27,6 +28,21 @@ pub enum HeaderFormat {
     /// No header: the whole line is the message. Timestamp and level come
     /// from the collector. Used for sources that ship bare messages.
     Bare,
+}
+
+impl HeaderFormat {
+    /// The `--format` name of each layout.
+    pub const NAMES: [(&'static str, HeaderFormat); 3] = [
+        ("dash", HeaderFormat::DashSeparated),
+        ("syslog", HeaderFormat::SyslogLike),
+        ("bare", HeaderFormat::Bare),
+    ];
+
+    /// This layout's `--format` name.
+    pub fn name(self) -> &'static str {
+        let named = Self::NAMES.iter().find(|(_, f)| *f == self);
+        named.expect("every layout is named").0
+    }
 }
 
 /// Why a header failed to parse.

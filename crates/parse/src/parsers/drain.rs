@@ -580,14 +580,19 @@ mod alloc_counter {
 
     pub struct CountingAllocator;
 
+    // SAFETY: every call is forwarded unchanged to `System`, which upholds
+    // the `GlobalAlloc` contract; the counter never allocates.
     unsafe impl GlobalAlloc for CountingAllocator {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             // try_with: TLS may be mid-teardown during thread exit.
             let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+            // SAFETY: the caller's `layout` obligations pass straight through.
             unsafe { System.alloc(layout) }
         }
 
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `alloc` above, that is from `System`,
+            // with this `layout`.
             unsafe { System.dealloc(ptr, layout) }
         }
     }

@@ -33,7 +33,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Configuration for the monitor→router link (`monilog monitor --join`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouterLinkConfig {
     pub addr: SocketAddr,
     /// This monitor's stable node name; the router keys acked high-water

@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 
 /// Router tuning. Defaults are sized for the experiment harnesses: small
 /// batches so a SIGKILL lands mid-stream, sub-second failure detection.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouterConfig {
     /// TCP listen address for monitor nodes (`0` port picks a free one).
     pub listen: SocketAddr,

@@ -10,8 +10,7 @@
 
 use super::DurabilityError;
 use monilog_model::CheckpointManifest;
-use std::fs::{self, File};
-use std::io::Write;
+use std::fs;
 use std::path::{Path, PathBuf};
 
 /// How many committed generations stay on disk.
@@ -40,22 +39,12 @@ impl CheckpointStore {
         Ok(CheckpointStore { dir })
     }
 
-    /// Commit a manifest as its generation's file: write `.tmp`, fsync,
-    /// rename into place, fsync the directory, then drop generations
-    /// beyond the retention window. Returns the committed path.
+    /// Commit a manifest as its generation's file ([`super::write_atomic`]),
+    /// then drop generations beyond the retention window. Returns the
+    /// committed path.
     pub fn commit(&self, manifest: &CheckpointManifest) -> Result<PathBuf, DurabilityError> {
         let final_path = self.dir.join(checkpoint_name(manifest.generation));
-        let tmp_path = final_path.with_extension("ckpt.tmp");
-        {
-            let mut f = File::create(&tmp_path)?;
-            f.write_all(&manifest.encode())?;
-            f.sync_data()?;
-        }
-        fs::rename(&tmp_path, &final_path)?;
-        // Make the rename itself durable.
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
+        super::write_atomic(&final_path, &manifest.encode())?;
         let mut gens = self.generations()?;
         while gens.len() > KEEP_GENERATIONS {
             let old = gens.remove(0);

@@ -44,6 +44,34 @@ pub use signal::{
 
 use monilog_model::CodecError;
 use std::fmt;
+use std::fs::{self, File};
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
+
+/// Replace `path` with `bytes` so that a reader, or a restart after a
+/// crash, finds the old file or the new one, never a mix: write a `.tmp`
+/// sibling, `sync_data` it, rename it over `path`, then fsync the
+/// directory so the rename survives a crash too. A failed write removes
+/// its `.tmp` file.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let written = File::create(&tmp).and_then(|mut f| {
+        f.write_all(bytes)?;
+        f.sync_data()?;
+        fs::rename(&tmp, path)
+    });
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
+        return written;
+    }
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    // Best effort: some filesystems refuse to fsync a directory, and the
+    // renamed file is complete either way.
+    let _ = File::open(dir.unwrap_or(Path::new("."))).and_then(|d| d.sync_all());
+    Ok(())
+}
 
 /// Why a durability operation failed. Recovery code matches on this to
 /// distinguish "no state yet" (fresh start) from "state exists but is
@@ -84,5 +112,39 @@ impl From<std::io::Error> for DurabilityError {
 impl From<CodecError> for DurabilityError {
     fn from(e: CodecError) -> Self {
         DurabilityError::Codec(e)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_file_and_leaves_no_tmp() {
+        let dir = std::env::temp_dir().join(format!("monilog-write-atomic-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("listen-addrs");
+        write_atomic(&path, b"old\n").unwrap();
+        write_atomic(&path, b"new\n").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"new\n");
+        assert_eq!(names(&dir), ["listen-addrs"]);
+
+        // The rename fails (the target is a non-empty directory): the
+        // error surfaces and the `.tmp` file is gone with it.
+        let blocked = dir.join("blocked");
+        fs::create_dir_all(blocked.join("inside")).unwrap();
+        assert!(write_atomic(&blocked, b"x").is_err());
+        assert_eq!(names(&dir), ["blocked", "listen-addrs"]);
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -46,6 +46,8 @@ mod ffi {
         // fetch_add returns the previous count: 0 on the first signal
         // (request graceful drain), >=1 on any further signal (force exit).
         if super::SIGNAL_COUNT.fetch_add(1, Ordering::SeqCst) >= 1 {
+            // SAFETY: `_exit(2)` is async-signal-safe and takes no pointers;
+            // it ends the process without running any Rust code.
             unsafe { _exit(super::FORCED_EXIT_CODE) };
         }
     }
@@ -60,6 +62,8 @@ mod ffi {
     }
 
     pub fn install() {
+        // SAFETY: `latch` has the `extern "C" fn(i32)` signature `signal(2)`
+        // expects and only touches an atomic, which is async-signal-safe.
         unsafe {
             signal(SIGTERM, latch);
             signal(SIGINT, latch);
@@ -67,6 +71,8 @@ mod ffi {
     }
 
     pub fn install_reload() {
+        // SAFETY: as in `install`: `latch_reload` matches the handler
+        // signature and only increments an atomic.
         unsafe {
             signal(SIGHUP, latch_reload);
         }
@@ -129,6 +135,8 @@ mod tests {
             extern "C" {
                 fn raise(signum: i32) -> i32;
             }
+            // SAFETY: `raise(2)` takes no pointers; the SIGTERM handler
+            // installed above only latches an atomic.
             unsafe {
                 raise(15);
             }
@@ -139,6 +147,7 @@ mod tests {
             // and take_reload_request coalesces + clears it.
             install_reload_handler();
             assert!(!take_reload_request());
+            // SAFETY: as above; the SIGHUP handler only latches an atomic.
             unsafe {
                 raise(1);
                 raise(1);

@@ -29,7 +29,7 @@
 //! operators talk to it.
 
 use crate::net::http::{Admit, Head, HttpConn, HttpError, Limits, Response, Service};
-use crate::net::{EventLoop, Handler, Interest, LoopCtx, Next};
+use crate::net::EventLoop;
 use crate::observe::MetricsRegistry;
 use crate::ops::{
     degraded_reasons, parse_config_pairs, readiness_reasons, render_status, report_detail_json,
@@ -41,40 +41,21 @@ use monilog_model::TraceId;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Cap on the request head, and separately on the request body.
 const MAX_REQUEST_BYTES: usize = 4096;
-
-/// Rendered snapshot cache shared between the refresher and request
-/// handling.
-#[derive(Debug, Default)]
-struct Rendered {
-    prometheus: String,
-    json: String,
-}
 
 /// Renders snapshots and answers routed requests.
 struct MetricsService {
     registry: Arc<MetricsRegistry>,
     tracer: Option<Arc<Tracer>>,
     ops: Option<Arc<OpsState>>,
-    cache: Mutex<Rendered>,
 }
 
 impl MetricsService {
-    /// Re-render the snapshot cache (called on accept and on the refresh
-    /// interval, so a scrape never walks histogram buckets on the request
-    /// path of a busy endpoint).
-    fn render(&self) {
-        let snapshot = self.registry.snapshot();
-        let mut slot = self.cache.lock().expect("render cache");
-        slot.prometheus = snapshot.to_prometheus();
-        slot.json = snapshot.to_json();
-    }
-
     fn route(&self, method: &str, path: &str, body: &str) -> Response {
         if method == "POST" {
             return self.route_post(path, body);
@@ -82,9 +63,6 @@ impl MetricsService {
         match path {
             "/status" => match &self.ops {
                 Some(ops) => {
-                    // A fresh snapshot, not the render cache: the health
-                    // rollup is the page an operator refreshes while
-                    // something is on fire.
                     let snap = self.registry.snapshot();
                     let inputs = ops.status.inputs();
                     let (_, json) =
@@ -134,7 +112,7 @@ impl MetricsService {
             p if p == "/reports" || p.starts_with("/reports?") || p.starts_with("/reports/") => {
                 self.route_reports(p)
             }
-            _ => route(path, &self.cache, self.tracer.as_deref()),
+            _ => route(path, &self.registry, self.tracer.as_deref()),
         }
     }
 
@@ -195,9 +173,6 @@ fn ops_disabled() -> Response {
 /// served from the same listener.
 pub struct MetricsEndpoint {
     pub addr: SocketAddr,
-    /// Snapshot re-render interval (every accepted connection re-renders
-    /// as well).
-    pub interval: Duration,
     /// Enables `/trace/{id}` and `/flight` (404 without).
     pub tracer: Option<Arc<Tracer>>,
     pub ops: Option<Arc<OpsState>>,
@@ -258,51 +233,14 @@ pub(crate) fn mount(
         registry,
         tracer: endpoint.tracer,
         ops: endpoint.ops,
-        cache: Mutex::new(Rendered::default()),
     });
-    service.render();
-    let accepting = Arc::clone(&service);
-    let addr = event_loop.listen(endpoint.addr, move |conn| {
-        // Re-render on accept too, so a scrape right after a burst sees
-        // fresh numbers even with a long refresh interval.
-        accepting.render();
+    event_loop.listen(endpoint.addr, move |conn| {
         let request = OpsRequest {
-            service: Arc::clone(&accepting),
+            service: Arc::clone(&service),
             head: Head::default(),
         };
         Box::new(HttpConn::new(conn, request))
-    })?;
-    event_loop.register_timer(Box::new(Refresh {
-        service,
-        interval: endpoint.interval,
-        last: Instant::now(),
-    }));
-    Ok(addr)
-}
-
-/// Re-renders the snapshot cache every `interval`.
-struct Refresh {
-    service: Arc<MetricsService>,
-    interval: Duration,
-    last: Instant,
-}
-
-impl Handler for Refresh {
-    fn ready(&mut self, _r: bool, _w: bool, _ctx: &mut LoopCtx<'_>) -> Next {
-        Next::Keep
-    }
-
-    fn tick(&mut self, now: Instant, _ctx: &mut LoopCtx<'_>) -> Next {
-        if now.duration_since(self.last) >= self.interval {
-            self.service.render();
-            self.last = now;
-        }
-        Next::Keep
-    }
-
-    fn interest(&self) -> Interest {
-        Interest::NONE
-    }
+    })
 }
 
 /// One ops-listener request on the shared HTTP layer.
@@ -348,23 +286,19 @@ impl Service for OpsRequest {
     }
 }
 
-fn route(path: &str, cache: &Mutex<Rendered>, tracer: Option<&Tracer>) -> Response {
+/// `/metrics` and `/metrics.json` render a fresh snapshot per request, as
+/// `/status` does: a scrape right after a burst (or a reload) sees it.
+fn route(path: &str, registry: &MetricsRegistry, tracer: Option<&Tracer>) -> Response {
     match path {
         // Liveness probe, shared convention with the delivery sinks'
         // healthcheck (`crate::sinks`): 200 + "ok" with no registry work.
         "/healthz" => Response::new("200 OK", "text/plain", "ok\n"),
-        "/metrics" | "/" => {
-            let rendered = cache.lock().expect("render cache");
-            Response::new(
-                "200 OK",
-                "text/plain; version=0.0.4",
-                rendered.prometheus.clone(),
-            )
-        }
-        "/metrics.json" => {
-            let rendered = cache.lock().expect("render cache");
-            Response::json("200 OK", rendered.json.clone())
-        }
+        "/metrics" | "/" => Response::new(
+            "200 OK",
+            "text/plain; version=0.0.4",
+            registry.snapshot().to_prometheus(),
+        ),
+        "/metrics.json" => Response::json("200 OK", registry.snapshot().to_json()),
         "/flight" => match tracer {
             Some(t) => Response::json("200 OK", t.flight_json()),
             None => Response::error("404 Not Found", "tracing disabled"),
@@ -407,6 +341,7 @@ mod tests {
     };
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
+    use std::time::Instant;
 
     fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
         let response = client::get(addr, path);
@@ -423,11 +358,9 @@ mod tests {
     fn exporter_at(
         addr: SocketAddr,
         registry: Arc<MetricsRegistry>,
-        interval: Duration,
     ) -> io::Result<MetricsExporter> {
         let endpoint = MetricsEndpoint {
             addr,
-            interval,
             tracer: None,
             ops: None,
         };
@@ -510,7 +443,6 @@ mod tests {
         let ops = test_ops(&registry);
         let endpoint = MetricsEndpoint {
             addr: "127.0.0.1:0".parse().unwrap(),
-            interval: Duration::from_millis(50),
             tracer: Some(test_tracer()),
             ops: Some(Arc::clone(&ops)),
         };
@@ -534,12 +466,7 @@ mod tests {
 
     #[test]
     fn serves_prometheus_over_http() {
-        let exporter = exporter_at(
-            "127.0.0.1:0".parse().unwrap(),
-            test_registry(),
-            Duration::from_millis(50),
-        )
-        .expect("bind");
+        let exporter = exporter_at("127.0.0.1:0".parse().unwrap(), test_registry()).expect("bind");
         let (head, body) = http_get(exporter.local_addr(), "/metrics");
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         assert!(head.contains("text/plain"), "{head}");
@@ -556,12 +483,7 @@ mod tests {
 
     #[test]
     fn serves_json_and_404() {
-        let exporter = exporter_at(
-            "127.0.0.1:0".parse().unwrap(),
-            test_registry(),
-            Duration::from_millis(50),
-        )
-        .expect("bind");
+        let exporter = exporter_at("127.0.0.1:0".parse().unwrap(), test_registry()).expect("bind");
         let (head, body) = http_get(exporter.local_addr(), "/metrics.json");
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         assert!(head.contains("application/json"), "{head}");
@@ -575,12 +497,8 @@ mod tests {
     #[test]
     fn scrape_sees_updates_after_spawn() {
         let registry = test_registry();
-        let exporter = exporter_at(
-            "127.0.0.1:0".parse().unwrap(),
-            Arc::clone(&registry),
-            Duration::from_secs(3600), // interval irrelevant: scrape re-renders
-        )
-        .expect("bind");
+        let exporter =
+            exporter_at("127.0.0.1:0".parse().unwrap(), Arc::clone(&registry)).expect("bind");
         PipelineMetrics::add(&registry.counters().lines_parsed, 7);
         let (_, body) = http_get(exporter.local_addr(), "/metrics");
         assert!(body.contains("monilog_lines_parsed_total 7"), "{body}");
@@ -588,12 +506,7 @@ mod tests {
 
     #[test]
     fn drop_stops_the_listener() {
-        let exporter = exporter_at(
-            "127.0.0.1:0".parse().unwrap(),
-            test_registry(),
-            Duration::from_millis(50),
-        )
-        .expect("bind");
+        let exporter = exporter_at("127.0.0.1:0".parse().unwrap(), test_registry()).expect("bind");
         let addr = exporter.local_addr();
         drop(exporter);
         // Port released: either connect fails or a fresh bind succeeds.
@@ -605,7 +518,6 @@ mod tests {
     fn serves_trace_and_flight_views() {
         let endpoint = MetricsEndpoint {
             addr: "127.0.0.1:0".parse().unwrap(),
-            interval: Duration::from_millis(50),
             tracer: Some(test_tracer()),
             ops: None,
         };
@@ -633,12 +545,7 @@ mod tests {
 
     #[test]
     fn trace_routes_404_without_a_tracer() {
-        let exporter = exporter_at(
-            "127.0.0.1:0".parse().unwrap(),
-            test_registry(),
-            Duration::from_millis(50),
-        )
-        .expect("bind");
+        let exporter = exporter_at("127.0.0.1:0".parse().unwrap(), test_registry()).expect("bind");
         for path in ["/trace/1", "/flight"] {
             let (head, body) = http_get(exporter.local_addr(), path);
             assert!(head.starts_with("HTTP/1.1 404"), "{path}: {head}");
@@ -652,18 +559,14 @@ mod tests {
         // A restarting process must be able to reclaim its metrics address
         // right away: bind, serve, drop, and rebind the same port twice.
         let registry = test_registry();
-        let first = exporter_at(
-            "127.0.0.1:0".parse().unwrap(),
-            Arc::clone(&registry),
-            Duration::from_millis(50),
-        )
-        .expect("initial bind");
+        let first = exporter_at("127.0.0.1:0".parse().unwrap(), Arc::clone(&registry))
+            .expect("initial bind");
         let addr = first.local_addr();
         let (head, _) = http_get(addr, "/metrics");
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         drop(first);
         for generation in 0..2 {
-            let again = exporter_at(addr, Arc::clone(&registry), Duration::from_millis(50))
+            let again = exporter_at(addr, Arc::clone(&registry))
                 .unwrap_or_else(|e| panic!("rebind generation {generation} failed: {e}"));
             let (head, _) = http_get(again.local_addr(), "/metrics");
             assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
@@ -678,7 +581,7 @@ mod tests {
         let occupant = TcpListener::bind("127.0.0.1:0").expect("occupant");
         let addr = occupant.local_addr().unwrap();
         let started = std::time::Instant::now();
-        let result = exporter_at(addr, test_registry(), Duration::from_millis(50));
+        let result = exporter_at(addr, test_registry());
         assert!(result.is_err(), "bind to an occupied port must fail");
         assert!(
             started.elapsed() >= Duration::from_millis(300),
@@ -688,12 +591,7 @@ mod tests {
 
     #[test]
     fn healthz_answers_without_touching_the_registry() {
-        let exporter = exporter_at(
-            "127.0.0.1:0".parse().unwrap(),
-            test_registry(),
-            Duration::from_millis(50),
-        )
-        .expect("bind");
+        let exporter = exporter_at("127.0.0.1:0".parse().unwrap(), test_registry()).expect("bind");
         let (head, body) = http_get(exporter.local_addr(), "/healthz");
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         assert_eq!(body, "ok\n");
@@ -702,12 +600,7 @@ mod tests {
 
     #[test]
     fn slow_loris_request_is_cut_off_at_the_overall_deadline() {
-        let exporter = exporter_at(
-            "127.0.0.1:0".parse().unwrap(),
-            test_registry(),
-            Duration::from_millis(50),
-        )
-        .expect("bind");
+        let exporter = exporter_at("127.0.0.1:0".parse().unwrap(), test_registry()).expect("bind");
         // Trickle bytes forever without completing a request line. The
         // overall deadline must cut the connection loose regardless.
         let addr = exporter.local_addr();
@@ -749,12 +642,7 @@ mod tests {
 
     #[test]
     fn oversized_and_malformed_requests_get_400() {
-        let exporter = exporter_at(
-            "127.0.0.1:0".parse().unwrap(),
-            test_registry(),
-            Duration::from_millis(50),
-        )
-        .expect("bind");
+        let exporter = exporter_at("127.0.0.1:0".parse().unwrap(), test_registry()).expect("bind");
         // A request line well past the 4 KiB cap: the exporter must answer
         // 400 instead of buffering without bound or hanging the loop.
         let huge = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(8192));
@@ -779,12 +667,7 @@ mod tests {
     /// other scrapes nothing.
     #[test]
     fn stalled_client_does_not_block_concurrent_scrapes() {
-        let exporter = exporter_at(
-            "127.0.0.1:0".parse().unwrap(),
-            test_registry(),
-            Duration::from_millis(50),
-        )
-        .expect("bind");
+        let exporter = exporter_at("127.0.0.1:0".parse().unwrap(), test_registry()).expect("bind");
         let addr = exporter.local_addr();
         // Two clients connect and stall without sending a byte.
         let _stalled_a = TcpStream::connect(addr).unwrap();
@@ -812,12 +695,7 @@ mod tests {
     /// must answer an idle-endpoint scrape well under the old poll tick.
     #[test]
     fn idle_scrape_latency_beats_the_old_poll_tick() {
-        let exporter = exporter_at(
-            "127.0.0.1:0".parse().unwrap(),
-            test_registry(),
-            Duration::from_secs(3600),
-        )
-        .expect("bind");
+        let exporter = exporter_at("127.0.0.1:0".parse().unwrap(), test_registry()).expect("bind");
         let addr = exporter.local_addr();
         // Warm up (thread spawn, first render).
         let _ = http_get(addr, "/healthz");
@@ -1048,12 +926,7 @@ mod tests {
 
     #[test]
     fn ops_routes_404_without_an_ops_state() {
-        let exporter = exporter_at(
-            "127.0.0.1:0".parse().unwrap(),
-            test_registry(),
-            Duration::from_millis(50),
-        )
-        .expect("bind");
+        let exporter = exporter_at("127.0.0.1:0".parse().unwrap(), test_registry()).expect("bind");
         let addr = exporter.local_addr();
         for path in ["/reports", "/reports/1", "/status", "/config"] {
             let (head, body) = http_get(addr, path);

@@ -48,7 +48,7 @@ pub struct Epoll {
 
 impl Epoll {
     pub fn new() -> io::Result<Self> {
-        // Safety: epoll_create1 has no pointer arguments.
+        // SAFETY: epoll_create1 has no pointer arguments.
         let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if fd < 0 {
             return Err(io::Error::last_os_error());
@@ -66,7 +66,7 @@ impl Epoll {
         } else {
             &mut ev as *mut EpollEvent
         };
-        // Safety: `ev` outlives the call; the kernel copies it.
+        // SAFETY: `ev` outlives the call; the kernel copies it.
         let rc = unsafe { epoll_ctl(self.fd, op, fd, evp) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
@@ -90,7 +90,7 @@ impl Epoll {
     /// to `out`. Returns the number of ready fds. EINTR counts as zero ready.
     pub fn wait(&self, out: &mut Vec<(u64, u32)>, timeout_ms: i32) -> io::Result<usize> {
         let mut buf = [EpollEvent { events: 0, data: 0 }; 64];
-        // Safety: `buf` is a valid writable array of `maxevents` entries.
+        // SAFETY: `buf` is a valid writable array of `maxevents` entries.
         let n = unsafe { epoll_wait(self.fd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms) };
         if n < 0 {
             let err = io::Error::last_os_error();
@@ -110,7 +110,7 @@ impl Epoll {
 
 impl Drop for Epoll {
     fn drop(&mut self) {
-        // Safety: fd came from epoll_create1 and is closed exactly once.
+        // SAFETY: fd came from epoll_create1 and is closed exactly once.
         unsafe {
             close(self.fd);
         }

@@ -452,8 +452,10 @@ impl ShardGauges {
 /// `/metrics` counters are cumulative; an operator eyeballing the endpoint
 /// (or the one-line `Display` summary) wants *rates*. Each registry
 /// snapshot taken at least [`MIN_RATE_INTERVAL`] after the previous one
-/// closes an interval and publishes `Δcount / Δt` — the exporter's refresh
-/// tick is what drives this in a live deployment.
+/// closes an interval and publishes `Δcount / Δt`. In a live deployment
+/// every `/metrics`, `/metrics.json` and `/status` request takes one, so
+/// an interval closes on requests at least 100 ms apart; requests closer
+/// together repeat the last closed interval's rates.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RateSnapshot {
     /// Length of the closed interval in seconds (0.0 until two spaced

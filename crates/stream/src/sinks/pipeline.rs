@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 pub type AcceptedReport = BufferedReport;
 
 /// Delivery tuning knobs (`--sink-retry-max-ms`, `--sink-buffer-bytes`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeliveryConfig {
     /// Directory holding per-route buffer and spill files.
     pub dir: PathBuf,

@@ -501,7 +501,6 @@ mod tests {
             None,
             Some(MetricsEndpoint {
                 addr: "127.0.0.1:0".parse().unwrap(),
-                interval: Duration::from_millis(50),
                 tracer: None,
                 ops: None,
             }),

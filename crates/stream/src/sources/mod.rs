@@ -93,7 +93,7 @@ pub struct SourceEvent {
 }
 
 /// Configuration for [`SourcesServer::spawn`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourcesConfig {
     pub syslog_tcp: Option<SocketAddr>,
     pub syslog_udp: Option<SocketAddr>,
@@ -1025,7 +1025,6 @@ mod tests {
             None,
             Some(MetricsEndpoint {
                 addr: "127.0.0.1:0".parse().unwrap(),
-                interval: Duration::from_millis(100),
                 tracer: None,
                 ops: None,
             }),

@@ -74,7 +74,7 @@ pub(super) struct TailSpec {
 
 /// A tail: `dir/pattern` where the basename may carry `*`/`?` wildcards.
 /// The directory part is literal.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TailGlobSpec {
     /// Full pattern as configured (e.g. `/var/log/app-*.log`).
     pub pattern: PathBuf,
@@ -94,7 +94,7 @@ impl TailGlobSpec {
 }
 
 /// Recovered state for one file a glob tail discovered before a restart.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GlobResume {
     /// The tail slot the file held (its `SourceId` is
     /// `TAIL_SOURCE_BASE + slot`); reusing it keeps journal seqs and

@@ -471,10 +471,10 @@ impl Tracer {
     /// Dump the flight recorder to `dump_dir` (no-op returning `None`
     /// when no dump directory is configured). Files are named
     /// `monilog-flight-<reason>-<n>.json` with a monotone counter, so
-    /// repeated dumps never clobber each other. The dump is written to a
-    /// `.tmp` sibling and renamed into place: a crash (or a second crash
-    /// during the dump of the first) can never leave a half-written JSON
-    /// file under the final name.
+    /// repeated dumps never clobber each other. The dump is written with
+    /// [`crate::durable::write_atomic`]: a crash (or a second crash during
+    /// the dump of the first) can never leave a half-written JSON file
+    /// under the final name.
     pub fn dump(&self, reason: &str) -> Option<PathBuf> {
         let dir = self.dump_dir.as_ref()?;
         let n = self.dumps_written.fetch_add(1, Ordering::Relaxed);
@@ -488,20 +488,9 @@ impl Tracer {
             json_string(reason),
             self.flight_json()
         );
-        if std::fs::create_dir_all(dir).is_err() {
-            return None;
-        }
-        let tmp = path.with_extension("json.tmp");
-        if std::fs::write(&tmp, body).is_err() {
-            return None;
-        }
-        match std::fs::rename(&tmp, &path) {
-            Ok(()) => Some(path),
-            Err(_) => {
-                let _ = std::fs::remove_file(&tmp);
-                None
-            }
-        }
+        std::fs::create_dir_all(dir).ok()?;
+        crate::durable::write_atomic(&path, body.as_bytes()).ok()?;
+        Some(path)
     }
 
     /// Number of dump files written so far.

@@ -82,7 +82,6 @@ fn main() {
     // Serve from the start so training latencies are scrapable too.
     let endpoint = MetricsEndpoint {
         addr,
-        interval: Duration::from_millis(250),
         tracer: Some(monilog.tracer()),
         ops: None,
     };

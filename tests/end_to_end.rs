@@ -428,7 +428,6 @@ fn anomaly_provenance_resolves_over_http() {
     // Serve the tracer and resolve every provenance trace id over HTTP.
     let endpoint = MetricsEndpoint {
         addr: "127.0.0.1:0".parse().unwrap(),
-        interval: std::time::Duration::from_millis(20),
         tracer: Some(monilog.tracer()),
         ops: None,
     };

@@ -3,17 +3,22 @@
 //! so the anomaly set cannot depend on how the logs travelled — and the
 //! source queue must wire cleanly into the batched `submit_batch` path.
 
-use monilog_core::cli::{run, CliCommand, DurableOptions, HeaderChoice, SourcesOptions};
+use monilog_core::cli::{run, CliCommand, DurableOptions};
+use monilog_core::model::HeaderFormat;
 use monilog_core::stream::ConfigSnapshot;
-use monilog_core::ObservabilityConfig;
+use monilog_core::{DurableConfig, ObservabilityConfig};
 use monilog_loggen::{GenLog, HdfsWorkload, HdfsWorkloadConfig};
-use monilog_stream::sources::parse_syslog;
+use monilog_stream::durable::JournalConfig;
+use monilog_stream::sources::{parse_syslog, TailGlobSpec};
 use monilog_stream::{FrameDecoder, SourcesConfig, SourcesServer};
 use proptest::prelude::*;
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::time::{Duration, Instant};
+
+const BIN: &str = env!("CARGO_BIN_EXE_monilog");
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("monilog-netsrc-{name}-{}", std::process::id()));
@@ -43,10 +48,10 @@ fn train_checkpoint(dir: &Path) -> PathBuf {
     })
     .generate();
     write_workload(&train_file, &training);
-    run(CliCommand::Train {
+    run_out(CliCommand::Train {
         logfile: train_file.to_string_lossy().into_owned(),
         checkpoint: ckpt.to_string_lossy().into_owned(),
-        format: HeaderChoice::Dash,
+        format: HeaderFormat::DashSeparated,
         observability: ObservabilityConfig::default(),
         trace_out: None,
     })
@@ -68,15 +73,23 @@ fn live_lines() -> Vec<String> {
     .collect()
 }
 
+/// `run`, with what it printed.
+fn run_out(command: CliCommand) -> Result<String, String> {
+    let mut out = Vec::new();
+    run(command, &mut out)?;
+    Ok(String::from_utf8(out).expect("utf-8 output"))
+}
+
 fn durable_opts(state_dir: &Path) -> DurableOptions {
     DurableOptions {
-        state_dir: state_dir.to_string_lossy().into_owned(),
-        checkpoint_interval_ms: 5_000,
-        journal_fsync_ms: 0,
-        journal_segment_bytes: 8 * 1024 * 1024,
-        sinks: None,
-        config_file: None,
-        latency_budget_ms: 250,
+        config: DurableConfig {
+            journal: JournalConfig {
+                fsync_interval_ms: 0,
+                segment_bytes: 8 * 1024 * 1024,
+            },
+            ..DurableConfig::new(state_dir)
+        },
+        ..DurableOptions::new(state_dir)
     }
 }
 
@@ -136,11 +149,11 @@ fn syslog_fed_monitor_matches_file_fed_reference() {
     let ref_state = dir.join("state-file");
     let live_file = dir.join("live.log");
     std::fs::write(&live_file, format!("{}\n", lines.join("\n"))).unwrap();
-    run(CliCommand::Monitor {
+    run_out(CliCommand::Monitor {
         logfile: Some(live_file.to_string_lossy().into_owned()),
         sources: None,
         checkpoint: ckpt.to_string_lossy().into_owned(),
-        format: HeaderChoice::Dash,
+        format: HeaderFormat::DashSeparated,
         settings: ConfigSnapshot::default(),
         observability: ObservabilityConfig::default(),
         trace_out: None,
@@ -156,18 +169,18 @@ fn syslog_fed_monitor_matches_file_fed_reference() {
     std::fs::create_dir_all(&net_state).unwrap();
     let cmd = CliCommand::Monitor {
         logfile: None,
-        sources: Some(SourcesOptions {
+        sources: Some(SourcesConfig {
             syslog_tcp: Some("127.0.0.1:0".parse().unwrap()),
-            ..SourcesOptions::default()
+            ..SourcesConfig::default()
         }),
         checkpoint: ckpt.to_string_lossy().into_owned(),
-        format: HeaderChoice::Dash,
+        format: HeaderFormat::DashSeparated,
         settings: ConfigSnapshot::default(),
         observability: ObservabilityConfig::default(),
         trace_out: None,
         durable: Some(durable_opts(&net_state)),
     };
-    let monitor = std::thread::spawn(move || run(cmd).expect("network run succeeds"));
+    let monitor = std::thread::spawn(move || run_out(cmd).expect("network run succeeds"));
 
     let addr = wait_for_addr(&net_state, "syslog-tcp");
     let mut conn = TcpStream::connect(&addr).unwrap();
@@ -219,14 +232,14 @@ fn reordered_tails_resume_each_file_by_path() {
     std::env::set_var("MONILOG_IDLE_EXIT_MS", "1500");
     let state = dir.join("state");
     let monitor = |tails: [&Path; 2]| {
-        run(CliCommand::Monitor {
+        run_out(CliCommand::Monitor {
             logfile: None,
-            sources: Some(SourcesOptions {
-                tails: tails.map(|p| p.to_string_lossy().into_owned()).to_vec(),
-                ..SourcesOptions::default()
+            sources: Some(SourcesConfig {
+                tail_globs: tails.map(TailGlobSpec::new).to_vec(),
+                ..SourcesConfig::default()
             }),
             checkpoint: ckpt.to_string_lossy().into_owned(),
-            format: HeaderChoice::Dash,
+            format: HeaderFormat::DashSeparated,
             settings: ConfigSnapshot::default(),
             observability: ObservabilityConfig::default(),
             trace_out: None,
@@ -247,6 +260,35 @@ fn reordered_tails_resume_each_file_by_path() {
     let report = monitor([&b, &a]);
     let second = format!("monitored {} lines from network sources", 2 * chunk);
     assert!(report.contains(&second), "{report}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The monitor writes its output as it happens: SIGKILLed as soon as it
+/// has published its listen address, it has already printed its recovery
+/// and listening lines to stdout.
+#[test]
+fn a_killed_monitor_has_printed_its_startup_lines() {
+    let dir = tmp_dir("killed-stdout");
+    let ckpt = train_checkpoint(&dir);
+    let state = dir.join("state");
+    let out_path = dir.join("monitor.out");
+    let mut child = Command::new(BIN)
+        .args(["monitor", "--checkpoint", &ckpt.display().to_string()])
+        .args(["--state-dir", &state.display().to_string()])
+        .args(["--listen-syslog-tcp", "127.0.0.1:0"])
+        .env_remove("MONILOG_IDLE_EXIT_MS")
+        .stdout(std::fs::File::create(&out_path).unwrap())
+        .spawn()
+        .unwrap();
+    let addr = wait_for_addr(&state, "syslog-tcp");
+    child.kill().unwrap();
+    child.wait().unwrap();
+    let out = std::fs::read_to_string(&out_path).unwrap();
+    assert!(out.contains("recovery: fresh state directory"), "{out:?}");
+    assert!(
+        out.contains(&format!("listening: syslog-tcp {addr}")),
+        "{out:?}"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

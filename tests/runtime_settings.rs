@@ -71,12 +71,7 @@ fn start_monitor(dir: &Path) -> Monitor {
         .args(["monitor", "--format", "bare", "--checkpoint", &ckpt])
         .args(["--state-dir", &state.display().to_string()])
         .args(["--listen-syslog-tcp", "127.0.0.1:0"])
-        .args([
-            "--metrics-addr",
-            "127.0.0.1:0",
-            "--metrics-interval-ms",
-            "20",
-        ])
+        .args(["--metrics-addr", "127.0.0.1:0"])
         .env_remove("MONILOG_IDLE_EXIT_MS")
         .stdout(Stdio::null())
         .spawn()

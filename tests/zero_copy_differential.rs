@@ -9,10 +9,9 @@
 
 use bytes::Bytes;
 use monilog_core::detect::DeepLogConfig;
-use monilog_core::model::{ByteLine, RawLog, SourceId};
+use monilog_core::model::{ByteLine, HeaderFormat, RawLog, SourceId};
 use monilog_core::{
-    DetectorChoice, DurableConfig, DurableMoniLog, HeaderFormatChoice, MoniLog, MoniLogConfig,
-    WindowPolicy,
+    DetectorChoice, DurableConfig, DurableMoniLog, MoniLog, MoniLogConfig, WindowPolicy,
 };
 use monilog_loggen::{HdfsWorkload, HdfsWorkloadConfig};
 use monilog_stream::durable::JournalConfig;
@@ -34,6 +33,8 @@ fn arena_raws(lines: &[(SourceId, u64, String)], batch: usize) -> Vec<RawLog> {
             let view = buf.slice(start..start + l.len());
             // The carve must share the arrival buffer, not copy it —
             // otherwise this test degenerates into owned-vs-owned.
+            // SAFETY: `view` was sliced from `buf` at `start`, so `start`
+            // is within `buf` and the offset pointer stays in bounds.
             assert!(std::ptr::eq(view.as_ref().as_ptr(), unsafe {
                 buf.as_ref().as_ptr().add(start)
             }));
@@ -137,7 +138,7 @@ fn tmp_dir(name: &str) -> PathBuf {
 
 fn bare_config() -> MoniLogConfig {
     MoniLogConfig {
-        header_format: HeaderFormatChoice::Bare,
+        header_format: HeaderFormat::Bare,
         window: WindowPolicy::Tumbling { size: 4 },
         detector: DetectorChoice::DeepLog(DeepLogConfig {
             history: 3,
