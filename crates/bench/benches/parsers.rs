@@ -1,5 +1,5 @@
-//! Criterion microbenchmarks: per-parser line throughput (experiment P4's
-//! timing column, measured properly).
+//! Criterion microbenchmarks: per-parser line throughput — the throughput
+//! side of experiment P4, whose table reports accuracy only.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use monilog_core::parse::{

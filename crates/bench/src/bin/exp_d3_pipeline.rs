@@ -14,7 +14,7 @@
 //! default 1/1024 rate must cost less than 5% throughput. (`--check`
 //! does not overwrite the baseline; a plain run does.)
 
-use monilog_bench::print_table;
+use monilog_bench::Table;
 use monilog_core::detect::DeepLogConfig;
 use monilog_core::model::RawLog;
 use monilog_core::stream::durable::write_atomic;
@@ -147,40 +147,39 @@ fn main() {
         .count();
     let m = monilog.metrics();
 
-    let rows = vec![
-        vec![
-            "training ingest".to_string(),
-            format!("{} lines", train_logs.len()),
-            format!(
-                "{:.0}k lines/s",
-                train_logs.len() as f64 / ingest_secs / 1_000.0
-            ),
-        ],
-        vec![
-            "model fit".to_string(),
-            format!("{} windows", 800),
-            format!("{train_secs:.1} s"),
-        ],
-        vec![
-            "live monitoring".to_string(),
-            format!("{} lines", live_logs.len()),
-            format!(
-                "{:.0}k lines/s",
-                live_logs.len() as f64 / live_secs / 1_000.0
-            ),
-        ],
-        vec![
-            "templates discovered".to_string(),
-            format!("{}", PipelineMetrics::get(&m.templates_discovered)),
-            String::new(),
-        ],
-        vec![
-            "anomalies reported".to_string(),
-            format!("{}", anomalies.len()),
-            format!("{truly_anomalous} truly anomalous sessions"),
-        ],
-    ];
-    print_table(&["stage", "volume", "rate / note"], &rows);
+    let mut stages = Table::new(["stage", "volume", "rate / note"]);
+    stages
+        .row()
+        .cell("training ingest")
+        .cell(format_args!("{} lines", train_logs.len()))
+        .cell(format_args!(
+            "{:.0}k lines/s",
+            train_logs.len() as f64 / ingest_secs / 1_000.0
+        ));
+    stages
+        .row()
+        .cell("model fit")
+        .cell("800 windows")
+        .cell(format_args!("{train_secs:.1} s"));
+    stages
+        .row()
+        .cell("live monitoring")
+        .cell(format_args!("{} lines", live_logs.len()))
+        .cell(format_args!(
+            "{:.0}k lines/s",
+            live_logs.len() as f64 / live_secs / 1_000.0
+        ));
+    stages
+        .row()
+        .cell("templates discovered")
+        .cell(PipelineMetrics::get(&m.templates_discovered))
+        .cell("");
+    stages
+        .row()
+        .cell("anomalies reported")
+        .cell(anomalies.len())
+        .cell(format_args!("{truly_anomalous} truly anomalous sessions"));
+    print!("{stages}");
 
     // Report completeness: every report must carry its full window.
     let complete = anomalies
@@ -196,26 +195,19 @@ fn main() {
     // Per-stage latency distribution from the observability registry.
     let snap = monilog.registry().snapshot();
     let us = |ns: u64| format!("{:.1} us", ns as f64 / 1_000.0);
-    let latency_rows: Vec<Vec<String>> = snap
-        .stages
-        .iter()
-        .filter(|s| s.latency.count > 0)
-        .map(|s| {
-            vec![
-                s.stage.to_string(),
-                format!("{}", s.latency.count),
-                us(s.latency.p50_ns),
-                us(s.latency.p95_ns),
-                us(s.latency.p99_ns),
-                us(s.latency.max_ns),
-            ]
-        })
-        .collect();
+    let mut latency = Table::new(["stage", "samples", "p50", "p95", "p99", "max"]);
+    for s in snap.stages.iter().filter(|s| s.latency.count > 0) {
+        latency
+            .row()
+            .cell(s.stage)
+            .cell(s.latency.count)
+            .cell(us(s.latency.p50_ns))
+            .cell(us(s.latency.p95_ns))
+            .cell(us(s.latency.p99_ns))
+            .cell(us(s.latency.max_ns));
+    }
     println!("\nper-stage latency (per-call, wall-clock):");
-    print_table(
-        &["stage", "samples", "p50", "p95", "p99", "max"],
-        &latency_rows,
-    );
+    print!("{latency}");
 
     // Tracing overhead: replay the live stream through two restored
     // copies of the same trained pipeline, untraced (rate 0) vs traced at

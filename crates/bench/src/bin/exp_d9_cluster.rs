@@ -28,12 +28,14 @@
 //! violation. With `--check` the results artifact is not rewritten.
 
 use monilog_bench::gate::{
-    dir_bytes, fail, listen_addr, numbers_in_line, read_reports, wait_for, write_workload, Gate,
+    dir_bytes, fail, listen_addr, numbers_in_line, read_reports, wait_for, wait_until,
+    write_workload, Gate,
 };
+use monilog_core::stream::ROUTER_SOURCE_BASE;
 use monilog_loggen::{GenLog, HdfsWorkload, HdfsWorkloadConfig};
 use std::collections::BTreeSet;
+use std::fs;
 use std::path::Path;
-use std::time::Duration;
 
 /// Journal bytes that count as "real progress" before the kill.
 const KILL_THRESHOLD: u64 = 16_384;
@@ -185,10 +187,22 @@ fn main() {
     nodes[victim].take().expect("victim running").kill();
     println!("killed node n{} mid-stream (SIGKILL)", victim + 1);
 
-    // Hold the node down past the dead-node timeout so the router must
-    // detect the death and rebalance to the survivor — a too-fast restart
-    // would be absorbed by the rejoin path alone.
-    std::thread::sleep(Duration::from_millis(2_000));
+    // Hold the node down until the router has detected the death and
+    // rebalanced to the survivor — a too-fast restart would be absorbed by
+    // the rejoin path alone, and a fixed hold can outlast the stream. The
+    // rebalance is observed when the survivor's journal holds a segment
+    // for every router source; the victim restarts at once.
+    let survivor_journal = states[1 - victim].join("journal");
+    wait_until(&mut router, "the rebalance to the survivor", || {
+        (ROUTER_SOURCE_BASE..ROUTER_SOURCE_BASE + N_SOURCES as u16).all(|source| {
+            fs::read_dir(&survivor_journal).is_ok_and(|entries| {
+                let prefix = format!("src{source}-");
+                entries
+                    .flatten()
+                    .any(|e| e.file_name().to_string_lossy().starts_with(&prefix))
+            })
+        })
+    });
     let label = format!("n{}-restart", victim + 1);
     nodes[victim] = Some(gate.spawn(&label, &args[victim], &idle_guard));
     println!("restarted node n{} on the same state dir", victim + 1);

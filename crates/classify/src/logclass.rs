@@ -17,7 +17,7 @@
 
 use monilog_model::AnomalyReport;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// LogClass configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -92,22 +92,24 @@ fn hash_word(word: &str, dim: usize) -> usize {
 
 /// Batch TF-ILF classifier over anomaly reports.
 #[derive(Debug, Clone)]
-pub struct LogClass<C: Copy + Eq + std::hash::Hash> {
+pub struct LogClass<C: Copy + Ord> {
     config: LogClassConfig,
     /// Inverse location frequency per hashed word.
     ilf: Vec<f64>,
-    /// One weight vector per class.
-    weights: HashMap<C, Vec<f64>>,
+    /// One weight vector per class, in class order: ties between equal
+    /// scores (every score is 0 before the first update) break the same
+    /// way in every process.
+    weights: BTreeMap<C, Vec<f64>>,
     trained: bool,
 }
 
-impl<C: Copy + Eq + std::hash::Hash + Ord> LogClass<C> {
+impl<C: Copy + Ord> LogClass<C> {
     pub fn new(config: LogClassConfig) -> Self {
         assert!(config.feature_dim >= 8);
         LogClass {
             ilf: vec![1.0; config.feature_dim],
             config,
-            weights: HashMap::new(),
+            weights: BTreeMap::new(),
             trained: false,
         }
     }
@@ -204,10 +206,8 @@ impl<C: Copy + Eq + std::hash::Hash + Ord> LogClass<C> {
             return None;
         }
         let x = self.featurize(report);
-        let mut entries: Vec<(&C, &Vec<f64>)> = self.weights.iter().collect();
-        entries.sort_by_key(|(c, _)| **c); // deterministic tie-break
-        entries
-            .into_iter()
+        self.weights
+            .iter()
             .map(|(c, w)| (*c, w.iter().zip(&x).map(|(a, b)| a * b).sum::<f64>()))
             .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
             .map(|(c, _)| c)
@@ -307,6 +307,27 @@ mod tests {
         lc.fit(&reports, &labels);
         assert_eq!(lc.classify(&report(&[1], "eth999")), Some('n'));
         assert_eq!(lc.classify(&report(&[9], "vol77777")), Some('s'));
+    }
+
+    #[test]
+    fn refits_are_identical() {
+        // Eight classes whose reports share most words: every score starts
+        // at 0, so the first updates hinge on how score ties are broken.
+        let reports: Vec<AnomalyReport> = (0..48)
+            .map(|i| report(&[i % 8, 9], &format!("node{}", i % 3)))
+            .collect();
+        let refs: Vec<&AnomalyReport> = reports.iter().collect();
+        let labels: Vec<u32> = (0..48).map(|i| (i * 5) % 8).collect();
+        let fit = || {
+            let mut lc = LogClass::new(LogClassConfig::default());
+            lc.fit(&refs, &labels);
+            lc
+        };
+        let (a, b) = (fit(), fit());
+        assert_eq!(a.weights, b.weights);
+        for r in &reports {
+            assert_eq!(a.classify(r), b.classify(r));
+        }
     }
 
     #[test]

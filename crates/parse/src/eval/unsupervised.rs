@@ -19,7 +19,7 @@
 //! has zero coverage. Sampling is deterministic (internal xorshift) so the
 //! score is reproducible.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Label-free quality report for one parsing of a corpus.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,7 +105,9 @@ pub fn unsupervised_quality(
         .iter()
         .map(|m| m.split_whitespace().collect())
         .collect();
-    let mut groups: HashMap<u32, Vec<usize>> = HashMap::new();
+    // Label order, not hash order: the seeded sampler below indexes into
+    // `covered_lines`, so its order must be the same in every process.
+    let mut groups: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
     for (i, &l) in labels.iter().enumerate() {
         groups.entry(l).or_default().push(i);
     }
@@ -241,10 +243,16 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let refs = vec!["a b", "a c", "x y", "x z", "a d"];
-        let labels = vec![0, 0, 1, 1, 0];
-        let r1 = unsupervised_quality(&refs, &labels, 1000);
-        let r2 = unsupervised_quality(&refs, &labels, 1000);
+        // 24 groups of unequal size and inner similarity: sampling them in
+        // another order (hash order differs between two maps) would move
+        // cohesion.
+        let messages: Vec<String> = (0..130)
+            .map(|i| format!("op{} on item i{} took {} ms", i % 24, i * i % 7, i / 24 % 3))
+            .collect();
+        let refs: Vec<&str> = messages.iter().map(String::as_str).collect();
+        let labels: Vec<u32> = (0..130).map(|i| i % 24).collect();
+        let r1 = unsupervised_quality(&refs, &labels, 2000);
+        let r2 = unsupervised_quality(&refs, &labels, 2000);
         assert_eq!(r1, r2);
     }
 

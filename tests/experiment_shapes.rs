@@ -1,78 +1,23 @@
-//! Small-scale assertions of the experiment *shapes* claimed in DESIGN.md.
-//!
-//! The full experiments live in `crates/bench`; these tests pin the
-//! qualitative findings at CI-friendly scale so a regression in any
-//! component that would flip an experiment's conclusion fails fast.
+//! Experiment shapes at CI-friendly scale, and the golden hashes. P3, P5
+//! and P6 keep theirs next to their experiments in `crates/bench`; P1's
+//! runs P1's own code here, in parallel with the other slow tests. The
+//! rest measure what no table prints.
 
-use monilog_core::detect::window::session_windows;
+use monilog_bench::{
+    experiment_deeplog, experiment_loganomaly, hdfs, p1_anomaly_free, parse_session_windows,
+};
 use monilog_core::detect::{
-    evaluate, DeepLog, DeepLogConfig, Detector, LogAnomaly, LogAnomalyConfig, LogRobust,
-    LogRobustConfig, PcaDetector, PcaDetectorConfig, TrainSet, Window,
+    DeepLog, DeepLogConfig, DetectionScores, Detector, LogAnomaly, LogAnomalyConfig, LogRobust,
+    LogRobustConfig, TrainSet, Window,
 };
-use monilog_core::model::event::parse_numeric;
-use monilog_core::parse::eval::{grouping_accuracy, token_accuracy, TokenAccuracyInput};
-use monilog_core::parse::{Drain, DrainConfig, MaskConfig, OnlineParser};
-use monilog_loggen::{
-    corpus, GenLog, HdfsWorkload, HdfsWorkloadConfig, InstabilityConfig, InstabilityInjector,
-    TokenKind,
-};
+use monilog_core::parse::{Drain, DrainConfig, OnlineParser};
+use monilog_loggen::{HdfsWorkload, HdfsWorkloadConfig, InstabilityConfig, InstabilityInjector};
 
-/// Parse logs with a shared Drain and split into labeled session windows.
-fn parse_sessions(parser: &mut Drain, logs: &[GenLog]) -> (Vec<Window>, Vec<bool>) {
-    let mut labels_by_key: std::collections::HashMap<String, bool> = Default::default();
-    for log in logs {
-        let key = log.truth.session.clone().expect("session workload");
-        *labels_by_key.entry(key).or_insert(false) |= log.truth.is_anomalous();
-    }
-    let events = logs.iter().map(|log| {
-        let outcome = parser.parse(&log.record.message);
-        let numerics: Vec<f64> = outcome
-            .variables
-            .iter()
-            .filter_map(|v| parse_numeric(v))
-            .collect();
-        (
-            log.truth.session.clone().expect("session workload"),
-            outcome.template.0,
-            numerics,
-        )
-    });
-    let mut windows = Vec::new();
-    let mut labels = Vec::new();
-    for (key, w) in session_windows(events) {
-        windows.push(w);
-        labels.push(labels_by_key[&key]);
-    }
-    (windows, labels)
-}
-
-fn small_deeplog() -> DeepLog {
-    DeepLog::new(DeepLogConfig {
-        history: 6,
-        top_g: 2,
-        epochs: 3,
-        ..DeepLogConfig::default()
-    })
-}
-
-fn small_loganomaly() -> LogAnomaly {
-    LogAnomaly::new(LogAnomalyConfig {
-        history: 6,
-        top_g: 2,
-        epochs: 3,
-        ..LogAnomalyConfig::default()
-    })
-}
-
-/// Detector quality, pinned (ROADMAP "pin detector quality"): precision,
-/// recall and F1 within ±0.05 of what the commit before tape-free
-/// inference measured, so a change that moves detector output — even by
-/// a few windows — fails here instead of in an experiment nobody re-ran.
-fn pinned(
-    name: &str,
-    got: &monilog_core::detect::DetectionScores,
-    (precision, recall, f1): (f64, f64, f64),
-) {
+/// Detector quality, pinned: precision, recall and F1 within ±0.05 of
+/// what the commit before tape-free inference measured, so a change that
+/// moves detector output — even by a few windows — fails here instead of
+/// in an experiment nobody re-ran.
+fn pinned(name: &str, got: &DetectionScores, (precision, recall, f1): (f64, f64, f64)) {
     for (metric, got, want) in [
         ("precision", got.precision, precision),
         ("recall", got.recall, recall),
@@ -85,48 +30,25 @@ fn pinned(
     }
 }
 
-/// P1 shape: trained anomaly-free, DeepLog and LogAnomaly detect well;
-/// LogRobust (supervised) collapses to zero recall. The pinned values
-/// sit where `results/exp_p1_anomaly_free.txt` has them at full scale
-/// (DeepLog 100% / 96.4% / 0.982, LogAnomaly 100% / 64.3% / 0.783).
+/// P1 shape, through P1's own code at reduced size: trained anomaly-free,
+/// DeepLog and LogAnomaly detect well; LogRobust (supervised) collapses
+/// to zero recall.
 #[test]
 fn p1_anomaly_free_training_shape() {
-    let train_logs = HdfsWorkload::new(HdfsWorkloadConfig {
-        n_sessions: 250,
-        sequential_anomaly_rate: 0.0,
-        quantitative_anomaly_rate: 0.0,
-        seed: 1,
-        ..Default::default()
-    })
-    .generate();
-    let test_logs = HdfsWorkload::new(HdfsWorkloadConfig {
-        n_sessions: 150,
-        sequential_anomaly_rate: 0.08,
-        quantitative_anomaly_rate: 0.04,
-        seed: 2,
-        ..Default::default()
-    })
-    .generate();
-
-    let mut parser = Drain::new(DrainConfig::default());
-    let (train_windows, _) = parse_sessions(&mut parser, &train_logs);
-    let (test_windows, test_labels) = parse_sessions(&mut parser, &test_logs);
-    let train = TrainSet::unlabeled(train_windows).with_templates(parser.store().clone());
-
-    let mut deeplog = small_deeplog();
-    deeplog.fit(&train);
-    let dl = evaluate(&deeplog, &test_windows, &test_labels);
-    pinned("DeepLog", &dl, (1.0, 1.0, 1.0));
-
-    let mut loganomaly = small_loganomaly();
-    loganomaly.fit(&train);
-    let la = evaluate(&loganomaly, &test_windows, &test_labels);
-    pinned("LogAnomaly", &la, (1.0, 0.643, 0.783));
-
+    let mut deeplog = DeepLog::new(experiment_deeplog());
+    let mut loganomaly = LogAnomaly::new(experiment_loganomaly());
     let mut logrobust = LogRobust::new(LogRobustConfig::default());
-    logrobust.fit(&train);
+    let p1 = p1_anomaly_free::measure(
+        hdfs(250, 0.0, 0.0, 1),
+        hdfs(150, 0.08, 0.04, 2),
+        &mut [&mut deeplog, &mut loganomaly, &mut logrobust],
+    );
+    let [(_, dl, _), (_, la, _), (_, lr, _)] = p1.rows[..] else {
+        panic!("three detectors in, three rows out");
+    };
+    pinned("DeepLog", &dl, (1.0, 1.0, 1.0));
+    pinned("LogAnomaly", &la, (1.0, 0.643, 0.783));
     assert!(logrobust.is_degraded());
-    let lr = evaluate(&logrobust, &test_windows, &test_labels);
     assert_eq!(
         lr.recall, 0.0,
         "supervised model can't recall without labels"
@@ -165,15 +87,15 @@ fn x1_instability_hurts_deeplog_more_than_loganomaly() {
     .apply(&fresh);
 
     let mut parser = Drain::new(DrainConfig::default());
-    let (train_windows, _) = parse_sessions(&mut parser, &stable);
+    let (train_windows, _) = parse_session_windows(&mut parser, &stable);
     let train = TrainSet::unlabeled(train_windows).with_templates(parser.store().clone());
 
-    let mut deeplog = small_deeplog();
+    let mut deeplog = DeepLog::new(experiment_deeplog());
     deeplog.fit(&train);
-    let mut loganomaly = small_loganomaly();
+    let mut loganomaly = LogAnomaly::new(experiment_loganomaly());
     loganomaly.fit(&train);
 
-    let (evolved_windows, _) = parse_sessions(&mut parser, &evolved);
+    let (evolved_windows, _) = parse_session_windows(&mut parser, &evolved);
     deeplog.update_templates(parser.store());
     loganomaly.update_templates(parser.store());
 
@@ -191,163 +113,6 @@ fn x1_instability_hurts_deeplog_more_than_loganomaly() {
         deeplog_far > 0.2,
         "a big deploy should trip DeepLog's closed world: {deeplog_far}"
     );
-}
-
-/// P3 shape: on an unkeyed multi-source mixed stream (tumbling windows),
-/// the order-invariant counter method stays useful while the sequence
-/// model loses its edge (mixed flows destroy order information).
-#[test]
-fn p3_multisource_counts_stay_competitive() {
-    use monilog_core::detect::window::tumbling_windows;
-    use monilog_loggen::{CloudWorkload, CloudWorkloadConfig};
-
-    let train_logs = CloudWorkload::new(CloudWorkloadConfig {
-        n_sources: 8,
-        walks_per_source: 150,
-        json_tail: false,
-        seed: 6,
-        ..CloudWorkloadConfig::default()
-    })
-    .generate();
-    let test_logs = CloudWorkload::new(CloudWorkloadConfig {
-        n_sources: 8,
-        walks_per_source: 60,
-        json_tail: false,
-        n_incidents: 8,
-        seed: 7,
-        ..CloudWorkloadConfig::default()
-    })
-    .generate();
-
-    let mut parser = Drain::new(DrainConfig::default());
-    let to_windows = |parser: &mut Drain, logs: &[GenLog]| -> (Vec<Window>, Vec<bool>) {
-        let mut ids = Vec::new();
-        let mut nums = Vec::new();
-        let mut marks = Vec::new();
-        for log in logs {
-            let o = parser.parse(&log.record.message);
-            ids.push(o.template.0);
-            nums.push(
-                o.variables
-                    .iter()
-                    .filter_map(|v| parse_numeric(v))
-                    .collect::<Vec<f64>>(),
-            );
-            marks.push(log.truth.is_anomalous());
-        }
-        let windows = tumbling_windows(&ids, &nums, 40);
-        // A window is anomalous iff it contains ≥ 3 incident lines.
-        let labels: Vec<bool> = windows
-            .iter()
-            .scan(0usize, |offset, w| {
-                let start = *offset;
-                *offset += w.len();
-                Some(marks[start..start + w.len()].iter().filter(|&&m| m).count() >= 3)
-            })
-            .collect();
-        (windows, labels)
-    };
-
-    let (train_windows, _) = to_windows(&mut parser, &train_logs);
-    let (test_windows, test_labels) = to_windows(&mut parser, &test_logs);
-    assert!(
-        test_labels.iter().any(|&l| l),
-        "incidents must label some windows"
-    );
-    let train = TrainSet::unlabeled(train_windows).with_templates(parser.store().clone());
-
-    let mut pca = PcaDetector::new(PcaDetectorConfig::default());
-    pca.fit(&train);
-    let pca_scores = evaluate(&pca, &test_windows, &test_labels);
-    // The counter method catches incident bursts in mixed streams.
-    assert!(
-        pca_scores.recall > 0.5,
-        "PCA recall {:.3} on multi-source incidents",
-        pca_scores.recall
-    );
-}
-
-/// P5 shape: token accuracy (Eq. 1) is at most grouping accuracy on the
-/// same run and strictly drops when masking is disabled (variables kept
-/// literal), even where grouping survives.
-#[test]
-fn p5_token_metric_shape() {
-    let corpus = corpus::hdfs_like(120, 8);
-    let truth_ids: Vec<u32> = corpus.logs.iter().map(|l| l.truth.template.0).collect();
-
-    let run = |mask: MaskConfig| -> (f64, f64) {
-        let mut parser = Drain::new(DrainConfig {
-            mask,
-            ..DrainConfig::default()
-        });
-        let outcomes: Vec<_> = corpus
-            .logs
-            .iter()
-            .map(|l| parser.parse(&l.record.message))
-            .collect();
-        let parsed: Vec<u32> = outcomes.iter().map(|o| o.template.0).collect();
-        let ga = grouping_accuracy(&parsed, &truth_ids);
-        let inputs: Vec<TokenAccuracyInput> = corpus
-            .logs
-            .iter()
-            .zip(&outcomes)
-            .map(|(log, o)| TokenAccuracyInput {
-                tokens: log.record.message.split_whitespace().collect(),
-                truth_static: log
-                    .truth
-                    .token_kinds
-                    .iter()
-                    .map(|k| *k == TokenKind::Static)
-                    .collect(),
-                template: parser.store().get(o.template).expect("valid"),
-            })
-            .collect();
-        (ga, token_accuracy(&inputs))
-    };
-
-    let (ga_masked, ta_masked) = run(MaskConfig::STANDARD);
-    assert!(ga_masked > 0.9, "masked GA {ga_masked}");
-    assert!(ta_masked > 0.9, "masked token accuracy {ta_masked}");
-
-    let (_, ta_unmasked) = run(MaskConfig::NONE);
-    assert!(
-        ta_unmasked < ta_masked,
-        "removing masks must hurt variable extraction: {ta_unmasked} vs {ta_masked}"
-    );
-}
-
-/// P6 shape: label-free calibration transfers — regret against the
-/// supervised-best grid point stays small on held-out data.
-#[test]
-fn p6_autotune_low_regret_shape() {
-    use monilog_core::parse::autotune::{autotune_drain, TuneGrid};
-    use monilog_core::parse::eval::pairwise_scores;
-
-    let corpus = corpus::cloud_mixed(40, 1401);
-    let messages: Vec<&str> = corpus.messages().collect();
-    let truth: Vec<u32> = corpus.logs.iter().map(|l| l.truth.template.0).collect();
-    let split = messages.len() / 3;
-
-    let result = autotune_drain(&messages[..split], &TuneGrid::default(), 800);
-    let f1_of = |config| {
-        let mut p = Drain::new(config);
-        let parsed: Vec<u32> = messages[split..]
-            .iter()
-            .map(|m| p.parse(m).template.0)
-            .collect();
-        pairwise_scores(&parsed, &truth[split..]).f1
-    };
-    let tuned = f1_of(result.best.config);
-    let best = result
-        .all
-        .iter()
-        .map(|pt| f1_of(pt.config))
-        .fold(f64::MIN, f64::max);
-    assert!(
-        best - tuned < 0.05,
-        "autotune regret too high: tuned {tuned:.3} vs best {best:.3}"
-    );
-    assert!(tuned > 0.9, "tuned configuration parses poorly: {tuned:.3}");
 }
 
 /// D2 shape: the passive classifier beats its cold-start baseline after a
@@ -557,7 +322,7 @@ fn trained_weights_match_golden_hash() {
     })
     .generate();
     let mut parser = Drain::new(DrainConfig::default());
-    let (windows, labels) = parse_sessions(&mut parser, &logs);
+    let (windows, labels) = parse_session_windows(&mut parser, &logs);
     let train = TrainSet::labeled(windows, labels).with_templates(parser.store().clone());
     let fnv = |bytes: Vec<u8>| {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
@@ -565,9 +330,9 @@ fn trained_weights_match_golden_hash() {
         })
     };
 
-    let mut deeplog = small_deeplog();
+    let mut deeplog = DeepLog::new(experiment_deeplog());
     deeplog.fit(&train);
-    let mut loganomaly = small_loganomaly();
+    let mut loganomaly = LogAnomaly::new(experiment_loganomaly());
     loganomaly.fit(&train);
     let mut logrobust = LogRobust::new(LogRobustConfig {
         epochs: 2,
