@@ -27,7 +27,7 @@ const SIGNALS: [(&str, Signal); 5] = [
 
 pub struct A2 {
     pub corpora: Vec<&'static str>,
-    /// Per corpus: the rank correlation of each of [`SIGNALS`] with GA.
+    /// Per corpus: the rank correlation of each of `SIGNALS` with GA.
     pub correlations: Vec<[f64; 5]>,
 }
 

@@ -19,7 +19,7 @@ use std::fmt;
 const RATES: [f64; 5] = [0.0, 0.05, 0.10, 0.15, 0.20];
 
 pub struct P2 {
-    /// Per detector: name and F1 at each of [`RATES`].
+    /// Per detector: name and F1 at each of `RATES`.
     pub rows: Vec<(&'static str, Vec<f64>)>,
 }
 

@@ -20,7 +20,7 @@ use std::fmt;
 const RATIOS: [f64; 5] = [0.0, 0.05, 0.10, 0.15, 0.20];
 
 pub struct X1 {
-    /// Per detector: name and F1 at each of [`RATIOS`].
+    /// Per detector: name and F1 at each of `RATIOS`.
     pub rows: Vec<(&'static str, Vec<f64>)>,
 }
 

@@ -6,6 +6,7 @@
 //! dimensionality keeps the online learners simple and makes reports from
 //! evolving template vocabularies comparable.
 
+use monilog_model::hash::splitmix64;
 use monilog_model::{AnomalyKind, AnomalyReport, Severity};
 
 /// Buckets of the hashed template histogram.
@@ -19,11 +20,8 @@ const SCALARS: usize = 8;
 pub const FEATURE_DIM: usize = TEMPLATE_BUCKETS + SOURCE_BUCKETS + SCALARS;
 
 fn bucket(x: u64, buckets: usize) -> usize {
-    // splitmix64 finalizer for good avalanche on small ids.
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (z ^ (z >> 31)) as usize % buckets
+    // SplitMix64 for good avalanche on small ids.
+    splitmix64(x) as usize % buckets
 }
 
 /// Build the feature vector of a report. All histogram blocks are

@@ -405,7 +405,7 @@ pub(super) const FLAGS: &[Flag] = &[
 const HELP_COLUMN: usize = 41;
 const HELP_WIDTH: usize = 80;
 
-/// `--help`: the synopsis, then every [`FLAGS`] row under its section,
+/// `--help`: the synopsis, then every `FLAGS` row under its section,
 /// its help text ending with the commands of its scope (and the
 /// `--state-dir` it needs).
 pub fn usage() -> String {

@@ -16,8 +16,8 @@ use monilog_model::{
 use monilog_parse::{Drain, DrainConfig, OnlineParser};
 use monilog_stream::observe::{MetricsRegistry, Stage};
 use monilog_stream::{
-    BoundedReorderBuffer, DedupFilter, PipelineMetrics, SpanStage, TraceConfig, Tracer,
-    DEFAULT_FLIGHT_CAPACITY, DEFAULT_SAMPLE_RATE,
+    BoundedReorderBuffer, DedupFilter, PipelineMetrics, Tracer, DEFAULT_FLIGHT_CAPACITY,
+    DEFAULT_SAMPLE_RATE,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -196,12 +196,8 @@ impl MoniLog {
         };
         let registry = MetricsRegistry::shared();
         let tracer = Tracer::shared(
-            &TraceConfig {
-                sample_rate: config.observability.trace_sample_rate,
-                ring_capacity: config.observability.flight_capacity,
-                dump_dir: None,
-            },
-            1,
+            config.observability.trace_sample_rate,
+            config.observability.flight_capacity,
         );
         MoniLog {
             dedup: DedupFilter::new(config.dedup_window),
@@ -562,10 +558,10 @@ impl MoniLog {
 
     /// Record a stage latency (with the trace as a p99 exemplar candidate)
     /// and, for sampled lines, the matching span.
-    fn record_stage(&self, stage: Stage, span: SpanStage, start: Instant, trace: Option<TraceId>) {
+    fn record_stage(&self, stage: Stage, start: Instant, trace: Option<TraceId>) {
         self.registry.record_traced(stage, start, trace);
         if let Some(t) = trace {
-            self.tracer.record_since(t, span, 0, start, None, None);
+            self.tracer.record_since(t, stage, start, None, None);
         }
     }
 
@@ -575,7 +571,6 @@ impl MoniLog {
     fn record_stage_between(
         &self,
         stage: Stage,
-        span: SpanStage,
         start: Instant,
         end: Instant,
         trace: Option<TraceId>,
@@ -583,7 +578,7 @@ impl MoniLog {
         self.registry
             .record_between_traced(stage, start, end, trace);
         if let Some(t) = trace {
-            self.tracer.record_since(t, span, 0, start, None, None);
+            self.tracer.record_since(t, stage, start, None, None);
         }
     }
 
@@ -595,48 +590,31 @@ impl MoniLog {
         PipelineMetrics::incr(&self.metrics.lines_ingested);
         if !self.dedup.admit(raw.source, raw.seq) {
             PipelineMetrics::incr(&self.metrics.duplicates_dropped);
-            self.record_stage(Stage::Ingest, SpanStage::Ingest, ingest_start, trace);
+            self.record_stage(Stage::Ingest, ingest_start, trace);
             return Vec::new();
         }
         let record = match parse_header(raw, &self.config.header_format, Timestamp::EPOCH) {
             Ok(r) => r,
             Err(_) => {
                 PipelineMetrics::incr(&self.metrics.header_errors);
-                self.record_stage(Stage::Ingest, SpanStage::Ingest, ingest_start, trace);
+                self.record_stage(Stage::Ingest, ingest_start, trace);
                 return Vec::new();
             }
         };
         let merge_start = Instant::now();
-        self.record_stage_between(
-            Stage::Ingest,
-            SpanStage::Ingest,
-            ingest_start,
-            merge_start,
-            trace,
-        );
+        self.record_stage_between(Stage::Ingest, ingest_start, merge_start, trace);
         let ts = record.header.timestamp;
         let mut released = std::mem::take(&mut self.released_scratch);
         self.reorder.push_into(ts, record, &mut released);
         let merge_end = Instant::now();
-        self.record_stage_between(
-            Stage::MergeDedup,
-            SpanStage::MergeDedup,
-            merge_start,
-            merge_end,
-            trace,
-        );
+        self.record_stage_between(Stage::MergeDedup, merge_start, merge_end, trace);
         let mut closed = Vec::new();
         for (_, record) in released.drain(..) {
             if let Some(event) = self.record_to_event(record) {
                 let etrace = event.trace;
                 let window_start = Instant::now();
                 closed.extend(self.assembler.push(event));
-                self.record_stage(
-                    Stage::WindowAssembly,
-                    SpanStage::Window,
-                    window_start,
-                    etrace,
-                );
+                self.record_stage(Stage::WindowAssembly, window_start, etrace);
             }
         }
         self.released_scratch = released;
@@ -666,8 +644,7 @@ impl MoniLog {
         if let Some(t) = trace {
             self.tracer.record_since(
                 t,
-                SpanStage::Parse,
-                0,
+                Stage::Parse,
                 parse_start,
                 Some(outcome.template.0),
                 Some(self.parser.last_parse_cache_hit()),
@@ -726,7 +703,7 @@ impl MoniLog {
             let detector = self.detector.as_dyn();
             // One scoring pass yields verdict, score, kind and breakdown.
             let Some(assessment) = detector.assess(&c.window) else {
-                self.record_stage(Stage::Detect, SpanStage::Detect, detect_start, wtrace);
+                self.record_stage(Stage::Detect, detect_start, wtrace);
                 continue;
             };
             let score = assessment.score;
@@ -745,7 +722,7 @@ impl MoniLog {
                     .map(|(a, b)| (a.timestamp, b.timestamp)),
                 score_components: assessment.components,
             };
-            self.record_stage(Stage::Detect, SpanStage::Detect, detect_start, wtrace);
+            self.record_stage(Stage::Detect, detect_start, wtrace);
             let report = AnomalyReport {
                 id: self.next_report_id,
                 kind: assessment.kind,
@@ -763,7 +740,7 @@ impl MoniLog {
             PipelineMetrics::incr(&self.metrics.anomalies_reported);
             let classify_start = Instant::now();
             let assignment = self.classifier.classify(&report);
-            self.record_stage(Stage::Classify, SpanStage::Classify, classify_start, wtrace);
+            self.record_stage(Stage::Classify, classify_start, wtrace);
             out.push(ClassifiedAnomaly { report, assignment });
         }
         let stats = self.detector.as_dyn().inference_stats();

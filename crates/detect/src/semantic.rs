@@ -20,6 +20,7 @@
 //! `DESIGN.md`.
 
 use monilog_model::codec::{CodecError, Decoder, Encoder};
+use monilog_model::hash::splitmix64_seq;
 use monilog_model::tokenize::{normalize_word, split_identifier_with};
 use monilog_model::{Template, TemplateToken};
 use std::collections::HashMap;
@@ -58,21 +59,21 @@ fn template_words(template: &Template) -> Vec<String> {
     words
 }
 
-/// Deterministic unit vector for a word (random indexing): splitmix64 over
-/// the word hash seeds a tiny generator.
+/// Deterministic unit vector for a word (random indexing): the SplitMix64
+/// sequence seeded with a hash of the word, mapped into [-1, 1].
+///
+/// The seed is an FNV-style fold whose multiplier is `0x1000_0000_01b3`,
+/// sixteen times FNV-1a's prime, so it is not [`monilog_model::hash::fnv1a`].
+/// Every trained LogAnomaly/LogRobust model and the pinned golden hashes
+/// depend on these vectors, so the fold stays as it is.
 fn base_vector(word: &str, dim: usize) -> Vec<f64> {
-    let mut state = word.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+    let seed = word.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
     });
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z = z ^ (z >> 31);
-        (z as f64 / u64::MAX as f64) * 2.0 - 1.0
-    };
-    let mut v: Vec<f64> = (0..dim).map(|_| next()).collect();
+    let mut v: Vec<f64> = splitmix64_seq(seed)
+        .take(dim)
+        .map(|z| (z as f64 / u64::MAX as f64) * 2.0 - 1.0)
+        .collect();
     normalize(&mut v);
     v
 }

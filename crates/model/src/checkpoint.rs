@@ -15,7 +15,7 @@
 //!
 //! The encoded form is self-checking: a trailing CRC-32 over the entire
 //! body means a torn write or bit flip decodes to a typed
-//! [`CodecError`](crate::CodecError), never to garbage state.
+//! [`CodecError`], never to garbage state.
 
 use crate::codec::{crc32, CodecError, Decoder, Encoder};
 use crate::log::SourceId;

@@ -13,7 +13,7 @@
 //! - [`time`] — millisecond timestamps and the `YYYY-MM-DD HH:MM:SS,mmm`
 //!   format used throughout the paper's examples (Fig. 2).
 //! - [`severity`] — log criticality levels.
-//! - [`line`] — arena-backed log lines: UTF-8 views over refcounted
+//! - [`line`](mod@line) — arena-backed log lines: UTF-8 views over refcounted
 //!   arrival buffers (the zero-copy ingest currency).
 //! - [`log`] — raw lines, headers, records.
 //! - [`header`] — header parsing (Fig. 2, left-to-right field extraction).

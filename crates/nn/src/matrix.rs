@@ -141,7 +141,7 @@ impl Matrix {
 
     /// `out += self @ other[row0 .. row0 + self.cols, :]`.
     ///
-    /// The one product of this crate ([`crate::kernel`]): each `out[i][j]`
+    /// The one product of this crate (`crate::kernel`): each `out[i][j]`
     /// takes its terms in increasing `k`, and a zero `self[i][k]`
     /// contributes nothing (not even a `+ 0.0`), on every instruction set.
     /// A product split over row blocks of `other` and accumulated block

@@ -1,34 +1,11 @@
-//! Deterministic fault injection for the streaming layer.
-//!
-//! Production fault tolerance is only as good as its tests, and faults in a
-//! multi-threaded pipeline are notoriously timing-dependent. This module
-//! makes them *reproducible*: a [`FaultPlan`] names faults by the submitted
-//! sequence number — not by wall clock or thread interleaving — so a chaos
-//! test can assert exact counter values ("3 poison lines → 3 quarantined")
-//! instead of fuzzy bounds.
-//!
-//! The plan compiles to a [`FaultInjector`] callback that
-//! [`crate::supervisor::SupervisedParseService`] invokes right before each
-//! parse attempt. Faults manifest as panics:
-//!
-//! - **worker kill** — panics with the [`WorkerKill`] marker payload. The
-//!   per-line retry layer recognises the marker and re-raises it, so the
-//!   panic escapes to the worker thread boundary and the supervisor sees a
-//!   crashed worker (respawn path), exactly like a segfault-grade bug.
-//! - **poison line** — panics with a plain message on *every* attempt; the
-//!   retry layer exhausts its budget and quarantines the line (dead-letter
-//!   path).
-//! - **transient fault** — panics only on the first attempt; the retry
-//!   layer rescues the line (retry path).
-//!
-//! Consumer-side faults (stalls, early disconnects) are not injected here —
-//! they are behaviours of the *test harness's consumer loop*, driven by
-//! [`FaultPlan::stall_consumer_at`] / [`FaultPlan::disconnect_consumer_at`]
-//! so the whole scenario still lives in one declarative plan.
+//! Deterministic fault injection for the network-facing layers: scripted
+//! sink receivers, source clients and cluster links whose faults are keyed
+//! on connection or frame indices, not on wall clock or thread
+//! interleaving, so a chaos test can assert exact outcomes.
 //!
 //! ## Sink faults
 //!
-//! The delivery layer ([`crate::sinks`]) gets the same treatment from
+//! The delivery layer ([`crate::sinks`]) is tested against
 //! [`FlakySinkServer`]: a scripted in-process receiver whose faults are
 //! keyed on the **accepted-connection index** — connection 0 gets
 //! `script[0]`, connection 1 gets `script[1]`, … — so "refuse the first
@@ -41,124 +18,12 @@ use crate::net::http;
 use crate::sinks::{self, BufferedReport, PING_ACK};
 use monilog_model::ReportLine;
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Panic payload marking an injected whole-worker crash.
-///
-/// The supervisor's per-line `catch_unwind` downcasts panic payloads: a
-/// [`WorkerKill`] is re-raised instead of retried, modelling a fault that
-/// takes down the worker thread rather than just one parse call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerKill;
-
-/// What the injector sees before each parse attempt.
-#[derive(Debug)]
-pub struct FaultContext<'a> {
-    /// Caller-assigned sequence number of the line.
-    pub seq: u64,
-    /// 0 for the first attempt, incremented per retry.
-    pub attempt: u32,
-    /// The raw line about to be parsed.
-    pub line: &'a str,
-}
-
-/// Callback invoked before every parse attempt; faults are raised by
-/// panicking (see module docs for the payload protocol).
-pub type FaultInjector = Arc<dyn Fn(&FaultContext<'_>) + Send + Sync>;
-
-/// A declarative, deterministic schedule of faults keyed on sequence
-/// numbers.
-#[derive(Debug, Clone, Default)]
-pub struct FaultPlan {
-    /// Kill the worker handling seq `n` whenever `n % crash_every == crash_every - 1`
-    /// (first attempt only — the respawned worker must not re-crash on
-    /// lines it never sees again).
-    pub crash_every: Option<u64>,
-    /// Lines that panic on every attempt → quarantined after retries.
-    pub poison_seqs: BTreeSet<u64>,
-    /// Lines that panic on attempt 0 only → rescued by the first retry.
-    pub transient_seqs: BTreeSet<u64>,
-    /// Test-harness hint: the consumer should stop reading for a while
-    /// after receiving this many items (exercises backpressure + overload
-    /// policies). Not enforced by the injector.
-    pub stall_consumer_at: Option<u64>,
-    /// Test-harness hint: the consumer should drop its receiver after this
-    /// many items (exercises disconnect handling). Not enforced by the
-    /// injector.
-    pub disconnect_consumer_at: Option<u64>,
-}
-
-impl FaultPlan {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Kill a worker on every `n`-th line (1-based: `crash_every(3)` kills
-    /// on seqs 2, 5, 8, …).
-    pub fn crash_every(mut self, n: u64) -> Self {
-        assert!(n >= 1, "crash_every needs n >= 1");
-        self.crash_every = Some(n);
-        self
-    }
-
-    pub fn poison(mut self, seqs: impl IntoIterator<Item = u64>) -> Self {
-        self.poison_seqs.extend(seqs);
-        self
-    }
-
-    pub fn transient(mut self, seqs: impl IntoIterator<Item = u64>) -> Self {
-        self.transient_seqs.extend(seqs);
-        self
-    }
-
-    pub fn stall_consumer_at(mut self, n: u64) -> Self {
-        self.stall_consumer_at = Some(n);
-        self
-    }
-
-    pub fn disconnect_consumer_at(mut self, n: u64) -> Self {
-        self.disconnect_consumer_at = Some(n);
-        self
-    }
-
-    /// Expected number of worker-kill faults over seqs `0..n` (for exact
-    /// counter assertions in chaos tests).
-    pub fn expected_crashes(&self, n: u64) -> u64 {
-        match self.crash_every {
-            Some(k) => n / k,
-            None => 0,
-        }
-    }
-
-    /// Expected quarantined-by-poison count over seqs `0..n`.
-    pub fn expected_poisoned(&self, n: u64) -> u64 {
-        self.poison_seqs.iter().filter(|&&s| s < n).count() as u64
-    }
-
-    /// Compile the plan into the injector callback the supervisor calls
-    /// before each parse attempt.
-    pub fn injector(&self) -> FaultInjector {
-        let plan = self.clone();
-        Arc::new(move |ctx: &FaultContext<'_>| {
-            if let Some(k) = plan.crash_every {
-                if ctx.attempt == 0 && ctx.seq % k == k - 1 {
-                    std::panic::panic_any(WorkerKill);
-                }
-            }
-            if plan.poison_seqs.contains(&ctx.seq) {
-                panic!("injected poison at seq {}", ctx.seq);
-            }
-            if plan.transient_seqs.contains(&ctx.seq) && ctx.attempt == 0 {
-                panic!("injected transient fault at seq {}", ctx.seq);
-            }
-        })
-    }
-}
 
 /// One connection's scripted behaviour in a [`FlakySinkServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -742,47 +607,6 @@ fn run_proxy_session(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    fn fires(inj: &FaultInjector, seq: u64, attempt: u32) -> Option<bool> {
-        // Some(true) = WorkerKill, Some(false) = plain panic, None = clean.
-        let ctx = FaultContext {
-            seq,
-            attempt,
-            line: "x",
-        };
-        match catch_unwind(AssertUnwindSafe(|| inj(&ctx))) {
-            Ok(()) => None,
-            Err(payload) => Some(payload.is::<WorkerKill>()),
-        }
-    }
-
-    #[test]
-    fn crash_every_kills_with_marker_on_first_attempt_only() {
-        let inj = FaultPlan::new().crash_every(3).injector();
-        assert_eq!(fires(&inj, 0, 0), None);
-        assert_eq!(fires(&inj, 2, 0), Some(true));
-        assert_eq!(fires(&inj, 2, 1), None, "retries of a kill seq run clean");
-        assert_eq!(fires(&inj, 5, 0), Some(true));
-    }
-
-    #[test]
-    fn poison_panics_on_every_attempt_transient_on_first_only() {
-        let inj = FaultPlan::new().poison([4]).transient([7]).injector();
-        assert_eq!(fires(&inj, 4, 0), Some(false));
-        assert_eq!(fires(&inj, 4, 3), Some(false));
-        assert_eq!(fires(&inj, 7, 0), Some(false));
-        assert_eq!(fires(&inj, 7, 1), None);
-        assert_eq!(fires(&inj, 1, 0), None);
-    }
-
-    #[test]
-    fn expected_counts_match_schedule() {
-        let plan = FaultPlan::new().crash_every(4).poison([1, 9, 100]);
-        assert_eq!(plan.expected_crashes(10), 2); // seqs 3, 7
-        assert_eq!(plan.expected_poisoned(10), 2); // 1 and 9; 100 out of range
-    }
-
     use crate::sinks::{FramedTcpSink, Sink, WebhookSink};
     use monilog_model::DeliveryClass;
 
@@ -871,7 +695,7 @@ mod tests {
         use crate::observe::MetricsRegistry;
         use crate::sources::{SourcesConfig, SourcesServer};
 
-        let registry = MetricsRegistry::shared_with_shards(1);
+        let registry = MetricsRegistry::shared();
         let (server, queue) = SourcesServer::spawn(
             SourcesConfig {
                 syslog_tcp: Some("127.0.0.1:0".parse().unwrap()),

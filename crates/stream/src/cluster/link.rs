@@ -7,7 +7,7 @@
 //! - [`LinkSupervisor`] — a timer handler owning the reconnect state
 //!   machine (capped, jittered backoff; see
 //!   [`super::backoff_delay_ms`]).
-//! - [`LinkConn`] — the live connection: decodes frames, feeds batch
+//! - `LinkConn` — the live connection: decodes frames, feeds batch
 //!   entries into the same bounded ingest queue the local sources use
 //!   (with *hold* semantics — router lines are never shed, the link
 //!   pauses reading instead), and speaks the ack/heartbeat/reconcile
@@ -216,7 +216,7 @@ impl ClusterMailbox {
     }
 }
 
-/// Timer handler that keeps one [`LinkConn`] alive, redialing with capped
+/// Timer handler that keeps one `LinkConn` alive, redialing with capped
 /// jittered backoff after every loss.
 pub struct LinkSupervisor {
     cfg: RouterLinkConfig,

@@ -42,7 +42,7 @@ pub mod reconcile;
 pub mod router;
 pub mod wire;
 
-use monilog_model::hash::fnv1a;
+use monilog_model::hash::{fnv1a, splitmix64};
 use monilog_model::SourceId;
 
 pub use link::{ClusterMailbox, LinkSnapshot, LinkState, RouterLinkConfig};
@@ -64,15 +64,6 @@ pub fn is_router_source(source: SourceId) -> bool {
     source.0 >= ROUTER_SOURCE_BASE
 }
 
-/// SplitMix64 — the same cheap deterministic mixer the chaos harness uses;
-/// here it scores (source, node) pairs and derives jitter.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Rendezvous (highest-random-weight) owner election: every node scores
 /// the source independently and the highest score wins. Adding a node
 /// steals only the sources it now wins; removing one moves only *its*
@@ -87,7 +78,7 @@ pub fn rendezvous_owner(source: SourceId, nodes: &[String]) -> Option<usize> {
         .enumerate()
         .map(|(i, node)| {
             (
-                mix64(
+                splitmix64(
                     fnv1a(node.as_bytes()) ^ (source.0 as u64).wrapping_mul(0xA24B_AED4_963E_E407),
                 ),
                 i,
@@ -110,7 +101,7 @@ pub fn backoff_delay_ms(attempt: u32, base_ms: u64, cap_ms: u64, seed: u64) -> u
     if jitter_span == 0 {
         return exp;
     }
-    exp - mix64(seed ^ (attempt as u64) << 32 ^ 0x5EED) % jitter_span
+    exp - splitmix64(seed ^ (attempt as u64) << 32 ^ 0x5EED) % jitter_span
 }
 
 #[cfg(test)]

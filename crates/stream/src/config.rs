@@ -1,7 +1,6 @@
 //! Shared configuration types for the streaming layer: typed construction
-//! errors and the overload policy vocabulary used by
-//! [`crate::supervisor::SupervisedParseService`] and surfaced through the
-//! `monilog` CLI.
+//! errors, the network sources' overload policy vocabulary (surfaced
+//! through the `monilog` CLI) and the delivery retry schedule.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -31,19 +30,16 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// What `submit()` does when the pipeline is saturated.
+/// What a network source does with a line when the ingest queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum OverloadPolicy {
-    /// Block until space frees up — end-to-end backpressure, the historical
-    /// behaviour. With a submit deadline configured, blocks at most that
-    /// long and then reports the deadline.
+    /// Pause reading until space frees up: end-to-end backpressure. UDP,
+    /// which cannot pause, sheds instead.
     #[default]
     Block,
-    /// Drop the line and account it to the reserved catch-all template
-    /// ([`crate::supervisor::CATCH_ALL_TEMPLATE_ID`]): downstream detectors
-    /// still see *that* load arrived, just not what it said.
+    /// Drop the line and count it in `sources_lines_shed`.
     ShedToCatchAll,
-    /// Divert the line to the dead-letter queue with an overload marker so
+    /// Divert the line to the dead-letter log with an overload marker so
     /// it can be replayed once the pipeline catches up.
     DeadLetter,
 }
@@ -77,11 +73,11 @@ impl fmt::Display for OverloadPolicy {
     }
 }
 
-/// Retry schedule for a line whose parse attempt panicked: exponential
-/// backoff with deterministic per-line jitter.
+/// Retry schedule for a failed delivery attempt: exponential backoff with
+/// deterministic per-item jitter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetryPolicy {
-    /// Attempts after the first failure before the line is quarantined.
+    /// Attempts after the first failure before the item is given up on.
     pub max_retries: u32,
     /// Backoff before retry `k` (1-based) is `base * 2^(k-1)` plus jitter.
     pub base_backoff: Duration,
@@ -101,7 +97,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// The backoff before retry `attempt` (1-based), jittered by up to
-    /// +50% keyed on `seq` so co-failing lines don't retry in lockstep.
+    /// +50% keyed on `seq` so co-failing items don't retry in lockstep.
     pub fn backoff(&self, attempt: u32, seq: u64) -> Duration {
         let exp = self
             .base_backoff

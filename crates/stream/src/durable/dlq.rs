@@ -1,10 +1,9 @@
 //! Persistent dead-letter log: quarantined lines as JSONL.
 //!
-//! The in-memory dead-letter queue (see [`crate::supervisor`]) vanishes
-//! with the process; under `--state-dir` the network sources also append
-//! every line they dead-letter here, one JSON object per line, so the
-//! operator keeps a record that survives the process and can replay it
-//! after a fix. The file is a size-capped [`RotatingLog`]: past the cap it
+//! Under `--state-dir` the network sources append every line they
+//! dead-letter here (the `dead-letter` overload policy), one JSON object
+//! per line, so the operator keeps a record that survives the process and
+//! can replay it after a fix. The file is a size-capped [`RotatingLog`]: past the cap it
 //! rotates to `<name>.1` (one previous generation is retained), and every
 //! byte rotation deletes is counted in `dlq_bytes_dropped`. A crash
 //! mid-append loses at most the torn record, which the next open cuts.
@@ -12,10 +11,36 @@
 use super::rotate::RotatingLog;
 use super::DurabilityError;
 use crate::metrics::PipelineMetrics;
-use crate::supervisor::{DeadLetter, FailureReason};
 use monilog_model::trace::json_string;
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// Why a line ended up in the dead-letter log. The sources only divert
+/// on overload; the other reasons stay in the on-disk vocabulary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FailureReason {
+    /// Every parse attempt (original + retries) panicked.
+    Panic,
+    /// The ingest queue was saturated under the `DeadLetter` policy.
+    Overload,
+    /// The line was in flight when its worker crashed.
+    WorkerCrash,
+}
+
+/// A dead-lettered line with enough context to triage or replay it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DeadLetter {
+    pub seq: u64,
+    /// The shard that was handling the line; `None` when it never entered
+    /// the pipeline (overload diversion happens before routing).
+    pub shard: Option<usize>,
+    /// Materialized from the arena-backed line: dead letters outlive
+    /// arrival buffers, so they own their bytes.
+    pub line: String,
+    pub reason: FailureReason,
+    /// Parse attempts made (0 when the line was never attempted).
+    pub attempts: u32,
+}
 
 /// Rotated generations kept.
 const RETAIN: usize = 1;

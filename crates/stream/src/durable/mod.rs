@@ -19,7 +19,7 @@
 //!   file route, `anomalies.jsonl`, `config-audit.log`): fsync'd appends,
 //!   a torn final line cut on open, optional size rotation whose dropped
 //!   bytes go to a counter fixed at open.
-//! - [`DeadLetterLog`] — quarantined lines as size-capped JSONL on a
+//! - [`DeadLetterLog`] — dead-lettered lines as size-capped JSONL on a
 //!   [`RotatingLog`], a record that outlives the process.
 //! - [`signal`] — SIGTERM/SIGINT latching for graceful drain: quiesce,
 //!   final checkpoint, clean exit (a restart then replays zero lines).
@@ -34,7 +34,7 @@ pub mod rotate;
 pub mod signal;
 
 pub use checkpoint::{CheckpointStore, LoadedCheckpoint};
-pub use dlq::DeadLetterLog;
+pub use dlq::{DeadLetter, DeadLetterLog, FailureReason};
 pub use journal::{Journal, JournalConfig};
 pub use rotate::RotatingLog;
 pub use signal::{

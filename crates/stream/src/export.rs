@@ -334,7 +334,7 @@ mod tests {
         ConfigSnapshot, ReloadableConfig, ReportStore, StatusBoard, StatusInputs, StoredReport,
         DEFAULT_LATENCY_BUDGET_MS,
     };
-    use crate::trace::{SpanRecord, SpanStage, TraceConfig};
+    use crate::trace::{SpanRecord, DEFAULT_FLIGHT_CAPACITY, DEFAULT_SAMPLE_RATE};
     use monilog_model::{
         AnomalyKind, AnomalyReport, Criticality, EventId, LogEvent, Provenance, ScoreComponent,
         Severity, SourceId, TemplateId, Timestamp,
@@ -380,7 +380,7 @@ mod tests {
     }
 
     fn test_registry() -> Arc<MetricsRegistry> {
-        let r = MetricsRegistry::shared_with_shards(2);
+        let r = MetricsRegistry::shared();
         PipelineMetrics::add(&r.counters().lines_ingested, 42);
         r.stage(Stage::Parse).record(Duration::from_micros(15));
         r
@@ -451,11 +451,10 @@ mod tests {
     }
 
     fn test_tracer() -> Arc<Tracer> {
-        let t = Tracer::shared(&TraceConfig::default(), 1);
+        let t = Tracer::shared(DEFAULT_SAMPLE_RATE, DEFAULT_FLIGHT_CAPACITY);
         t.record(SpanRecord {
             trace: monilog_model::TraceId(1),
-            stage: SpanStage::Parse,
-            shard: 0,
+            stage: Stage::Parse,
             start_ns: 100,
             end_ns: 300,
             template: Some(4),
@@ -476,7 +475,7 @@ mod tests {
             "{body}"
         );
         assert!(
-            body.contains("monilog_shard_queue_depth{shard=\"1\"}"),
+            body.contains("# HELP monilog_lines_ingested_total Raw lines accepted"),
             "{body}"
         );
     }

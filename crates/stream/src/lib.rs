@@ -8,24 +8,26 @@
 //!   reorder buffer, absorbing the transport noise of Section I ("logs can
 //!   arrive in mixed order or sometimes be duplicated"): watermark-based
 //!   release plus duplicate suppression by `(source, seq)`.
-//! - [`supervisor`] — the off-path parse service (router, per-shard
-//!   Drain workers, bounded queues) with per-line retry/quarantine,
-//!   crashed-worker respawn that keeps template ids stable, crash-loop
-//!   degradation, and configurable overload policies. The `monilog`
-//!   binary parses inline instead; the fleet ([`cluster`]) is the
-//!   distributed deployment.
-//! - [`chaos`] — deterministic fault injection (worker kills, poison
-//!   lines, transient faults) for testing the supervisor's guarantees.
+//! - [`cluster`] — the fleet: a router that places sources on monitor
+//!   nodes by rendezvous hashing, and the links between them. The
+//!   distributed deployment of the pipeline.
+//! - [`supervisor`] — a plain sharded parse service (router thread,
+//!   per-shard Drain workers, bounded queues) that only the benchmark's
+//!   `service.submit_recv.*` rows use. The `monilog` binary parses inline.
+//! - [`chaos`] — scripted faulty sink receivers, source clients and
+//!   cluster links for the delivery, sources and fleet tests.
 //! - [`affinity`] — best-effort thread-per-core pinning (lives in
 //!   `monilog-model`, where the detectors' forward-pass workers use it).
-//! - [`config`] — typed configuration errors, the parse-retry schedule and
-//!   the overload-policy vocabulary shared with the CLI.
+//! - [`config`] — typed configuration errors, the delivery retry schedule
+//!   and the sources' overload-policy vocabulary shared with the CLI.
 //! - [`durable`] — the write-ahead ingest journal, atomic generational
 //!   checkpoints, the persistent dead-letter log, and shutdown
 //!   signalling: crash recovery across process restarts.
 //! - [`metrics`] — cheap shared counters for pipeline observability.
-//! - [`observe`] — stage latency histograms, shard gauges, and the typed
+//! - [`observe`] — stage latency histograms and the typed
 //!   [`observe::MetricsSnapshot`] with Prometheus/JSON renderings.
+//! - [`trace`] — sampled span tracing into the flight-recorder ring behind
+//!   `/trace/{id}`, `/flight` and `--trace-out`.
 //! - [`export`] — the metrics and ops endpoint, standalone on its own
 //!   thread or mounted on the sources' event loop.
 //! - [`ops`] — the live operations surface on the same listener: the
@@ -57,10 +59,7 @@ pub mod sources;
 pub mod supervisor;
 pub mod trace;
 
-pub use chaos::{
-    FaultContext, FaultInjector, FaultPlan, FlakyLinkProxy, FlakySourceClient, SourceChaosStats,
-    SourceFault, WorkerKill,
-};
+pub use chaos::{FlakyLinkProxy, FlakySourceClient, SourceChaosStats, SourceFault};
 pub use cluster::{
     is_router_source, rendezvous_owner, ClusterMailbox, LinkSnapshot, LinkState, Router,
     RouterConfig, RouterLinkConfig, RouterStats, ROUTER_SOURCE_BASE,
@@ -68,7 +67,8 @@ pub use cluster::{
 pub use config::{ConfigError, OverloadPolicy, RetryPolicy};
 pub use durable::{
     install_reload_handler, install_shutdown_handler, shutdown_requested, take_reload_request,
-    CheckpointStore, DeadLetterLog, DurabilityError, Journal, JournalConfig, LoadedCheckpoint,
+    CheckpointStore, DeadLetter, DeadLetterLog, DurabilityError, FailureReason, Journal,
+    JournalConfig, LoadedCheckpoint,
 };
 pub use export::MetricsExporter;
 pub use merge::{BoundedReorderBuffer, DedupFilter};
@@ -77,7 +77,7 @@ pub use monilog_model::affinity;
 pub use net::{AsLoopFd, EventLoop, Handler, Interest, LoopCtx, Next};
 pub use observe::{
     Exemplar, HistogramSnapshot, LatencyHistogram, MetricsRegistry, MetricsSnapshot, RateSnapshot,
-    ShardGauges, ShardSnapshot, SizeHistogram, SizeSnapshot, Stage, StageSnapshot,
+    Stage, StageSnapshot,
 };
 pub use ops::{
     ConfigSnapshot, OpsState, ReloadableConfig, ReportStore, ReportsQuery, StatusBoard,
@@ -94,11 +94,8 @@ pub use sources::{
     SourcesServer, SyslogMessage, TailCursor, TailGlobSpec, HTTP_SOURCE, SYSLOG_TCP_SOURCE,
     SYSLOG_UDP_SOURCE, TAIL_SOURCE_BASE,
 };
-pub use trace::{
-    SpanRecord, SpanStage, TraceConfig, Tracer, DEFAULT_FLIGHT_CAPACITY, DEFAULT_SAMPLE_RATE,
-};
+pub use trace::{SpanRecord, Tracer, DEFAULT_FLIGHT_CAPACITY, DEFAULT_SAMPLE_RATE};
 
 pub use supervisor::{
-    DeadLetter, FailureReason, ParsedItem, ShardHealth, SubmitError, SubmitOutcome,
-    SupervisedParseService, SupervisorConfig, CATCH_ALL_TEMPLATE_ID, SHARD_ID_STRIDE,
+    ParsedItem, SubmitError, SupervisedParseService, SupervisorConfig, SHARD_ID_STRIDE,
 };

@@ -1,5 +1,5 @@
-//! Pipeline observability: stage latency histograms, per-shard gauges,
-//! and typed metric snapshots.
+//! Pipeline observability: stage latency histograms and typed metric
+//! snapshots.
 //!
 //! The paper frames MoniLog as an *automated monitoring* system, and its
 //! planned experiments (§V) hinge on the parser being "the most efficient
@@ -12,8 +12,7 @@
 //!   and read the exact max.
 //! - [`Stage`] — the instrumented pipeline stages (ingest, merge/dedup,
 //!   parse, window assembly, detect, classify).
-//! - [`MetricsRegistry`] — one histogram per stage plus per-shard gauges
-//!   (queue depth, templates, restarts) on top of the
+//! - [`MetricsRegistry`] — one histogram per stage on top of the
 //!   [`PipelineMetrics`] counters.
 //! - [`MetricsSnapshot`] — a typed, serializable point-in-time view that
 //!   renders to Prometheus text format and JSON (see [`crate::export`]
@@ -48,18 +47,14 @@ const SUBS: usize = 1 << SUB_BITS;
 /// Underflow + (octaves × sub-buckets) + overflow.
 pub const N_BUCKETS: usize = 2 + (MAX_EXP - MIN_EXP + 1) as usize * SUBS;
 
-/// An instrumented pipeline stage.
+/// An instrumented pipeline stage: the label of its latency histogram and
+/// of the spans a sampled line records in it (see [`crate::trace`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Raw-line admission: dedup check and header parse.
     Ingest,
     /// Stream merging: reorder-buffer push and release.
     MergeDedup,
-    /// Time a line (or batch) sat in a shard queue before its worker
-    /// picked it up. Split out of the parse timer: queue wait measures
-    /// provisioning/backpressure, not the parser, and folding it into one
-    /// number misreported parse p99 by orders of magnitude under load.
-    ParseQueueWait,
     /// Template parsing (payload extraction + Drain), execution only.
     Parse,
     /// Window assembly (session/tumbling bookkeeping per released event).
@@ -76,11 +71,10 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 9] = [
+    /// Every stage, in pipeline order (the declaration order).
+    pub const ALL: [Stage; 8] = [
         Stage::Ingest,
         Stage::MergeDedup,
-        Stage::ParseQueueWait,
         Stage::Parse,
         Stage::WindowAssembly,
         Stage::Detect,
@@ -94,7 +88,6 @@ impl Stage {
         match self {
             Stage::Ingest => "ingest",
             Stage::MergeDedup => "merge_dedup",
-            Stage::ParseQueueWait => "parse_queue_wait",
             Stage::Parse => "parse_exec",
             Stage::WindowAssembly => "window",
             Stage::Detect => "detect",
@@ -104,18 +97,9 @@ impl Stage {
         }
     }
 
-    fn index(self) -> usize {
-        match self {
-            Stage::Ingest => 0,
-            Stage::MergeDedup => 1,
-            Stage::ParseQueueWait => 2,
-            Stage::Parse => 3,
-            Stage::WindowAssembly => 4,
-            Stage::Detect => 5,
-            Stage::Classify => 6,
-            Stage::Checkpoint => 7,
-            Stage::Deliver => 8,
-        }
+    /// Position in [`Stage::ALL`].
+    pub(crate) fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -226,9 +210,7 @@ impl LatencyHistogram {
         self.record_ns_traced(ns, trace);
     }
 
-    /// Record the same duration `n` times in O(1) — how a batched worker
-    /// attributes one measured queue wait to every line in the batch
-    /// without `n` bucket RMWs.
+    /// Record the same duration `n` times in O(1).
     pub fn record_ns_n(&self, ns: u64, n: u64) {
         if n == 0 {
             return;
@@ -336,123 +318,12 @@ pub struct HistogramSnapshot {
     pub exemplar: Option<Exemplar>,
 }
 
-/// Power-of-two buckets for the batch-size histogram: `2^0 .. 2^16`
-/// inclusive bounds plus an overflow bucket.
-pub const N_SIZE_BUCKETS: usize = 18;
-
-/// Lock-free histogram of discrete sizes (lines per submitted batch) in
-/// power-of-two buckets. Bucket `i` counts observations with
-/// `size <= 2^i` (above the previous bound); sizes beyond `2^16` share
-/// the overflow bucket. Same relaxed-atomic recording contract as
-/// [`LatencyHistogram`].
-#[derive(Debug, Default)]
-pub struct SizeHistogram {
-    buckets: [AtomicU64; N_SIZE_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-/// Inclusive upper bound of size bucket `i`; `u64::MAX` for overflow.
-fn size_bucket_bound(i: usize) -> u64 {
-    if i >= N_SIZE_BUCKETS - 1 {
-        u64::MAX
-    } else {
-        1 << i
-    }
-}
-
-impl SizeHistogram {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one observed size.
-    pub fn record(&self, size: u64) {
-        let idx = if size <= 1 {
-            0
-        } else {
-            // ceil(log2(size)), clamped into the overflow bucket.
-            let log = (64 - (size - 1).leading_zeros()) as usize;
-            log.min(N_SIZE_BUCKETS - 1)
-        };
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(size, Ordering::Relaxed);
-        self.max.fetch_max(size, Ordering::Relaxed);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Point-in-time snapshot.
-    pub fn snapshot(&self) -> SizeSnapshot {
-        let mut cumulative = Vec::new();
-        let mut cum = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            let n = b.load(Ordering::Relaxed);
-            if n > 0 {
-                cum += n;
-                cumulative.push((size_bucket_bound(i), cum));
-            }
-        }
-        SizeSnapshot {
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-            buckets: cumulative,
-        }
-    }
-}
-
-/// Point-in-time view of one [`SizeHistogram`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SizeSnapshot {
-    pub count: u64,
-    pub sum: u64,
-    /// Exact maximum recorded size.
-    pub max: u64,
-    /// `(inclusive upper bound, cumulative count)` per non-empty bucket,
-    /// increasing bound order; `u64::MAX` bound is the overflow bucket.
-    pub buckets: Vec<(u64, u64)>,
-}
-
-impl SizeSnapshot {
-    /// Mean observed size (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
-
-/// Per-shard gauges of a sharded parse deployment.
-#[derive(Debug, Default)]
-pub struct ShardGauges {
-    /// Items waiting in the shard's input queue (sampled by the worker).
-    pub queue_depth: AtomicU64,
-    /// Templates in the shard's store.
-    pub templates: AtomicU64,
-    /// Times this shard's worker was respawned.
-    pub restarts: AtomicU64,
-}
-
-impl ShardGauges {
-    /// Set a gauge to an absolute value.
-    pub fn set(gauge: &AtomicU64, value: u64) {
-        gauge.store(value, Ordering::Relaxed);
-    }
-}
-
 /// Interval throughput gauges derived from two consecutive snapshots.
 ///
 /// `/metrics` counters are cumulative; an operator eyeballing the endpoint
 /// (or the one-line `Display` summary) wants *rates*. Each registry
-/// snapshot taken at least [`MIN_RATE_INTERVAL`] after the previous one
-/// closes an interval and publishes `Δcount / Δt`. In a live deployment
+/// snapshot taken at least `MIN_RATE_INTERVAL` (100 ms) after the previous
+/// one closes an interval and publishes `Δcount / Δt`. In a live deployment
 /// every `/metrics`, `/metrics.json` and `/status` request takes one, so
 /// an interval closes on requests at least 100 ms apart; requests closer
 /// together repeat the last closed interval's rates.
@@ -493,33 +364,22 @@ impl RateWindow {
     }
 }
 
-/// The observability root of one pipeline run: counters, per-stage latency
-/// histograms, and per-shard gauges. Shareable across every pipeline
+/// The observability root of one pipeline run: counters and per-stage
+/// latency histograms. Shareable across every pipeline
 /// thread; all recording is lock-free (the rate window takes a Mutex, but
 /// only snapshots touch it).
 #[derive(Debug)]
 pub struct MetricsRegistry {
     counters: Arc<PipelineMetrics>,
     stages: [LatencyHistogram; Stage::ALL.len()],
-    /// Lines per submitted batch across the batched ingestion path.
-    batch_sizes: SizeHistogram,
-    shards: Vec<ShardGauges>,
     rates: Mutex<RateWindow>,
 }
 
 impl MetricsRegistry {
-    /// A registry with no shard gauges (sequential deployments).
     pub fn shared() -> Arc<Self> {
-        Self::shared_with_shards(0)
-    }
-
-    /// A registry tracking `n_shards` shard gauges (sharded services).
-    pub fn shared_with_shards(n_shards: usize) -> Arc<Self> {
         Arc::new(MetricsRegistry {
             counters: PipelineMetrics::shared(),
             stages: std::array::from_fn(|_| LatencyHistogram::new()),
-            batch_sizes: SizeHistogram::new(),
-            shards: (0..n_shards).map(|_| ShardGauges::default()).collect(),
             rates: Mutex::new(RateWindow::new()),
         })
     }
@@ -569,20 +429,6 @@ impl MetricsRegistry {
         let out = f();
         self.stage(stage).record_since(start);
         out
-    }
-
-    /// The batch-size histogram of the ingestion path.
-    pub fn batch_sizes(&self) -> &SizeHistogram {
-        &self.batch_sizes
-    }
-
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The gauges of shard `i`.
-    pub fn shard(&self, i: usize) -> &ShardGauges {
-        &self.shards[i]
     }
 
     /// Advance the rate window and return the freshest interval rates.
@@ -636,18 +482,6 @@ impl MetricsRegistry {
                     latency: self.stage(*s).snapshot(),
                 })
                 .collect(),
-            batch_sizes: self.batch_sizes.snapshot(),
-            shards: self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(shard, g)| ShardSnapshot {
-                    shard,
-                    queue_depth: g.queue_depth.load(Ordering::Relaxed),
-                    templates: g.templates.load(Ordering::Relaxed),
-                    restarts: g.restarts.load(Ordering::Relaxed),
-                })
-                .collect(),
         }
     }
 }
@@ -659,17 +493,8 @@ pub struct StageSnapshot {
     pub latency: HistogramSnapshot,
 }
 
-/// One shard's gauges inside a [`MetricsSnapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSnapshot {
-    pub shard: usize,
-    pub queue_depth: u64,
-    pub templates: u64,
-    pub restarts: u64,
-}
-
-/// Typed, serializable snapshot of a pipeline's metrics: every counter,
-/// every stage latency histogram, every shard gauge. Renders to
+/// Typed, serializable snapshot of a pipeline's metrics: every counter and
+/// every stage latency histogram. Renders to
 /// Prometheus text format ([`MetricsSnapshot::to_prometheus`]), JSON
 /// ([`MetricsSnapshot::to_json`]), and a one-line human summary
 /// (`Display`).
@@ -679,11 +504,6 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(&'static str, u64)>,
     /// Latency distribution per stage, in pipeline order.
     pub stages: Vec<StageSnapshot>,
-    /// Distribution of lines per submitted batch (empty when nothing
-    /// went through the batched ingestion path).
-    pub batch_sizes: SizeSnapshot,
-    /// Gauges per shard (empty for sequential deployments).
-    pub shards: Vec<ShardSnapshot>,
     /// Interval throughput rates (zero until two spaced snapshots close
     /// an interval — the exporter's refresh tick does this live).
     pub rates: RateSnapshot,
@@ -708,12 +528,16 @@ fn fmt_seconds(ns: u64) -> String {
 
 impl MetricsSnapshot {
     /// Render in Prometheus text exposition format. Counters become
-    /// `monilog_<name>_total`, stage histograms become
+    /// `monilog_<name>_total` with the `# HELP` line of their declaration
+    /// (see [`crate::metrics`]), stage histograms become
     /// `monilog_stage_latency_seconds{stage="..."}` with cumulative `le`
-    /// buckets, shard gauges become `monilog_shard_*{shard="..."}`.
+    /// buckets.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         for (name, value) in &self.counters {
+            if let Some(help) = PipelineMetrics::help(name) {
+                out.push_str(&format!("# HELP monilog_{name}_total {help}\n"));
+            }
             out.push_str(&format!(
                 "# TYPE monilog_{name}_total counter\nmonilog_{name}_total {value}\n"
             ));
@@ -763,58 +587,6 @@ impl MetricsSnapshot {
                 ));
             }
         }
-        if self.batch_sizes.count > 0 {
-            out.push_str("# TYPE monilog_batch_size_lines histogram\n");
-            for (bound, cum) in &self.batch_sizes.buckets {
-                let le = if *bound == u64::MAX {
-                    "+Inf".to_string()
-                } else {
-                    bound.to_string()
-                };
-                out.push_str(&format!(
-                    "monilog_batch_size_lines_bucket{{le=\"{le}\"}} {cum}\n"
-                ));
-            }
-            out.push_str(&format!(
-                "monilog_batch_size_lines_bucket{{le=\"+Inf\"}} {}\n",
-                self.batch_sizes.count
-            ));
-            out.push_str(&format!(
-                "monilog_batch_size_lines_sum {}\n",
-                self.batch_sizes.sum
-            ));
-            out.push_str(&format!(
-                "monilog_batch_size_lines_count {}\n",
-                self.batch_sizes.count
-            ));
-            out.push_str(&format!(
-                "monilog_batch_size_lines_max {}\n",
-                self.batch_sizes.max
-            ));
-        }
-        if !self.shards.is_empty() {
-            out.push_str("# TYPE monilog_shard_queue_depth gauge\n");
-            for s in &self.shards {
-                out.push_str(&format!(
-                    "monilog_shard_queue_depth{{shard=\"{}\"}} {}\n",
-                    s.shard, s.queue_depth
-                ));
-            }
-            out.push_str("# TYPE monilog_shard_templates gauge\n");
-            for s in &self.shards {
-                out.push_str(&format!(
-                    "monilog_shard_templates{{shard=\"{}\"}} {}\n",
-                    s.shard, s.templates
-                ));
-            }
-            out.push_str("# TYPE monilog_shard_restarts_total counter\n");
-            for s in &self.shards {
-                out.push_str(&format!(
-                    "monilog_shard_restarts_total{{shard=\"{}\"}} {}\n",
-                    s.shard, s.restarts
-                ));
-            }
-        }
         if self.rates.interval_secs > 0.0 {
             out.push_str(&format!(
                 "# TYPE monilog_lines_per_second gauge\nmonilog_lines_per_second {:.3}\n",
@@ -831,7 +603,7 @@ impl MetricsSnapshot {
     }
 
     /// Render as a JSON object:
-    /// `{"counters":{...},"stages":{...},"shards":[...]}`. Hand-rolled —
+    /// `{"counters":{...},"stages":{...},"rates":{...}}`. Hand-rolled —
     /// the vendored serde shim has no format layer (see vendor/README.md).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
@@ -871,33 +643,8 @@ impl MetricsSnapshot {
                 None => out.push_str("],\"exemplar\":null}"),
             }
         }
-        let b = &self.batch_sizes;
         out.push_str(&format!(
-            "}},\"batch_sizes\":{{\"count\":{},\"sum\":{},\"max\":{},\"buckets\":[",
-            b.count, b.sum, b.max
-        ));
-        for (j, (bound, cum)) in b.buckets.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            if *bound == u64::MAX {
-                out.push_str(&format!("[null,{cum}]"));
-            } else {
-                out.push_str(&format!("[{bound},{cum}]"));
-            }
-        }
-        out.push_str("]},\"shards\":[");
-        for (i, s) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"shard\":{},\"queue_depth\":{},\"templates\":{},\"restarts\":{}}}",
-                s.shard, s.queue_depth, s.templates, s.restarts
-            ));
-        }
-        out.push_str(&format!(
-            "],\"rates\":{{\"interval_secs\":{:.3},\"lines_per_second\":{:.3},\"stages\":{{",
+            "}},\"rates\":{{\"interval_secs\":{:.3},\"lines_per_second\":{:.3},\"stages\":{{",
             self.rates.interval_secs, self.rates.lines_per_second
         ));
         for (i, (stage, rate)) in self.rates.stages.iter().enumerate() {
@@ -949,22 +696,6 @@ impl fmt::Display for MetricsSnapshot {
                 s.latency.p95_ns / 1_000,
                 s.latency.p99_ns / 1_000,
                 s.latency.max_ns / 1_000,
-            )?;
-        }
-        if self.batch_sizes.count > 0 {
-            write!(
-                f,
-                " batches[n={} mean={:.1} max={}]",
-                self.batch_sizes.count,
-                self.batch_sizes.mean(),
-                self.batch_sizes.max
-            )?;
-        }
-        for s in &self.shards {
-            write!(
-                f,
-                " shard{}[q={} templates={} restarts={}]",
-                s.shard, s.queue_depth, s.templates, s.restarts
             )?;
         }
         if self.rates.interval_secs > 0.0 {
@@ -1181,34 +912,33 @@ mod tests {
     }
 
     #[test]
-    fn registry_snapshot_covers_stages_and_shards() {
-        let r = MetricsRegistry::shared_with_shards(2);
+    fn registry_snapshot_covers_stages() {
+        let r = MetricsRegistry::shared();
         r.time(Stage::Parse, || std::hint::black_box(7 * 6));
         r.stage(Stage::Detect).record(Duration::from_micros(250));
-        ShardGauges::set(&r.shard(1).queue_depth, 17);
-        ShardGauges::set(&r.shard(1).templates, 4);
         let s = r.snapshot();
         assert_eq!(s.stages.len(), Stage::ALL.len());
+        for (i, stage) in Stage::ALL.iter().enumerate() {
+            assert_eq!(stage.index(), i, "ALL is in declaration order");
+            assert_eq!(s.stages[i].stage, stage.name());
+        }
         assert_eq!(s.stage("parse_exec").unwrap().count, 1);
         assert_eq!(s.stage("detect").unwrap().count, 1);
-        assert_eq!(s.shards.len(), 2);
-        assert_eq!(s.shards[1].queue_depth, 17);
-        assert_eq!(s.shards[1].templates, 4);
     }
 
     /// Mirror of `snapshot_mentions_every_counter` for the typed snapshot:
     /// every counter and every stage histogram appears in both renderings.
     #[test]
     fn renderings_mention_every_counter_and_stage() {
-        let r = MetricsRegistry::shared_with_shards(1);
+        let r = MetricsRegistry::shared();
         PipelineMetrics::incr(&r.counters().lines_ingested);
         r.stage(Stage::Ingest).record(Duration::from_micros(3));
         let s = r.snapshot();
         let prom = s.to_prometheus();
         let json = s.to_json();
-        // The PR 3 batching/caching counters must be part of the stable
-        // vocabulary, not just whatever happens to be in `counters`.
-        for name in ["batches_submitted", "cache_hits", "cache_misses"] {
+        // The caching counters must be part of the stable vocabulary, not
+        // just whatever happens to be in `counters`.
+        for name in ["cache_hits", "cache_misses"] {
             assert!(
                 s.counters.iter().any(|(n, _)| *n == name),
                 "{name} missing from snapshot counters"
@@ -1216,7 +946,12 @@ mod tests {
         }
         for (name, _) in &s.counters {
             assert!(
-                prom.contains(&format!("monilog_{name}_total")),
+                prom.contains(&format!("\n# HELP monilog_{name}_total "))
+                    || prom.starts_with(&format!("# HELP monilog_{name}_total ")),
+                "{name} has no help line: {prom}"
+            );
+            assert!(
+                prom.contains(&format!("\nmonilog_{name}_total ")),
                 "{name} missing from prometheus: {prom}"
             );
             assert!(
@@ -1236,8 +971,6 @@ mod tests {
                 "{stage} missing from json: {json}"
             );
         }
-        assert!(prom.contains("monilog_shard_queue_depth{shard=\"0\"}"));
-        assert!(json.contains("\"shards\":[{\"shard\":0,"));
         // Histogram invariants in the prometheus text: +Inf bucket present
         // and equal to the count.
         assert!(prom.contains("le=\"+Inf\"} 1"));
@@ -1262,61 +995,15 @@ mod tests {
     fn display_is_one_line_and_complete() {
         let r = MetricsRegistry::shared();
         PipelineMetrics::add(&r.counters().lines_parsed, 5);
-        PipelineMetrics::add(&r.counters().batches_submitted, 2);
         PipelineMetrics::add(&r.counters().cache_hits, 40);
         PipelineMetrics::add(&r.counters().cache_misses, 3);
         r.stage(Stage::Parse).record(Duration::from_micros(10));
         let line = r.snapshot().to_string();
         assert!(!line.contains('\n'));
         assert!(line.contains("lines_parsed=5"), "{line}");
-        assert!(line.contains("batches_submitted=2"), "{line}");
         assert!(line.contains("cache_hits=40"), "{line}");
         assert!(line.contains("cache_misses=3"), "{line}");
         assert!(line.contains("parse_exec[p50="), "{line}");
-    }
-
-    #[test]
-    fn size_histogram_buckets_and_stats() {
-        let h = SizeHistogram::new();
-        for n in [1u64, 1, 2, 3, 64, 100_000] {
-            h.record(n);
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count, 6);
-        assert_eq!(s.sum, 1 + 1 + 2 + 3 + 64 + 100_000);
-        assert_eq!(s.max, 100_000);
-        // 1,1 → bound 1; 2 → bound 2; 3 → bound 4; 64 → bound 64;
-        // 100_000 > 2^16 → overflow.
-        assert_eq!(
-            s.buckets,
-            vec![(1, 2), (2, 3), (4, 4), (64, 5), (u64::MAX, 6)]
-        );
-        assert!((s.mean() - s.sum as f64 / 6.0).abs() < 1e-9);
-        assert_eq!(SizeSnapshot::default().mean(), 0.0);
-    }
-
-    #[test]
-    fn batch_sizes_flow_into_snapshot_and_renderings() {
-        let r = MetricsRegistry::shared();
-        r.batch_sizes().record(32);
-        r.batch_sizes().record(7);
-        let s = r.snapshot();
-        assert_eq!(s.batch_sizes.count, 2);
-        assert_eq!(s.batch_sizes.sum, 39);
-        let prom = s.to_prometheus();
-        assert!(prom.contains("monilog_batch_size_lines_count 2"), "{prom}");
-        assert!(
-            prom.contains("monilog_batch_size_lines_bucket{le=\"32\"} 2"),
-            "{prom}"
-        );
-        let json = s.to_json();
-        assert!(json.contains("\"batch_sizes\":{\"count\":2"), "{json}");
-        assert!(s.to_string().contains("batches[n=2 mean=19.5 max=32]"));
-        // Empty histograms stay out of the prometheus text but keep the
-        // JSON shape stable.
-        let empty = MetricsRegistry::shared().snapshot();
-        assert!(!empty.to_prometheus().contains("monilog_batch_size"));
-        assert!(empty.to_json().contains("\"batch_sizes\":{\"count\":0"));
     }
 
     #[test]

@@ -159,7 +159,7 @@ impl DeliveryBuffer {
     /// [`DeliveryBuffer::advance`] once a sink acknowledged the batch).
     ///
     /// Reads a bounded window, not the whole backlog: a batch may hold
-    /// fewer than `max` reports when they do not fit in [`PEEK_WINDOW`],
+    /// fewer than `max` reports when they do not fit in `PEEK_WINDOW`,
     /// and the window grows only for a single frame larger than it.
     pub fn peek(&mut self, max: usize) -> Result<(Vec<BufferedReport>, u64), DurabilityError> {
         let mut out = Vec::new();

@@ -23,7 +23,7 @@
 //!   machine; a sink that keeps failing is quarantined and re-admitted
 //!   via probe healthchecks instead of hammering it with full batches.
 //! - [`DeliveryPipeline`] — routes reports to sinks by
-//!   [`DeliveryClass`] (page → webhook, ticket → TCP, log → file), drains
+//!   [`monilog_model::DeliveryClass`] (page → webhook, ticket → TCP, log → file), drains
 //!   buffers with capped exponential backoff + deterministic jitter, and
 //!   degrades to a rotating local spill file when a breaker stays open
 //!   past its grace deadline — degraded, but nothing is dropped.

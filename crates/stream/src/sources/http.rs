@@ -320,7 +320,7 @@ mod tests {
             ..SourcesConfig::default()
         };
         let (server, queue) =
-            SourcesServer::spawn(cfg, MetricsRegistry::shared_with_shards(1), None, None).unwrap();
+            SourcesServer::spawn(cfg, MetricsRegistry::shared(), None, None).unwrap();
         let addr = server.http_addr().unwrap();
         (server, queue, addr)
     }
@@ -494,7 +494,7 @@ mod tests {
             assumed_year: 2026,
             ..SourcesConfig::default()
         };
-        let registry = MetricsRegistry::shared_with_shards(1);
+        let registry = MetricsRegistry::shared();
         let (server, queue) = SourcesServer::spawn(
             cfg,
             Arc::clone(&registry),
@@ -555,7 +555,7 @@ mod tests {
             ..SourcesConfig::default()
         };
         let waker = EventLoop::new().unwrap().waker().unwrap();
-        let registry = MetricsRegistry::shared_with_shards(1);
+        let registry = MetricsRegistry::shared();
         Shared::new(&config, &registry, None, waker)
     }
 

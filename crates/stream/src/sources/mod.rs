@@ -15,8 +15,7 @@
 //!   resumes exactly where ingestion stopped.
 //!
 //! Every source feeds one bounded [`SourceQueue`]; the consumer (the CLI's
-//! durable run loop, or [`crate::supervisor::SupervisedParseService`]
-//! `submit_batch` in library use) drains it in batches. When the queue is
+//! durable run loop) drains it in batches. When the queue is
 //! full the configured [`OverloadPolicy`] applies *at the source boundary*:
 //!
 //! - [`OverloadPolicy::Block`]: TCP connections and file tails stop
@@ -26,9 +25,7 @@
 //!   [`SourceQueue::recv_batch`] wakes the loop once the queue is half
 //!   empty, so it resumes while the consumer still has lines to work on.
 //! - [`OverloadPolicy::ShedToCatchAll`]: the line is dropped and counted
-//!   (`sources_lines_shed`) — the parse-stage catch-all accounting only
-//!   exists once a line is *in* the pipeline, so at the boundary shedding
-//!   is a counted drop.
+//!   (`sources_lines_shed`).
 //! - [`OverloadPolicy::DeadLetter`]: the raw line is appended to the
 //!   dead-letter log with an overload marker for later replay.
 
@@ -43,12 +40,11 @@ pub use syslog::{parse_syslog, SyslogMessage};
 pub use tail::{glob_match, GlobResume, TailCursor, TailGlobSpec, MAX_TAIL_SLOTS};
 
 use crate::config::OverloadPolicy;
-use crate::durable::DeadLetterLog;
+use crate::durable::{DeadLetter, DeadLetterLog, FailureReason};
 pub use crate::export::MetricsEndpoint;
 use crate::metrics::PipelineMetrics;
 use crate::net::{AsLoopFd, EventLoop, Handler, Interest, LoopCtx, LoopWaker, Next};
 use crate::observe::MetricsRegistry;
-use crate::supervisor::{DeadLetter, FailureReason};
 use monilog_model::ByteLine;
 use monilog_model::SourceId;
 use std::collections::VecDeque;
@@ -765,7 +761,7 @@ mod tests {
     }
 
     fn registry() -> Arc<MetricsRegistry> {
-        MetricsRegistry::shared_with_shards(1)
+        MetricsRegistry::shared()
     }
 
     fn drain_for(queue: &SourceQueue, want: usize, secs: u64) -> Vec<SourceEvent> {

@@ -542,7 +542,7 @@ mod tests {
             assumed_year: 2026,
             ..SourcesConfig::default()
         };
-        SourcesServer::spawn(cfg, MetricsRegistry::shared_with_shards(1), None, None).unwrap()
+        SourcesServer::spawn(cfg, MetricsRegistry::shared(), None, None).unwrap()
     }
 
     fn drain_for(queue: &SourceQueue, want: usize, secs: u64) -> Vec<SourceEvent> {
@@ -708,7 +708,7 @@ mod tests {
             ..SourcesConfig::default()
         };
         let (server, queue) =
-            SourcesServer::spawn(cfg, MetricsRegistry::shared_with_shards(1), None, None).unwrap();
+            SourcesServer::spawn(cfg, MetricsRegistry::shared(), None, None).unwrap();
 
         let got = drain_for(&queue, 1, 5);
         assert_eq!(got.len(), 1);
@@ -774,7 +774,7 @@ mod tests {
             ..SourcesConfig::default()
         };
         let (_server, queue) =
-            SourcesServer::spawn(cfg, MetricsRegistry::shared_with_shards(1), None, None).unwrap();
+            SourcesServer::spawn(cfg, MetricsRegistry::shared(), None, None).unwrap();
         let got = drain_for(&queue, 2, 5);
         let lines: Vec<&str> = got.iter().map(|e| e.line.as_str()).collect();
         assert_eq!(lines, vec!["line 4", "line 5"]);
