@@ -307,7 +307,8 @@ pub(super) const FLAGS: &[Flag] = &[
         help: "full-state checkpoint cadence (default 5000)",
         apply: |o, v| set(&mut o.durable.config.checkpoint_interval_ms, at_least(v, 1)?) },
     Flag { name: "--journal-fsync-ms", value: "<n>", section: DURABILITY, scope: DURABLE_MONITOR,
-        help: "WAL group-commit interval (default 50; 0 fsyncs every line)",
+        help: "longest a line waits for its WAL fsync under continuous input; an idle \
+               monitor commits at once (default 50; 0 fsyncs every line)",
         apply: |o, v| set(&mut o.durable.config.journal.fsync_interval_ms, at_least(v, 0)?) },
     Flag { name: "--journal-segment-bytes", value: "<n>", section: DURABILITY,
         scope: DURABLE_MONITOR,

@@ -338,14 +338,14 @@ pub(super) fn run_monitor_runtime(
         let snap = ops.poll_reload(&mut durable, server.as_ref(), out);
         // What the last batch printed goes out before the loop waits.
         let _ = out.flush();
-        let deadline = Duration::from_millis(snap.batch_deadline_ms.max(1));
+        // Block on the queue only while nothing waits for a commit; with
+        // lines pending, poll, so an empty queue commits them at once.
+        let wait = match durable.wal_lag_bytes() {
+            0 => Duration::from_millis(snap.batch_deadline_ms.max(1)),
+            _ => Duration::ZERO,
+        };
         let batch = match &queue {
-            Some(queue) => queue.recv_batch(
-                snap.batch_lines,
-                durable
-                    .commit_due_in()
-                    .map_or(deadline, |due| due.min(deadline)),
-            ),
+            Some(queue) => queue.recv_batch(snap.batch_lines, wait),
             None => lines
                 .by_ref()
                 .take(snap.batch_lines)
@@ -362,10 +362,11 @@ pub(super) fn run_monitor_runtime(
             if drained || queue.is_none() {
                 break;
             }
-            // Honor the group-commit interval in wall-clock time: without
-            // this, a stream that goes quiet leaves its last burst
-            // unsynced and its reports held until the next line arrives.
-            reports += write_reports(out, &durable.tick()?);
+            // The queue ran dry: commit now (apply, fsync, release the
+            // reports) rather than when the group-commit interval ends; the
+            // interval only bounds a line's wait under continuous input.
+            // Acks follow in the same round.
+            reports += write_reports(out, &durable.sync_wal()?);
             if let Some(mb) = &mailbox {
                 cluster_roundup(mb, &mut durable, &mut known_templates, out);
                 // A router `Fin` ends a file-driven run — but only once
@@ -442,13 +443,6 @@ pub(super) fn run_monitor_runtime(
             // After the batch, not before: a `Revoke` racing lines still
             // queued from the old assignment must discard them too.
             cluster_roundup(mb, &mut durable, &mut known_templates, out);
-        }
-        // Nothing queued: apply the journaled lines now, in time the loop
-        // would otherwise spend blocked on the queue, so the group commit
-        // only fsyncs and releases their reports. A file never drains, so
-        // a file run applies at the commit alone.
-        if queue.as_ref().is_some_and(|q| q.depth() == 0) {
-            durable.catch_up();
         }
     }
 

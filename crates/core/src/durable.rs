@@ -13,10 +13,9 @@
 //! ```
 //!
 //! The contract is *journal first, release second*: a raw line is
-//! appended to the WAL before the pipeline sees it, and the pipeline may
-//! run ahead of the fsync ([`DurableMoniLog::catch_up`]), but nothing
-//! derived from a line — a report, a checkpoint, a cluster ack — leaves
-//! the process before the group commit that covers it has fsynced. A
+//! appended to the WAL before the pipeline sees it, and nothing derived
+//! from a line — a report, a checkpoint, a cluster ack — leaves the
+//! process before the group commit that covers it has fsynced. A
 //! crash therefore loses only in-memory state whose effects never left
 //! (it dies with the process); everything that did leave replays from the
 //! journal suffix after the newest valid checkpoint. Replayed lines
@@ -331,15 +330,10 @@ pub struct DurableMoniLog {
     /// Per-source highest seq fed to the pipeline *and* fsynced
     /// (== checkpointable, ackable).
     applied: HashMap<u16, u64>,
-    /// Per-source highest seq fed to the pipeline ahead of the fsync that
-    /// covers it; promoted into `applied` by the next commit.
-    unsynced: HashMap<u16, u64>,
     /// Per-source highest seq appended to the journal (>= applied).
     journaled: HashMap<u16, u64>,
     /// Appended but not yet fed to the pipeline.
     pending: Vec<RawLog>,
-    /// Reports of lines fed ahead of their fsync, released by the commit.
-    held: Vec<ClassifiedAnomaly>,
     /// Caller-owned manifest sections (e.g. [`SOURCES_SECTION`] tail
     /// cursors) written into every checkpoint.
     extra_sections: HashMap<String, Vec<u8>>,
@@ -475,10 +469,8 @@ impl DurableMoniLog {
                 router,
                 report_store: None,
                 applied,
-                unsynced: HashMap::new(),
                 journaled,
                 pending: Vec::new(),
-                held: Vec::new(),
                 // Recovered sections seed the write-side map so a restart
                 // that never calls set_section still carries them forward.
                 extra_sections: recovered_sections.clone(),
@@ -490,12 +482,13 @@ impl DurableMoniLog {
         ))
     }
 
-    /// Journal a raw line and, on group-commit boundaries, commit the
-    /// batch. Reports surface on those boundaries; an empty return does
-    /// not mean the line was uninteresting, only that its batch has not
-    /// committed yet. The line is not applied here: a caller with idle
-    /// time applies it early with [`DurableMoniLog::catch_up`], otherwise
-    /// the commit does.
+    /// Journal a raw line and, once the group-commit interval has passed
+    /// since the last commit, commit the batch. Reports surface on those
+    /// boundaries; an empty return does not mean the line was
+    /// uninteresting, only that its batch has not committed yet. A caller
+    /// whose input runs dry commits at once with
+    /// [`DurableMoniLog::sync_wal`]; the interval only bounds how long a
+    /// line waits under continuous input.
     pub fn ingest(&mut self, raw: &RawLog) -> Result<Vec<ClassifiedAnomaly>, String> {
         let bytes = self
             .journal
@@ -521,50 +514,16 @@ impl DurableMoniLog {
         Ok(out)
     }
 
-    /// Apply every journaled line the pipeline has not seen yet, ahead of
-    /// the fsync that will cover it. Nothing leaves: the reports are held
-    /// and the lines' seqs stay out of [`DurableMoniLog::applied_marks`]
-    /// until the next commit ([`DurableMoniLog::tick`],
-    /// [`DurableMoniLog::sync_wal`], or an `ingest` on a commit boundary)
-    /// releases them. A consumer calls this when its input runs dry, so
-    /// the commit finds little left to apply.
-    pub fn catch_up(&mut self) {
-        for raw in self.pending.drain(..) {
-            self.held.extend(self.pipeline.ingest(&raw));
-            let entry = self.unsynced.entry(raw.source.0).or_insert(0);
-            *entry = (*entry).max(raw.seq);
-        }
-    }
-
-    /// Apply every pending line and fsync the WAL, without writing a
-    /// checkpoint. This is the quiesce step of a graceful drain: after it
-    /// returns, even a forced (second-signal) `_exit` loses nothing a
-    /// source acknowledged — a restart replays the journal suffix since
-    /// the last checkpoint.
+    /// Commit now: apply every pending line, fsync the WAL and release
+    /// the reports, without writing a checkpoint. A monitor calls this
+    /// whenever its input runs dry, so a quiet stream's last burst is
+    /// durable and reported at once; a clean journal makes it a no-op. It
+    /// is also the quiesce step of a graceful drain: after it returns,
+    /// even a forced (second-signal) `_exit` loses nothing a source
+    /// acknowledged — a restart replays the journal suffix since the last
+    /// checkpoint.
     pub fn sync_wal(&mut self) -> Result<Vec<ClassifiedAnomaly>, String> {
         self.commit_pending()
-    }
-
-    /// Time-based group commit. [`DurableMoniLog::ingest`] only commits
-    /// when the *next* append finds the fsync interval elapsed, so a
-    /// stream that goes quiet would leave its final burst pending
-    /// indefinitely: unsynced (a kill loses it), its reports held or not
-    /// yet produced. The monitor loops call this on idle so the
-    /// interval is honored in wall-clock time; a clean journal makes it
-    /// a no-op.
-    pub fn tick(&mut self) -> Result<Vec<ClassifiedAnomaly>, String> {
-        if self.journal.sync_due() {
-            return self.commit_pending();
-        }
-        Ok(Vec::new())
-    }
-
-    /// How long until [`DurableMoniLog::tick`] has a group commit to do;
-    /// `None` while no line waits for one. A consumer that blocks on its
-    /// input for at most this long commits a quiet stream's last burst when
-    /// the interval ends, not one input timeout later.
-    pub fn commit_due_in(&self) -> Option<Duration> {
-        self.journal.sync_due_in()
     }
 
     /// Force a commit + checkpoint now (tests, operator tooling).
@@ -617,16 +576,27 @@ impl DurableMoniLog {
     }
 
     /// The group commit, the one place anything derived from a line is
-    /// released: apply what [`DurableMoniLog::catch_up`] has not, fsync the
-    /// journal, promote the applied seqs to ackable, then emit the held
-    /// reports of the whole batch at once — one durability point for the
-    /// delivery buffers and one for `anomalies.jsonl` per group commit.
+    /// released: apply the pending lines, fsync the journal, promote the
+    /// applied seqs to ackable, then emit the reports of the whole batch at
+    /// once — one durability point for the delivery buffers and one for
+    /// `anomalies.jsonl` per group commit.
     fn commit_pending(&mut self) -> Result<Vec<ClassifiedAnomaly>, String> {
-        self.catch_up();
+        let mut held = Vec::new();
+        let mut unsynced: HashMap<u16, u64> = HashMap::new();
+        for raw in self.pending.drain(..) {
+            held.extend(self.pipeline.ingest(&raw));
+            let entry = unsynced.entry(raw.source.0).or_insert(0);
+            *entry = (*entry).max(raw.seq);
+        }
+        #[cfg(test)]
+        tests::crash_before_wal_sync()?;
+        if self.journal.unsynced_bytes() > 0 {
+            PipelineMetrics::incr(&self.pipeline.metrics().journal_syncs);
+        }
         self.journal
             .sync()
             .map_err(|e| format!("journal sync: {e}"))?;
-        for (source, seq) in self.unsynced.drain() {
+        for (source, seq) in unsynced {
             let entry = self.applied.entry(source).or_insert(0);
             *entry = (*entry).max(seq);
         }
@@ -635,7 +605,7 @@ impl DurableMoniLog {
             self.delivery.as_ref(),
             &self.router,
             self.report_store.as_deref(),
-            std::mem::take(&mut self.held),
+            held,
         )?;
         Ok(emitted)
     }
@@ -644,10 +614,7 @@ impl DurableMoniLog {
     /// callers must have committed first so the journal positions match
     /// the exported state exactly.
     fn write_checkpoint(&mut self) -> Result<u64, String> {
-        debug_assert!(
-            self.pending.is_empty() && self.unsynced.is_empty() && self.held.is_empty(),
-            "checkpoint ahead of the commit"
-        );
+        debug_assert!(self.pending.is_empty(), "checkpoint ahead of the commit");
         let start = Instant::now();
         let state = self.pipeline.export_durable_state()?;
         self.generation += 1;
@@ -698,8 +665,7 @@ impl DurableMoniLog {
     /// Per-source high-water marks that are fsync'd *and* applied — the
     /// safe-to-ack set for the cluster link (`ClusterMailbox::
     /// publish_journaled`). Lines still in the group-commit window are
-    /// excluded, caught up or not; publish right after
-    /// [`DurableMoniLog::sync_wal`].
+    /// excluded; publish right after [`DurableMoniLog::sync_wal`].
     pub fn applied_marks(&self) -> Vec<(SourceId, u64)> {
         let mut marks: Vec<(SourceId, u64)> = self
             .applied
@@ -720,13 +686,10 @@ impl DurableMoniLog {
 
     /// Cluster revocation: purge every trace of `source` that has not yet
     /// become a report — open windows, reorder-buffer records, and lines
-    /// journaled but not yet applied. Lines already caught up count as
-    /// committed: their held reports and seqs are released by the next
-    /// commit, the outcome of a commit that wins the race against the
-    /// revoke. The WAL entries remain (history is append-only); a later
-    /// recovery replays them into open windows again, and the
-    /// re-handshake's revocation discards them again before they can
-    /// close.
+    /// journaled but not yet committed. The WAL entries remain (history
+    /// is append-only); a later recovery replays them into open windows
+    /// again, and the re-handshake's revocation discards them again
+    /// before they can close.
     pub fn discard_source(&mut self, source: SourceId) -> usize {
         self.pending.retain(|r| r.source != source);
         self.pipeline.discard_source(source)
@@ -812,11 +775,12 @@ mod tests {
         dir
     }
 
-    /// Where a first life dies: before its commit, or where an armed
-    /// `emit` dies, between its two durability points.
+    /// Where a first life dies inside its commit: between apply and the
+    /// WAL fsync, or where an armed `emit` dies, between its two
+    /// durability points.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum CrashPoint {
-        /// Batch caught up, its reports held; nothing fsynced or emitted.
+        /// Batch applied, its reports held; nothing fsynced or emitted.
         BeforeWalSync,
         /// Delivery buffers fsynced; `anomalies.jsonl` untouched.
         BeforeSinkCommit,
@@ -829,14 +793,26 @@ mod tests {
         static CRASH: std::cell::Cell<Option<CrashPoint>> = const { std::cell::Cell::new(None) };
     }
 
+    /// Called by `commit_pending` between apply and fsync; fires at most
+    /// once.
+    pub(super) fn crash_before_wal_sync() -> Result<(), String> {
+        if CRASH.get() != Some(CrashPoint::BeforeWalSync) {
+            return Ok(());
+        }
+        CRASH.take();
+        Err("injected crash: BeforeWalSync".into())
+    }
+
     /// Called by `emit` between accept and commit; fires at most once.
     pub(super) fn crash_if_armed(
         sink: &mut EmittedSink,
         rendered: &[String],
     ) -> Result<(), String> {
-        let Some(point) = CRASH.take() else {
-            return Ok(());
+        let point = match CRASH.get() {
+            Some(p @ (CrashPoint::BeforeSinkCommit | CrashPoint::MidSinkCommit)) => p,
+            _ => return Ok(()),
         };
+        CRASH.take();
         if point == CrashPoint::MidSinkCommit {
             let torn = format!("{}\n{}", rendered[0], &rendered[1][..10]);
             sink.file.append_text(&torn).unwrap();
@@ -1172,34 +1148,36 @@ mod tests {
                 .unwrap();
             assert!(surfaced.is_empty(), "the batch must not commit early");
         }
+        let buffered = first.delivery().unwrap().pending_bytes();
+        CRASH.set(point);
+        let committed = first.sync_wal();
+        let in_sink = sink_ids(&dir).len() - before_batch;
+        match point {
+            None => assert_eq!(committed.unwrap().len(), 3, "three reports in one batch"),
+            Some(CrashPoint::BeforeWalSync) => {
+                assert!(committed.is_err());
+                assert_eq!(in_sink, 0, "held, not emitted");
+                assert!(first.wal_lag_bytes() > 0, "applied, not fsynced");
+            }
+            Some(CrashPoint::BeforeSinkCommit) => {
+                assert!(committed.is_err());
+                assert_eq!(in_sink, 0);
+            }
+            Some(CrashPoint::MidSinkCommit) => {
+                assert!(committed.is_err());
+                assert_eq!(in_sink, 1, "one whole line, then the torn one");
+            }
+        }
         if point == Some(CrashPoint::BeforeWalSync) {
-            let buffered = first.delivery().unwrap().pending_bytes();
-            first.catch_up();
-            assert_eq!(sink_ids(&dir).len(), before_batch, "held, not emitted");
             assert_eq!(
                 first.delivery().unwrap().pending_bytes(),
                 buffered,
                 "nothing is accepted before the fsync"
             );
         } else {
-            CRASH.set(point);
-            let committed = first.sync_wal();
-            let in_sink = sink_ids(&dir).len() - before_batch;
-            match point {
-                None => assert_eq!(committed.unwrap().len(), 3, "three reports in one batch"),
-                Some(CrashPoint::BeforeSinkCommit) => {
-                    assert!(committed.is_err());
-                    assert_eq!(in_sink, 0);
-                }
-                Some(CrashPoint::MidSinkCommit) => {
-                    assert!(committed.is_err());
-                    assert_eq!(in_sink, 1, "one whole line, then the torn one");
-                }
-                Some(CrashPoint::BeforeWalSync) => unreachable!(),
-            }
             assert!(
-                first.delivery().unwrap().pending_bytes() > 0,
-                "accept comes before commit: the batch is buffered at every crash point"
+                first.delivery().unwrap().pending_bytes() > buffered,
+                "accept comes before commit: the batch is buffered at every later crash point"
             );
         }
         drop(first); // SIGKILL stand-in
@@ -1262,11 +1240,11 @@ mod tests {
         kill_and_restart_with_crash_at(Some(CrashPoint::MidSinkCommit), "delivery-torn");
     }
 
-    /// A batch applied ahead of its fsync dies with the process: the
+    /// A batch applied but not yet fsynced dies with the process: the
     /// restart replays it and emits each of its reports exactly once.
     #[test]
-    fn delivery_survives_a_kill_after_catch_up_before_the_commit() {
-        kill_and_restart_with_crash_at(Some(CrashPoint::BeforeWalSync), "delivery-caught-up");
+    fn delivery_survives_a_kill_between_apply_and_wal_sync() {
+        kill_and_restart_with_crash_at(Some(CrashPoint::BeforeWalSync), "delivery-before-sync");
     }
 
     /// Everything that leaves the process, as seen from outside it.
@@ -1294,93 +1272,87 @@ mod tests {
         }
     }
 
-    /// `catch_up` runs the pipeline ahead of the fsync, and nothing it
-    /// produces leaves before the commit: `anomalies.jsonl`, the delivery
-    /// buffers, the ackable marks and the `/reports` store are untouched
-    /// until `tick`/`sync_wal`, and byte-identical afterwards to a run that
-    /// never caught up.
+    /// Nothing a line produces leaves before the commit that covers it:
+    /// while no commit falls due, `anomalies.jsonl`, the delivery buffers,
+    /// the ackable marks and the `/reports` store stay empty, and one
+    /// `sync_wal` releases the whole batch to all four at once.
     #[test]
-    fn catch_up_releases_nothing_before_the_commit() {
-        let addr = unused_addr();
-        let run = |name: &str, catch_up: bool| {
-            let dir = tmp_dir(name);
-            let (mut dm, _) = DurableMoniLog::open(
-                test_config(),
-                manual_commits(&dir),
-                || Ok(trained()),
-                Some(framed_delivery(addr)),
-            )
-            .unwrap();
-            let store = ReportStore::shared(64);
-            dm.attach_report_store(Arc::clone(&store));
-            for i in 32..64u64 {
-                let surfaced = dm
-                    .ingest(&RawLog::new(SourceId(0), i + 1, line(i)))
-                    .unwrap();
-                assert!(surfaced.is_empty(), "no commit falls due");
-            }
-            let before = released(&dm, &store);
-            assert!(before.jsonl.is_empty() && before.marks.is_empty());
-            if catch_up {
-                dm.catch_up();
-                assert_eq!(released(&dm, &store), before, "catch_up releases nothing");
-                assert!(dm.wal_lag_bytes() > 0, "caught up, still not durable");
-            }
-            let ids: Vec<u64> = dm.sync_wal().unwrap().iter().map(|a| a.report.id).collect();
-            let after = released(&dm, &store);
-            drop(dm);
-            fs::remove_dir_all(&dir).unwrap();
-            (ids, after)
-        };
-        let (ids, after) = run("release-caught-up", true);
+    fn nothing_leaves_before_the_commit() {
+        let dir = tmp_dir("release");
+        let (mut dm, _) = DurableMoniLog::open(
+            test_config(),
+            manual_commits(&dir),
+            || Ok(trained()),
+            Some(framed_delivery(unused_addr())),
+        )
+        .unwrap();
+        let store = ReportStore::shared(64);
+        dm.attach_report_store(Arc::clone(&store));
+        for i in 32..64u64 {
+            let surfaced = dm
+                .ingest(&RawLog::new(SourceId(0), i + 1, line(i)))
+                .unwrap();
+            assert!(surfaced.is_empty(), "no commit falls due");
+            let held = released(&dm, &store);
+            assert!(held.jsonl.is_empty() && held.marks.is_empty() && held.store.is_empty());
+            assert_eq!(
+                held.pending_bytes, 0,
+                "nothing is accepted before the fsync"
+            );
+        }
+        assert!(dm.wal_lag_bytes() > 0);
+        let ids: Vec<u64> = dm.sync_wal().unwrap().iter().map(|a| a.report.id).collect();
         assert!(ids.len() >= 3, "the corpus must produce reports");
-        assert!(!after.jsonl.is_empty() && after.pending_bytes > 0);
+        let after = released(&dm, &store);
+        let jsonl_ids: Vec<u64> = after
+            .jsonl
+            .split(|&b| b == b'\n')
+            .filter_map(ReportLine::id_of)
+            .collect();
+        assert_eq!(jsonl_ids, ids);
+        assert!(after.pending_bytes > 0);
         assert_eq!(after.marks, vec![(SourceId(0), 64)]);
-        assert_eq!((ids, after), run("release-plain", false));
+        assert_eq!(after.store.len(), ids.len());
+        assert_eq!(dm.wal_lag_bytes(), 0);
+        drop(dm);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Cluster revocation after a catch-up: the revoked source's caught-up
-    /// lines count as committed (their reports and seqs are released by
-    /// the next commit) and its pending lines are dropped — the outcome of
-    /// a commit that wins the race against the revoke. The ackable marks
-    /// never show a seq the fsync has not covered.
+    /// Cluster revocation drops the revoked source's pending lines: the
+    /// next commit releases no report of theirs, and the ackable marks never
+    /// show a seq the fsync has not covered.
     #[test]
-    fn revoke_keeps_caught_up_lines_and_drops_pending_ones() {
+    fn revoke_drops_pending_lines() {
         let src = SourceId(3);
-        let run = |name: &str, commit_first: bool| {
-            let dir = tmp_dir(name);
-            let (mut dm, _) =
-                DurableMoniLog::open(test_config(), manual_commits(&dir), || Ok(trained()), None)
-                    .unwrap();
-            let mut emitted = Vec::new();
-            for seq in 1..=12u64 {
-                emitted.extend(dm.ingest(&RawLog::new(src, seq, line(35 + seq))).unwrap());
-            }
-            if commit_first {
-                emitted.extend(dm.sync_wal().unwrap());
-            } else {
-                dm.catch_up();
-                assert!(dm.applied_marks().is_empty(), "caught up is not ackable");
-            }
-            for seq in 13..=20u64 {
-                emitted.extend(dm.ingest(&RawLog::new(src, seq, line(35 + seq))).unwrap());
-            }
-            dm.discard_source(src);
-            assert!(
-                dm.applied_marks().iter().all(|&(_, seq)| seq <= 12),
-                "an unsynced seq is never ackable"
-            );
-            emitted.extend(dm.sync_wal().unwrap());
-            let marks = dm.applied_marks();
-            assert_eq!(dm.next_seq(src), 21, "discarded lines stay journaled");
-            drop(dm);
-            fs::remove_dir_all(&dir).unwrap();
-            (report_keys(&emitted), marks)
-        };
-        let (reports, marks) = run("revoke-caught-up", false);
-        assert!(!reports.is_empty(), "caught-up reports are released");
-        assert_eq!(marks, vec![(src, 12)], "caught-up lines count as committed");
-        assert_eq!((reports, marks), run("revoke-committed", true));
+        let dir = tmp_dir("revoke");
+        let (mut dm, _) =
+            DurableMoniLog::open(test_config(), manual_commits(&dir), || Ok(trained()), None)
+                .unwrap();
+        for seq in 1..=12u64 {
+            dm.ingest(&RawLog::new(src, seq, line(35 + seq))).unwrap();
+        }
+        assert!(
+            !dm.sync_wal().unwrap().is_empty(),
+            "committed reports leave"
+        );
+        // Lines 13..=20 close anomalous windows, but are revoked pending.
+        for seq in 13..=20u64 {
+            dm.ingest(&RawLog::new(src, seq, line(35 + seq))).unwrap();
+        }
+        dm.discard_source(src);
+        assert_eq!(
+            dm.applied_marks(),
+            vec![(src, 12)],
+            "an unsynced seq is never ackable"
+        );
+        assert!(
+            dm.sync_wal().unwrap().is_empty(),
+            "revoked lines report nothing"
+        );
+        assert_eq!(dm.applied_marks(), vec![(src, 12)]);
+        assert_eq!(dm.next_seq(src), 21, "discarded lines stay journaled");
+        drop(dm);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Emitting a commit batch at once is the concatenation of emitting
@@ -1446,14 +1418,13 @@ mod tests {
         assert_eq!(batch, lines);
     }
 
-    mod catch_up_anywhere {
+    mod commit_anywhere {
         use super::*;
         use proptest::prelude::*;
 
         /// Report ids in emission order and the `anomalies.jsonl` bytes of
-        /// the live stream, with `step[k]` after line `k`: 2 catches up, 3
-        /// commits, anything else does neither.
-        fn run(name: &str, steps: &[u8]) -> (Vec<u64>, Vec<u8>) {
+        /// the live stream, committing after line `k` when `commits[k]`.
+        fn run(name: &str, commits: &[bool]) -> (Vec<u64>, Vec<u8>) {
             let dir = tmp_dir(name);
             let (mut dm, _) =
                 DurableMoniLog::open(test_config(), manual_commits(&dir), || Ok(trained()), None)
@@ -1464,10 +1435,8 @@ mod tests {
                     dm.ingest(&RawLog::new(SourceId(0), i + 1, line(i)))
                         .unwrap(),
                 );
-                match steps.get(k) {
-                    Some(2) => dm.catch_up(),
-                    Some(3) => emitted.extend(dm.sync_wal().unwrap()),
-                    _ => {}
+                if commits.get(k) == Some(&true) {
+                    emitted.extend(dm.sync_wal().unwrap());
                 }
             }
             emitted.extend(dm.finish().unwrap().0);
@@ -1479,14 +1448,14 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(12))]
 
-            /// Catching up at any points, with commits cut at any others,
-            /// emits what committing at the end alone does: same ids in the
-            /// same order, same `anomalies.jsonl` bytes.
+            /// Commits cut at any lines, as an idle monitor cuts them, emit
+            /// what one final commit does: same ids in the same order, same
+            /// `anomalies.jsonl` bytes.
             #[test]
-            fn emits_what_the_commit_alone_does(steps in proptest::collection::vec(0u8..4, 32)) {
+            fn emits_what_one_final_commit_does(commits in proptest::collection::vec(any::<bool>(), 32)) {
                 let reference = run("anywhere-reference", &[]);
                 prop_assert!(reference.0.len() >= 3);
-                prop_assert_eq!(run("anywhere-steps", &steps), reference);
+                prop_assert_eq!(run("anywhere-commits", &commits), reference);
             }
         }
     }
@@ -1587,59 +1556,70 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// `ingest` only commits when the *next* append finds the group-commit
-    /// interval elapsed. If the stream goes quiet, the final burst would
-    /// stay pending forever — unsynced and with its reports unsurfaced —
-    /// unless the idle `tick` honors the deadline in wall-clock time.
+    /// The idle commit: with a group-commit interval far off, a burst
+    /// stays pending and reports nothing until the input runs dry; then one
+    /// `sync_wal` fsyncs and releases it at once, without waiting for the
+    /// interval. A second one, over a clean journal, releases nothing.
     #[test]
-    fn idle_tick_commits_the_pending_tail() {
-        let dir = tmp_dir("tick");
+    fn idle_commit_releases_the_pending_tail_at_once() {
+        let dir = tmp_dir("idle-commit");
         let durable = DurableConfig {
             checkpoint_interval_ms: u64::MAX,
             journal: JournalConfig {
-                fsync_interval_ms: 30,
+                fsync_interval_ms: 60_000,
                 ..JournalConfig::default()
             },
             ..DurableConfig::new(&dir)
         };
         let (mut dm, _) =
             DurableMoniLog::open(test_config(), durable, || Ok(trained()), None).unwrap();
-        // The burst lands well inside the interval: every line stays
-        // pending and no report surfaces, even for anomalous windows.
-        let mut emitted = Vec::new();
         for i in 32..48u64 {
-            emitted.extend(
-                dm.ingest(&RawLog::new(SourceId(0), i + 1, line(i)))
-                    .unwrap(),
-            );
+            let surfaced = dm
+                .ingest(&RawLog::new(SourceId(0), i + 1, line(i)))
+                .unwrap();
+            assert!(surfaced.is_empty(), "the interval is a minute away");
         }
         assert!(dm.wal_lag_bytes() > 0, "burst tail must be pending");
-        // Applying the burst early releases nothing: it is still not
-        // durable, and its reports wait for the commit.
-        dm.catch_up();
-        assert!(dm.wal_lag_bytes() > 0, "caught up is not durable");
-        assert!(
-            fs::read(dm.anomalies_path()).unwrap().is_empty(),
-            "no report surfaces before the tick"
-        );
-        // Quiet stream: once the interval elapses, the idle tick must
-        // commit the tail — reports surface without another append.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            emitted.extend(dm.tick().unwrap());
-            if dm.wal_lag_bytes() == 0 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "tick never committed the tail");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(
-            !emitted.is_empty(),
-            "anomalies in the committed tail must surface from tick"
-        );
-        // A clean journal makes the tick a no-op.
-        assert!(dm.tick().unwrap().is_empty());
+        assert!(fs::read(dm.anomalies_path()).unwrap().is_empty());
+        let emitted = dm.sync_wal().unwrap();
+        assert!(!emitted.is_empty(), "the burst's anomalies surface");
+        assert!(!fs::read(dm.anomalies_path()).unwrap().is_empty());
         assert_eq!(dm.wal_lag_bytes(), 0);
+        assert_eq!(dm.applied_marks(), vec![(SourceId(0), 48)]);
+        assert!(
+            dm.sync_wal().unwrap().is_empty(),
+            "a clean journal commits nothing"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `journal_syncs` counts the WAL fsyncs commits perform: one per
+    /// commit over a dirty journal, none for a commit over a clean one.
+    #[test]
+    fn journal_syncs_counts_each_commit_fsync() {
+        let dir = tmp_dir("journal-syncs");
+        let (mut dm, _) =
+            DurableMoniLog::open(test_config(), manual_commits(&dir), || Ok(trained()), None)
+                .unwrap();
+        let syncs =
+            |dm: &DurableMoniLog| PipelineMetrics::get(&dm.pipeline().metrics().journal_syncs);
+        let mut i = 32u64;
+        for n in 1..=5u64 {
+            for _ in 0..n {
+                dm.ingest(&RawLog::new(SourceId(0), i + 1, line(i)))
+                    .unwrap();
+                i += 1;
+            }
+            dm.sync_wal().unwrap();
+            assert_eq!(syncs(&dm), n, "one fsync per commit over a dirty journal");
+            dm.sync_wal().unwrap();
+            dm.checkpoint_now().unwrap();
+            assert_eq!(
+                syncs(&dm),
+                n,
+                "a commit over a clean journal fsyncs nothing"
+            );
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -15,31 +15,14 @@ use monilog_model::trace::json_string;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Why a line ended up in the dead-letter log. The sources only divert
-/// on overload; the other reasons stay in the on-disk vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailureReason {
-    /// Every parse attempt (original + retries) panicked.
-    Panic,
-    /// The ingest queue was saturated under the `DeadLetter` policy.
-    Overload,
-    /// The line was in flight when its worker crashed.
-    WorkerCrash,
-}
-
-/// A dead-lettered line with enough context to triage or replay it.
+/// A line the sources dead-lettered on overload, with enough context to
+/// triage or replay it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeadLetter {
     pub seq: u64,
-    /// The shard that was handling the line; `None` when it never entered
-    /// the pipeline (overload diversion happens before routing).
-    pub shard: Option<usize>,
     /// Materialized from the arena-backed line: dead letters outlive
     /// arrival buffers, so they own their bytes.
     pub line: String,
-    pub reason: FailureReason,
-    /// Parse attempts made (0 when the line was never attempted).
-    pub attempts: u32,
 }
 
 /// Rotated generations kept.
@@ -76,26 +59,14 @@ impl DeadLetterLog {
     }
 }
 
-fn reason_str(reason: FailureReason) -> &'static str {
-    match reason {
-        FailureReason::Panic => "panic",
-        FailureReason::Overload => "overload",
-        FailureReason::WorkerCrash => "worker_crash",
-    }
-}
-
+/// One JSON line. `shard`, `reason` and `attempts` are constants: an
+/// overload diversion happens before routing and before any parse attempt,
+/// and the fields keep the file's shape for the tools that read it.
 fn render(l: &DeadLetter) -> String {
-    let shard = match l.shard {
-        Some(s) => s.to_string(),
-        None => "null".to_string(),
-    };
     format!(
-        "{{\"seq\":{},\"shard\":{},\"line\":{},\"reason\":\"{}\",\"attempts\":{}}}",
+        "{{\"seq\":{},\"shard\":null,\"line\":{},\"reason\":\"overload\",\"attempts\":0}}",
         l.seq,
-        shard,
         json_string(&l.line),
-        reason_str(l.reason),
-        l.attempts
     )
 }
 
@@ -114,18 +85,7 @@ mod tests {
     fn letter(seq: u64, line: &str) -> DeadLetter {
         DeadLetter {
             seq,
-            shard: if seq.is_multiple_of(2) {
-                Some(seq as usize % 4)
-            } else {
-                None
-            },
             line: line.to_string(),
-            reason: match seq % 3 {
-                0 => FailureReason::Panic,
-                1 => FailureReason::Overload,
-                _ => FailureReason::WorkerCrash,
-            },
-            attempts: seq as u32 % 5,
         }
     }
 
@@ -158,12 +118,12 @@ mod tests {
         assert_eq!(
             lines,
             [
-                r#"{"seq":1,"shard":null,"line":"plain poison","reason":"overload","attempts":1}"#,
-                r#"{"seq":2,"shard":2,"line":"embedded \"quotes\" and \\backslashes\\","reason":"worker_crash","attempts":2}"#,
-                r#"{"seq":3,"shard":null,"line":"looks like json: {\"reason\":\"panic\",\"attempts\":9}","reason":"panic","attempts":3}"#,
-                r#"{"seq":4,"shard":0,"line":"newline\nand\ttab and control\u0001char","reason":"overload","attempts":4}"#,
-                r#"{"seq":5,"shard":null,"line":"unicode: héllo wörld — ☃","reason":"worker_crash","attempts":0}"#,
-                r#"{"seq":6,"shard":2,"line":"later","reason":"panic","attempts":1}"#,
+                r#"{"seq":1,"shard":null,"line":"plain poison","reason":"overload","attempts":0}"#,
+                r#"{"seq":2,"shard":null,"line":"embedded \"quotes\" and \\backslashes\\","reason":"overload","attempts":0}"#,
+                r#"{"seq":3,"shard":null,"line":"looks like json: {\"reason\":\"panic\",\"attempts\":9}","reason":"overload","attempts":0}"#,
+                r#"{"seq":4,"shard":null,"line":"newline\nand\ttab and control\u0001char","reason":"overload","attempts":0}"#,
+                r#"{"seq":5,"shard":null,"line":"unicode: héllo wörld — ☃","reason":"overload","attempts":0}"#,
+                r#"{"seq":6,"shard":null,"line":"later","reason":"overload","attempts":0}"#,
             ]
         );
         fs::remove_dir_all(path.parent().unwrap()).unwrap();

@@ -13,10 +13,12 @@
 //! The durability contract is *journal first, release second*: the caller
 //! appends a line before feeding it to the pipeline, and lets nothing
 //! derived from it (a report, a checkpoint, a source ack) leave the
-//! process before the group commit ([`JournalConfig::fsync_interval_ms`])
-//! has fsynced it. A crash can therefore lose only lines whose effects
-//! never left — those are re-read from the input — while every line
-//! behind an observable effect is replayable.
+//! process before a group commit ([`Journal::sync`]) has fsynced it. The
+//! caller commits whenever its input runs dry;
+//! [`JournalConfig::fsync_interval_ms`] bounds how long a line waits for
+//! its fsync under continuous input. A crash can therefore lose only lines
+//! whose effects never left — those are re-read from the input — while
+//! every line behind an observable effect is replayable.
 //!
 //! Segments rotate at [`JournalConfig::segment_bytes`]; replay tolerates a
 //! truncated or corrupt tail (the torn final frame of a crash) by treating
@@ -38,9 +40,10 @@ const SEGMENT_HEADER_LEN: usize = 16;
 /// Journal tuning knobs (`--journal-fsync-ms`, `--journal-segment-bytes`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalConfig {
-    /// Group-commit interval: appends are fsync'd when this many
-    /// milliseconds have passed since the last sync. `0` syncs on every
-    /// append (maximum durability, minimum throughput).
+    /// Group-commit interval: the longest an appended line waits for its
+    /// fsync under continuous input (a caller whose input runs dry commits
+    /// at once). `0` syncs on every append (maximum durability, minimum
+    /// throughput).
     pub fsync_interval_ms: u64,
     /// Segment rotation threshold in bytes.
     pub segment_bytes: u64,
@@ -184,15 +187,6 @@ impl Journal {
         self.unsynced_bytes > 0
             && now.saturating_duration_since(self.last_sync)
                 >= Duration::from_millis(self.config.fsync_interval_ms)
-    }
-
-    /// How long until the group commit falls due; `None` while nothing is
-    /// waiting for one.
-    pub fn sync_due_in(&self) -> Option<Duration> {
-        (self.unsynced_bytes > 0).then(|| {
-            Duration::from_millis(self.config.fsync_interval_ms)
-                .saturating_sub(self.last_sync.elapsed())
-        })
     }
 
     /// Frame bytes journaled but not yet durable: appended since the last

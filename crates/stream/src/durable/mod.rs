@@ -7,7 +7,7 @@
 //! that was reported and reports nothing twice"):
 //!
 //! - [`Journal`] — per-source append-only segment files of CRC-framed raw
-//!   lines, fsync'd on a group-commit interval. Lines are journaled
+//!   lines, fsync'd by group commits. Lines are journaled
 //!   *before* they are applied to the pipeline, so anything the pipeline
 //!   ever saw is re-readable after a crash. The router keeps its
 //!   per-source retention in a journal of its own.
@@ -34,7 +34,7 @@ pub mod rotate;
 pub mod signal;
 
 pub use checkpoint::{CheckpointStore, LoadedCheckpoint};
-pub use dlq::{DeadLetter, DeadLetterLog, FailureReason};
+pub use dlq::{DeadLetter, DeadLetterLog};
 pub use journal::{Journal, JournalConfig};
 pub use rotate::RotatingLog;
 pub use signal::{

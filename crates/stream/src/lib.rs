@@ -67,8 +67,8 @@ pub use cluster::{
 pub use config::{ConfigError, OverloadPolicy, RetryPolicy};
 pub use durable::{
     install_reload_handler, install_shutdown_handler, shutdown_requested, take_reload_request,
-    CheckpointStore, DeadLetter, DeadLetterLog, DurabilityError, FailureReason, Journal,
-    JournalConfig, LoadedCheckpoint,
+    CheckpointStore, DeadLetter, DeadLetterLog, DurabilityError, Journal, JournalConfig,
+    LoadedCheckpoint,
 };
 pub use export::MetricsExporter;
 pub use merge::{BoundedReorderBuffer, DedupFilter};

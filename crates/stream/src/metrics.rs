@@ -56,6 +56,7 @@ counters! {
     // Durability (`crate::durable`).
     checkpoints_written: "Durable pipeline checkpoints committed to the state directory.",
     journal_bytes: "Bytes appended to the write-ahead ingest journal.",
+    journal_syncs: "Write-ahead journal fsyncs performed by group commits.",
     recovery_replayed_lines: "Journal lines replayed during crash recovery.",
     // Anomaly delivery (`crate::sinks`).
     reports_accepted: "Reports durably appended to a delivery buffer (they survive SIGKILL).",
@@ -161,7 +162,7 @@ mod tests {
             assert!(!help.is_empty() && !help.contains('\n'), "{name}: {help:?}");
             assert_eq!(PipelineMetrics::help(name), Some(*help));
         }
-        assert_eq!(snap.counters.len(), 34);
+        assert_eq!(snap.counters.len(), 35);
         assert_eq!(PipelineMetrics::help("no_such_counter"), None);
     }
 }

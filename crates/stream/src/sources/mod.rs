@@ -40,7 +40,7 @@ pub use syslog::{parse_syslog, SyslogMessage};
 pub use tail::{glob_match, GlobResume, TailCursor, TailGlobSpec, MAX_TAIL_SLOTS};
 
 use crate::config::OverloadPolicy;
-use crate::durable::{DeadLetter, DeadLetterLog, FailureReason};
+use crate::durable::{DeadLetter, DeadLetterLog};
 pub use crate::export::MetricsEndpoint;
 use crate::metrics::PipelineMetrics;
 use crate::net::{AsLoopFd, EventLoop, Handler, Interest, LoopCtx, LoopWaker, Next};
@@ -193,7 +193,9 @@ impl SourceQueue {
         out
     }
 
-    /// Lines currently queued (approximate under concurrency).
+    /// Lines currently queued. Under concurrency it may count a line still
+    /// being pushed or received, never miss one: it is at least the number
+    /// queued and at most the capacity.
     pub fn depth(&self) -> usize {
         self.depth.load(Ordering::SeqCst)
     }
@@ -212,13 +214,26 @@ pub(crate) struct QueueTx {
 }
 
 impl QueueTx {
+    /// Enqueue without blocking; `Err` hands the line back when the queue
+    /// is full. The slot is counted before the send and released if it
+    /// fails: a consumer that receives the line at once then subtracts
+    /// from a count that already holds it, so `depth` never drops below
+    /// the lines queued (nor, counted only below the capacity, above it).
     pub(crate) fn try_push(&self, ev: SourceEvent) -> Result<(), SourceEvent> {
+        let counted = self
+            .depth
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |d| {
+                (d < self.capacity).then_some(d + 1)
+            });
+        if counted.is_err() {
+            return Err(ev);
+        }
         match self.tx.try_send(ev) {
-            Ok(()) => {
-                self.depth.fetch_add(1, Ordering::SeqCst);
-                Ok(())
+            Ok(()) => Ok(()),
+            Err(TrySendError::Full(ev)) | Err(TrySendError::Disconnected(ev)) => {
+                self.depth.fetch_sub(1, Ordering::SeqCst);
+                Err(ev)
             }
-            Err(TrySendError::Full(ev)) | Err(TrySendError::Disconnected(ev)) => Err(ev),
         }
     }
 
@@ -237,10 +252,10 @@ impl QueueTx {
         self.try_push(ev)
     }
 
-    /// Free queue slots (approximate; used for the HTTP 429 admission check).
+    /// Free queue slots, for the HTTP 429 admission check (`depth` never
+    /// exceeds the capacity).
     fn free(&self) -> usize {
-        self.capacity
-            .saturating_sub(self.depth.load(Ordering::SeqCst))
+        self.capacity - self.depth.load(Ordering::SeqCst)
     }
 }
 
@@ -380,10 +395,7 @@ impl Shared {
             let seq = self.dlq_seq.fetch_add(1, Ordering::SeqCst) as u64;
             let _ = dlq.append(&[DeadLetter {
                 seq: u64::MAX - seq,
-                shard: None,
                 line: line.into_string(),
-                reason: FailureReason::Overload,
-                attempts: 0,
             }]);
         }
     }
@@ -771,6 +783,56 @@ mod tests {
             got.extend(queue.recv_batch(256, Duration::from_millis(20)));
         }
         got
+    }
+
+    /// A producer and a spinning consumer race on a 4-slot queue, each on
+    /// its own core where there are two: the consumer never reads a depth
+    /// above the capacity (a receive that beat the producer's count used to wrap
+    /// it to `usize::MAX`), and every line arrives in order.
+    #[test]
+    fn depth_stays_within_capacity_under_a_racing_producer() {
+        use monilog_model::affinity::pin_current_thread;
+        const CAPACITY: usize = 4;
+        const LINES: u64 = 200_000;
+        let config = SourcesConfig {
+            queue_capacity: CAPACITY,
+            ..SourcesConfig::default()
+        };
+        let mut event_loop = EventLoop::new().unwrap();
+        let (shared, queue) = Shared::new(&config, &registry(), None, event_loop.waker().unwrap());
+        let tx = &shared.tx;
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                pin_current_thread(1);
+                for seq in 0..LINES {
+                    let mut ev = SourceEvent {
+                        source: SYSLOG_TCP_SOURCE,
+                        line: "x".into(),
+                        cursor: None,
+                        seq: Some(seq),
+                    };
+                    while let Err(back) = tx.try_push(ev) {
+                        ev = back;
+                        std::hint::spin_loop();
+                    }
+                }
+            });
+            let consumer = s.spawn(move || {
+                pin_current_thread(0);
+                let (mut next, mut deepest) = (0u64, 0);
+                while next < LINES {
+                    for ev in queue.recv_batch(CAPACITY, Duration::ZERO) {
+                        assert_eq!(ev.seq, Some(next), "order kept, nothing lost");
+                        next += 1;
+                    }
+                    deepest = deepest.max(queue.depth());
+                }
+                assert_eq!(queue.depth(), 0);
+                deepest
+            });
+            let deepest = consumer.join().unwrap();
+            assert!(deepest <= CAPACITY, "the consumer read depth {deepest}");
+        });
     }
 
     #[test]

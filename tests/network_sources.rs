@@ -292,6 +292,66 @@ fn a_killed_monitor_has_printed_its_startup_lines() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// An idle monitor commits at once: with the group-commit interval a
+/// minute away, one syslog burst's reports still reach `anomalies.jsonl`
+/// within seconds, because the commit runs as soon as the queue is empty.
+#[test]
+fn an_idle_monitor_reports_without_waiting_for_the_fsync_interval() {
+    let dir = tmp_dir("idle-commit");
+    let ckpt = train_checkpoint(&dir);
+    let state = dir.join("state");
+    let mut child = Command::new(BIN)
+        .args(["monitor", "--checkpoint", &ckpt.display().to_string()])
+        .args(["--state-dir", &state.display().to_string()])
+        .args(["--listen-syslog-tcp", "127.0.0.1:0"])
+        .args(["--journal-fsync-ms", "60000"])
+        .args(["--checkpoint-interval-ms", "600000"])
+        .env_remove("MONILOG_IDLE_EXIT_MS")
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    let addr = wait_for_addr(&state, "syslog-tcp");
+    // Sessions close after 30 s of event-time silence, and the reorder
+    // buffer holds a line until one a second younger arrives: two lines an
+    // hour apart close every session of the stream before them.
+    let later = |start_ms| {
+        HdfsWorkload::new(HdfsWorkloadConfig {
+            n_sessions: 1,
+            seed: 8,
+            start_ms,
+            ..Default::default()
+        })
+        .generate()[0]
+            .record
+            .to_line()
+    };
+    let lines = live_lines()
+        .into_iter()
+        .chain([later(1_600_007_200_000), later(1_600_010_800_000)]);
+    let mut burst = String::new();
+    for line in lines {
+        burst.push_str(&format!(
+            "<14>1 2020-09-13T13:26:40Z host app - - - {line}\n"
+        ));
+    }
+    let sent = Instant::now();
+    TcpStream::connect(&addr)
+        .unwrap()
+        .write_all(burst.as_bytes())
+        .unwrap();
+    while sink_lines(&state).is_empty() && sent.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let reported = sink_lines(&state).len();
+    child.kill().unwrap();
+    child.wait().unwrap();
+    assert!(
+        reported > 0,
+        "no report reached anomalies.jsonl within 5 s of the burst"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// RFC 3164 `app:` tags glue the tag to the message with `: `; make sure
 /// the test's framing helper reverses exactly (guards the test itself).
 #[test]
